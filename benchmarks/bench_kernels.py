@@ -1,11 +1,14 @@
-"""Benchmark the jitted kernels against the pure-numpy fallbacks.
+"""Time the two contact-detection branches and the waypoint step.
 
-Times contact detection and waypoint stepping over a range of fleet
-sizes, printing per-call latency and the speedup of the jitted path.
+Contact detection: the quadratic numpy scan against the k-d tree range
+search, per call, at the baseline density (15 vehicles per 800x800 m,
+100 m radio range). The table shows where the k-d tree starts to win;
+that crossover is what ``kernels.KDTREE_MIN_VEHICLES`` is set from.
+Waypoint stepping: one numpy tick per call at the same sizes.
 Run from the repository root:
 
-    python benchmarks/bench_kernels.py
-    python benchmarks/bench_kernels.py --sizes 100,1000,5000 --repeats 50
+    PYTHONPATH=src python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 50,64,100 --repeats 200
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import numpy as np
 
 from vanetsim import kernels
 
+RADIO_RANGE = 100.0
+
 
 def time_call(fn, *args, repeats: int) -> float:
-    """Best-of-run mean seconds per call after one warmup invocation."""
+    """Best of three mean seconds per call, after one warmup invocation."""
     fn(*args)
     best = float("inf")
     for _ in range(3):
@@ -30,69 +35,69 @@ def time_call(fn, *args, repeats: int) -> float:
     return best
 
 
-def fleet(n: int, arena: float, seed: int):
-    rng = np.random.default_rng(seed)
-    return rng.random(n) * arena, rng.random(n) * arena
+def baseline_arena(n: int) -> float:
+    """Side of the square arena that holds n vehicles at baseline density."""
+    return 800.0 * (n / 15.0) ** 0.5
 
 
-def bench_contacts(sizes: list[int], repeats: int) -> None:
-    print("\ncontact detection (radio range 100 m, density ~15 per 800x800)")
-    header = f"{'n':>6}  {'numpy':>12}  {'numba':>12}  {'speedup':>8}"
+def bench_contacts(sizes: list[int], repeats: int) -> int | None:
+    """Print the per-call table; return the smallest size from which the tree wins."""
+    print(f"\ncontact detection (radio range {RADIO_RANGE:g} m, baseline density)")
+    header = f"{'n':>6}  {'numpy':>11}  {'kdtree':>11}  {'numpy/kdtree':>12}"
     print(header)
     print("-" * len(header))
+    crossover = None
     for n in sizes:
-        # keep the fleet density comparable to the reference scenario
-        arena = 800.0 * (n / 15.0) ** 0.5
-        x, y = fleet(n, arena, seed=n)
-        t_np = time_call(kernels._contact_pairs_numpy, x, y, 100.0, repeats=repeats)
-        if kernels.HAS_NUMBA:
-            t_nb = time_call(kernels._contact_pairs_grid, x, y, 100.0, repeats=repeats)
-            print(f"{n:>6}  {t_np * 1e3:>10.3f}ms  {t_nb * 1e3:>10.3f}ms  {t_np / t_nb:>7.1f}x")
-        else:
-            print(f"{n:>6}  {t_np * 1e3:>10.3f}ms  {'n/a':>12}  {'n/a':>8}")
+        rng = np.random.default_rng(n)
+        arena = baseline_arena(n)
+        x, y = rng.random(n) * arena, rng.random(n) * arena
+        t_np = time_call(kernels._contact_pairs_numpy, x, y, RADIO_RANGE, repeats=repeats)
+        t_kd = time_call(kernels._contact_pairs_kdtree, x, y, RADIO_RANGE, repeats=repeats)
+        ratio = t_np / t_kd
+        if ratio <= 1.0:
+            crossover = None
+        elif crossover is None:
+            crossover = n
+        print(f"{n:>6}  {t_np * 1e6:>9.1f}us  {t_kd * 1e6:>9.1f}us  {ratio:>11.2f}x")
+    return crossover
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
     print("\nwaypoint stepping (one tick, pause 2 s)")
-    header = f"{'n':>6}  {'numpy':>12}  {'numba':>12}  {'speedup':>8}"
+    header = f"{'n':>6}  {'per call':>11}"
     print(header)
     print("-" * len(header))
     for n in sizes:
         rng = np.random.default_rng(n)
-        arena = 800.0
-        state = lambda: (  # noqa: E731 - tiny local factory
+        arena = baseline_arena(n)
+        state = (
             rng.random(n) * arena, rng.random(n) * arena,
             rng.random(n) * arena, rng.random(n) * arena,
             5.0 + rng.random(n) * 10.0, np.full(n, -np.inf),
             np.zeros(n), np.zeros(n),
         )
         cand = rng.random((n, 3))
-        args_np = state()
-        args_nb = tuple(a.copy() for a in args_np)
         common = (cand, 0.0, 1.0, arena, arena, 5.0, 15.0, 2.0)
-        t_np = time_call(kernels._waypoint_step_numpy, *args_np, *common, repeats=repeats)
-        if kernels.HAS_NUMBA:
-            t_nb = time_call(kernels._waypoint_step_numba, *args_nb, *common, repeats=repeats)
-            print(f"{n:>6}  {t_np * 1e6:>10.1f}us  {t_nb * 1e6:>10.1f}us  {t_np / t_nb:>7.1f}x")
-        else:
-            print(f"{n:>6}  {t_np * 1e6:>10.1f}us  {'n/a':>12}  {'n/a':>8}")
+        t = time_call(kernels.waypoint_step, *state, *common, repeats=repeats)
+        print(f"{n:>6}  {t * 1e6:>9.1f}us")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes", default="15,100,500,2000",
-        help="comma-separated fleet sizes (default 15,100,500,2000)",
+        "--sizes", default="15,30,50,75,100,300,1000",
+        help="comma-separated fleet sizes, ascending (default 15,30,50,75,100,300,1000)",
     )
-    parser.add_argument("--repeats", type=int, default=30)
+    parser.add_argument("--repeats", type=int, default=100)
     args = parser.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = sorted(int(s) for s in args.sizes.split(",") if s.strip())
 
-    if kernels.HAS_NUMBA:
-        print("numba available: comparing jitted kernels against the numpy fallback")
+    crossover = bench_contacts(sizes, args.repeats)
+    if crossover is None:
+        print("\nthe k-d tree does not win at the largest size measured")
     else:
-        print("numba NOT available: timing the numpy fallback only")
-    bench_contacts(sizes, args.repeats)
+        print(f"\nthe k-d tree wins from n={crossover} on, among the sizes measured")
+    print(f"contact_pairs switches to it at n >= KDTREE_MIN_VEHICLES = {kernels.KDTREE_MIN_VEHICLES}")
     bench_waypoints(sizes, args.repeats)
 
 

@@ -4,8 +4,8 @@ Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
 constant speed, arrive, pause, and repeat. State lives in flat numpy
 arrays; the per-tick update is delegated to the kernels module. One
 uniform triple per vehicle is drawn every tick whether or not it is
-consumed, which keeps trajectories identical across kernel backends and
-independent of arrival patterns.
+consumed, so the generator advances by the same amount each tick and a
+run's random stream does not depend on when vehicles happen to arrive.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class RandomWaypointModel:
             cfg.speed_min, cfg.speed_max, cfg.pause_time,
         )
         self.now += cfg.tick_seconds
-
-    def positions(self) -> np.ndarray:
-        """(n, 2) copy of current positions."""
-        return np.column_stack((self.x, self.y))
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.x[vehicle_id]), float(self.y[vehicle_id]))

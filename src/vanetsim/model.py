@@ -117,13 +117,12 @@ class CarryState:
 
 @dataclass
 class Vehicle:
-    """A mobile node: position/velocity, credit account and carried packets."""
+    """A mobile node: position/velocity and credit account."""
 
     id: int
     position: Vec2
     velocity: Vec2 = (0.0, 0.0)
     credit_balance: float = 0.0
-    carried: dict[str, CarryState] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

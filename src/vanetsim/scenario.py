@@ -244,7 +244,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"invalid scenario: {path} is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
     return scenario_from_dict(raw)

@@ -206,13 +206,13 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
 
 
 def test_contact_engine_matches_quadratic_oracle(capsys):
-    """Grid-accelerated contact detection is exact on moving fleets.
+    """Contact detection, scan or k-d tree by fleet size, is exact on moving fleets.
 
     50 seeded mobility runs, fleets up to 200 vehicles, every tick checked
     against the full-matrix oracle, exact index-pair equality.
     """
     start = time.perf_counter()
-    backend = "grid" if kernels.HAS_NUMBA else "numpy-fallback"
+    backend = f"numpy scan below {kernels.KDTREE_MIN_VEHICLES} vehicles, k-d tree from there"
     ticks_checked = 0
     for run_idx in range(50):
         meta = np.random.default_rng(run_idx)
@@ -232,9 +232,6 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
             got_a, got_b = kernels.contact_pairs(model.x, model.y, radio)
             ref_a, ref_b = reference_pairs(model.x, model.y, radio)
             assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
-            if kernels.HAS_NUMBA:
-                na, nb = kernels._contact_pairs_numpy(model.x, model.y, radio)
-                assert np.array_equal(got_a, na) and np.array_equal(got_b, nb)
             ticks_checked += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0

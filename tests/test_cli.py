@@ -92,10 +92,12 @@ class TestRunCommand:
 
     def test_invalid_scenario_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("mobility:\n  vehicle_count: 0\n", encoding="utf-8")
-        rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "invalid scenario" in capsys.readouterr().err
+        # a bad value, then a file that is not valid YAML at all
+        for text in ("mobility:\n  vehicle_count: 0\n", "name: [unclosed\n"):
+            bad.write_text(text, encoding="utf-8")
+            rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+            assert rc == 1
+            assert "invalid scenario" in capsys.readouterr().err
 
 
 class TestSweepCommand:

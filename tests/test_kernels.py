@@ -1,4 +1,4 @@
-"""Contact detection and waypoint stepping: both backends against oracles."""
+"""Contact detection (both branches) and waypoint stepping against oracles."""
 
 import numpy as np
 import pytest
@@ -21,11 +21,11 @@ def as_pair_list(a, b):
     return list(zip(a.tolist(), b.tolist()))
 
 
-@pytest.fixture(params=["numpy", "grid"] if kernels.HAS_NUMBA else ["numpy"])
+@pytest.fixture(params=["numpy", "kdtree"])
 def pair_fn(request):
     if request.param == "numpy":
         return kernels._contact_pairs_numpy
-    return kernels._contact_pairs_grid
+    return kernels._contact_pairs_kdtree
 
 
 class TestContactPairs:
@@ -51,6 +51,15 @@ class TestContactPairs:
         y = np.zeros(3)
         a, b = pair_fn(x, y, 10.0)
         assert as_pair_list(a, b) == [(0, 1)]
+        # off-axis ties: distance exactly r along 3-4-5 and 5-12-13 triangles
+        for pts, rr in [
+            ([(0.0, 0.0), (60.0, 80.0), (200.0, 0.0)], 100.0),
+            ([(7.0, 3.0), (-53.0, -77.0), (500.0, 500.0)], 100.0),
+            ([(100.0, 100.0), (150.0, 220.0), (0.0, 400.0)], 130.0),
+        ]:
+            x, y = np.array(pts).T
+            a, b = pair_fn(x, y, rr)
+            assert as_pair_list(a, b) == [(0, 1)]
 
     def test_degenerate_sizes(self, pair_fn):
         for n in (0, 1):
@@ -63,8 +72,7 @@ class TestContactPairs:
         assert len(a) == n * (n - 1) // 2
 
     def test_spread_cloud_triggers_sparse_fallback(self, pair_fn):
-        # tiny range over a huge arena: the grid would be enormous, so the
-        # jitted kernel flips to its quadratic path; results must not change
+        # tiny range over a huge arena: one close pair among far-apart points
         rng = np.random.default_rng(11)
         n = 50
         x = rng.random(n) * 1e6
@@ -74,16 +82,18 @@ class TestContactPairs:
         a, b = pair_fn(x, y, 2.0)
         assert set(as_pair_list(a, b)) == brute_force_pairs(x, y, 2.0)
 
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_backends_agree_exactly(self):
-        rng = np.random.default_rng(7)
-        for n in (5, 40, 150):
-            x = rng.random(n) * 500.0
-            y = rng.random(n) * 500.0
-            ga, gb = kernels._contact_pairs_grid(x, y, 60.0)
-            na, nb = kernels._contact_pairs_numpy(x, y, 60.0)
-            assert np.array_equal(ga, na)
-            assert np.array_equal(gb, nb)
+    @pytest.mark.parametrize("n", [kernels.KDTREE_MIN_VEHICLES - 1, kernels.KDTREE_MIN_VEHICLES, 1000])
+    def test_dispatcher_matches_numpy_scan(self, n):
+        # both sides of the crossover, plus a fleet far above it
+        rng = np.random.default_rng(n)
+        arena = 800.0 * (n / 15.0) ** 0.5  # baseline density
+        x = rng.random(n) * arena
+        y = rng.random(n) * arena
+        a, b = kernels.contact_pairs(x, y, 100.0)
+        na, nb = kernels._contact_pairs_numpy(x, y, 100.0)
+        assert len(a) > 0
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, na) and np.array_equal(b, nb)
 
 
 def run_waypoint(fn, seed, ticks=200, n=20):
@@ -104,15 +114,8 @@ def run_waypoint(fn, seed, ticks=200, n=20):
 
 
 class TestWaypointStep:
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_backends_bit_identical(self):
-        out_nb = run_waypoint(kernels._waypoint_step_numba, seed=5)
-        out_np = run_waypoint(kernels._waypoint_step_numpy, seed=5)
-        for a, b in zip(out_nb, out_np):
-            assert np.array_equal(a, b)
-
     def test_positions_stay_in_arena(self):
-        x, y, *_ = run_waypoint(kernels._waypoint_step_numpy, seed=9, ticks=500)
+        x, y, *_ = run_waypoint(kernels.waypoint_step, seed=9, ticks=500)
         assert np.all((x >= 0) & (x <= 300.0))
         assert np.all((y >= 0) & (y <= 200.0))
 
@@ -124,7 +127,7 @@ class TestWaypointStep:
         pause = np.array([10.0])  # paused until t=10
         vx = np.zeros(n); vy = np.zeros(n)
         cand = np.zeros((n, 3))
-        kernels._waypoint_step_numpy(
+        kernels.waypoint_step(
             x, y, wx, wy, speed, pause, vx, vy, cand, 0.0, 1.0,
             100.0, 100.0, 1.0, 5.0, 3.0,
         )
@@ -139,7 +142,7 @@ class TestWaypointStep:
         pause = np.full(n, -np.inf)
         vx = np.zeros(n); vy = np.zeros(n)
         cand = np.array([[0.5, 0.5, 0.5]])
-        kernels._waypoint_step_numpy(
+        kernels.waypoint_step(
             x, y, wx, wy, speed, pause, vx, vy, cand, 7.0, 1.0,
             100.0, 100.0, 1.0, 5.0, 3.0,
         )
@@ -147,14 +150,3 @@ class TestWaypointStep:
         assert pause[0] == 10.0  # now + pause_time
         assert (wx[0], wy[0]) == (50.0, 50.0)  # fresh waypoint from cand
         assert speed[0] == 1.0 + 0.5 * (5.0 - 1.0)
-
-    def test_dispatcher_respects_flag(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        x = rng.random(30) * 100
-        y = rng.random(30) * 100
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
-        a0, b0 = kernels.contact_pairs(x, y, 20.0)
-        if kernels.HAS_NUMBA:
-            monkeypatch.setattr(kernels, "USE_NUMBA", True)
-            a1, b1 = kernels.contact_pairs(x, y, 20.0)
-            assert np.array_equal(a0, a1) and np.array_equal(b0, b1)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vanetsim import kernels
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 from vanetsim.model import ValidationError
 
@@ -88,19 +87,3 @@ class TestRandomWaypointModel:
         m.step()
         px, py = m.position_of(4)
         assert px == m.x[4] and py == m.y[4]
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-    def test_backends_produce_identical_fleets(self, monkeypatch):
-        monkeypatch.setattr(kernels, "USE_NUMBA", True)
-        m1 = make_model(11, pause_time=2.0)
-        for _ in range(250):
-            m1.step()
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
-        m2 = make_model(11, pause_time=2.0)
-        for _ in range(250):
-            m2.step()
-        for a, b in zip(
-            (m1.x, m1.y, m1.vx, m1.vy, m1.speed, m1.pause_until),
-            (m2.x, m2.y, m2.vx, m2.vy, m2.speed, m2.pause_until),
-        ):
-            assert np.array_equal(a, b)
