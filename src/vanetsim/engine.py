@@ -88,12 +88,6 @@ class RunResult:
     delivered: bool | None
 
 
-def contacts_at(model: RandomWaypointModel, radio_range: float) -> list[tuple[int, int]]:
-    """Vehicle-id pairs currently in radio range, sorted."""
-    a, b = contact_pairs(model.x, model.y, radio_range)
-    return [(int(i), int(j)) for i, j in zip(a, b)]
-
-
 def _settle(
     transit: PacketTransit,
     source_id: int,
@@ -188,16 +182,14 @@ def run(
 
     def route_tick(now: float) -> None:
         nonlocal contact_events
-        pairs = contacts_at(model, engine_cfg.radio_range)
-        contact_events += len(pairs)
-        for a, b in pairs:
-            link = handle_encounter(
-                transit, a, b, model.position_of(a), model.position_of(b), now
-            )
+        x, y = model.x, model.y
+        a, b = contact_pairs(x, y, engine_cfg.radio_range)
+        contact_events += len(a)
+        for i, j in zip(a.tolist(), b.tolist()):
+            link = handle_encounter(transit, i, j, x, y, now)
             if link is None:
                 continue
             if link.to_id == destination and transit.delivered_at is None:
-                transit.delivered_to = destination
                 transit.delivered_at = now
                 if settle_on_delivery:
                     do_settle(now)

@@ -23,7 +23,7 @@ from scipy.stats import spearmanr
 from .engine import RunResult
 from .incentives import IncentiveConfig, effective_distance
 from .model import ValidationError
-from .routing import descendant_counts, path_from_root
+from .routing import descendant_counts
 
 SCHEMA_VERSION = 1
 
@@ -206,7 +206,7 @@ def build_summary(
                 ),
                 receive_distance=rec.receive_distance,
                 descendants=desc[vid],
-                depth=len(path_from_root(tree, vid)),
+                depth=tree.depth[vid],
             )
         )
     rows_t = tuple(rows)
@@ -231,7 +231,7 @@ def build_summary(
         "overspend": result.report.overspend,
         "shortfall": result.report.shortfall,
         "paid_link_count": result.report.paid_link_count,
-        "tree_size": len(tree.nodes()),
+        "tree_size": len(tree.depth),
         "link_count": len(tree.links),
         "contact_events": result.contact_events,
     }

@@ -104,18 +104,6 @@ class Packet:
 
 
 @dataclass
-class CarryState:
-    """Per-packet bookkeeping held by a vehicle that stores the packet."""
-
-    packet_id: str
-    received_at: float
-    received_from: int | None  # None for the packet's own source
-    receive_position: Vec2
-    forward_count: int = 0
-    relay_distances: list[float] = field(default_factory=list)
-
-
-@dataclass
 class Vehicle:
     """A mobile node: position/velocity and credit account."""
 
@@ -141,36 +129,47 @@ class TreeLink:
 class ForwardingTree:
     """Relay tree for one packet, rooted at the source vehicle.
 
-    Every vehicle appears at most once: nodes that have already carried the
-    packet never re-enter, so links arrive in strictly tree-growing order.
+    It is the packet's only relay record. Every vehicle appears at most
+    once: nodes that have already carried the packet never re-enter, so
+    links arrive in strictly tree-growing order. ``add`` indexes each link
+    by the vehicle it reached (``link_to``) and gives that vehicle its hop
+    count from the root (``depth``, root at 0), so membership, parent and
+    depth are dict lookups. Links passed to the constructor are added in
+    order; append through ``add`` only, never to ``links`` directly.
     """
 
     packet_id: str
     root: int
     links: list[TreeLink] = field(default_factory=list)
+    link_to: dict[int, TreeLink] = field(init=False, repr=False, compare=False)
+    depth: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        links, self.links = self.links, []
+        self.link_to = {}
+        self.depth = {self.root: 0}
+        for link in links:
+            self.add(link)
+
+    def add(self, link: TreeLink) -> None:
+        """Append a handoff from a tree member to a vehicle not yet in the tree."""
+        if link.to_id in self.depth:
+            raise ValidationError(f"vehicle {link.to_id} is already in the tree")
+        if link.from_id not in self.depth:
+            raise ValidationError(f"vehicle {link.from_id} is not in the tree")
+        self.depth[link.to_id] = self.depth[link.from_id] + 1
+        self.link_to[link.to_id] = link
+        self.links.append(link)
 
     def nodes(self) -> set[int]:
-        return {self.root} | {link.to_id for link in self.links}
-
-    def non_root_nodes(self) -> list[int]:
-        return [link.to_id for link in self.links]
+        return set(self.depth)
 
     def contains(self, vehicle_id: int) -> bool:
-        return vehicle_id == self.root or any(
-            link.to_id == vehicle_id for link in self.links
-        )
-
-    def children(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {}
-        for link in self.links:
-            kids.setdefault(link.from_id, []).append(link.to_id)
-        return kids
+        return vehicle_id in self.depth
 
     def parent(self, vehicle_id: int) -> int | None:
-        for link in self.links:
-            if link.to_id == vehicle_id:
-                return link.from_id
-        return None
+        link = self.link_to.get(vehicle_id)
+        return None if link is None else link.from_id
 
 
 @dataclass

@@ -2,25 +2,19 @@
 
 A packet starts at its source vehicle. Whenever a carrier meets a
 non-carrier inside radio range, the packet is copied over and the handoff
-is appended to the packet's forwarding tree. Carriers keep their copy, so
+is added to the packet's forwarding tree. Carriers keep their copy, so
 each vehicle joins the tree at most once and the tree is the complete
-relay history. Encounters are processed in a deterministic order by the
-engine; a vehicle that receives a copy can forward it again within the
-same tick.
+relay history: a carrier's receipt time and position are on the link
+that reached it, and its forwards are the links it sent. Encounters are
+processed in a deterministic order by the engine; a vehicle that
+receives a copy can forward it again within the same tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import (
-    CarryState,
-    ContributionRecord,
-    ForwardingTree,
-    Packet,
-    TreeLink,
-    distance,
-)
+from .model import ContributionRecord, ForwardingTree, Packet, TreeLink, distance
 
 
 @dataclass
@@ -29,128 +23,97 @@ class PacketTransit:
 
     packet: Packet
     tree: ForwardingTree
-    carriers: dict[int, CarryState] = field(default_factory=dict)
     active: bool = True
-    delivered_to: int | None = None
     delivered_at: float | None = None
 
 
 def start_transit(packet: Packet, source_id: int) -> PacketTransit:
     """Seed a packet at its source; the source is the tree root."""
-    tree = ForwardingTree(packet_id=packet.id, root=source_id, links=[])
-    carry = CarryState(
-        packet_id=packet.id,
-        received_at=packet.created_at,
-        received_from=None,
-        receive_position=packet.origin_position,
-    )
-    return PacketTransit(packet=packet, tree=tree, carriers={source_id: carry})
+    return PacketTransit(packet=packet, tree=ForwardingTree(packet_id=packet.id, root=source_id))
 
 
-def handle_encounter(
-    transit: PacketTransit,
-    a_id: int,
-    b_id: int,
-    a_position: tuple[float, float],
-    b_position: tuple[float, float],
-    now: float,
-) -> TreeLink | None:
+def handle_encounter(transit: PacketTransit, a_id: int, b_id: int, x, y, now: float) -> TreeLink | None:
     """Copy the packet across one contact if exactly one side carries it.
 
-    Returns the new tree link, or None when no handoff happened (neither
-    side carries, both already carry, or propagation is frozen).
+    ``x`` and ``y`` hold every vehicle's coordinates, indexed by id; only
+    the two ends of a handoff are read. Returns the new tree link, or None
+    when no handoff happened (neither side carries, both already carry,
+    or propagation is frozen).
     """
     if not transit.active:
         return None
-    a_has = a_id in transit.carriers
-    b_has = b_id in transit.carriers
-    if a_has == b_has:
+    carriers = transit.tree.depth
+    a_has = a_id in carriers
+    if a_has == (b_id in carriers):
         return None
-    if a_has:
-        giver, taker = a_id, b_id
-        giver_pos, taker_pos = a_position, b_position
-    else:
-        giver, taker = b_id, a_id
-        giver_pos, taker_pos = b_position, a_position
-
-    origin = transit.packet.origin_position
-    relay_distance = distance(giver_pos, origin)
-    giver_state = transit.carriers[giver]
-    giver_state.forward_count += 1
-    giver_state.relay_distances.append(relay_distance)
-
+    giver, taker = (a_id, b_id) if a_has else (b_id, a_id)
+    giver_pos = (float(x[giver]), float(y[giver]))
     # the link's distance is measured where the relaying node stood
     link = TreeLink(
         from_id=giver,
         to_id=taker,
         timestamp=now,
         from_position=giver_pos,
-        to_position=taker_pos,
-        distance_from_origin=relay_distance,
+        to_position=(float(x[taker]), float(y[taker])),
+        distance_from_origin=distance(giver_pos, transit.packet.origin_position),
     )
-    transit.tree.links.append(link)
-    transit.carriers[taker] = CarryState(
-        packet_id=transit.packet.id,
-        received_at=now,
-        received_from=giver,
-        receive_position=taker_pos,
-    )
+    transit.tree.add(link)
     return link
 
 
-def stored_time(carry: CarryState, settle_time: float) -> float:
-    """Seconds the vehicle has held its copy by settlement time."""
-    return max(0.0, settle_time - carry.received_at)
+def stored_time(received_at: float, settle_time: float) -> float:
+    """Seconds a vehicle has held its copy by settlement time."""
+    return max(0.0, settle_time - received_at)
 
 
 def collect_records(transit: PacketTransit, settle_time: float) -> list[ContributionRecord]:
     """Contribution records for every carrier except the paying source.
 
-    Ordered by vehicle id so downstream settlement is deterministic.
+    Ordered by vehicle id so downstream settlement is deterministic. A
+    record's relay distances are those of the links it sent, in order.
     """
+    tree = transit.tree
     origin = transit.packet.origin_position
+    sent: dict[int, list[float]] = {}
+    for link in tree.links:
+        sent.setdefault(link.from_id, []).append(link.distance_from_origin)
     records = []
-    for vid in sorted(transit.carriers):
-        if vid == transit.tree.root:
-            continue
-        carry = transit.carriers[vid]
+    for vid in sorted(tree.link_to):
+        received = tree.link_to[vid]
+        relays = sent.get(vid, [])
         records.append(
             ContributionRecord(
                 vehicle_id=vid,
                 packet_id=transit.packet.id,
-                stored_time=stored_time(carry, settle_time),
-                forward_count=carry.forward_count,
-                relay_distances=list(carry.relay_distances),
-                receive_distance=distance(carry.receive_position, origin),
+                stored_time=stored_time(received.timestamp, settle_time),
+                forward_count=len(relays),
+                relay_distances=relays,
+                receive_distance=distance(received.to_position, origin),
             )
         )
     return records
 
 
 def descendant_counts(tree: ForwardingTree) -> dict[int, int]:
-    """Proper-descendant count per tree node (leaves map to 0)."""
-    counts = {node: 0 for node in tree.nodes()}
-    for link in tree.links:
-        node = link.to_id
-        parent = tree.parent(node)
-        while parent is not None:
-            counts[parent] += 1
-            parent = tree.parent(parent)
+    """Proper-descendant count per tree node (leaves map to 0).
+
+    Links arrive in tree-growing order, so walking them backwards finishes
+    every subtree before the link that hangs it on its parent.
+    """
+    counts = dict.fromkeys(tree.depth, 0)
+    for link in reversed(tree.links):
+        counts[link.from_id] += counts[link.to_id] + 1
     return counts
 
 
 def path_from_root(tree: ForwardingTree, node: int) -> list[TreeLink]:
     """The chain of links that brought the packet from the root to ``node``."""
-    if node == tree.root:
-        return []
-    by_target = {link.to_id: link for link in tree.links}
-    if node not in by_target:
+    if node != tree.root and node not in tree.link_to:
         raise KeyError(f"vehicle {node} is not in the tree for {tree.packet_id}")
     chain: list[TreeLink] = []
-    cur = node
-    while cur != tree.root:
-        link = by_target[cur]
+    while node != tree.root:
+        link = tree.link_to[node]
         chain.append(link)
-        cur = link.from_id
+        node = link.from_id
     chain.reverse()
     return chain

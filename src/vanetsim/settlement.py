@@ -153,7 +153,6 @@ def settle_packet_trade(
         raise ValidationError("trade settlement must be rooted at the source")
 
     shares: dict[int, float] = {vid: 0.0 for vid in tree.nodes()}
-    shares.setdefault(source_id, 0.0)
     delivered = tree.contains(destination_id) and destination_id != source_id
     if delivered:
         for link in path_from_root(tree, destination_id):

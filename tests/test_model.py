@@ -69,25 +69,24 @@ class TestForwardingTree:
     def test_nodes_and_contains(self):
         tree = chain_tree(length=3)  # 0 -> 1 -> 2 -> 3
         assert tree.nodes() == {0, 1, 2, 3}
-        assert tree.non_root_nodes() == [1, 2, 3]
         assert tree.contains(0) and tree.contains(3)
         assert not tree.contains(9)
 
-    def test_children_and_parent(self):
+    def test_parent_and_depth(self):
         tree = ForwardingTree(
             packet_id="p0",
             root=0,
             links=[make_link(0, 1), make_link(0, 2), make_link(2, 3)],
         )
-        assert tree.children() == {0: [1, 2], 2: [3]}
         assert tree.parent(3) == 2
         assert tree.parent(1) == 0
         assert tree.parent(0) is None
+        assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
 
     def test_empty_tree_is_just_the_root(self):
         tree = ForwardingTree(packet_id="p0", root=7)
         assert tree.nodes() == {7}
-        assert tree.non_root_nodes() == []
+        assert tree.depth == {7: 0}
 
 
 class TestSettlementReport:

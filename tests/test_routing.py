@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from conftest import make_link, make_packet
-from vanetsim.model import ForwardingTree
+from vanetsim.model import ForwardingTree, ValidationError
 from vanetsim.routing import (
     collect_records,
     descendant_counts,
@@ -16,74 +18,86 @@ def new_transit(source: int = 0):
     return start_transit(make_packet(source_id=source), source)
 
 
+def meet(transit, a, b, a_pos, b_pos, now):
+    """One encounter with the two vehicles standing at ``a_pos`` and ``b_pos``."""
+    x = {a: a_pos[0], b: b_pos[0]}
+    y = {a: a_pos[1], b: b_pos[1]}
+    return handle_encounter(transit, a, b, x, y, now)
+
+
 class TestStartTransit:
     def test_source_is_sole_carrier_and_root(self):
         transit = new_transit(3)
         assert transit.tree.root == 3
-        assert set(transit.carriers) == {3}
-        carry = transit.carriers[3]
-        assert carry.received_from is None
-        assert carry.received_at == 0.0
-        assert carry.receive_position == (0.0, 0.0)
+        assert transit.tree.depth == {3: 0}
+        assert transit.tree.links == []
+        assert transit.tree.parent(3) is None
         assert transit.active
 
 
 class TestHandleEncounter:
     def test_copies_to_the_empty_side(self):
         transit = new_transit()
-        link = handle_encounter(transit, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0)
+        link = meet(transit, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0)
         assert link is not None
         assert (link.from_id, link.to_id) == (0, 5)
         assert link.timestamp == 2.0
-        assert 5 in transit.carriers
-        assert transit.carriers[5].received_from == 0
-        assert transit.carriers[5].receive_position == (33.0, 44.0)
+        assert transit.tree.contains(5)
+        assert transit.tree.parent(5) == 0
+        assert transit.tree.link_to[5].to_position == (33.0, 44.0)
 
     def test_direction_is_carrier_to_noncarrier(self):
         transit = new_transit()
         # same encounter, ids swapped: the carrier still gives
-        link = handle_encounter(transit, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0)
+        link = meet(transit, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0)
         assert link is not None
         assert (link.from_id, link.to_id) == (0, 9)
 
     def test_link_distance_measured_at_the_giver(self):
         transit = new_transit()
         giver_pos = (30.0, 40.0)  # 50 m from the (0, 0) origin
-        link = handle_encounter(transit, 0, 5, giver_pos, (90.0, 90.0), 1.0)
+        link = meet(transit, 0, 5, giver_pos, (90.0, 90.0), 1.0)
         assert link.distance_from_origin == 50.0
-        assert transit.carriers[0].relay_distances == [50.0]
+        assert [l.distance_from_origin for l in transit.tree.links if l.from_id == 0] == [50.0]
 
     def test_forward_count_increments_per_handoff(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        handle_encounter(transit, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
-        assert transit.carriers[0].forward_count == 2
-        assert transit.carriers[0].relay_distances == [0.0, 3.0]
-        assert transit.carriers[1].forward_count == 0
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(transit, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
+        sent = [l for l in transit.tree.links if l.from_id == 0]
+        assert [l.distance_from_origin for l in sent] == [0.0, 3.0]
+        assert [r.forward_count for r in collect_records(transit, 5.0)] == [0, 0]
 
     def test_both_carriers_is_a_noop(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        assert handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 2.0) is None
-        assert handle_encounter(transit, 1, 0, (1.0, 0.0), (0.0, 0.0), 2.0) is None
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        assert meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 2.0) is None
+        assert meet(transit, 1, 0, (1.0, 0.0), (0.0, 0.0), 2.0) is None
         assert len(transit.tree.links) == 1
 
     def test_neither_carries_is_a_noop(self):
         transit = new_transit()
-        assert handle_encounter(transit, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
-        assert 4 not in transit.carriers and 5 not in transit.carriers
+        assert meet(transit, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
+        assert not transit.tree.contains(4) and not transit.tree.contains(5)
+
+    def test_positions_are_read_only_on_a_handoff(self):
+        transit = new_transit()
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        # no coordinates at all: a pair that cannot hand off must not ask
+        assert handle_encounter(transit, 4, 5, {}, {}, 2.0) is None
+        assert handle_encounter(transit, 0, 1, {}, {}, 2.0) is None
 
     def test_frozen_transit_ignores_encounters(self):
         transit = new_transit()
         transit.active = False
-        assert handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0) is None
+        assert meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0) is None
         assert len(transit.tree.links) == 0
 
     def test_each_vehicle_joins_the_tree_once(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        handle_encounter(transit, 1, 2, (5.0, 0.0), (6.0, 0.0), 2.0)
-        handle_encounter(transit, 0, 2, (0.0, 0.0), (6.0, 0.0), 3.0)  # 2 already has it
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(transit, 1, 2, (5.0, 0.0), (6.0, 0.0), 2.0)
+        meet(transit, 0, 2, (0.0, 0.0), (6.0, 0.0), 3.0)  # 2 already has it
         tos = [l.to_id for l in transit.tree.links]
         assert sorted(tos) == [1, 2]
         assert len(set(tos)) == len(tos)
@@ -92,28 +106,28 @@ class TestHandleEncounter:
 class TestStoredTime:
     def test_elapsed_since_receipt(self):
         transit = new_transit()
-        link = handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
+        link = meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
         assert link is not None
-        assert stored_time(transit.carriers[1], 25.0) == 15.0
+        assert stored_time(transit.tree.link_to[1].timestamp, 25.0) == 15.0
 
     def test_never_negative(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
-        assert stored_time(transit.carriers[1], 5.0) == 0.0
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
+        assert stored_time(transit.tree.link_to[1].timestamp, 5.0) == 0.0
 
 
 class TestCollectRecords:
     def test_excludes_the_source_and_sorts_by_id(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 7, (0.0, 0.0), (1.0, 0.0), 1.0)
-        handle_encounter(transit, 7, 3, (2.0, 0.0), (3.0, 0.0), 2.0)
+        meet(transit, 0, 7, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(transit, 7, 3, (2.0, 0.0), (3.0, 0.0), 2.0)
         records = collect_records(transit, 10.0)
         assert [r.vehicle_id for r in records] == [3, 7]
 
     def test_record_contents(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (3.0, 4.0), 2.0)
-        handle_encounter(transit, 1, 2, (6.0, 8.0), (9.0, 12.0), 5.0)
+        meet(transit, 0, 1, (0.0, 0.0), (3.0, 4.0), 2.0)
+        meet(transit, 1, 2, (6.0, 8.0), (9.0, 12.0), 5.0)
         rec1, rec2 = collect_records(transit, 12.0)
         assert rec1.vehicle_id == 1
         assert rec1.stored_time == 10.0
@@ -127,11 +141,13 @@ class TestCollectRecords:
 
     def test_copies_are_independent(self):
         transit = new_transit()
-        handle_encounter(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        handle_encounter(transit, 1, 2, (2.0, 0.0), (3.0, 0.0), 2.0)
+        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(transit, 1, 2, (2.0, 0.0), (3.0, 0.0), 2.0)
         (rec,) = [r for r in collect_records(transit, 5.0) if r.vehicle_id == 1]
         rec.relay_distances.append(99.0)
-        assert transit.carriers[1].relay_distances == [2.0]
+        (again,) = [r for r in collect_records(transit, 5.0) if r.vehicle_id == 1]
+        assert again.relay_distances == [2.0]
+        assert len(transit.tree.links) == 2
 
 
 class TestTreeQueries:
@@ -159,6 +175,19 @@ class TestTreeQueries:
     def test_descendants_of_bare_root(self):
         assert descendant_counts(ForwardingTree(packet_id="p0", root=4)) == {4: 0}
 
+    def test_descendants_match_a_walk_up_the_parents(self):
+        rng = random.Random(3)
+        tree = ForwardingTree(packet_id="p0", root=0)
+        for to_id in range(1, 40):
+            tree.add(make_link(rng.randrange(to_id), to_id))  # parent is some earlier node
+        walked = dict.fromkeys(tree.nodes(), 0)
+        for node in tree.nodes():
+            parent = tree.parent(node)
+            while parent is not None:
+                walked[parent] += 1
+                parent = tree.parent(parent)
+        assert descendant_counts(tree) == walked
+
     def test_path_from_root(self):
         path = path_from_root(self.tree(), 4)
         assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 4)]
@@ -177,7 +206,33 @@ class TestMultiHopWithinOneTick:
         # one tick: (0,1) infects 1, then (1,2) infects 2
         transit = new_transit()
         for a, b in [(0, 1), (1, 2)]:
-            handle_encounter(transit, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
+            meet(transit, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
         assert set(transit.tree.nodes()) == {0, 1, 2}
         path = path_from_root(transit.tree, 2)
         assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 2)]
+
+
+class TestTreeIndex:
+    def test_depth_counts_hops_from_the_root(self):
+        transit = new_transit()
+        for a, b in [(0, 1), (1, 2), (0, 3)]:
+            meet(transit, a, b, (0.0, 0.0), (1.0, 0.0), 1.0)
+        tree = transit.tree
+        assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 1}
+        assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.nodes())
+
+    def test_constructor_links_are_indexed(self):
+        tree = ForwardingTree(packet_id="p0", root=0, links=[make_link(0, 1), make_link(1, 2)])
+        assert tree.link_to[2].from_id == 1
+        assert tree.depth[2] == 2
+
+    def test_add_rejects_a_second_copy(self):
+        tree = ForwardingTree(packet_id="p0", root=0, links=[make_link(0, 1)])
+        with pytest.raises(ValidationError):
+            tree.add(make_link(0, 1))
+        with pytest.raises(ValidationError):
+            tree.add(make_link(1, 0))
+
+    def test_add_rejects_a_sender_outside_the_tree(self):
+        with pytest.raises(ValidationError):
+            ForwardingTree(packet_id="p0", root=0, links=[make_link(5, 6)])
