@@ -12,6 +12,7 @@ the run seed, one for mobility and one for the engine's own draws, so a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,18 @@ class RunResult:
     ticks_run: int
     contact_events: int
     delivered: bool | None
+
+
+def _deadline_tick(deadline: float, dt: float, ticks_total: int) -> int:
+    """The last tick still routed: the largest k <= ticks_total with k * dt <= deadline."""
+    if ticks_total * dt <= deadline:
+        return ticks_total
+    k = math.floor(deadline / dt)
+    while k * dt > deadline:
+        k -= 1
+    while (k + 1) * dt <= deadline:
+        k += 1
+    return k
 
 
 def _settle(
@@ -196,16 +209,15 @@ def run(
                     return
 
     ticks_total = int(round(engine_cfg.duration / mobility_cfg.tick_seconds))
+    deadline_tick = _deadline_tick(packet.deadline_time, mobility_cfg.tick_seconds, ticks_total)
     route_tick(0.0)
-    ticks_run = 0
-    for _ in range(ticks_total):
+    for tick in range(1, ticks_total + 1):
         model.step()
-        ticks_run += 1
-        now = model.now
-        if report is None and now > packet.deadline_time:
+        if tick <= deadline_tick:
+            if transit.active:
+                route_tick(model.now)
+        elif report is None:
             do_settle(packet.deadline_time)
-        if transit.active and now <= packet.deadline_time:
-            route_tick(now)
 
     if report is None:
         do_settle(min(model.now, packet.deadline_time))
@@ -231,7 +243,7 @@ def run(
         vehicles=vehicles,
         settle_time=settle_time,
         final_time=model.now,
-        ticks_run=ticks_run,
+        ticks_run=ticks_total,
         contact_events=contact_events,
         delivered=delivered,
     )

@@ -43,11 +43,15 @@ class MobilityConfig:
 
 @dataclass
 class RandomWaypointModel:
-    """Mutable mobility state for a fleet of vehicles."""
+    """Mutable mobility state for a fleet of vehicles.
+
+    The clock is an integer tick count; ``now`` is derived from it, so
+    simulated time never drifts by summing a fractional tick length.
+    """
 
     config: MobilityConfig
     rng: np.random.Generator
-    now: float = 0.0
+    tick: int = field(default=0, init=False)
     x: np.ndarray = field(init=False)
     y: np.ndarray = field(init=False)
     vx: np.ndarray = field(init=False)
@@ -80,7 +84,11 @@ class RandomWaypointModel:
             cfg.arena_width, cfg.arena_height,
             cfg.speed_min, cfg.speed_max, cfg.pause_time,
         )
-        self.now += cfg.tick_seconds
+        self.tick += 1
+
+    @property
+    def now(self) -> float:
+        return self.tick * self.config.tick_seconds
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.x[vehicle_id]), float(self.y[vehicle_id]))

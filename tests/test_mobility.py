@@ -59,6 +59,13 @@ class TestRandomWaypointModel:
             m.step()
         assert m.now == pytest.approx(2.0)
 
+    def test_fractional_tick_clock_does_not_drift(self):
+        m = make_model(0, vehicle_count=3, tick_seconds=0.1)
+        for _ in range(3000):
+            m.step()
+        assert m.tick == 3000
+        assert m.now == 300.0  # summing 0.1 3 000 times gives 299.99999999999997
+
     def test_moving_speed_within_bounds(self):
         m = make_model(3, speed_min=4.0, speed_max=9.0)
         for _ in range(200):
