@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from scipy.stats import spearmanr
+import numpy as np
 
 from .engine import RunResult
 from .incentives import IncentiveConfig, effective_distance
@@ -162,6 +162,32 @@ def bin_rewards(
     ]
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    edges = np.r_[np.flatnonzero(starts), len(values)]
+    group = np.cumsum(starts) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (edges[group] + edges[group + 1] + 1)
+    return ranks
+
+
+def spearman(a, b) -> float | None:
+    """Spearman's rank correlation (average ranks for ties), as scipy computes it.
+
+    None when undefined: fewer than two values, a constant input, or NaN.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if len(a) < 2 or np.isnan(a).any() or np.isnan(b).any():
+        return None
+    if (a == a[0]).all() or (b == b[0]).all():
+        return None
+    rho = np.corrcoef(np.column_stack((_average_ranks(a), _average_ranks(b))), rowvar=False)[1, 0]
+    return None if math.isnan(rho) else float(rho)
+
+
 def reward_vs_descendants(
     rows: list[NodeRow] | tuple[NodeRow, ...],
 ) -> tuple[list[tuple[int, float]], float | None]:
@@ -171,16 +197,7 @@ def reward_vs_descendants(
     either variable constant.
     """
     pairs = [(row.descendants, row.reward) for row in rows]
-    if len(pairs) < 2:
-        return pairs, None
-    desc = [p[0] for p in pairs]
-    rew = [p[1] for p in pairs]
-    if len(set(desc)) < 2 or len(set(rew)) < 2:
-        return pairs, None
-    rho = spearmanr(desc, rew).statistic
-    if math.isnan(rho):
-        return pairs, None
-    return pairs, float(rho)
+    return pairs, spearman([p[0] for p in pairs], [p[1] for p in pairs])
 
 
 def build_summary(

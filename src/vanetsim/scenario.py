@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -24,19 +24,9 @@ from .model import PayloadClass, Scheme, ValidationError, WeightSet
 DEFAULT_SAFETY_DEADLINE_CAP = 300.0
 
 _TOP_KEYS = {"name", "seed", "mobility", "engine", "packet", "incentives", "safety_deadline_cap"}
-_MOBILITY_KEYS = {
-    "vehicle_count", "arena_width", "arena_height",
-    "speed_min", "speed_max", "pause_time", "tick_seconds",
-}
-_ENGINE_KEYS = {
-    "radio_range", "duration", "source_id", "destination_id",
-    "settle_on_delivery", "hop_price",
-}
-_PACKET_KEYS = {"reward_budget", "deadline", "interest_radius", "payload_class", "packet_id"}
-_INCENTIVE_KEYS = {
-    "scheme", "weights", "time_scale", "distance_scale",
-    "first_proposal_mode", "distance_aggregate",
-}
+_MOBILITY_KEYS, _ENGINE_KEYS, _PACKET_KEYS, _INCENTIVE_KEYS = (
+    {f.name for f in fields(cls)} for cls in (MobilityConfig, EngineConfig, PacketSpec, IncentiveConfig)
+)
 _WEIGHT_KEYS = {"time", "forward", "distance"}
 
 

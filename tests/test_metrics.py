@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from vanetsim.metrics import (
     load_summary_json,
     reward_vs_descendants,
     rows_to_csv,
+    spearman,
     summary_to_json,
     write_rows_csv,
     write_summary_json,
@@ -158,6 +160,35 @@ class TestRewardVsDescendants:
         # constant descendants
         rows = [row(1, 1.0, desc=2), row(2, 5.0, desc=2)]
         assert reward_vs_descendants(rows)[1] is None
+
+
+class TestSpearman:
+    def test_matches_scipy_bit_for_bit_on_tie_heavy_inputs(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        compared = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            a = rng.integers(0, int(rng.integers(2, 6)), n)  # few distinct values: many ties
+            b = np.round(rng.random(n) * int(rng.integers(1, 5)), 1)
+            rho = spearman(a, b)
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                assert rho is None
+                continue
+            expected = scipy_stats.spearmanr(a, b).statistic
+            assert rho == expected or (rho is None and math.isnan(expected))
+            compared += 1
+        assert compared > 1500
+
+    def test_undefined_inputs(self):
+        assert spearman([], []) is None
+        assert spearman([1.0], [2.0]) is None
+        assert spearman([1, 1, 1], [1, 2, 3]) is None
+        assert spearman([1, 2, 3], [float("nan"), 2, 3]) is None
+
+    def test_average_ranks_for_ties(self):
+        assert spearman([1, 2, 2, 3], [1, 2, 2, 3]) == pytest.approx(1.0)
+        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
 
 
 class TestBuildSummary:
