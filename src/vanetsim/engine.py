@@ -5,14 +5,15 @@ t=0, then per tick move everyone, detect radio contacts, and hand the
 packet across contacts epidemically. Settlement fires once per run, at
 the packet deadline, at end of run, or at first delivery when the run is
 configured for delivery-triggered settlement (always the case for the
-packet-trade scheme). Everything is driven by two child RNG streams of
-the run seed, one for mobility and one for the engine's own draws, so a
-(scenario, seed) pair fully determines the outcome.
+packet-trade scheme). Simulated time at tick k is k * tick_seconds,
+never a running sum, so fractional ticks do not drift. Everything is
+driven by two child RNG streams of the run seed, one for mobility and one
+for the engine's own draws, so a (scenario, seed) pair fully determines
+the outcome.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,18 +88,6 @@ class RunResult:
     ticks_run: int
     contact_events: int
     delivered: bool | None
-
-
-def _deadline_tick(deadline: float, dt: float, ticks_total: int) -> int:
-    """The last tick still routed: the largest k <= ticks_total with k * dt <= deadline."""
-    if ticks_total * dt <= deadline:
-        return ticks_total
-    k = math.floor(deadline / dt)
-    while k * dt > deadline:
-        k -= 1
-    while (k + 1) * dt <= deadline:
-        k += 1
-    return k
 
 
 def _settle(
@@ -208,8 +197,11 @@ def run(
                     do_settle(now)
                     return
 
-    ticks_total = int(round(engine_cfg.duration / mobility_cfg.tick_seconds))
-    deadline_tick = _deadline_tick(packet.deadline_time, mobility_cfg.tick_seconds, ticks_total)
+    dt = mobility_cfg.tick_seconds
+    ticks_total = int(round(engine_cfg.duration / dt))
+    # the last tick routed: the model's clock reads k * dt, within the deadline
+    past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline_time)
+    deadline_tick = next(past, ticks_total + 1) - 1
     route_tick(0.0)
     for tick in range(1, ticks_total + 1):
         model.step()

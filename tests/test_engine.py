@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vanetsim.engine import EngineConfig, PacketSpec, _deadline_tick, run
+from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.mobility import MobilityConfig
 from vanetsim.model import Scheme, ValidationError, WeightSet, distance
@@ -103,28 +103,6 @@ class TestSettlementTiming:
         assert result.final_time == 600.0  # was 600.0000000000679 by summing ticks
         assert result.settle_time == 300.0
         assert all(l.timestamp == round(l.timestamp * 10) * 0.1 for l in result.tree.links)
-
-    def test_deadline_between_ticks_stops_routing_at_the_tick_before(self):
-        eng = EngineConfig(radio_range=100.0, duration=300.0)
-        result = run_default(eng=eng, pkt=PacketSpec(deadline=120.5))
-        assert result.settle_time == 120.5
-        assert max(l.timestamp for l in result.tree.links) <= 120.0
-
-    @pytest.mark.parametrize(
-        "deadline, dt, ticks, expected",
-        [
-            (300.0, 1.0, 600, 300),
-            (120.5, 1.0, 600, 120),
-            (300.0, 0.1, 6000, 3000),  # 3000 * 0.1 == 300.0
-            (0.3, 0.1, 10, 2),  # 3 * 0.1 == 0.30000000000000004 > 0.3
-            (900.0, 1.0, 600, 600),  # past the end of the run
-            (math.inf, 1.0, 600, 600),
-        ],
-    )
-    def test_deadline_tick_agrees_with_the_clock(self, deadline, dt, ticks, expected):
-        k = _deadline_tick(deadline, dt, ticks)
-        assert k == expected
-        assert k * dt <= deadline and (k == ticks or (k + 1) * dt > deadline)
 
     def test_zero_duration_settles_immediately(self):
         eng = EngineConfig(radio_range=100.0, duration=0.0)

@@ -164,7 +164,8 @@ class TestRewardVsDescendants:
 
 class TestSpearman:
     def test_matches_scipy_bit_for_bit_on_tie_heavy_inputs(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
+        from scipy.stats import spearmanr
+
         rng = np.random.default_rng(0)
         compared = 0
         for _ in range(2000):
@@ -175,20 +176,13 @@ class TestSpearman:
             if len(set(a)) < 2 or len(set(b)) < 2:
                 assert rho is None
                 continue
-            expected = scipy_stats.spearmanr(a, b).statistic
+            expected = spearmanr(a, b).statistic
             assert rho == expected or (rho is None and math.isnan(expected))
             compared += 1
         assert compared > 1500
 
-    def test_undefined_inputs(self):
-        assert spearman([], []) is None
-        assert spearman([1.0], [2.0]) is None
-        assert spearman([1, 1, 1], [1, 2, 3]) is None
+    def test_nan_input_is_undefined(self):
         assert spearman([1, 2, 3], [float("nan"), 2, 3]) is None
-
-    def test_average_ranks_for_ties(self):
-        assert spearman([1, 2, 2, 3], [1, 2, 2, 3]) == pytest.approx(1.0)
-        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
 
 
 class TestBuildSummary:
