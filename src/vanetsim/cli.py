@@ -74,11 +74,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return Path(env) if env else Path("out")
 
 
-def _execute(scenario: Scenario, seed: int) -> RunSummary:
+def _execute(scenario: Scenario, seed: int, digest: str) -> RunSummary:
+    """Run ``scenario`` at ``seed``; ``digest`` is its hash, which leaves the seed out."""
     result = run_engine(
         scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, seed
     )
-    return build_summary(result, scenario.incentives, scenario_hash(scenario))
+    return build_summary(result, scenario.incentives, digest)
 
 
 def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) -> Path:
@@ -101,7 +102,7 @@ def _one_line(summary: RunSummary, path: Path) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    summary = _execute(scenario, scenario.seed)
+    summary = _execute(scenario, scenario.seed, scenario_hash(scenario))
     path = _write_artifacts(summary, _out_dir(args), args.format, scenario.name)
     print(_one_line(summary, path))
     return 0
@@ -119,13 +120,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args)
     seeds = parse_seeds(args.seeds)
     out_dir = _out_dir(args)
+    digest = scenario_hash(scenario)
     per_seed = []
     for seed in seeds:
-        run_scenario = with_updates(scenario, seed=seed)
-        summary = _execute(run_scenario, seed)
-        path = _write_artifacts(
-            summary, out_dir / f"run-s{seed}", args.format, run_scenario.name
-        )
+        summary = _execute(scenario, seed, digest)
+        path = _write_artifacts(summary, out_dir / f"run-s{seed}", args.format, scenario.name)
         print(_one_line(summary, path))
         per_seed.append(
             {
@@ -150,7 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     aggregate = {
         "scenario": scenario.name,
-        "scenario_hash": scenario_hash(scenario),
+        "scenario_hash": digest,
         "scheme": scenario.incentives.scheme.value,
         "runs": runs,
         "seeds": seeds,

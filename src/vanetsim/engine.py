@@ -51,6 +51,15 @@ class PacketSpec:
     payload_class: PayloadClass = PayloadClass.SAFETY
     packet_id: str = "p0"
 
+    def __post_init__(self) -> None:
+        # each test is written so that NaN fails it
+        if not self.reward_budget >= 0:
+            raise ValidationError("reward_budget must be non-negative")
+        if not self.deadline > 0:
+            raise ValidationError("deadline must be positive")
+        if not self.interest_radius > 0:
+            raise ValidationError("interest_radius must be positive")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -157,12 +166,9 @@ def run(
         id=packet_spec.packet_id,
         source_id=source,
         origin_position=model.position_of(source),
-        created_at=0.0,
         reward_budget=packet_spec.reward_budget,
         deadline=packet_spec.deadline,
         interest_radius=packet_spec.interest_radius,
-        weights=incentive_cfg.weights,
-        payload_class=packet_spec.payload_class,
     )
     transit = start_transit(packet, source)
     vehicles = {i: Vehicle(id=i, position=model.position_of(i)) for i in range(n)}
@@ -200,7 +206,7 @@ def run(
     dt = mobility_cfg.tick_seconds
     ticks_total = int(round(engine_cfg.duration / dt))
     # the last tick routed: the model's clock reads k * dt, within the deadline
-    past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline_time)
+    past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline)
     deadline_tick = next(past, ticks_total + 1) - 1
     route_tick(0.0)
     for tick in range(1, ticks_total + 1):
@@ -209,10 +215,10 @@ def run(
             if transit.active:
                 route_tick(model.now)
         elif report is None:
-            do_settle(packet.deadline_time)
+            do_settle(packet.deadline)
 
     if report is None:
-        do_settle(min(model.now, packet.deadline_time))
+        do_settle(min(model.now, packet.deadline))
 
     for i, veh in vehicles.items():
         veh.position = model.position_of(i)

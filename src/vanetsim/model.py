@@ -74,33 +74,27 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class Packet:
-    """A sprayed message with its reward budget and validity limits."""
+    """A sprayed message with its reward budget and validity limits; sent at t=0."""
 
     id: str
     source_id: int
     origin_position: Vec2
-    created_at: float
     reward_budget: float
     deadline: float
     interest_radius: float
-    weights: WeightSet
-    payload_class: PayloadClass = PayloadClass.ADDED_VALUE
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
+        # each test is written so that NaN fails it
+        if not self.deadline > 0:
             raise ValidationError(f"deadline must be > 0, got {self.deadline}")
-        if self.interest_radius <= 0:
+        if not self.interest_radius > 0:
             raise ValidationError(
                 f"interest_radius must be > 0, got {self.interest_radius}"
             )
-        if self.reward_budget < 0:
+        if not self.reward_budget >= 0:
             raise ValidationError(
                 f"reward_budget must be >= 0, got {self.reward_budget}"
             )
-
-    @property
-    def deadline_time(self) -> float:
-        return self.created_at + self.deadline
 
 
 @dataclass

@@ -1,18 +1,24 @@
 """Scenario files: one YAML document describing a complete run setup.
 
 A scenario bundles the mobility field, engine knobs, the injected
-packet, and the incentive scheme, plus a run seed. Validation is
-collected: a bad file reports every problem at once, not just the first.
-The scenario hash identifies the physics of a setup (everything except
-the seed), so sweeps over seeds share a hash.
+packet, and the incentive scheme, plus a run seed. The config dataclasses
+are the schema: each value is checked against its field's annotation,
+then the dataclass checks its own ranges. Validation is collected: a bad
+file reports every problem at once, not just the first. Values are kept
+as written (an integer stays an integer), and the scenario hash covers
+them that way. The hash identifies the physics of a setup (everything
+except the seed), so sweeps over seeds share a hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -23,16 +29,13 @@ from .model import PayloadClass, Scheme, ValidationError, WeightSet
 
 DEFAULT_SAFETY_DEADLINE_CAP = 300.0
 
-_TOP_KEYS = {"name", "seed", "mobility", "engine", "packet", "incentives", "safety_deadline_cap"}
-_MOBILITY_KEYS, _ENGINE_KEYS, _PACKET_KEYS, _INCENTIVE_KEYS = (
-    {f.name for f in fields(cls)} for cls in (MobilityConfig, EngineConfig, PacketSpec, IncentiveConfig)
-)
-_WEIGHT_KEYS = {"time", "forward", "distance"}
+# scenario-file key -> WeightSet field
+_WEIGHT_KEYS = {"time": "time_weight", "forward": "forward_weight", "distance": "distance_weight"}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str = "default"
+    name: str = "default"  # the export file stem
     seed: int = 0
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
@@ -41,47 +44,18 @@ class Scenario:
     safety_deadline_cap: float = DEFAULT_SAFETY_DEADLINE_CAP
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "mobility": {
-                "vehicle_count": self.mobility.vehicle_count,
-                "arena_width": self.mobility.arena_width,
-                "arena_height": self.mobility.arena_height,
-                "speed_min": self.mobility.speed_min,
-                "speed_max": self.mobility.speed_max,
-                "pause_time": self.mobility.pause_time,
-                "tick_seconds": self.mobility.tick_seconds,
-            },
-            "engine": {
-                "radio_range": self.engine.radio_range,
-                "duration": self.engine.duration,
-                "source_id": self.engine.source_id,
-                "destination_id": self.engine.destination_id,
-                "settle_on_delivery": self.engine.settle_on_delivery,
-                "hop_price": self.engine.hop_price,
-            },
-            "packet": {
-                "reward_budget": self.packet.reward_budget,
-                "deadline": self.packet.deadline,
-                "interest_radius": self.packet.interest_radius,
-                "payload_class": self.packet.payload_class.value,
-                "packet_id": self.packet.packet_id,
-            },
-            "incentives": {
-                "scheme": self.incentives.scheme.value,
-                "weights": {
-                    "time": self.incentives.weights.time_weight,
-                    "forward": self.incentives.weights.forward_weight,
-                    "distance": self.incentives.weights.distance_weight,
-                },
-                "time_scale": self.incentives.time_scale,
-                "distance_scale": self.incentives.distance_scale,
-                "first_proposal_mode": self.incentives.first_proposal_mode,
-                "distance_aggregate": self.incentives.distance_aggregate,
-            },
-            "safety_deadline_cap": self.safety_deadline_cap,
-        }
+        """The scenario as a scenario file spells it."""
+        return _plain(self)
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, WeightSet):
+        return {key: getattr(value, attr) for key, attr in _WEIGHT_KEYS.items()}
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -92,114 +66,90 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _section(raw: dict, key: str, known: set[str], problems: list[str]) -> dict:
-    sec = raw.get(key) or {}
-    if not isinstance(sec, dict):
-        problems.append(f"{key}: must be a mapping")
-        return {}
-    for k in sorted(set(sec) - known):
-        problems.append(f"{key}.{k}: unknown field")
-    return {k: v for k, v in sec.items() if k in known}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_enum(enum_cls, value, label: str, problems: list[str]):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        problems.append(f"{label}: {value!r} is not one of: {allowed}")
-        return None
+# annotation -> (what a value must be, test)
+_RULES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+# the annotations of the scenario and of each config section, resolved once: the file's schema
+_HINTS = {Scenario: get_type_hints(Scenario)}
+_HINTS.update((cls, get_type_hints(cls)) for cls in _HINTS[Scenario].values() if is_dataclass(cls))
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and fully validate a scenario, reporting every problem found."""
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario document must be a mapping")
-    problems: list[str] = []
-    for k in sorted(set(raw) - _TOP_KEYS):
-        problems.append(f"{k}: unknown field")
+def _value(hint, value):
+    """``value`` as a field annotated ``hint`` holds it; ValidationError if it does not fit."""
+    args = get_args(hint)  # ``int | None``: None, or a value of the other type
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except (ValueError, TypeError):
+            allowed = ", ".join(m.value for m in hint)
+            raise ValidationError(f"{value!r} is not one of: {allowed}") from None
+    if hint is WeightSet:
+        if not isinstance(value, dict) or set(value) - _WEIGHT_KEYS.keys():
+            raise ValidationError("must be a mapping with keys time, forward, distance")
+        return WeightSet(**{attr: _value(float, value.get(key, 0.0)) for key, attr in _WEIGHT_KEYS.items()})
+    what, fits = _RULES[hint]
+    if not fits(value):
+        raise ValidationError(f"must be {what}, got {value!r}")
+    return value
 
-    name = raw.get("name", "default")
-    if not isinstance(name, str) or not name:
-        problems.append("name: must be a non-empty string")
-        name = "default"
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        problems.append("seed: must be a non-negative integer")
-        seed = 0
 
-    mob_kw = _section(raw, "mobility", _MOBILITY_KEYS, problems)
-    eng_kw = _section(raw, "engine", _ENGINE_KEYS, problems)
-    pkt_kw = _section(raw, "packet", _PACKET_KEYS, problems)
-    inc_kw = _section(raw, "incentives", _INCENTIVE_KEYS, problems)
-
-    mobility = MobilityConfig()
-    try:
-        mobility = MobilityConfig(**mob_kw)
-    except (ValidationError, TypeError) as exc:
-        problems.append(f"mobility: {exc}")
-
-    engine = EngineConfig()
-    try:
-        engine = EngineConfig(**eng_kw)
-    except (ValidationError, TypeError) as exc:
-        problems.append(f"engine: {exc}")
-
-    packet = PacketSpec()
-    if "payload_class" in pkt_kw:
-        parsed = _parse_enum(
-            PayloadClass, pkt_kw["payload_class"], "packet.payload_class", problems
-        )
-        if parsed is None:
-            pkt_kw.pop("payload_class")
-        else:
-            pkt_kw["payload_class"] = parsed
-    try:
-        packet = PacketSpec(**pkt_kw)
-        if packet.reward_budget < 0:
-            problems.append("packet.reward_budget: must be non-negative")
-        if packet.deadline <= 0:
-            problems.append("packet.deadline: must be positive")
-        if packet.interest_radius <= 0:
-            problems.append("packet.interest_radius: must be positive")
-    except TypeError as exc:
-        problems.append(f"packet: {exc}")
-
-    if "scheme" in inc_kw:
-        parsed = _parse_enum(Scheme, inc_kw["scheme"], "incentives.scheme", problems)
-        if parsed is None:
-            inc_kw.pop("scheme")
-        else:
-            inc_kw["scheme"] = parsed
-    if "weights" in inc_kw:
-        w = inc_kw.pop("weights")
-        if not isinstance(w, dict) or set(w) - _WEIGHT_KEYS:
-            problems.append(
-                "incentives.weights: must be a mapping with keys time, forward, distance"
-            )
+def _fields(cls, raw: dict, prefix: str, problems: list[str]) -> dict:
+    """The entries of ``raw`` that fit ``cls``'s annotations, config sections built."""
+    hints = _HINTS[cls]
+    kwargs = {}
+    for key, value in raw.items():
+        label = f"{prefix}{key}"
+        hint = hints.get(key)
+        if hint is None:
+            problems.append(f"{label}: unknown field")
+        elif hint in _HINTS:
+            kwargs[key] = _section(hint, value, label, problems)
         else:
             try:
-                inc_kw["weights"] = WeightSet(
-                    time_weight=float(w.get("time", 0.0)),
-                    forward_weight=float(w.get("forward", 0.0)),
-                    distance_weight=float(w.get("distance", 0.0)),
-                )
-            except (ValidationError, TypeError, ValueError) as exc:
-                problems.append(f"incentives.weights: {exc}")
+                kwargs[key] = _value(hint, value)
+            except ValidationError as exc:
+                problems.append(f"{label}: {exc}")
+    return kwargs
 
-    incentives = IncentiveConfig()
+
+def _section(cls, raw, label: str, problems: list[str]):
+    """Build one config section; its defaults stand in when it is invalid."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        problems.append(f"{label}: must be a mapping")
+        return cls()
     try:
-        incentives = IncentiveConfig(**inc_kw)
-    except (ValidationError, TypeError) as exc:
-        problems.append(f"incentives: {exc}")
+        return cls(**_fields(cls, raw, f"{label}.", problems))
+    except ValidationError as exc:
+        problems.append(f"{label}: {exc}")
+        return cls()
 
-    cap = raw.get("safety_deadline_cap", DEFAULT_SAFETY_DEADLINE_CAP)
-    if not isinstance(cap, (int, float)) or isinstance(cap, bool) or cap <= 0:
-        problems.append("safety_deadline_cap: must be a positive number")
-        cap = DEFAULT_SAFETY_DEADLINE_CAP
 
-    # cross-field rules
-    n = mobility.vehicle_count
+def _scenario_problems(sc: Scenario) -> list[str]:
+    """Rules on the top-level fields and across sections."""
+    problems = []
+    if not sc.name or "/" in sc.name or "\\" in sc.name:
+        problems.append("name: must be a non-empty file stem without / or \\")
+    if sc.seed < 0:
+        problems.append("seed: must be non-negative")
+    if not sc.safety_deadline_cap > 0:
+        problems.append("safety_deadline_cap: must be positive")
+    elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
+        problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
+    n = sc.mobility.vehicle_count
+    engine = sc.engine
     if engine.source_id is not None and not 0 <= engine.source_id < n:
         problems.append(f"engine.source_id: must be in [0, {n})")
     if engine.destination_id is not None:
@@ -207,29 +157,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
             problems.append(f"engine.destination_id: must be in [0, {n})")
         if engine.destination_id == engine.source_id:
             problems.append("engine.destination_id: must differ from source_id")
-    if (
-        packet.payload_class is PayloadClass.SAFETY
-        and packet.deadline > cap
-    ):
-        problems.append(
-            f"packet.deadline: safety payloads must settle within {cap} s"
-        )
-    if incentives.scheme is Scheme.PACKET_TRADE and n < 2:
+    if sc.incentives.scheme is Scheme.PACKET_TRADE and n < 2:
         problems.append("incentives.scheme: packet trade needs at least 2 vehicles")
+    return problems
 
+
+def scenario_from_dict(raw: dict) -> Scenario:
+    """Build and fully validate a scenario, reporting every problem found."""
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario document must be a mapping")
+    problems: list[str] = []
+    scenario = Scenario(**_fields(Scenario, raw, "", problems))
+    problems += _scenario_problems(scenario)
     if problems:
-        raise ValidationError(
-            "invalid scenario:\n  " + "\n  ".join(problems)
-        )
-    return Scenario(
-        name=name,
-        seed=seed,
-        mobility=mobility,
-        engine=engine,
-        packet=packet,
-        incentives=incentives,
-        safety_deadline_cap=float(cap),
-    )
+        raise ValidationError("invalid scenario:\n  " + "\n  ".join(problems))
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vanetsim.model import ForwardingTree, Packet, TreeLink, WeightSet
+from vanetsim.model import ForwardingTree, Packet, TreeLink
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_YAML = REPO_ROOT / "scenarios" / "baseline.yaml"
@@ -16,7 +16,6 @@ def make_packet(
     budget: float = 100.0,
     deadline: float = 300.0,
     interest_radius: float = 500.0,
-    weights: WeightSet | None = None,
     packet_id: str = "p0",
     source_id: int = 0,
 ) -> Packet:
@@ -24,11 +23,9 @@ def make_packet(
         id=packet_id,
         source_id=source_id,
         origin_position=(0.0, 0.0),
-        created_at=0.0,
         reward_budget=budget,
         deadline=deadline,
         interest_radius=interest_radius,
-        weights=weights or WeightSet(0.25, 0.5, 0.25),
     )
 
 

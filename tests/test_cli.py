@@ -134,6 +134,14 @@ class TestValidateCommand:
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_nan_duration_is_exit_1_for_validate_and_run(self, tmp_path, capsys):
+        bad = tmp_path / "nan.yaml"
+        bad.write_text("engine:\n  duration: .nan\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert "engine.duration: must be a finite number" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_invalid_file_lists_every_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

@@ -18,6 +18,22 @@ def run_default(seed: int = 7, eng: EngineConfig = ENG, inc: IncentiveConfig = I
     return run(mob, eng, inc, pkt, seed)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"reward_budget": -1.0},
+        {"deadline": 0.0},
+        {"interest_radius": 0.0},
+        {"reward_budget": math.nan},
+        {"deadline": math.nan},
+        {"interest_radius": math.nan},
+    ],
+)
+def test_packet_spec_rejects_bad_limits(kwargs):
+    with pytest.raises(ValidationError):
+        PacketSpec(**kwargs)
+
+
 class TestDeterminism:
     def test_same_seed_reproduces_everything(self):
         r1 = run_default(seed=11)

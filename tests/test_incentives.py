@@ -243,7 +243,7 @@ class TestIncentiveConfig:
             weights=WeightSet(1.0, 0.0, 0.0),
             time_scale=60.0,
         )
-        pkt = make_packet(deadline=300.0, weights=WeightSet(1.0, 0.0, 0.0))
+        pkt = make_packet(deadline=300.0)
         rec = ContributionRecord(
             vehicle_id=1,
             packet_id="p0",
@@ -256,7 +256,7 @@ class TestIncentiveConfig:
 
     def test_contribution_for_uses_distance_aggregate(self):
         w = WeightSet(0.0, 0.0, 1.0)
-        pkt = make_packet(interest_radius=500.0, weights=w)
+        pkt = make_packet(interest_radius=500.0)
         rec = ContributionRecord(
             vehicle_id=1,
             packet_id="p0",

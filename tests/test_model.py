@@ -47,10 +47,6 @@ class TestWeightSet:
 
 
 class TestPacket:
-    def test_deadline_time(self):
-        pkt = make_packet(deadline=120.0)
-        assert pkt.deadline_time == pkt.created_at + 120.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -58,6 +54,9 @@ class TestPacket:
             {"deadline": -5.0},
             {"interest_radius": 0.0},
             {"budget": -1.0},
+            {"deadline": math.nan},
+            {"interest_radius": math.nan},
+            {"budget": math.nan},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import yaml
 
@@ -122,6 +124,50 @@ class TestScenarioFromDict:
     def test_non_mapping_document_rejected(self):
         with pytest.raises(ValidationError):
             scenario_from_dict(["not", "a", "mapping"])
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            *(
+                (section, key, value)
+                for section, key in [
+                    ("packet", "deadline"),
+                    ("engine", "duration"),
+                    ("engine", "radio_range"),
+                    ("mobility", "tick_seconds"),
+                    ("mobility", "arena_width"),
+                    ("incentives", "time_scale"),
+                ]
+                for value in (math.nan, math.inf)
+            ),
+            ("mobility", "vehicle_count", 15.5),
+            ("engine", "source_id", 2.5),
+            ("engine", "settle_on_delivery", "yes"),
+            ("packet", "packet_id", 7),
+            (None, "safety_deadline_cap", math.nan),
+            (None, "name", "../escaped"),
+            (None, "name", "a/b"),
+            (None, "name", "a\\b"),
+        ],
+    )
+    def test_value_that_does_not_fit_its_field_is_named(self, section, key, value):
+        doc = valid_doc()
+        (doc[section] if section else doc)[key] = value
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        label = f"{section}.{key}" if section else key
+        assert f"\n  {label}: " in str(exc.value)
+
+    def test_int_literal_for_a_float_field_is_kept_as_written(self, baseline_path):
+        doc = yaml.safe_load(baseline_path.read_text(encoding="utf-8"))
+        doc["mobility"]["arena_width"] = 800
+        sc = scenario_from_dict(doc)
+        assert sc.mobility.arena_width == 800
+        assert type(sc.mobility.arena_width) is int
+        # the digest this document had before the dataclasses became the schema
+        assert scenario_hash(sc) == (
+            "ff23466f2600c33eeb37dbcfb33ca45dd73ff270b553d80fb394b08674890009"
+        )
 
 
 class TestScenarioHash:
