@@ -57,6 +57,10 @@ def cases() -> dict[str, object]:
     delivery = scenario_from_dict(_variant(raw, engine={"settle_on_delivery": True}))
     for seed in (0, 1):
         out[f"settle_on_delivery/second_proposal/s{seed}"] = with_updates(delivery, seed=seed)
+    # an explicit destination without delivery settlement: delivery is recorded, routing goes on
+    destination = scenario_from_dict(_variant(raw, engine={"destination_id": 5}))
+    for seed in (0, 1):
+        out[f"destination/second_proposal/s{seed}"] = with_updates(destination, seed=seed)
     fractional = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}))
     for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE):
         out[f"tick0.1/{scheme.value}/s0"] = with_updates(fractional, seed=0, scheme=scheme)
