@@ -1,19 +1,23 @@
 """Discrete-tick simulation driver.
 
 One run: place a fleet, inject a single packet at a source vehicle at
-t=0, then per tick move everyone, detect radio contacts, and hand the
-packet across contacts epidemically. Settlement fires once per run, at
-the packet deadline, at end of run, or at first delivery when the run is
-configured for delivery-triggered settlement (always the case for the
-packet-trade scheme). Simulated time at tick k is k * tick_seconds,
-never a running sum, so fractional ticks do not drift. Everything is
-driven by two child RNG streams of the run seed, one for mobility and one
-for the engine's own draws, so a (scenario, seed) pair fully determines
-the outcome.
+t=0, then run one loop over ticks 0..N. Every tick after 0 moves the
+fleet; while the packet deadline has not passed, each tick also detects
+radio contacts and hands the packet across them epidemically. Routing
+stops early at first delivery when the run is configured for
+delivery-triggered settlement (always the case for the packet-trade
+scheme); mobility still runs to the end. After the loop the run settles
+once, at the delivery time if a delivery ended routing, otherwise at the
+earlier of the end of the run and the deadline. Simulated time at tick k
+is the float k * tick_seconds, never a running sum, so fractional ticks
+do not drift. Everything is driven by two child RNG streams of the run
+seed, one for mobility and one for the engine's own draws, so a
+(scenario, seed) pair fully determines the outcome.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from .model import (
     ValidationError,
     Vehicle,
 )
-from .routing import PacketTransit, collect_records, handle_encounter, start_transit
+from .routing import collect_records, handle_encounter
 from .settlement import (
     apply_settlement,
     settle_packet_purse,
@@ -71,11 +75,12 @@ class EngineConfig:
     hop_price: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.radio_range <= 0:
+        # each test is written so that NaN fails it
+        if not self.radio_range > 0:
             raise ValidationError("radio_range must be positive")
-        if self.duration < 0:
-            raise ValidationError("duration must be non-negative")
-        if self.hop_price <= 0:
+        if not 0 <= self.duration < math.inf:
+            raise ValidationError("duration must be non-negative and finite")
+        if not self.hop_price > 0:
             raise ValidationError("hop_price must be positive")
 
 
@@ -100,26 +105,23 @@ class RunResult:
 
 
 def _settle(
-    transit: PacketTransit,
-    source_id: int,
+    tree: ForwardingTree,
+    packet: Packet,
     destination_id: int | None,
     incentives: IncentiveConfig,
     engine_cfg: EngineConfig,
     settle_time: float,
 ) -> tuple[list[ContributionRecord], SettlementReport]:
-    packet = transit.packet
-    records = collect_records(transit, settle_time)
+    records = collect_records(tree, packet, settle_time)
     scheme = incentives.scheme
     if scheme in PROPORTIONAL_SCHEMES:
         incentives.score_records(records, packet)
-        report = settle_proportional(packet, source_id, records, scheme)
+        report = settle_proportional(packet, packet.source_id, records, scheme)
     elif scheme is Scheme.PACKET_PURSE:
-        report = settle_packet_purse(packet, source_id, transit.tree, engine_cfg.hop_price)
+        report = settle_packet_purse(packet, packet.source_id, tree, engine_cfg.hop_price)
     elif scheme is Scheme.PACKET_TRADE:
-        if destination_id is None:
-            raise ValidationError("packet trade needs a destination vehicle")
         report = settle_packet_trade(
-            packet, source_id, transit.tree, destination_id, engine_cfg.hop_price
+            packet, packet.source_id, tree, destination_id, engine_cfg.hop_price
         )
     else:  # pragma: no cover - enum is exhaustive
         raise ValidationError(f"unhandled scheme {scheme}")
@@ -152,7 +154,7 @@ def run(
     scheme = incentive_cfg.scheme
     settle_on_delivery = engine_cfg.settle_on_delivery or scheme is Scheme.PACKET_TRADE
     destination = engine_cfg.destination_id
-    if destination is None and (settle_on_delivery or scheme is Scheme.PACKET_TRADE):
+    if destination is None and settle_on_delivery:
         others = [i for i in range(n) if i != source]
         if not others:
             raise ValidationError("delivery settlement needs at least 2 vehicles")
@@ -170,72 +172,52 @@ def run(
         deadline=packet_spec.deadline,
         interest_radius=packet_spec.interest_radius,
     )
-    transit = start_transit(packet, source)
-    vehicles = {i: Vehicle(id=i, position=model.position_of(i)) for i in range(n)}
-
-    contact_events = 0
-    settle_time: float | None = None
-    records: list[ContributionRecord] = []
-    report: SettlementReport | None = None
-    applied: set[str] = set()
-
-    def do_settle(at: float) -> None:
-        nonlocal records, report, settle_time
-        transit.active = False
-        settle_time = at
-        records, report = _settle(
-            transit, source, destination, incentive_cfg, engine_cfg, at
-        )
-        apply_settlement(report, vehicles, applied)
-
-    def route_tick(now: float) -> None:
-        nonlocal contact_events
-        x, y = model.x, model.y
-        a, b = contact_pairs(x, y, engine_cfg.radio_range)
-        contact_events += len(a)
-        for i, j in zip(a.tolist(), b.tolist()):
-            link = handle_encounter(transit, i, j, x, y, now)
-            if link is None:
-                continue
-            if link.to_id == destination and transit.delivered_at is None:
-                transit.delivered_at = now
-                if settle_on_delivery:
-                    do_settle(now)
-                    return
+    tree = ForwardingTree(packet_id=packet.id, root=source)
 
     dt = mobility_cfg.tick_seconds
     ticks_total = int(round(engine_cfg.duration / dt))
     # the last tick routed: the model's clock reads k * dt, within the deadline
     past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline)
     deadline_tick = next(past, ticks_total + 1) - 1
-    route_tick(0.0)
-    for tick in range(1, ticks_total + 1):
-        model.step()
-        if tick <= deadline_tick:
-            if transit.active:
-                route_tick(model.now)
-        elif report is None:
-            do_settle(packet.deadline)
+    contact_events = 0
+    delivered_at: float | None = None
+    for tick in range(ticks_total + 1):
+        if tick:
+            model.step()
+        if tick > deadline_tick or (settle_on_delivery and delivered_at is not None):
+            continue  # routing is over; the fleet keeps moving to the end of the run
+        now = model.now
+        x, y = model.x, model.y
+        a, b = contact_pairs(x, y, engine_cfg.radio_range)
+        contact_events += len(a)
+        for i, j in zip(a.tolist(), b.tolist()):
+            link = handle_encounter(tree, packet, i, j, x, y, now)
+            if link is not None and link.to_id == destination and delivered_at is None:
+                delivered_at = now
+                if settle_on_delivery:
+                    break
 
-    if report is None:
-        do_settle(min(model.now, packet.deadline))
+    # a deadline written as an int must not make the settle time an int
+    if settle_on_delivery and delivered_at is not None:
+        settle_time = delivered_at
+    else:
+        settle_time = float(min(model.now, packet.deadline))
+    records, report = _settle(tree, packet, destination, incentive_cfg, engine_cfg, settle_time)
+    vehicles = {
+        i: Vehicle(
+            id=i, position=model.position_of(i), velocity=(float(model.vx[i]), float(model.vy[i]))
+        )
+        for i in range(n)
+    }
+    apply_settlement(report, vehicles, set())
 
-    for i, veh in vehicles.items():
-        veh.position = model.position_of(i)
-        veh.velocity = (float(model.vx[i]), float(model.vy[i]))
-
-    delivered: bool | None = None
-    if destination is not None:
-        delivered = transit.delivered_at is not None
-
-    assert report is not None and settle_time is not None
     return RunResult(
         seed=seed,
         scheme=scheme,
         source_id=source,
         destination_id=destination,
         packet=packet,
-        tree=transit.tree,
+        tree=tree,
         records=records,
         report=report,
         vehicles=vehicles,
@@ -243,5 +225,5 @@ def run(
         final_time=model.now,
         ticks_run=ticks_total,
         contact_events=contact_events,
-        delivered=delivered,
+        delivered=None if destination is None else delivered_at is not None,
     )

@@ -37,9 +37,9 @@ def time_term(stored_time: float, deadline: float) -> float:
     Grows from 0, saturates at just under ``deadline`` once the packet has
     been held for its whole lifetime; holding longer earns nothing more.
     """
-    if stored_time < 0:
+    if not stored_time >= 0:
         raise ValidationError("stored_time must be non-negative")
-    if deadline <= 0:
+    if not deadline > 0:
         raise ValidationError("deadline must be positive")
     t = min(stored_time, deadline)
     # expm1 keeps relative accuracy for small t where exp(-t) ~ 1
@@ -48,7 +48,7 @@ def time_term(stored_time: float, deadline: float) -> float:
 
 def forward_term(forward_count: int) -> float:
     """Forwarding credit is linear in the number of handoffs."""
-    if forward_count < 0:
+    if not forward_count >= 0:
         raise ValidationError("forward_count must be non-negative")
     return float(forward_count)
 
@@ -60,11 +60,11 @@ def distance_term(dist: float, interest_radius: float, decay_scale: float) -> fl
     relay's distance from the origin and drops to exactly zero once the
     relay happens outside the packet's region of interest.
     """
-    if dist < 0:
+    if not dist >= 0:
         raise ValidationError("dist must be non-negative")
-    if interest_radius <= 0:
+    if not interest_radius > 0:
         raise ValidationError("interest_radius must be positive")
-    if decay_scale <= 0:
+    if not decay_scale > 0:
         raise ValidationError("decay_scale must be positive")
     if dist > interest_radius:
         return 0.0
@@ -75,7 +75,7 @@ def contribution_basic(alpha: float, stored_time: float, forward_count: int) -> 
     """Two-term linear blend; time credit is unbounded."""
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError("alpha must lie in [0, 1]")
-    if stored_time < 0:
+    if not stored_time >= 0:
         raise ValidationError("stored_time must be non-negative")
     return alpha * stored_time + (1.0 - alpha) * forward_term(forward_count)
 
@@ -95,9 +95,9 @@ def contribution_first(
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie strictly between 0 and 1")
-    if stored_time < 0:
+    if not stored_time >= 0:
         raise ValidationError("stored_time must be non-negative")
-    if deadline <= 0:
+    if not deadline > 0:
         raise ValidationError("deadline must be positive")
     if mode == "ratio":
         time_credit = stored_time / deadline
@@ -164,9 +164,10 @@ class IncentiveConfig:
     distance_aggregate: str = "mean"
 
     def __post_init__(self) -> None:
-        if self.time_scale <= 0:
+        # each test is written so that NaN fails it
+        if not self.time_scale > 0:
             raise ValidationError("time_scale must be positive")
-        if self.distance_scale <= 0:
+        if not self.distance_scale > 0:
             raise ValidationError("distance_scale must be positive")
         if self.distance_aggregate not in DISTANCE_AGGREGATES:
             raise ValidationError(

@@ -1,48 +1,31 @@
 """Epidemic store-carry-forward routing.
 
-A packet starts at its source vehicle. Whenever a carrier meets a
-non-carrier inside radio range, the packet is copied over and the handoff
-is added to the packet's forwarding tree. Carriers keep their copy, so
-each vehicle joins the tree at most once and the tree is the complete
-relay history: a carrier's receipt time and position are on the link
-that reached it, and its forwards are the links it sent. Encounters are
-processed in a deterministic order by the engine; a vehicle that
-receives a copy can forward it again within the same tick.
+A packet starts at its source vehicle, the root of its forwarding tree.
+Whenever a carrier meets a non-carrier inside radio range, the packet is
+copied over and the handoff is added to the tree. Carriers keep their
+copy, so each vehicle joins the tree at most once and the tree is the
+packet's whole routing state: its nodes are the carriers, a carrier's
+receipt time and position are on the link that reached it, and its
+forwards are the links it sent. Encounters are processed in a
+deterministic order by the engine; a vehicle that receives a copy can
+forward it again within the same tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ContributionRecord, ForwardingTree, Packet, TreeLink, distance
 
 
-@dataclass
-class PacketTransit:
-    """Live propagation state of one packet."""
-
-    packet: Packet
-    tree: ForwardingTree
-    active: bool = True
-    delivered_at: float | None = None
-
-
-def start_transit(packet: Packet, source_id: int) -> PacketTransit:
-    """Seed a packet at its source; the source is the tree root."""
-    return PacketTransit(packet=packet, tree=ForwardingTree(packet_id=packet.id, root=source_id))
-
-
-def handle_encounter(transit: PacketTransit, a_id: int, b_id: int, x, y, now: float) -> TreeLink | None:
+def handle_encounter(
+    tree: ForwardingTree, packet: Packet, a_id: int, b_id: int, x, y, now: float
+) -> TreeLink | None:
     """Copy the packet across one contact if exactly one side carries it.
 
     ``x`` and ``y`` hold every vehicle's coordinates, indexed by id; only
     the two ends of a handoff are read. Returns the new tree link, or None
-    when no handoff happened (neither side carries, both already carry,
-    or propagation is frozen).
+    when no handoff happened (neither side carries, or both already do).
     """
-    if not transit.active:
-        return None
-    carriers = transit.tree.depth
+    carriers = tree.depth
     a_has = a_id in carriers
     if a_has == (b_id in carriers):
         return None
@@ -55,9 +38,9 @@ def handle_encounter(transit: PacketTransit, a_id: int, b_id: int, x, y, now: fl
         timestamp=now,
         from_position=giver_pos,
         to_position=(float(x[taker]), float(y[taker])),
-        distance_from_origin=distance(giver_pos, transit.packet.origin_position),
+        distance_from_origin=distance(giver_pos, packet.origin_position),
     )
-    transit.tree.add(link)
+    tree.add(link)
     return link
 
 
@@ -66,14 +49,15 @@ def stored_time(received_at: float, settle_time: float) -> float:
     return max(0.0, settle_time - received_at)
 
 
-def collect_records(transit: PacketTransit, settle_time: float) -> list[ContributionRecord]:
+def collect_records(
+    tree: ForwardingTree, packet: Packet, settle_time: float
+) -> list[ContributionRecord]:
     """Contribution records for every carrier except the paying source.
 
     Ordered by vehicle id so downstream settlement is deterministic. A
     record's relay distances are those of the links it sent, in order.
     """
-    tree = transit.tree
-    origin = transit.packet.origin_position
+    origin = packet.origin_position
     sent: dict[int, list[float]] = {}
     for link in tree.links:
         sent.setdefault(link.from_id, []).append(link.distance_from_origin)
@@ -84,7 +68,7 @@ def collect_records(transit: PacketTransit, settle_time: float) -> list[Contribu
         records.append(
             ContributionRecord(
                 vehicle_id=vid,
-                packet_id=transit.packet.id,
+                packet_id=packet.id,
                 stored_time=stored_time(received.timestamp, settle_time),
                 forward_count=len(relays),
                 relay_distances=relays,

@@ -41,6 +41,20 @@ class TestParser:
             build_parser().parse_args(["run", "--format", "xml"])
 
 
+def run_edited(baseline_path, out, edits: dict[str, str], fmt: str):
+    """Run seed 3 of ``baseline.yaml`` with some lines replaced; return the out directory."""
+    text = baseline_path.read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    out.mkdir()
+    scenario = out / "baseline.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    argv = ["run", "--scenario", str(scenario), "--seed", "3", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
 class TestRunCommand:
     def test_writes_summary_json(self, tmp_path, capsys, baseline_path):
         rc = main([
@@ -63,6 +77,25 @@ class TestRunCommand:
         assert rc == 0
         rows = (tmp_path / "baseline.rows.csv").read_text().splitlines()
         assert rows[0].startswith("vehicle_id,reward,")
+
+    def test_integer_tick_length_writes_the_same_rows(self, tmp_path, baseline_path):
+        rows = [
+            (run_edited(baseline_path, tmp_path / tag, {"tick_seconds: 1.0": f"tick_seconds: {tag}"}, "csv")
+             / "baseline.rows.csv").read_bytes()
+            for tag in ("1", "1.0")
+        ]
+        assert rows[0] == rows[1]
+
+    def test_integer_deadline_writes_the_same_summary(self, tmp_path, baseline_path):
+        docs = []
+        for tag in ("250", "250.0"):
+            edits = {"deadline: 300.0": f"deadline: {tag}", "duration: 300.0": "duration: 400.0"}
+            out = run_edited(baseline_path, tmp_path / tag, edits, "json")
+            doc = json.loads((out / "baseline.summary.json").read_text(encoding="utf-8"))
+            doc["scenario"]["scenario_hash"] = None  # the hash sees the two spellings
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert type(docs[0]["scenario"]["settle_time"]) is float
 
     def test_defaults_without_scenario_file(self, tmp_path):
         rc = main(["run", "--seed", "0", "--out", str(tmp_path)])

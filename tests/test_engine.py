@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
-from vanetsim.mobility import MobilityConfig
+from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 from vanetsim.model import Scheme, ValidationError, WeightSet, distance
 
 MOB = MobilityConfig()  # 15 vehicles, 800 x 800
@@ -32,6 +33,23 @@ def run_default(seed: int = 7, eng: EngineConfig = ENG, inc: IncentiveConfig = I
 def test_packet_spec_rejects_bad_limits(kwargs):
     with pytest.raises(ValidationError):
         PacketSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"radio_range": 0.0},
+        {"duration": -1.0},
+        {"duration": math.inf},
+        {"hop_price": 0.0},
+        {"radio_range": math.nan},
+        {"duration": math.nan},
+        {"hop_price": math.nan},
+    ],
+)
+def test_engine_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValidationError):
+        EngineConfig(**kwargs)
 
 
 class TestDeterminism:
@@ -140,6 +158,30 @@ class TestSettlementTiming:
         assert found.settle_time <= 300.0
         assert all(l.timestamp <= found.settle_time for l in found.tree.links)
         assert found.destination_id in found.tree.nodes()
+
+
+@pytest.mark.parametrize(
+    "inc,pkt",
+    [
+        (INC, PKT),
+        (INC, PacketSpec(deadline=120.0)),  # routing stops long before the run ends
+        (IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT),  # routing stops at delivery
+    ],
+    ids=["deadline_at_end", "deadline_mid_run", "trade"],
+)
+def test_vehicles_hold_end_of_run_state(inc, pkt):
+    seed = 7
+    result = run_default(seed=seed, inc=inc, pkt=pkt)
+    mob_seq, _ = np.random.SeedSequence(seed).spawn(2)
+    model = RandomWaypointModel(MOB, np.random.default_rng(mob_seq))
+    for _ in range(result.ticks_run):
+        model.step()
+    assert sorted(result.vehicles) == list(range(MOB.vehicle_count))
+    for i, vehicle in result.vehicles.items():
+        assert vehicle.position == model.position_of(i)
+        assert vehicle.velocity == (float(model.vx[i]), float(model.vy[i]))
+    assert math.fsum(v.credit_balance for v in result.vehicles.values()) == pytest.approx(0.0, abs=1e-9)
+    assert any(v.credit_balance != 0.0 for v in result.vehicles.values())
 
 
 class TestAccounting:

@@ -51,10 +51,9 @@ class TestTimeTerm:
             assert 0.0 < time_term(t, 5.0) < 5.0
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            time_term(-1.0, 10.0)
-        with pytest.raises(ValidationError):
-            time_term(1.0, 0.0)
+        for args in [(-1.0, 10.0), (1.0, 0.0), (math.nan, 5.0), (1.0, math.nan)]:
+            with pytest.raises(ValidationError):
+                time_term(*args)
 
     def test_small_time_accuracy(self):
         # expm1 keeps this accurate where exp(-t) - 1 would cancel
@@ -68,8 +67,9 @@ class TestForwardTerm:
         assert forward_term(7) == 7.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            forward_term(-1)
+        for count in (-1, math.nan):
+            with pytest.raises(ValidationError):
+                forward_term(count)
 
 
 class TestDistanceTerm:
@@ -86,7 +86,14 @@ class TestDistanceTerm:
         )
 
     def test_rejects_bad_inputs(self):
-        for args in [(-1.0, 500.0, 100.0), (1.0, 0.0, 100.0), (1.0, 500.0, 0.0)]:
+        for args in [
+            (-1.0, 500.0, 100.0),
+            (1.0, 0.0, 100.0),
+            (1.0, 500.0, 0.0),
+            (math.nan, 5.0, 1.0),
+            (1.0, math.nan, 1.0),
+            (1.0, 5.0, math.nan),
+        ]:
             with pytest.raises(ValidationError):
                 distance_term(*args)
 
@@ -113,6 +120,15 @@ class TestTwoTermMetrics:
         for alpha in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValidationError):
                 contribution_first(alpha, 1.0, 10.0, 1)
+
+    def test_rejects_nan_times(self):
+        for fn, args in [
+            (contribution_basic, (0.5, math.nan, 1)),
+            (contribution_first, (0.5, math.nan, 10.0, 1)),
+            (contribution_first, (0.5, 1.0, math.nan, 1)),
+        ]:
+            with pytest.raises(ValidationError):
+                fn(*args)
 
     def test_first_rejects_unknown_mode(self):
         with pytest.raises(ValidationError):
@@ -218,6 +234,8 @@ class TestIncentiveConfig:
             {"distance_scale": -1.0},
             {"distance_aggregate": "median"},
             {"first_proposal_mode": "cubic"},
+            {"time_scale": math.nan},
+            {"distance_scale": math.nan},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ class TestMobilityConfig:
             {"speed_min": 10.0, "speed_max": 5.0},
             {"pause_time": -0.5},
             {"tick_seconds": 0.0},
+            {"tick_seconds": math.inf},
+            {"vehicle_count": math.nan},
+            {"arena_width": math.nan},
+            {"arena_height": math.nan},
+            {"speed_min": math.nan},
+            {"speed_max": math.nan},
+            {"pause_time": math.nan},
+            {"tick_seconds": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -9,126 +9,111 @@ from vanetsim.routing import (
     descendant_counts,
     handle_encounter,
     path_from_root,
-    start_transit,
     stored_time,
 )
 
-
-def new_transit(source: int = 0):
-    return start_transit(make_packet(source_id=source), source)
+PACKET = make_packet()  # source 0, origin (0, 0)
 
 
-def meet(transit, a, b, a_pos, b_pos, now):
+def new_tree(source: int = 0) -> ForwardingTree:
+    return ForwardingTree(packet_id=PACKET.id, root=source)
+
+
+def meet(tree, a, b, a_pos, b_pos, now):
     """One encounter with the two vehicles standing at ``a_pos`` and ``b_pos``."""
     x = {a: a_pos[0], b: b_pos[0]}
     y = {a: a_pos[1], b: b_pos[1]}
-    return handle_encounter(transit, a, b, x, y, now)
-
-
-class TestStartTransit:
-    def test_source_is_sole_carrier_and_root(self):
-        transit = new_transit(3)
-        assert transit.tree.root == 3
-        assert transit.tree.depth == {3: 0}
-        assert transit.tree.links == []
-        assert transit.tree.parent(3) is None
-        assert transit.active
+    return handle_encounter(tree, PACKET, a, b, x, y, now)
 
 
 class TestHandleEncounter:
     def test_copies_to_the_empty_side(self):
-        transit = new_transit()
-        link = meet(transit, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0)
+        tree = new_tree()
+        link = meet(tree, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0)
         assert link is not None
         assert (link.from_id, link.to_id) == (0, 5)
         assert link.timestamp == 2.0
-        assert transit.tree.contains(5)
-        assert transit.tree.parent(5) == 0
-        assert transit.tree.link_to[5].to_position == (33.0, 44.0)
+        assert tree.contains(5)
+        assert tree.parent(5) == 0
+        assert tree.link_to[5].to_position == (33.0, 44.0)
 
     def test_direction_is_carrier_to_noncarrier(self):
-        transit = new_transit()
+        tree = new_tree()
         # same encounter, ids swapped: the carrier still gives
-        link = meet(transit, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0)
+        link = meet(tree, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0)
         assert link is not None
         assert (link.from_id, link.to_id) == (0, 9)
 
     def test_link_distance_measured_at_the_giver(self):
-        transit = new_transit()
+        tree = new_tree()
         giver_pos = (30.0, 40.0)  # 50 m from the (0, 0) origin
-        link = meet(transit, 0, 5, giver_pos, (90.0, 90.0), 1.0)
+        link = meet(tree, 0, 5, giver_pos, (90.0, 90.0), 1.0)
         assert link.distance_from_origin == 50.0
-        assert [l.distance_from_origin for l in transit.tree.links if l.from_id == 0] == [50.0]
+        assert [l.distance_from_origin for l in tree.links if l.from_id == 0] == [50.0]
 
     def test_forward_count_increments_per_handoff(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        meet(transit, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
-        sent = [l for l in transit.tree.links if l.from_id == 0]
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(tree, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
+        sent = [l for l in tree.links if l.from_id == 0]
         assert [l.distance_from_origin for l in sent] == [0.0, 3.0]
-        assert [r.forward_count for r in collect_records(transit, 5.0)] == [0, 0]
+        assert [r.forward_count for r in collect_records(tree, PACKET, 5.0)] == [0, 0]
 
     def test_both_carriers_is_a_noop(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        assert meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 2.0) is None
-        assert meet(transit, 1, 0, (1.0, 0.0), (0.0, 0.0), 2.0) is None
-        assert len(transit.tree.links) == 1
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        assert meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 2.0) is None
+        assert meet(tree, 1, 0, (1.0, 0.0), (0.0, 0.0), 2.0) is None
+        assert len(tree.links) == 1
 
     def test_neither_carries_is_a_noop(self):
-        transit = new_transit()
-        assert meet(transit, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
-        assert not transit.tree.contains(4) and not transit.tree.contains(5)
+        tree = new_tree()
+        assert meet(tree, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
+        assert not tree.contains(4) and not tree.contains(5)
 
     def test_positions_are_read_only_on_a_handoff(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         # no coordinates at all: a pair that cannot hand off must not ask
-        assert handle_encounter(transit, 4, 5, {}, {}, 2.0) is None
-        assert handle_encounter(transit, 0, 1, {}, {}, 2.0) is None
-
-    def test_frozen_transit_ignores_encounters(self):
-        transit = new_transit()
-        transit.active = False
-        assert meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0) is None
-        assert len(transit.tree.links) == 0
+        assert handle_encounter(tree, PACKET, 4, 5, {}, {}, 2.0) is None
+        assert handle_encounter(tree, PACKET, 0, 1, {}, {}, 2.0) is None
 
     def test_each_vehicle_joins_the_tree_once(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        meet(transit, 1, 2, (5.0, 0.0), (6.0, 0.0), 2.0)
-        meet(transit, 0, 2, (0.0, 0.0), (6.0, 0.0), 3.0)  # 2 already has it
-        tos = [l.to_id for l in transit.tree.links]
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(tree, 1, 2, (5.0, 0.0), (6.0, 0.0), 2.0)
+        meet(tree, 0, 2, (0.0, 0.0), (6.0, 0.0), 3.0)  # 2 already has it
+        tos = [l.to_id for l in tree.links]
         assert sorted(tos) == [1, 2]
         assert len(set(tos)) == len(tos)
 
 
 class TestStoredTime:
     def test_elapsed_since_receipt(self):
-        transit = new_transit()
-        link = meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
+        tree = new_tree()
+        link = meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
         assert link is not None
-        assert stored_time(transit.tree.link_to[1].timestamp, 25.0) == 15.0
+        assert stored_time(tree.link_to[1].timestamp, 25.0) == 15.0
 
     def test_never_negative(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
-        assert stored_time(transit.tree.link_to[1].timestamp, 5.0) == 0.0
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
+        assert stored_time(tree.link_to[1].timestamp, 5.0) == 0.0
 
 
 class TestCollectRecords:
     def test_excludes_the_source_and_sorts_by_id(self):
-        transit = new_transit()
-        meet(transit, 0, 7, (0.0, 0.0), (1.0, 0.0), 1.0)
-        meet(transit, 7, 3, (2.0, 0.0), (3.0, 0.0), 2.0)
-        records = collect_records(transit, 10.0)
+        tree = new_tree()
+        meet(tree, 0, 7, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(tree, 7, 3, (2.0, 0.0), (3.0, 0.0), 2.0)
+        records = collect_records(tree, PACKET, 10.0)
         assert [r.vehicle_id for r in records] == [3, 7]
 
     def test_record_contents(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (3.0, 4.0), 2.0)
-        meet(transit, 1, 2, (6.0, 8.0), (9.0, 12.0), 5.0)
-        rec1, rec2 = collect_records(transit, 12.0)
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (3.0, 4.0), 2.0)
+        meet(tree, 1, 2, (6.0, 8.0), (9.0, 12.0), 5.0)
+        rec1, rec2 = collect_records(tree, PACKET, 12.0)
         assert rec1.vehicle_id == 1
         assert rec1.stored_time == 10.0
         assert rec1.forward_count == 1
@@ -140,14 +125,14 @@ class TestCollectRecords:
         assert rec2.receive_distance == 15.0
 
     def test_copies_are_independent(self):
-        transit = new_transit()
-        meet(transit, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
-        meet(transit, 1, 2, (2.0, 0.0), (3.0, 0.0), 2.0)
-        (rec,) = [r for r in collect_records(transit, 5.0) if r.vehicle_id == 1]
+        tree = new_tree()
+        meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
+        meet(tree, 1, 2, (2.0, 0.0), (3.0, 0.0), 2.0)
+        (rec,) = [r for r in collect_records(tree, PACKET, 5.0) if r.vehicle_id == 1]
         rec.relay_distances.append(99.0)
-        (again,) = [r for r in collect_records(transit, 5.0) if r.vehicle_id == 1]
+        (again,) = [r for r in collect_records(tree, PACKET, 5.0) if r.vehicle_id == 1]
         assert again.relay_distances == [2.0]
-        assert len(transit.tree.links) == 2
+        assert len(tree.links) == 2
 
 
 class TestTreeQueries:
@@ -204,20 +189,26 @@ class TestMultiHopWithinOneTick:
     def test_chain_forms_when_pairs_arrive_in_order(self):
         # lexicographic pair order lets a fresh copy travel multiple hops in
         # one tick: (0,1) infects 1, then (1,2) infects 2
-        transit = new_transit()
+        tree = new_tree()
         for a, b in [(0, 1), (1, 2)]:
-            meet(transit, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
-        assert set(transit.tree.nodes()) == {0, 1, 2}
-        path = path_from_root(transit.tree, 2)
+            meet(tree, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
+        assert set(tree.nodes()) == {0, 1, 2}
+        path = path_from_root(tree, 2)
         assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 2)]
 
 
 class TestTreeIndex:
+    def test_new_tree_holds_only_its_root(self):
+        tree = new_tree(3)
+        assert tree.root == 3
+        assert tree.depth == {3: 0}
+        assert tree.links == []
+        assert tree.parent(3) is None
+
     def test_depth_counts_hops_from_the_root(self):
-        transit = new_transit()
+        tree = new_tree()
         for a, b in [(0, 1), (1, 2), (0, 3)]:
-            meet(transit, a, b, (0.0, 0.0), (1.0, 0.0), 1.0)
-        tree = transit.tree
+            meet(tree, a, b, (0.0, 0.0), (1.0, 0.0), 1.0)
         assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 1}
         assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.nodes())
 
