@@ -2,7 +2,9 @@
 
 Each case is one run of a scenario derived from ``scenarios/baseline.yaml``.
 Its digests cover the exact bytes that ``vanetsim run`` writes to
-``<name>.summary.json`` and ``<name>.rows.csv``. ``tests/test_golden.py``
+``<name>.summary.json`` and ``<name>.rows.csv``. One more entry covers the
+``aggregate.json`` that ``vanetsim sweep`` writes for the baseline over
+seeds 0-4, run through ``cli.main``. ``tests/test_golden.py``
 recomputes them and compares against ``digests.json``; this script is the
 only thing that writes that file:
 
@@ -15,10 +17,14 @@ moved and why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
+from vanetsim import cli
 from vanetsim.engine import run
 from vanetsim.metrics import build_summary, rows_to_csv, summary_to_json
 from vanetsim.model import Scheme
@@ -71,13 +77,23 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def sweep_aggregate_digest() -> str:
+    """sha256 of the aggregate.json that a baseline sweep over seeds 0-4 writes."""
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
+        rc = cli.main(["sweep", "--scenario", str(BASELINE_YAML), "--seeds", "0-4", "--out", out])
+        if rc != 0:
+            raise RuntimeError(f"vanetsim sweep exited {rc}")
+        return hashlib.sha256((Path(out) / "aggregate.json").read_bytes()).hexdigest()
+
+
 def digests() -> dict[str, dict[str, str]]:
-    """Case id -> {"summary.json": sha256, "rows.csv": sha256}."""
+    """Case id -> {"summary.json": sha256, "rows.csv": sha256}, plus the sweep aggregate."""
     out = {}
     for case, scenario in cases().items():
         result = run(scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, scenario.seed)
         summary = build_summary(result, scenario.incentives, scenario_hash(scenario))
         out[case] = {"summary.json": _sha256(summary_to_json(summary)), "rows.csv": _sha256(rows_to_csv(summary.rows))}
+    out["sweep/baseline/s0-4"] = {"aggregate.json": sweep_aggregate_digest()}
     return out
 
 
