@@ -1,73 +1,19 @@
 """Store-carry-forward packet simulation with credit-based reward settlement."""
 
-from .engine import EngineConfig, PacketSpec, RunResult, run
-from .incentives import (
-    IncentiveConfig,
-    contribution_basic,
-    contribution_first,
-    contribution_second,
-    distance_term,
-    forward_term,
-    time_term,
-)
-from .metrics import NodeRow, RunSummary, bin_rewards, build_summary, reward_vs_descendants
-from .mobility import MobilityConfig, RandomWaypointModel
-from .model import (
-    ContributionRecord,
-    ForwardingTree,
-    Packet,
-    PayloadClass,
-    Scheme,
-    SettlementReport,
-    TreeLink,
-    ValidationError,
-    Vehicle,
-    WeightSet,
-)
-from .scenario import Scenario, load_scenario, scenario_hash
-from .settlement import (
-    apply_settlement,
-    settle_packet_purse,
-    settle_packet_trade,
-    settle_proportional,
-)
+from .engine import EngineConfig, PacketSpec, run
+from .incentives import IncentiveConfig
+from .metrics import build_summary
+from .mobility import MobilityConfig
+from .model import ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContributionRecord",
     "EngineConfig",
-    "ForwardingTree",
     "IncentiveConfig",
     "MobilityConfig",
-    "NodeRow",
-    "Packet",
     "PacketSpec",
-    "PayloadClass",
-    "RandomWaypointModel",
-    "RunResult",
-    "RunSummary",
-    "Scenario",
-    "Scheme",
-    "SettlementReport",
-    "TreeLink",
     "ValidationError",
-    "Vehicle",
-    "WeightSet",
-    "apply_settlement",
-    "bin_rewards",
     "build_summary",
-    "contribution_basic",
-    "contribution_first",
-    "contribution_second",
-    "distance_term",
-    "forward_term",
-    "load_scenario",
-    "reward_vs_descendants",
     "run",
-    "scenario_hash",
-    "settle_packet_purse",
-    "settle_packet_trade",
-    "settle_proportional",
-    "time_term",
 ]

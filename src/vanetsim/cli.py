@@ -26,6 +26,10 @@ from .model import Scheme, ValidationError
 from .scenario import Scenario, load_scenario, scenario_hash, with_updates
 
 FORMATS = ("json", "csv")
+# summary identity keys copied into each aggregate.json per-seed entry
+PER_SEED_KEYS = (
+    "seed", "total_paid", "tree_size", "link_count", "delivered", "shortfall", "settle_time"
+)
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -90,13 +94,14 @@ def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) ->
 
 
 def _one_line(summary: RunSummary, path: Path) -> str:
-    delivered = "-" if summary.delivered is None else str(summary.delivered).lower()
+    s = summary.scenario
+    delivered = "-" if s["delivered"] is None else str(s["delivered"]).lower()
     return (
-        f"run scheme={summary.scheme} seed={summary.seed}"
-        f" source={summary.source_id} tree={summary.tree_size}"
-        f" links={summary.link_count} paid={summary.total_paid:.6g}"
-        f"/{summary.reward_budget:.6g} delivered={delivered}"
-        f" settle_t={summary.settle_time:.6g} -> {path}"
+        f"run scheme={s['scheme']} seed={s['seed']}"
+        f" source={s['source_id']} tree={s['tree_size']}"
+        f" links={s['link_count']} paid={s['total_paid']:.6g}"
+        f"/{s['reward_budget']:.6g} delivered={delivered}"
+        f" settle_t={s['settle_time']:.6g} -> {path}"
     )
 
 
@@ -126,20 +131,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary = _execute(scenario, seed, digest)
         path = _write_artifacts(summary, out_dir / f"run-s{seed}", args.format, scenario.name)
         print(_one_line(summary, path))
-        per_seed.append(
-            {
-                "seed": seed,
-                "total_paid": summary.total_paid,
-                "tree_size": summary.tree_size,
-                "link_count": summary.link_count,
-                "delivered": summary.delivered,
-                "shortfall": summary.shortfall,
-                "settle_time": summary.settle_time,
-                "spearman_reward_descendants": summary.aggregates[
-                    "spearman_reward_descendants"
-                ],
-            }
-        )
+        entry = {key: summary.scenario[key] for key in PER_SEED_KEYS}
+        entry["spearman_reward_descendants"] = summary.aggregates["spearman_reward_descendants"]
+        per_seed.append(entry)
     runs = len(per_seed)
     delivered_flags = [p["delivered"] for p in per_seed if p["delivered"] is not None]
     rhos = [

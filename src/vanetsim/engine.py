@@ -57,12 +57,12 @@ class PacketSpec:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.reward_budget >= 0:
-            raise ValidationError("reward_budget must be non-negative")
-        if not self.deadline > 0:
-            raise ValidationError("deadline must be positive")
-        if not self.interest_radius > 0:
-            raise ValidationError("interest_radius must be positive")
+        if not 0 <= self.reward_budget < math.inf:
+            raise ValidationError("reward_budget must be non-negative and finite")
+        if not 0 < self.deadline < math.inf:
+            raise ValidationError("deadline must be positive and finite")
+        if not 0 < self.interest_radius < math.inf:
+            raise ValidationError("interest_radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.radio_range > 0:
-            raise ValidationError("radio_range must be positive")
+        if not 0 < self.radio_range < math.inf:
+            raise ValidationError("radio_range must be positive and finite")
         if not 0 <= self.duration < math.inf:
             raise ValidationError("duration must be non-negative and finite")
-        if not self.hop_price > 0:
-            raise ValidationError("hop_price must be positive")
+        if not 0 < self.hop_price < math.inf:
+            raise ValidationError("hop_price must be positive and finite")
 
 
 @dataclass
@@ -116,13 +116,11 @@ def _settle(
     scheme = incentives.scheme
     if scheme in PROPORTIONAL_SCHEMES:
         incentives.score_records(records, packet)
-        report = settle_proportional(packet, packet.source_id, records, scheme)
+        report = settle_proportional(packet, records, scheme)
     elif scheme is Scheme.PACKET_PURSE:
-        report = settle_packet_purse(packet, packet.source_id, tree, engine_cfg.hop_price)
+        report = settle_packet_purse(packet, tree, engine_cfg.hop_price)
     elif scheme is Scheme.PACKET_TRADE:
-        report = settle_packet_trade(
-            packet, packet.source_id, tree, destination_id, engine_cfg.hop_price
-        )
+        report = settle_packet_trade(packet, tree, destination_id, engine_cfg.hop_price)
     else:  # pragma: no cover - enum is exhaustive
         raise ValidationError(f"unhandled scheme {scheme}")
     return records, report
@@ -172,7 +170,7 @@ def run(
         deadline=packet_spec.deadline,
         interest_radius=packet_spec.interest_radius,
     )
-    tree = ForwardingTree(packet_id=packet.id, root=source)
+    tree = ForwardingTree(root=source)
 
     dt = mobility_cfg.tick_seconds
     ticks_total = int(round(engine_cfg.duration / dt))
@@ -209,7 +207,7 @@ def run(
         )
         for i in range(n)
     }
-    apply_settlement(report, vehicles, set())
+    apply_settlement(report, vehicles)
 
     return RunResult(
         seed=seed,

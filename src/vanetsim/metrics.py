@@ -64,57 +64,12 @@ class NodeRow:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Everything exported about one run."""
+    """Everything exported about one run; identity and totals live in ``scenario``."""
 
     scenario: dict
     rows: tuple[NodeRow, ...]
     aggregates: dict
     schema_version: int = SCHEMA_VERSION
-
-    # identity shortcuts used all over reporting code
-    @property
-    def scenario_hash(self) -> str:
-        return self.scenario["scenario_hash"]
-
-    @property
-    def scheme(self) -> str:
-        return self.scenario["scheme"]
-
-    @property
-    def seed(self) -> int:
-        return self.scenario["seed"]
-
-    @property
-    def source_id(self) -> int:
-        return self.scenario["source_id"]
-
-    @property
-    def delivered(self) -> bool | None:
-        return self.scenario["delivered"]
-
-    @property
-    def settle_time(self) -> float:
-        return self.scenario["settle_time"]
-
-    @property
-    def reward_budget(self) -> float:
-        return self.scenario["reward_budget"]
-
-    @property
-    def total_paid(self) -> float:
-        return self.scenario["total_paid"]
-
-    @property
-    def shortfall(self) -> float:
-        return self.scenario["shortfall"]
-
-    @property
-    def tree_size(self) -> int:
-        return self.scenario["tree_size"]
-
-    @property
-    def link_count(self) -> int:
-        return self.scenario["link_count"]
 
     def to_dict(self) -> dict:
         return {

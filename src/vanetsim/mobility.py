@@ -33,12 +33,12 @@ class MobilityConfig:
         # each test is written so that NaN fails it
         if not self.vehicle_count >= 1:
             raise ValidationError("vehicle_count must be at least 1")
-        if not (self.arena_width > 0 and self.arena_height > 0):
-            raise ValidationError("arena dimensions must be positive")
-        if not 0 <= self.speed_min <= self.speed_max:
-            raise ValidationError("need 0 <= speed_min <= speed_max")
-        if not self.pause_time >= 0:
-            raise ValidationError("pause_time must be non-negative")
+        if not (0 < self.arena_width < math.inf and 0 < self.arena_height < math.inf):
+            raise ValidationError("arena dimensions must be positive and finite")
+        if not 0 <= self.speed_min <= self.speed_max < math.inf:
+            raise ValidationError("need 0 <= speed_min <= speed_max < inf")
+        if not 0 <= self.pause_time < math.inf:
+            raise ValidationError("pause_time must be non-negative and finite")
         if not 0 < self.tick_seconds < math.inf:
             raise ValidationError("tick_seconds must be positive and finite")
 

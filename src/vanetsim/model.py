@@ -60,13 +60,6 @@ class WeightSet:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 1 (got {total!r})")
 
-    @classmethod
-    def two_term(cls, alpha: float) -> "WeightSet":
-        """Build (alpha, 1-alpha, 0) for the metrics without a distance credit."""
-        if not (0.0 <= alpha <= 1.0):
-            raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-        return cls(alpha, 1.0 - alpha, 0.0)
-
     @property
     def is_two_term(self) -> bool:
         return self.distance_weight == 0.0
@@ -121,18 +114,19 @@ class TreeLink:
 
 @dataclass
 class ForwardingTree:
-    """Relay tree for one packet, rooted at the source vehicle.
+    """Relay tree of the run's packet, rooted at the source vehicle.
 
     It is the packet's only relay record. Every vehicle appears at most
     once: nodes that have already carried the packet never re-enter, so
     links arrive in strictly tree-growing order. ``add`` indexes each link
-    by the vehicle it reached (``link_to``) and gives that vehicle its hop
-    count from the root (``depth``, root at 0), so membership, parent and
-    depth are dict lookups. Links passed to the constructor are added in
-    order; append through ``add`` only, never to ``links`` directly.
+    by the vehicle it reached (``link_to``, whose ``from_id`` is the
+    parent) and gives that vehicle its hop count from the root (``depth``,
+    root at 0). The keys of ``depth`` are the tree's nodes, so membership
+    is ``vehicle_id in tree.depth``. Links passed to the constructor are
+    added in order; append through ``add`` only, never to ``links``
+    directly.
     """
 
-    packet_id: str
     root: int
     links: list[TreeLink] = field(default_factory=list)
     link_to: dict[int, TreeLink] = field(init=False, repr=False, compare=False)
@@ -155,23 +149,12 @@ class ForwardingTree:
         self.link_to[link.to_id] = link
         self.links.append(link)
 
-    def nodes(self) -> set[int]:
-        return set(self.depth)
-
-    def contains(self, vehicle_id: int) -> bool:
-        return vehicle_id in self.depth
-
-    def parent(self, vehicle_id: int) -> int | None:
-        link = self.link_to.get(vehicle_id)
-        return None if link is None else link.from_id
-
 
 @dataclass
 class ContributionRecord:
-    """One node's reported participation in disseminating one packet."""
+    """One node's reported participation in disseminating the packet."""
 
     vehicle_id: int
-    packet_id: str
     stored_time: float
     forward_count: int
     relay_distances: list[float]
@@ -181,9 +164,8 @@ class ContributionRecord:
 
 @dataclass
 class SettlementReport:
-    """Final per-node reward shares for one packet under one scheme."""
+    """Final per-node reward shares for the packet under one scheme."""
 
-    packet_id: str
     scheme: Scheme
     total_contribution: float
     shares: dict[int, float]
@@ -196,8 +178,3 @@ class SettlementReport:
     @property
     def total_paid(self) -> float:
         return math.fsum(self.shares.values())
-
-    @property
-    def token(self) -> str:
-        """Replay-guard key: one application per (packet, scheme)."""
-        return f"{self.packet_id}:{self.scheme.value}"

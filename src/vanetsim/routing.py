@@ -68,7 +68,6 @@ def collect_records(
         records.append(
             ContributionRecord(
                 vehicle_id=vid,
-                packet_id=packet.id,
                 stored_time=stored_time(received.timestamp, settle_time),
                 forward_count=len(relays),
                 relay_distances=relays,
@@ -93,7 +92,7 @@ def descendant_counts(tree: ForwardingTree) -> dict[int, int]:
 def path_from_root(tree: ForwardingTree, node: int) -> list[TreeLink]:
     """The chain of links that brought the packet from the root to ``node``."""
     if node != tree.root and node not in tree.link_to:
-        raise KeyError(f"vehicle {node} is not in the tree for {tree.packet_id}")
+        raise KeyError(f"vehicle {node} is not in the tree")
     chain: list[TreeLink] = []
     while node != tree.root:
         link = tree.link_to[node]

@@ -12,7 +12,8 @@ Three settlement styles:
   reached, pays the hop price to every vehicle that sold the packet
   onward along its delivery path. The source is never debited.
 
-``apply_settlement`` posts a report to vehicle balances exactly once.
+A run settles its one packet once; ``apply_settlement`` posts the
+resulting report to vehicle balances.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ _FUND_EPS = 1e-9
 
 
 def settle_proportional(
-    packet: Packet,
-    source_id: int,
-    records: list[ContributionRecord],
-    scheme: Scheme,
+    packet: Packet, records: list[ContributionRecord], scheme: Scheme
 ) -> SettlementReport:
-    """Split the reward budget by contribution share.
+    """Split the reward budget by contribution share; the packet's source pays.
 
     Records must already be scored. The paid total never exceeds the
     budget: rounding overshoot is shaved off the largest share.
@@ -59,11 +57,10 @@ def settle_proportional(
     if total_c <= 0.0 or budget == 0.0:
         shares = {rec.vehicle_id: 0.0 for rec in records}
         return SettlementReport(
-            packet_id=packet.id,
             scheme=scheme,
             total_contribution=total_c,
             shares=shares,
-            payer_id=source_id,
+            payer_id=packet.source_id,
         )
 
     shares = {rec.vehicle_id: budget * (rec.contribution / total_c) for rec in records}
@@ -79,11 +76,10 @@ def settle_proportional(
             raise AssertionError("budget shaving failed to converge")
 
     return SettlementReport(
-        packet_id=packet.id,
         scheme=scheme,
         total_contribution=total_c,
         shares=shares,
-        payer_id=source_id,
+        payer_id=packet.source_id,
         overspend=max(0.0, paid - budget),
     )
 
@@ -97,12 +93,7 @@ def fundable_hops(budget: float, hop_price: float) -> int:
     return int(math.floor(budget / hop_price + _FUND_EPS))
 
 
-def settle_packet_purse(
-    packet: Packet,
-    source_id: int,
-    tree: ForwardingTree,
-    hop_price: float,
-) -> SettlementReport:
+def settle_packet_purse(packet: Packet, tree: ForwardingTree, hop_price: float) -> SettlementReport:
     """Pay handoffs from the packet's purse in the order they happened.
 
     Each funded link pays its sender one hop price. Once the purse cannot
@@ -110,7 +101,7 @@ def settle_packet_purse(
     economically dead from that point on, which is the scheme's known
     failure mode. ``shortfall`` reports the unfunded demand.
     """
-    if tree.root != source_id:
+    if tree.root != packet.source_id:
         raise ValidationError("purse settlement must be rooted at the source")
     links = tree.links
     affordable = fundable_hops(packet.reward_budget, hop_price)
@@ -118,29 +109,24 @@ def settle_packet_purse(
 
     # every funded link pays its sender, the source included: its own
     # handoffs are a wash once the payer debit is applied
-    shares: dict[int, float] = {vid: 0.0 for vid in tree.nodes()}
+    shares = dict.fromkeys(tree.depth, 0.0)
     for link in links[:paid_links]:
         shares[link.from_id] += hop_price
 
     demand = len(links) * hop_price
     shortfall = max(0.0, demand - packet.reward_budget)
     return SettlementReport(
-        packet_id=packet.id,
         scheme=Scheme.PACKET_PURSE,
         total_contribution=float(len(links)),
         shares=shares,
-        payer_id=source_id,
+        payer_id=packet.source_id,
         shortfall=shortfall,
         paid_link_count=paid_links,
     )
 
 
 def settle_packet_trade(
-    packet: Packet,
-    source_id: int,
-    tree: ForwardingTree,
-    destination_id: int,
-    hop_price: float,
+    packet: Packet, tree: ForwardingTree, destination_id: int, hop_price: float
 ) -> SettlementReport:
     """Destination pays each seller on its delivery path one hop price.
 
@@ -149,18 +135,17 @@ def settle_packet_trade(
     """
     if hop_price <= 0:
         raise ValidationError("hop_price must be positive")
-    if tree.root != source_id:
+    if tree.root != packet.source_id:
         raise ValidationError("trade settlement must be rooted at the source")
 
-    shares: dict[int, float] = {vid: 0.0 for vid in tree.nodes()}
-    delivered = tree.contains(destination_id) and destination_id != source_id
+    shares = dict.fromkeys(tree.depth, 0.0)
+    delivered = destination_id in tree.depth and destination_id != packet.source_id
     if delivered:
         for link in path_from_root(tree, destination_id):
             shares[link.from_id] += hop_price
     shares.pop(destination_id, None)
 
     return SettlementReport(
-        packet_id=packet.id,
         scheme=Scheme.PACKET_TRADE,
         total_contribution=0.0,
         shares=shares,
@@ -169,22 +154,14 @@ def settle_packet_trade(
     )
 
 
-def apply_settlement(
-    report: SettlementReport,
-    vehicles: dict[int, Vehicle],
-    applied_tokens: set[str],
-) -> None:
-    """Post a report to vehicle balances, refusing replays.
+def apply_settlement(report: SettlementReport, vehicles: dict[int, Vehicle]) -> None:
+    """Post a report to vehicle balances.
 
-    Credits every share, debits the payer by the paid total, and records
-    the report token so the same settlement cannot be applied twice.
+    Credits every share and debits the payer by the paid total.
     """
-    if report.token in applied_tokens:
-        raise ValidationError(f"settlement {report.token} was already applied")
     for vid, amount in sorted(report.shares.items()):
         if amount != 0.0:
             vehicles[vid].credit_balance += amount
     total = report.total_paid
     if total != 0.0:
         vehicles[report.payer_id].credit_balance -= total
-    applied_tokens.add(report.token)

@@ -42,12 +42,12 @@ def make_link(
     )
 
 
-def chain_tree(packet_id: str = "p0", root: int = 0, length: int = 3) -> ForwardingTree:
+def chain_tree(root: int = 0, length: int = 3) -> ForwardingTree:
     """root -> root+1 -> ... -> root+length, one link per hop."""
     links = [
         make_link(root + i, root + i + 1, timestamp=float(i)) for i in range(length)
     ]
-    return ForwardingTree(packet_id=packet_id, root=root, links=links)
+    return ForwardingTree(root=root, links=links)
 
 
 @pytest.fixture

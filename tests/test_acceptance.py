@@ -118,7 +118,6 @@ def test_budget_conservation_over_randomized_settlements(capsys):
         records = [
             ContributionRecord(
                 vehicle_id=i + 1,
-                packet_id="p0",
                 stored_time=0.0,
                 forward_count=0,
                 relay_distances=[],
@@ -128,7 +127,7 @@ def test_budget_conservation_over_randomized_settlements(capsys):
             for i, c in enumerate(contribs)
         ]
         report = settle_proportional(
-            make_packet(budget=budget), 0, records, Scheme.SECOND_PROPOSAL
+            make_packet(budget=budget), records, Scheme.SECOND_PROPOSAL
         )
         paid = report.total_paid
         if paid > budget:
@@ -285,7 +284,7 @@ def test_reward_trends_across_the_baseline_fleet(capsys, baseline_path):
             if all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1)):
                 b_ok += 1
 
-        if summary.tree_size >= 4:
+        if summary.scenario["tree_size"] >= 4:
             c_all += 1
             rho = summary.aggregates["spearman_reward_descendants"]
             if rho is not None and rho > 0:
@@ -336,7 +335,7 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
         and report.total_paid == pytest.approx(3.0)
     )
     # economic halt: only the first affordable handoffs were worth anything
-    expected: dict[int, float] = {vid: 0.0 for vid in purse.tree.nodes()}
+    expected = dict.fromkeys(purse.tree.depth, 0.0)
     for link in links[:3]:
         expected[link.from_id] += 1.0
     purse_ok = purse_ok and report.shares == pytest.approx(expected)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import REPO_ROOT
 from vanetsim.cli import build_parser, main, parse_seeds
 from vanetsim.model import ValidationError
 
@@ -185,3 +189,40 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         for frag in ("seed:", "mobility:", "mobility.warp"):
             assert frag in err
+
+
+# Runs in a fresh interpreter: this test session has imported scipy already.
+SCIPY_PROBE = """
+import json, sys
+import vanetsim.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+small, large, out = sys.argv[1:]
+seen = {"import": scipy_modules()}
+assert cli.main(["run", "--scenario", small, "--out", out]) == 0
+seen["run15"] = scipy_modules()
+assert cli.main(["run", "--scenario", large, "--out", out]) == 0
+seen["spatial64"] = "scipy.spatial" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_fleets_of_64(tmp_path, baseline_path):
+    text = baseline_path.read_text(encoding="utf-8")
+    large = tmp_path / "fleet64.yaml"
+    large.write_text(
+        text.replace("name: baseline", "name: fleet64").replace("vehicle_count: 15", "vehicle_count: 64"),
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(baseline_path), str(large), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "run15": [], "spatial64": True}
+    assert (tmp_path / "fleet64.summary.json").is_file()

@@ -28,6 +28,9 @@ def run_default(seed: int = 7, eng: EngineConfig = ENG, inc: IncentiveConfig = I
         {"reward_budget": math.nan},
         {"deadline": math.nan},
         {"interest_radius": math.nan},
+        {"reward_budget": math.inf},
+        {"deadline": math.inf},
+        {"interest_radius": math.inf},
     ],
 )
 def test_packet_spec_rejects_bad_limits(kwargs):
@@ -45,6 +48,8 @@ def test_packet_spec_rejects_bad_limits(kwargs):
         {"radio_range": math.nan},
         {"duration": math.nan},
         {"hop_price": math.nan},
+        {"radio_range": math.inf},
+        {"hop_price": math.inf},
     ],
 )
 def test_engine_config_rejects_bad_values(kwargs):
@@ -157,7 +162,7 @@ class TestSettlementTiming:
         assert found is not None, "no delivery in 30 seeds"
         assert found.settle_time <= 300.0
         assert all(l.timestamp <= found.settle_time for l in found.tree.links)
-        assert found.destination_id in found.tree.nodes()
+        assert found.destination_id in found.tree.depth
 
 
 @pytest.mark.parametrize(

@@ -264,7 +264,6 @@ class TestIncentiveConfig:
         pkt = make_packet(deadline=300.0)
         rec = ContributionRecord(
             vehicle_id=1,
-            packet_id="p0",
             stored_time=120.0,
             forward_count=0,
             relay_distances=[],
@@ -277,7 +276,6 @@ class TestIncentiveConfig:
         pkt = make_packet(interest_radius=500.0)
         rec = ContributionRecord(
             vehicle_id=1,
-            packet_id="p0",
             stored_time=0.0,
             forward_count=2,
             relay_distances=[100.0, 300.0],
@@ -293,7 +291,7 @@ class TestIncentiveConfig:
     def test_contribution_for_rejects_non_scoring_schemes(self):
         cfg = IncentiveConfig(scheme=Scheme.PACKET_PURSE)
         pkt = make_packet()
-        rec = ContributionRecord(1, "p0", 0.0, 0, [], 0.0)
+        rec = ContributionRecord(1, 0.0, 0, [], 0.0)
         with pytest.raises(ValidationError):
             cfg.contribution_for(rec, pkt)
 
@@ -301,8 +299,8 @@ class TestIncentiveConfig:
         cfg = IncentiveConfig()
         pkt = make_packet()
         recs = [
-            ContributionRecord(1, "p0", 60.0, 2, [100.0], 80.0),
-            ContributionRecord(2, "p0", 30.0, 0, [], 450.0),
+            ContributionRecord(1, 60.0, 2, [100.0], 80.0),
+            ContributionRecord(2, 30.0, 0, [], 450.0),
         ]
         out = cfg.score_records(recs, pkt)
         assert out is recs

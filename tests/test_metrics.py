@@ -188,13 +188,13 @@ class TestSpearman:
 class TestBuildSummary:
     def test_rows_cover_all_non_root_tree_nodes(self):
         s = summary_for(seed=7)
-        assert len(s.rows) == s.tree_size - 1
+        assert len(s.rows) == s.scenario["tree_size"] - 1
         assert s.scenario["scenario_hash"] == "testhash"
         assert s.schema_version == 1
 
     def test_total_reward_matches_total_paid(self):
         s = summary_for(seed=7)
-        assert s.aggregates["total_reward"] == pytest.approx(s.total_paid, rel=1e-12)
+        assert s.aggregates["total_reward"] == pytest.approx(s.scenario["total_paid"], rel=1e-12)
 
     def test_row_rewards_match_shares(self):
         inc = IncentiveConfig()
@@ -212,7 +212,7 @@ class TestBuildSummary:
     def test_depth_and_descendants_are_consistent(self):
         s = summary_for(seed=5)
         assert all(r.depth >= 1 for r in s.rows)
-        assert sum(r.descendants for r in s.rows) <= s.tree_size * s.tree_size
+        assert sum(r.descendants for r in s.rows) <= s.scenario["tree_size"] ** 2
 
     def test_aggregate_bins_use_default_widths(self):
         s = summary_for(seed=7)

@@ -31,6 +31,11 @@ class TestMobilityConfig:
             {"speed_max": math.nan},
             {"pause_time": math.nan},
             {"tick_seconds": math.nan},
+            {"arena_width": math.inf},
+            {"arena_height": math.inf},
+            {"speed_max": math.inf},
+            {"speed_min": math.inf, "speed_max": math.inf},
+            {"pause_time": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

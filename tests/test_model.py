@@ -35,14 +35,8 @@ class TestWeightSet:
         with pytest.raises(ValidationError):
             WeightSet(bad, 1.0 - bad, 0.0)
 
-    def test_two_term_constructor(self):
-        w = WeightSet.two_term(0.3)
-        assert (w.time_weight, w.forward_weight, w.distance_weight) == (0.3, 0.7, 0.0)
-        assert w.is_two_term
-        with pytest.raises(ValidationError):
-            WeightSet.two_term(1.5)
-
     def test_is_two_term_requires_zero_distance(self):
+        assert WeightSet(0.3, 0.7, 0.0).is_two_term
         assert not WeightSet(0.25, 0.5, 0.25).is_two_term
 
 
@@ -65,42 +59,32 @@ class TestPacket:
 
 
 class TestForwardingTree:
-    def test_nodes_and_contains(self):
+    def test_depth_is_keyed_by_every_node(self):
         tree = chain_tree(length=3)  # 0 -> 1 -> 2 -> 3
-        assert tree.nodes() == {0, 1, 2, 3}
-        assert tree.contains(0) and tree.contains(3)
-        assert not tree.contains(9)
+        assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 3}
 
-    def test_parent_and_depth(self):
+    def test_link_to_gives_the_parent(self):
         tree = ForwardingTree(
-            packet_id="p0",
             root=0,
             links=[make_link(0, 1), make_link(0, 2), make_link(2, 3)],
         )
-        assert tree.parent(3) == 2
-        assert tree.parent(1) == 0
-        assert tree.parent(0) is None
+        assert tree.link_to[3].from_id == 2
+        assert tree.link_to[1].from_id == 0
+        assert 0 not in tree.link_to
         assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
 
     def test_empty_tree_is_just_the_root(self):
-        tree = ForwardingTree(packet_id="p0", root=7)
-        assert tree.nodes() == {7}
+        tree = ForwardingTree(root=7)
+        assert tree.link_to == {}
         assert tree.depth == {7: 0}
 
 
 class TestSettlementReport:
     def test_total_paid_sums_shares(self):
         report = SettlementReport(
-            packet_id="p0",
             scheme=Scheme.SECOND_PROPOSAL,
             total_contribution=3.0,
             shares={1: 0.1, 2: 0.2, 3: 0.7},
             payer_id=0,
         )
         assert math.isclose(report.total_paid, 1.0, rel_tol=0, abs_tol=1e-15)
-
-    def test_token_is_per_packet_and_scheme(self):
-        a = SettlementReport("p0", Scheme.PACKET_PURSE, 0.0, {}, 0)
-        b = SettlementReport("p0", Scheme.PACKET_TRADE, 0.0, {}, 0)
-        assert a.token != b.token
-        assert a.token == "p0:packet_purse"

@@ -16,7 +16,7 @@ PACKET = make_packet()  # source 0, origin (0, 0)
 
 
 def new_tree(source: int = 0) -> ForwardingTree:
-    return ForwardingTree(packet_id=PACKET.id, root=source)
+    return ForwardingTree(root=source)
 
 
 def meet(tree, a, b, a_pos, b_pos, now):
@@ -33,8 +33,8 @@ class TestHandleEncounter:
         assert link is not None
         assert (link.from_id, link.to_id) == (0, 5)
         assert link.timestamp == 2.0
-        assert tree.contains(5)
-        assert tree.parent(5) == 0
+        assert tree.link_to[5].from_id == 0
+        assert tree.depth[5] == 1
         assert tree.link_to[5].to_position == (33.0, 44.0)
 
     def test_direction_is_carrier_to_noncarrier(self):
@@ -69,7 +69,7 @@ class TestHandleEncounter:
     def test_neither_carries_is_a_noop(self):
         tree = new_tree()
         assert meet(tree, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
-        assert not tree.contains(4) and not tree.contains(5)
+        assert tree.depth == {0: 0}
 
     def test_positions_are_read_only_on_a_handoff(self):
         tree = new_tree()
@@ -143,7 +143,6 @@ class TestTreeQueries:
         #     / \    \
         #    3   4    5
         return ForwardingTree(
-            packet_id="p0",
             root=0,
             links=[
                 make_link(0, 1, 1.0),
@@ -158,19 +157,18 @@ class TestTreeQueries:
         assert descendant_counts(self.tree()) == {0: 5, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0}
 
     def test_descendants_of_bare_root(self):
-        assert descendant_counts(ForwardingTree(packet_id="p0", root=4)) == {4: 0}
+        assert descendant_counts(ForwardingTree(root=4)) == {4: 0}
 
     def test_descendants_match_a_walk_up_the_parents(self):
         rng = random.Random(3)
-        tree = ForwardingTree(packet_id="p0", root=0)
+        tree = ForwardingTree(root=0)
         for to_id in range(1, 40):
             tree.add(make_link(rng.randrange(to_id), to_id))  # parent is some earlier node
-        walked = dict.fromkeys(tree.nodes(), 0)
-        for node in tree.nodes():
-            parent = tree.parent(node)
-            while parent is not None:
-                walked[parent] += 1
-                parent = tree.parent(parent)
+        walked = dict.fromkeys(tree.depth, 0)
+        for node in tree.depth:
+            while node in tree.link_to:
+                node = tree.link_to[node].from_id
+                walked[node] += 1
         assert descendant_counts(tree) == walked
 
     def test_path_from_root(self):
@@ -192,7 +190,7 @@ class TestMultiHopWithinOneTick:
         tree = new_tree()
         for a, b in [(0, 1), (1, 2)]:
             meet(tree, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
-        assert set(tree.nodes()) == {0, 1, 2}
+        assert set(tree.depth) == {0, 1, 2}
         path = path_from_root(tree, 2)
         assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 2)]
 
@@ -203,22 +201,22 @@ class TestTreeIndex:
         assert tree.root == 3
         assert tree.depth == {3: 0}
         assert tree.links == []
-        assert tree.parent(3) is None
+        assert tree.link_to == {}
 
     def test_depth_counts_hops_from_the_root(self):
         tree = new_tree()
         for a, b in [(0, 1), (1, 2), (0, 3)]:
             meet(tree, a, b, (0.0, 0.0), (1.0, 0.0), 1.0)
         assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 1}
-        assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.nodes())
+        assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.depth)
 
     def test_constructor_links_are_indexed(self):
-        tree = ForwardingTree(packet_id="p0", root=0, links=[make_link(0, 1), make_link(1, 2)])
+        tree = ForwardingTree(root=0, links=[make_link(0, 1), make_link(1, 2)])
         assert tree.link_to[2].from_id == 1
         assert tree.depth[2] == 2
 
     def test_add_rejects_a_second_copy(self):
-        tree = ForwardingTree(packet_id="p0", root=0, links=[make_link(0, 1)])
+        tree = ForwardingTree(root=0, links=[make_link(0, 1)])
         with pytest.raises(ValidationError):
             tree.add(make_link(0, 1))
         with pytest.raises(ValidationError):
@@ -226,4 +224,4 @@ class TestTreeIndex:
 
     def test_add_rejects_a_sender_outside_the_tree(self):
         with pytest.raises(ValidationError):
-            ForwardingTree(packet_id="p0", root=0, links=[make_link(5, 6)])
+            ForwardingTree(root=0, links=[make_link(5, 6)])

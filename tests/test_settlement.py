@@ -24,7 +24,6 @@ def records_with(contributions: list[float]) -> list[ContributionRecord]:
     return [
         ContributionRecord(
             vehicle_id=i + 1,
-            packet_id="p0",
             stored_time=0.0,
             forward_count=0,
             relay_distances=[],
@@ -39,7 +38,7 @@ class TestProportional:
     def test_shares_follow_contributions(self):
         packet = make_packet(budget=100.0)
         report = settle_proportional(
-            packet, 0, records_with([1.0, 3.0]), Scheme.SECOND_PROPOSAL
+            packet, records_with([1.0, 3.0]), Scheme.SECOND_PROPOSAL
         )
         assert report.shares[1] == pytest.approx(25.0)
         assert report.shares[2] == pytest.approx(75.0)
@@ -49,7 +48,7 @@ class TestProportional:
     def test_total_paid_equals_budget(self):
         packet = make_packet(budget=73.5)
         report = settle_proportional(
-            packet, 0, records_with([0.3, 0.7, 2.1]), Scheme.FIRST_PROPOSAL
+            packet, records_with([0.3, 0.7, 2.1]), Scheme.FIRST_PROPOSAL
         )
         assert report.total_paid == pytest.approx(73.5, rel=1e-12)
         assert report.total_paid <= 73.5
@@ -57,7 +56,7 @@ class TestProportional:
     def test_zero_contribution_pays_nothing(self):
         packet = make_packet(budget=50.0)
         report = settle_proportional(
-            packet, 0, records_with([0.0, 0.0]), Scheme.BASIC_LINEAR
+            packet, records_with([0.0, 0.0]), Scheme.BASIC_LINEAR
         )
         assert report.shares == {1: 0.0, 2: 0.0}
         assert report.total_paid == 0.0
@@ -65,25 +64,25 @@ class TestProportional:
     def test_zero_budget_pays_nothing(self):
         packet = make_packet(budget=0.0)
         report = settle_proportional(
-            packet, 0, records_with([1.0, 2.0]), Scheme.SECOND_PROPOSAL
+            packet, records_with([1.0, 2.0]), Scheme.SECOND_PROPOSAL
         )
         assert report.total_paid == 0.0
 
     def test_no_records_is_fine(self):
         packet = make_packet()
-        report = settle_proportional(packet, 0, [], Scheme.SECOND_PROPOSAL)
+        report = settle_proportional(packet, [], Scheme.SECOND_PROPOSAL)
         assert report.shares == {}
         assert report.total_paid == 0.0
 
     def test_rejects_negative_contribution(self):
         packet = make_packet()
         with pytest.raises(ValidationError):
-            settle_proportional(packet, 0, records_with([-0.1]), Scheme.BASIC_LINEAR)
+            settle_proportional(packet, records_with([-0.1]), Scheme.BASIC_LINEAR)
 
     def test_rejects_non_proportional_scheme(self):
         packet = make_packet()
         with pytest.raises(ValidationError):
-            settle_proportional(packet, 0, [], Scheme.PACKET_PURSE)
+            settle_proportional(packet, [], Scheme.PACKET_PURSE)
 
     def test_never_overspends_on_adversarial_floats(self):
         # contribution triples chosen so budget * (c / total) rounds up
@@ -91,7 +90,7 @@ class TestProportional:
         for k in range(1, 200):
             contribs = [0.1 / k] * k + [0.3, 1e-9]
             report = settle_proportional(
-                packet, 0, records_with(contribs), Scheme.SECOND_PROPOSAL
+                packet, records_with(contribs), Scheme.SECOND_PROPOSAL
             )
             assert report.total_paid <= packet.reward_budget
             assert report.overspend == 0.0
@@ -121,7 +120,7 @@ class TestPacketPurse:
     def test_pays_handoffs_in_order_until_dry(self):
         packet = make_packet(budget=2.0)
         tree = chain_tree(length=4)  # links 0->1, 1->2, 2->3, 3->4
-        report = settle_packet_purse(packet, 0, tree, hop_price=1.0)
+        report = settle_packet_purse(packet, tree, hop_price=1.0)
         assert report.paid_link_count == 2
         assert report.shares[0] == 1.0  # first handoff was the source's
         assert report.shares[1] == 1.0
@@ -133,7 +132,7 @@ class TestPacketPurse:
     def test_full_purse_covers_everything(self):
         packet = make_packet(budget=10.0)
         tree = chain_tree(length=3)
-        report = settle_packet_purse(packet, 0, tree, hop_price=1.0)
+        report = settle_packet_purse(packet, tree, hop_price=1.0)
         assert report.paid_link_count == 3
         assert report.shortfall == 0.0
         assert report.total_paid == 3.0
@@ -141,25 +140,23 @@ class TestPacketPurse:
     def test_fanout_pays_the_busy_forwarder_repeatedly(self):
         packet = make_packet(budget=5.0)
         tree = ForwardingTree(
-            packet_id="p0",
             root=0,
             links=[make_link(0, 1, 1.0), make_link(1, 2, 2.0), make_link(1, 3, 3.0)],
         )
-        report = settle_packet_purse(packet, 0, tree, hop_price=1.0)
+        report = settle_packet_purse(packet, tree, hop_price=1.0)
         assert report.shares[1] == 2.0
         assert report.shares[0] == 1.0
 
     def test_rejects_foreign_tree(self):
         packet = make_packet()
         with pytest.raises(ValidationError):
-            settle_packet_purse(packet, 1, chain_tree(root=0), hop_price=1.0)
+            settle_packet_purse(make_packet(source_id=1), chain_tree(root=0), hop_price=1.0)
 
 
 class TestPacketTrade:
     def tree(self) -> ForwardingTree:
         # 0 -> 1 -> 2 -> 3 plus a side branch 1 -> 4
         return ForwardingTree(
-            packet_id="p0",
             root=0,
             links=[
                 make_link(0, 1, 1.0),
@@ -171,7 +168,7 @@ class TestPacketTrade:
 
     def test_destination_pays_its_delivery_path(self):
         packet = make_packet()
-        report = settle_packet_trade(packet, 0, self.tree(), 3, hop_price=2.0)
+        report = settle_packet_trade(packet, self.tree(), 3, hop_price=2.0)
         assert report.delivered is True
         assert report.payer_id == 3
         assert report.shares == {0: 2.0, 1: 2.0, 2: 2.0, 4: 0.0}
@@ -179,36 +176,35 @@ class TestPacketTrade:
 
     def test_off_path_relays_earn_nothing(self):
         packet = make_packet()
-        report = settle_packet_trade(packet, 0, self.tree(), 2, hop_price=1.0)
+        report = settle_packet_trade(packet, self.tree(), 2, hop_price=1.0)
         assert report.shares[4] == 0.0
         assert 2 not in report.shares  # the payer holds no share entry
 
     def test_undelivered_pays_nobody(self):
         packet = make_packet()
-        report = settle_packet_trade(packet, 0, self.tree(), 9, hop_price=1.0)
+        report = settle_packet_trade(packet, self.tree(), 9, hop_price=1.0)
         assert report.delivered is False
         assert report.total_paid == 0.0
 
     def test_source_is_never_debited(self):
         packet = make_packet()
-        report = settle_packet_trade(packet, 0, self.tree(), 3, hop_price=1.0)
+        report = settle_packet_trade(packet, self.tree(), 3, hop_price=1.0)
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(5)}
-        apply_settlement(report, vehicles, set())
+        apply_settlement(report, vehicles)
         assert vehicles[0].credit_balance == 1.0  # earned for the first sale
         assert vehicles[3].credit_balance == -3.0  # destination paid the path
 
     def test_rejects_bad_price_and_foreign_tree(self):
         packet = make_packet()
         with pytest.raises(ValidationError):
-            settle_packet_trade(packet, 0, self.tree(), 3, hop_price=0.0)
+            settle_packet_trade(packet, self.tree(), 3, hop_price=0.0)
         with pytest.raises(ValidationError):
-            settle_packet_trade(packet, 5, self.tree(), 3, hop_price=1.0)
+            settle_packet_trade(make_packet(source_id=5), self.tree(), 3, hop_price=1.0)
 
 
 class TestApplySettlement:
     def report(self) -> SettlementReport:
         return SettlementReport(
-            packet_id="p0",
             scheme=Scheme.SECOND_PROPOSAL,
             total_contribution=2.0,
             shares={1: 30.0, 2: 70.0},
@@ -217,30 +213,22 @@ class TestApplySettlement:
 
     def test_moves_credit_and_conserves_total(self):
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
-        apply_settlement(self.report(), vehicles, set())
+        apply_settlement(self.report(), vehicles)
         assert vehicles[1].credit_balance == 30.0
         assert vehicles[2].credit_balance == 70.0
         assert vehicles[0].credit_balance == -100.0
         assert math.fsum(v.credit_balance for v in vehicles.values()) == 0.0
 
-    def test_replay_is_refused(self):
-        vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
-        applied: set[str] = set()
-        apply_settlement(self.report(), vehicles, applied)
-        with pytest.raises(ValidationError):
-            apply_settlement(self.report(), vehicles, applied)
-        assert vehicles[1].credit_balance == 30.0  # unchanged by the refusal
-
     def test_distinct_schemes_settle_independently(self):
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
-        applied: set[str] = set()
-        apply_settlement(self.report(), vehicles, applied)
+        apply_settlement(self.report(), vehicles)
         other = SettlementReport(
-            packet_id="p0",
             scheme=Scheme.PACKET_PURSE,
             total_contribution=1.0,
             shares={1: 1.0},
             payer_id=0,
         )
-        apply_settlement(other, vehicles, applied)
+        apply_settlement(other, vehicles)
         assert vehicles[1].credit_balance == 31.0
+        assert vehicles[2].credit_balance == 70.0
+        assert vehicles[0].credit_balance == -101.0
