@@ -3,7 +3,10 @@
 One run: place a fleet, inject a single packet at a source vehicle at
 t=0, then run one loop over ticks 0..N. Every tick after 0 moves the
 fleet; while the packet deadline has not passed, each tick also detects
-radio contacts and hands the packet across them epidemically. Routing
+radio contacts and hands the packet across them epidemically. Pairs whose
+ends both carried the packet at the start of the tick are skipped, as
+neither can give the other anything; the rest are walked in (a, b) order,
+so a vehicle reached early in a tick can forward within it. Routing
 stops early at first delivery when the run is configured for
 delivery-triggered settlement (always the case for the packet-trade
 scheme); mobility still runs to the end. After the loop the run settles
@@ -179,6 +182,8 @@ def run(
     deadline_tick = next(past, ticks_total + 1) - 1
     contact_events = 0
     delivered_at: float | None = None
+    carried = np.zeros(n, dtype=bool)
+    carried[source] = True
     for tick in range(ticks_total + 1):
         if tick:
             model.step()
@@ -188,9 +193,16 @@ def run(
         x, y = model.x, model.y
         a, b = contact_pairs(x, y, engine_cfg.radio_range)
         contact_events += len(a)
-        for i, j in zip(a.tolist(), b.tolist()):
+        if len(tree.depth) == n:
+            continue  # every vehicle carries: no contact can hand off
+        # both ends carried at tick start, so both still carry: no handoff possible
+        keep = ~(carried[a] & carried[b])
+        for i, j in zip(a[keep].tolist(), b[keep].tolist()):
             link = handle_encounter(tree, packet, i, j, x, y, now)
-            if link is not None and link.to_id == destination and delivered_at is None:
+            if link is None:
+                continue
+            carried[link.to_id] = True
+            if link.to_id == destination and delivered_at is None:
                 delivered_at = now
                 if settle_on_delivery:
                     break

@@ -6,9 +6,10 @@ copied over and the handoff is added to the tree. Carriers keep their
 copy, so each vehicle joins the tree at most once and the tree is the
 packet's whole routing state: its nodes are the carriers, a carrier's
 receipt time and position are on the link that reached it, and its
-forwards are the links it sent. Encounters are processed in a
-deterministic order by the engine; a vehicle that receives a copy can
-forward it again within the same tick.
+forwards are the links it sent. The engine skips contacts whose ends
+both carried at the start of the tick and walks the rest in (a, b)
+order, so a vehicle that receives a copy can forward it again within the
+same tick.
 """
 
 from __future__ import annotations

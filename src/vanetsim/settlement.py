@@ -86,8 +86,8 @@ def settle_proportional(
 
 def fundable_hops(budget: float, hop_price: float) -> int:
     """How many hop payments a purse of ``budget`` can cover."""
-    if hop_price <= 0:
-        raise ValidationError("hop_price must be positive")
+    if not 0 < hop_price < math.inf:  # written so that NaN fails it
+        raise ValidationError("hop_price must be positive and finite")
     if budget <= 0:
         return 0
     return int(math.floor(budget / hop_price + _FUND_EPS))
@@ -133,8 +133,8 @@ def settle_packet_trade(
     If the packet never reached the destination nobody pays anything.
     The source is never debited; at most it earns for the first sale.
     """
-    if hop_price <= 0:
-        raise ValidationError("hop_price must be positive")
+    if not 0 < hop_price < math.inf:  # written so that NaN fails it
+        raise ValidationError("hop_price must be positive and finite")
     if tree.root != packet.source_id:
         raise ValidationError("trade settlement must be rooted at the source")
 

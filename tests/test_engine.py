@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from vanetsim import engine, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
+from vanetsim.kernels import contact_pairs
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
-from vanetsim.model import Scheme, ValidationError, WeightSet, distance
+from vanetsim.model import ForwardingTree, Scheme, ValidationError, WeightSet, distance
 
 MOB = MobilityConfig()  # 15 vehicles, 800 x 800
 ENG = EngineConfig(radio_range=100.0, duration=300.0)
@@ -187,6 +190,82 @@ def test_vehicles_hold_end_of_run_state(inc, pkt):
         assert vehicle.velocity == (float(model.vx[i]), float(model.vy[i]))
     assert math.fsum(v.credit_balance for v in result.vehicles.values()) == pytest.approx(0.0, abs=1e-9)
     assert any(v.credit_balance != 0.0 for v in result.vehicles.values())
+
+
+def _route_every_pair(result, mob, eng, settle_on_delivery):
+    """Replay a run's routing with no pair filter: every contact pair is offered.
+
+    The run's deadline must not come before its end.
+
+    Returns the tree, the contact count, the handoff calls the filtered
+    engine must make per tick time (pairs not both carried at tick start,
+    on ticks that start with some vehicle still uncarried) and the first
+    tick time that started with every vehicle carrying.
+    """
+    mob_seq, _ = np.random.SeedSequence(result.seed).spawn(2)
+    model = RandomWaypointModel(mob, np.random.default_rng(mob_seq))
+    tree = ForwardingTree(root=result.source_id)
+    contact_events = 0
+    expected_calls = Counter()
+    full_from = None
+    for tick in range(result.ticks_run + 1):
+        if tick:
+            model.step()
+        now = model.now
+        a, b = contact_pairs(model.x, model.y, eng.radio_range)
+        contact_events += len(a)
+        carried_at_start = set(tree.depth)
+        if len(carried_at_start) == mob.vehicle_count and full_from is None:
+            full_from = now
+        delivered = False
+        for i, j in zip(a.tolist(), b.tolist()):
+            if full_from is None and not (i in carried_at_start and j in carried_at_start):
+                expected_calls[now] += 1
+            link = routing.handle_encounter(tree, result.packet, i, j, model.x, model.y, now)
+            if settle_on_delivery and link is not None and link.to_id == result.destination_id:
+                delivered = True
+                break
+        if delivered:
+            break
+    return tree, contact_events, expected_calls, full_from
+
+
+DENSE = MobilityConfig(vehicle_count=150, arena_width=400.0, arena_height=400.0)
+
+
+@pytest.mark.parametrize(
+    "mob,eng,inc,seed,settle_on_delivery",
+    [
+        *[
+            (DENSE, EngineConfig(radio_range=30.0, duration=100.0), INC, seed, False)
+            for seed in range(3)
+        ],
+        (MOB, EngineConfig(radio_range=100.0, duration=300.0, settle_on_delivery=True), INC, 0, True),
+        (MOB, ENG, IncentiveConfig(scheme=Scheme.PACKET_TRADE), 3, True),
+    ],
+    ids=["dense0", "dense1", "dense2", "settle_on_delivery", "trade"],
+)
+def test_pair_filter_matches_routing_every_pair(monkeypatch, mob, eng, inc, seed, settle_on_delivery):
+    calls = Counter()
+
+    def counting_handle_encounter(tree, packet, a_id, b_id, x, y, now):
+        calls[now] += 1
+        return routing.handle_encounter(tree, packet, a_id, b_id, x, y, now)
+
+    monkeypatch.setattr(engine, "handle_encounter", counting_handle_encounter)
+    result = run(mob, eng, inc, PacketSpec(deadline=eng.duration), seed)
+    tree, contact_events, expected_calls, full_from = _route_every_pair(
+        result, mob, eng, settle_on_delivery
+    )
+    assert result.tree.links == tree.links
+    assert result.contact_events == contact_events
+    assert calls == expected_calls
+    assert sum(calls.values()) < contact_events  # the filter dropped pairs
+    if settle_on_delivery:
+        assert result.delivered
+    else:  # the tree fills mid-run; no call is made from the next tick on
+        assert full_from is not None
+        assert all(now < full_from for now in calls)
 
 
 class TestAccounting:

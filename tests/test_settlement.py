@@ -115,6 +115,11 @@ class TestFundableHops:
         with pytest.raises(ValidationError):
             fundable_hops(1.0, 0.0)
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_rejects_non_finite_price(self, price):
+        with pytest.raises(ValidationError):
+            fundable_hops(1.0, price)
+
 
 class TestPacketPurse:
     def test_pays_handoffs_in_order_until_dry(self):
@@ -151,6 +156,11 @@ class TestPacketPurse:
         packet = make_packet()
         with pytest.raises(ValidationError):
             settle_packet_purse(make_packet(source_id=1), chain_tree(root=0), hop_price=1.0)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_rejects_non_finite_price(self, price):
+        with pytest.raises(ValidationError):
+            settle_packet_purse(make_packet(), chain_tree(), hop_price=price)
 
 
 class TestPacketTrade:
@@ -200,6 +210,11 @@ class TestPacketTrade:
             settle_packet_trade(packet, self.tree(), 3, hop_price=0.0)
         with pytest.raises(ValidationError):
             settle_packet_trade(make_packet(source_id=5), self.tree(), 3, hop_price=1.0)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_rejects_non_finite_price(self, price):
+        with pytest.raises(ValidationError):
+            settle_packet_trade(make_packet(), self.tree(), 3, hop_price=price)
 
 
 class TestApplySettlement:
