@@ -1,14 +1,17 @@
-"""Time the two contact-detection branches and the waypoint step.
+"""Time contact detection per tick, three ways, and the waypoint step.
 
-Contact detection: the quadratic numpy scan against the k-d tree range
-search, per call, at the baseline density (15 vehicles per 800x800 m,
-100 m radio range). The table shows where the k-d tree starts to win;
-that crossover is what ``kernels.KDTREE_MIN_VEHICLES`` is set from.
+Contact detection: the quadratic numpy scan, the one-shot cell-grid search
+and the neighbour list the engine keeps from the threshold on, each per
+tick over the same random-waypoint trajectory at the baseline density
+(15 vehicles per 800x800 m, speeds 5-15 m/s, 1 s ticks, 100 m radio
+range). The neighbour list's time includes its rebuilds. The table shows
+where the list starts to beat the scan; that crossover is what
+``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
 Waypoint stepping: one numpy tick per call at the same sizes.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
-    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 50,64,100 --repeats 200
+    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 50,64,100 --ticks 300
 """
 
 from __future__ import annotations
@@ -19,20 +22,12 @@ import time
 import numpy as np
 
 from vanetsim import kernels
+from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 
 RADIO_RANGE = 100.0
-
-
-def time_call(fn, *args, repeats: int) -> float:
-    """Best of three mean seconds per call, after one warmup invocation."""
-    fn(*args)
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn(*args)
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best
+SPEED_MAX = 15.0
+TICK_SECONDS = 1.0
+SKIN = min(RADIO_RANGE, 4.0 * SPEED_MAX * TICK_SECONDS)  # the rule engine.run uses
 
 
 def baseline_arena(n: int) -> float:
@@ -40,25 +35,57 @@ def baseline_arena(n: int) -> float:
     return 800.0 * (n / 15.0) ** 0.5
 
 
-def bench_contacts(sizes: list[int], repeats: int) -> int | None:
-    """Print the per-call table; return the smallest size from which the tree wins."""
-    print(f"\ncontact detection (radio range {RADIO_RANGE:g} m, baseline density)")
-    header = f"{'n':>6}  {'numpy':>11}  {'kdtree':>11}  {'numpy/kdtree':>12}"
+def trajectory(n: int, ticks: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Positions of a baseline-density fleet at ticks 0..ticks."""
+    arena = baseline_arena(n)
+    cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX)
+    model = RandomWaypointModel(cfg, np.random.default_rng(n))
+    frames = [(model.x.copy(), model.y.copy())]
+    for _ in range(ticks):
+        model.step()
+        frames.append((model.x.copy(), model.y.copy()))
+    return frames
+
+
+def time_per_tick(make_fn, frames) -> float:
+    """Best of three mean seconds per tick over the whole trajectory.
+
+    ``make_fn()`` returns a fresh per-tick callable, so a neighbour list
+    starts empty in each trial, as it does in each run.
+    """
+    best = float("inf")
+    for _ in range(3):
+        fn = make_fn()
+        start = time.perf_counter()
+        for x, y in frames:
+            fn(x, y, RADIO_RANGE)
+        best = min(best, (time.perf_counter() - start) / len(frames))
+    return best
+
+
+def neighbour_list_fn():
+    neighbours = kernels.NeighbourList(SKIN)
+    return lambda x, y, r: kernels.contact_pairs(x, y, r, neighbours)
+
+
+def bench_contacts(sizes: list[int], ticks: int) -> int | None:
+    """Print the per-tick table; return the smallest size from which the list beats the scan."""
+    print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, baseline density)")
+    header = f"{'n':>6}  {'scan':>11}  {'grid':>11}  {'list':>11}  {'scan/list':>9}"
     print(header)
     print("-" * len(header))
     crossover = None
     for n in sizes:
-        rng = np.random.default_rng(n)
-        arena = baseline_arena(n)
-        x, y = rng.random(n) * arena, rng.random(n) * arena
-        t_np = time_call(kernels._contact_pairs_numpy, x, y, RADIO_RANGE, repeats=repeats)
-        t_kd = time_call(kernels._contact_pairs_kdtree, x, y, RADIO_RANGE, repeats=repeats)
-        ratio = t_np / t_kd
+        frames = trajectory(n, ticks)
+        t_scan = time_per_tick(lambda: kernels._contact_pairs_numpy, frames)
+        t_grid = time_per_tick(lambda: kernels._contact_pairs_grid, frames)
+        t_list = time_per_tick(neighbour_list_fn, frames)
+        ratio = t_scan / t_list
         if ratio <= 1.0:
             crossover = None
         elif crossover is None:
             crossover = n
-        print(f"{n:>6}  {t_np * 1e6:>9.1f}us  {t_kd * 1e6:>9.1f}us  {ratio:>11.2f}x")
+        print(f"{n:>6}  {t_scan * 1e6:>9.1f}us  {t_grid * 1e6:>9.1f}us  {t_list * 1e6:>9.1f}us  {ratio:>8.2f}x")
     return crossover
 
 
@@ -78,26 +105,33 @@ def bench_waypoints(sizes: list[int], repeats: int) -> None:
         )
         cand = rng.random((n, 3))
         common = (cand, 0.0, 1.0, arena, arena, 5.0, 15.0, 2.0)
-        t = time_call(kernels.waypoint_step, *state, *common, repeats=repeats)
-        print(f"{n:>6}  {t * 1e6:>9.1f}us")
+        kernels.waypoint_step(*state, *common)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            for _ in range(repeats):
+                kernels.waypoint_step(*state, *common)
+            best = min(best, (time.perf_counter() - start) / repeats)
+        print(f"{n:>6}  {best * 1e6:>9.1f}us")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes", default="15,30,50,75,100,300,1000",
-        help="comma-separated fleet sizes, ascending (default 15,30,50,75,100,300,1000)",
+        "--sizes", default="15,30,50,64,75,100,300,1000",
+        help="comma-separated fleet sizes, ascending (default 15,30,50,64,75,100,300,1000)",
     )
-    parser.add_argument("--repeats", type=int, default=100)
+    parser.add_argument("--ticks", type=int, default=100, help="trajectory length per size (default 100)")
+    parser.add_argument("--repeats", type=int, default=100, help="waypoint-step calls per trial (default 100)")
     args = parser.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(",") if s.strip())
 
-    crossover = bench_contacts(sizes, args.repeats)
+    crossover = bench_contacts(sizes, args.ticks)
     if crossover is None:
-        print("\nthe k-d tree does not win at the largest size measured")
+        print("\nthe neighbour list does not beat the scan at the largest size measured")
     else:
-        print(f"\nthe k-d tree wins from n={crossover} on, among the sizes measured")
-    print(f"contact_pairs switches to it at n >= KDTREE_MIN_VEHICLES = {kernels.KDTREE_MIN_VEHICLES}")
+        print(f"\nthe neighbour list beats the scan from n={crossover} on, among the sizes measured")
+    print(f"engine.run keeps one from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES}")
     bench_waypoints(sizes, args.repeats)
 
 

@@ -3,9 +3,15 @@
 One run: place a fleet, inject a single packet at a source vehicle at
 t=0, then run one loop over ticks 0..N. Every tick after 0 moves the
 fleet; while the packet deadline has not passed, each tick also detects
-radio contacts and hands the packet across them epidemically. Pairs whose
-ends both carried the packet at the start of the tick are skipped, as
-neither can give the other anything; the rest are walked in (a, b) order,
+radio contacts and hands the packet across them epidemically. Fleets of
+NEIGHBOUR_LIST_MIN_VEHICLES or more detect contacts through one
+``NeighbourList`` per run: the pairs within ``radio_range + skin``, with
+``skin = min(radio_range, 4 * speed_max * tick_seconds)``, filtered each
+tick by the contact predicate, and rebuilt once some vehicle has moved
+more than ``skin / 2`` since the last build; smaller fleets scan every
+pair every tick. Both give exactly the one-shot ``contact_pairs``. Pairs
+whose ends both carried the packet at the start of the tick are skipped,
+as neither can give the other anything; the rest are walked in (a, b) order,
 so a vehicle reached early in a tick can forward within it. Routing
 stops early at first delivery when the run is configured for
 delivery-triggered settlement (always the case for the packet-trade
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incentives import IncentiveConfig
-from .kernels import contact_pairs
+from .kernels import NEIGHBOUR_LIST_MIN_VEHICLES, NeighbourList, contact_pairs
 from .mobility import MobilityConfig, RandomWaypointModel
 from .model import (
     PROPORTIONAL_SCHEMES,
@@ -184,6 +190,11 @@ def run(
     delivered_at: float | None = None
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
+    neighbours = None
+    if n >= NEIGHBOUR_LIST_MIN_VEHICLES:
+        # ~2 ticks at top speed between rebuilds; the list stays exact at any speed
+        skin = min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt)
+        neighbours = NeighbourList(skin)
     for tick in range(ticks_total + 1):
         if tick:
             model.step()
@@ -191,7 +202,7 @@ def run(
             continue  # routing is over; the fleet keeps moving to the end of the run
         now = model.now
         x, y = model.x, model.y
-        a, b = contact_pairs(x, y, engine_cfg.radio_range)
+        a, b = contact_pairs(x, y, engine_cfg.radio_range, neighbours)
         contact_events += len(a)
         if len(tree.depth) == n:
             continue  # every vehicle carries: no contact can hand off

@@ -1,22 +1,40 @@
 """Hot per-tick kernels: radio contact detection and waypoint stepping.
 
-There is one waypoint step, in numpy, and one ``contact_pairs``. Contact
-detection picks its algorithm by fleet size alone: below
-KDTREE_MIN_VEHICLES a quadratic numpy distance scan is cheapest, because
-call overhead dominates; from there on a k-d tree range search (scipy's
-cKDTree, Bentley 1975) wins, by more than an order of magnitude at 1 000
-vehicles. Both branches keep a pair when ``dx*dx + dy*dy <= r*r`` and
-return pairs sorted by (a, b), so the switch never changes a run's
-output. ``benchmarks/bench_kernels.py`` measures the crossover that sets
-the constant.
+There is one waypoint step, in numpy, and one ``contact_pairs``. Every
+contact test is the same predicate, ``dx*dx + dy*dy <= r*r``, and every
+pair list comes out sorted by (a, b) with a < b, so the choice of
+algorithm never changes a run's output. Everything is numpy.
+
+Below NEIGHBOUR_LIST_MIN_VEHICLES a quadratic distance scan is cheapest,
+because call overhead dominates. From there on a cell-grid range search
+finds the pairs: vehicles are sorted by the key of a square cell a hair
+wider than the cutoff, so a pair in range lies in one cell or in two
+adjacent ones, and each cell is compared with itself and four of its
+neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
+Liquids*, §5.3). For a run, the grid builds a ``NeighbourList`` of the
+pairs within ``r + skin``, which later ticks only filter until some
+vehicle has moved more than ``skin / 2`` (Verlet 1967).
+``benchmarks/bench_kernels.py`` times the scan, the grid and the list per
+tick; where the list starts to beat the scan sets the constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Fleets at least this large use the k-d tree; smaller ones the quadratic scan.
-KDTREE_MIN_VEHICLES = 64
+# Fleets at least this large keep a neighbour list (and a one-shot call uses
+# the cell grid); smaller ones scan every pair every tick.
+NEIGHBOUR_LIST_MIN_VEHICLES = 64
+
+# Cells are this much wider than the cutoff, so rounding in the cell index
+# can never put two points in range two cells apart.
+_CELL_MARGIN = 1e-6
+# At most this many cells per axis: keys stay far inside int64, and cell
+# indices stay small enough for _CELL_MARGIN to cover their rounding.
+_MAX_CELLS = 1 << 20
+# The neighbour list keeps pairs this much (relative) beyond r + skin, which
+# covers the rounding in the displacement test and the distances.
+_LIST_MARGIN = 1e-9
 
 
 def _contact_pairs_numpy(x: np.ndarray, y: np.ndarray, radio_range: float):
@@ -32,20 +50,91 @@ def _contact_pairs_numpy(x: np.ndarray, y: np.ndarray, radio_range: float):
     return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
 
 
-def _contact_pairs_kdtree(x: np.ndarray, y: np.ndarray, radio_range: float):
-    """The same pairs as the quadratic scan, from a k-d tree range search."""
-    from scipy.spatial import cKDTree  # only large fleets pay for the import
+def _contact_pairs_grid(x: np.ndarray, y: np.ndarray, radio_range: float):
+    """The same pairs as the quadratic scan, from a cell-grid range search."""
+    n = x.shape[0]
+    if n < 2:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    # a huge span over a tiny range coarsens the cells instead of overflowing
+    side = max(radio_range * (1.0 + _CELL_MARGIN), span / _MAX_CELLS) or 1.0
+    cx = ((x - x0) / side).astype(np.int64)
+    cy = ((y - y0) / side).astype(np.int64) + 1
+    rows = int(cy.max()) + 2  # the first and last rows stay empty: cy -/+ 1 never wraps
+    key = cx * rows + cy
+    order = np.argsort(key)
+    sorted_key = key[order]
 
-    pairs = cKDTree(np.column_stack((x, y))).query_pairs(radio_range, output_type="ndarray")
-    a, b = pairs[:, 0], pairs[:, 1]  # query_pairs already yields a < b
-    order = np.lexsort((b, a))
-    return a[order].astype(np.int64), b[order].astype(np.int64)
+    # Each vehicle visits its own cell and four of its eight neighbours, so
+    # each pair of cells is visited once. Keys run up a column, so those five
+    # cells are two runs of sorted_key: its own cell (only the vehicles after
+    # it) and the one above, then the three cells of the next column.
+    pos = np.arange(n)
+    start = np.concatenate((pos + 1, np.searchsorted(sorted_key, sorted_key + (rows - 1))))
+    end = np.searchsorted(sorted_key, np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
+    count = end - start
+    owner = np.repeat(np.concatenate((pos, pos)), count)
+    # the k-th candidate of an owner sits at start + k
+    other = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
+    i, j = order[owner], order[other]
+
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    near = dx * dx + dy * dy <= radio_range * radio_range
+    i, j = i[near], j[near]
+    code = np.minimum(i, j) * n + np.maximum(i, j)
+    code.sort()
+    return code // n, code % n
 
 
-def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
-    """Unordered vehicle-index pairs within radio range, sorted by (a, b)."""
-    if x.shape[0] >= KDTREE_MIN_VEHICLES:
-        return _contact_pairs_kdtree(x, y, radio_range)
+class NeighbourList:
+    """Verlet list for one fleet: every pair within ``radio_range + skin``.
+
+    Each call returns the list's pairs that satisfy the contact predicate
+    on the current positions, which are exactly ``contact_pairs``' pairs as
+    long as no vehicle has moved more than ``skin / 2`` since the list was
+    built: a pair in range now was within ``r + skin`` then. Past that
+    displacement, or on a new radio range, the call rebuilds the list from
+    the cell grid first (Verlet 1967). The rule assumes no speed bound, so
+    it holds for any motion.
+    """
+
+    def __init__(self, skin: float) -> None:
+        self.skin = skin
+        self.radio_range: float | None = None
+        self.x0 = self.y0 = self.a = self.b = None
+
+    def _stale(self, x: np.ndarray, y: np.ndarray, radio_range: float) -> bool:
+        if radio_range != self.radio_range:
+            return True
+        dx = x - self.x0
+        dy = y - self.y0
+        return bool((dx * dx + dy * dy).max(initial=0.0) > 0.25 * self.skin * self.skin)
+
+    def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
+        if self._stale(x, y, radio_range):
+            cutoff = (radio_range + self.skin) * (1.0 + _LIST_MARGIN)
+            self.a, self.b = _contact_pairs_grid(x, y, cutoff)
+            self.x0, self.y0 = x.copy(), y.copy()
+            self.radio_range = radio_range
+        a, b = self.a, self.b
+        dx = x[a] - x[b]
+        dy = y[a] - y[b]
+        near = dx * dx + dy * dy <= radio_range * radio_range
+        return a[near], b[near]
+
+
+def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float, neighbours: NeighbourList | None = None):
+    """Unordered vehicle-index pairs within radio range, sorted by (a, b).
+
+    With ``neighbours`` the pairs come from (and refresh) that list; without
+    it this is a one-shot search.
+    """
+    if neighbours is not None:
+        return neighbours.pairs(x, y, radio_range)
+    if x.shape[0] >= NEIGHBOUR_LIST_MIN_VEHICLES:
+        return _contact_pairs_grid(x, y, radio_range)
     return _contact_pairs_numpy(x, y, radio_range)
 
 

@@ -205,13 +205,13 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
 
 
 def test_contact_engine_matches_quadratic_oracle(capsys):
-    """Contact detection, scan or k-d tree by fleet size, is exact on moving fleets.
+    """Contact detection, scan or cell grid by fleet size, is exact on moving fleets.
 
     50 seeded mobility runs, fleets up to 200 vehicles, every tick checked
     against the full-matrix oracle, exact index-pair equality.
     """
     start = time.perf_counter()
-    backend = f"numpy scan below {kernels.KDTREE_MIN_VEHICLES} vehicles, k-d tree from there"
+    backend = f"numpy scan below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, cell grid from there"
     ticks_checked = 0
     for run_idx in range(50):
         meta = np.random.default_rng(run_idx)

@@ -204,16 +204,17 @@ seen = {"import": scipy_modules()}
 assert cli.main(["run", "--scenario", small, "--out", out]) == 0
 seen["run15"] = scipy_modules()
 assert cli.main(["run", "--scenario", large, "--out", out]) == 0
-seen["spatial64"] = "scipy.spatial" in sys.modules
+seen["run128"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_fleets_of_64(tmp_path, baseline_path):
+def test_runs_load_no_scipy(tmp_path, baseline_path):
+    # 128 vehicles take the neighbour list built on the cell grid; 15 the pair scan
     text = baseline_path.read_text(encoding="utf-8")
-    large = tmp_path / "fleet64.yaml"
+    large = tmp_path / "fleet128.yaml"
     large.write_text(
-        text.replace("name: baseline", "name: fleet64").replace("vehicle_count: 15", "vehicle_count: 64"),
+        text.replace("name: baseline", "name: fleet128").replace("vehicle_count: 15", "vehicle_count: 128"),
         encoding="utf-8",
     )
     proc = subprocess.run(
@@ -224,5 +225,5 @@ def test_scipy_loads_only_for_fleets_of_64(tmp_path, baseline_path):
         check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "run15": [], "spatial64": True}
-    assert (tmp_path / "fleet64.summary.json").is_file()
+    assert seen == {"import": [], "run15": [], "run128": []}
+    assert (tmp_path / "fleet128.summary.json").is_file()

@@ -1,7 +1,11 @@
-"""Contact detection (both branches) and waypoint stepping against oracles."""
+"""Contact detection (both branches, and the neighbour list) and waypoint stepping against oracles."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim import kernels
 
@@ -21,11 +25,11 @@ def as_pair_list(a, b):
     return list(zip(a.tolist(), b.tolist()))
 
 
-@pytest.fixture(params=["numpy", "kdtree"])
+@pytest.fixture(params=["numpy", "grid"])
 def pair_fn(request):
     if request.param == "numpy":
         return kernels._contact_pairs_numpy
-    return kernels._contact_pairs_kdtree
+    return kernels._contact_pairs_grid
 
 
 class TestContactPairs:
@@ -65,6 +69,60 @@ class TestContactPairs:
         for n in (0, 1):
             a, b = pair_fn(np.zeros(n), np.zeros(n), 5.0)
             assert len(a) == len(b) == 0
+            assert a.dtype == b.dtype == np.int64
+        a, b = pair_fn(np.array([0.0, 3.0]), np.array([0.0, 4.0]), 5.0)
+        assert as_pair_list(a, b) == [(0, 1)]
+        a, b = pair_fn(np.array([0.0, 3.0]), np.array([0.0, 4.0]), 4.9)
+        assert len(a) == 0
+
+    def test_exact_range_across_cell_edges(self, pair_fn):
+        # cells start at the smallest coordinates, (0, 0), and are a hair
+        # wider than r, so each pair below is exactly r apart and straddles a
+        # cell edge: along x, along y, and along both diagonals
+        r = 10.0
+        pts = [(0.0, 0.0), (7.0, 50.0), (17.0, 50.0), (55.0, 7.0), (55.0, 17.0),
+               (27.0, 27.0), (33.0, 35.0), (86.0, 95.0), (92.0, 87.0)]
+        x, y = np.array(pts).T
+        a, b = pair_fn(x, y, r)
+        assert as_pair_list(a, b) == [(1, 2), (3, 4), (5, 6), (7, 8)]
+        assert set(as_pair_list(a, b)) == brute_force_pairs(x, y, r)
+
+    @pytest.mark.parametrize("spacing", ["radio_range", "cell_side"])
+    def test_points_on_multiples_of_the_spacing(self, pair_fn, spacing):
+        r = 25.0
+        step = r if spacing == "radio_range" else r * (1.0 + kernels._CELL_MARGIN)
+        gx, gy = np.meshgrid(np.arange(12) * step, np.arange(9) * step)
+        x, y = gx.ravel(), gy.ravel()
+        a, b = pair_fn(x, y, r)
+        expected = brute_force_pairs(x, y, r)
+        assert set(as_pair_list(a, b)) == expected
+        # a lattice at exactly r pairs every horizontal and vertical neighbour
+        assert len(expected) == (11 * 9 + 12 * 8 if spacing == "radio_range" else 0)
+
+    def test_negative_coordinates(self, pair_fn):
+        rng = np.random.default_rng(5)
+        x = rng.random(150) * 600.0 - 1e4
+        y = -rng.random(150) * 600.0
+        a, b = pair_fn(x, y, 60.0)
+        assert len(a) > 0
+        assert set(as_pair_list(a, b)) == brute_force_pairs(x, y, 60.0)
+
+    @pytest.mark.parametrize("r", [1e-3, 1e-9])
+    def test_span_that_would_overflow_cell_keys(self, pair_fn, r):
+        # 1e12 / 1e-3 = 1e15 cells a side would overflow int64 keys, and
+        # 1e12 / 1e-9 the cell indices themselves (a cast numpy warns
+        # about); the grid coarsens its cells instead, and warns about nothing
+        rng = np.random.default_rng(8)
+        x = np.concatenate(([0.0, 1e12], rng.random(60) * 1e12))
+        y = np.concatenate(([1e12, 0.0], rng.random(60) * 1e12))
+        x[7], y[7] = x[6], y[6] + 5e-4  # within 1e-3
+        x[9], y[9] = 0.0, 1e12 - 1e-3  # about r from vehicle 0, give or take an ulp
+        x[11], y[11] = x[10], y[10]  # coincident
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = pair_fn(x, y, r)
+        assert set(as_pair_list(a, b)) == brute_force_pairs(x, y, r)
+        assert (10, 11) in set(as_pair_list(a, b))
 
     def test_coincident_points_all_pair(self, pair_fn):
         n = 10
@@ -82,7 +140,9 @@ class TestContactPairs:
         a, b = pair_fn(x, y, 2.0)
         assert set(as_pair_list(a, b)) == brute_force_pairs(x, y, 2.0)
 
-    @pytest.mark.parametrize("n", [kernels.KDTREE_MIN_VEHICLES - 1, kernels.KDTREE_MIN_VEHICLES, 1000])
+    @pytest.mark.parametrize(
+        "n", [kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 1000]
+    )
     def test_dispatcher_matches_numpy_scan(self, n):
         # both sides of the crossover, plus a fleet far above it
         rng = np.random.default_rng(n)
@@ -95,6 +155,54 @@ class TestContactPairs:
         assert a.dtype == b.dtype == np.int64
         assert np.array_equal(a, na) and np.array_equal(b, nb)
 
+
+
+class TestNeighbourList:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 90),
+        radio_range=st.sampled_from([5.0, 10.0, 25.0]),
+        skin_share=st.sampled_from([0.0, 0.1, 0.6, 1.0]),
+        step_share=st.sampled_from([0.0, 0.05, 0.3, 1.5, 4.0]),
+        lattice=st.booleans(),
+    )
+    def test_equals_one_shot_search_every_tick(self, seed, n, radio_range, skin_share, step_share, lattice):
+        # random walks; a step share of 0 is a standing fleet and shares
+        # above 0.5 step past the skin; on the integer lattice 3-4-5 and
+        # axis-aligned ties at exactly r are common
+        rng = np.random.default_rng(seed)
+        skin = skin_share * radio_range
+        side = 2.0 * radio_range * max(n, 1) ** 0.5  # ~0.8 vehicles within r of each
+        x, y = rng.random(n) * side, rng.random(n) * side
+        neighbours = kernels.NeighbourList(skin)
+        for _ in range(25):
+            a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
+            ea, eb = kernels.contact_pairs(x, y, radio_range)
+            assert np.array_equal(a, ea) and np.array_equal(b, eb)
+            assert a.dtype == b.dtype == np.int64
+            step = step_share * max(skin, radio_range)
+            x = x + rng.uniform(-step, step, n)
+            y = y + rng.uniform(-step, step, n)
+            if lattice:
+                x, y = np.round(x), np.round(y)
+
+    def test_rebuilds_only_past_half_the_skin(self, monkeypatch):
+        builds = []
+        grid = kernels._contact_pairs_grid
+        monkeypatch.setattr(kernels, "_contact_pairs_grid", lambda *args: builds.append(args[2]) or grid(*args))
+        rng = np.random.default_rng(2)
+        x, y = rng.random(200) * 500.0, rng.random(200) * 500.0
+        neighbours = kernels.NeighbourList(skin=8.0)
+        neighbours.pairs(x, y, 30.0)
+        x[17] += 4.0  # exactly half the skin: the list still covers every pair
+        neighbours.pairs(x, y, 30.0)
+        neighbours.pairs(x, y, 30.0)
+        assert len(builds) == 1 and builds[0] >= 38.0
+        x[17] += 1e-6
+        neighbours.pairs(x, y, 30.0)
+        neighbours.pairs(x, y, 20.0)  # a new range also rebuilds
+        assert len(builds) == 3
 
 def run_waypoint(fn, seed, ticks=200, n=20):
     rng = np.random.default_rng(seed)
