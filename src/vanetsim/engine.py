@@ -1,9 +1,9 @@
 """Discrete-tick simulation driver.
 
 One run: place a fleet, inject a single packet at a source vehicle at
-t=0, then run one loop over ticks 0..N. Every tick after 0 moves the
-fleet; while the packet deadline has not passed, each tick also detects
-radio contacts and hands the packet across them epidemically. Fleets of
+t=0, then run one loop over the ticks within both the run and the packet
+deadline. Every tick after 0 moves the fleet; each tick detects radio
+contacts and hands the packet across them epidemically. Fleets of
 NEIGHBOUR_LIST_MIN_VEHICLES or more detect contacts through one
 ``NeighbourList`` per run: the pairs within ``radio_range + skin``, with
 ``skin = min(radio_range, 4 * speed_max * tick_seconds)``, filtered each
@@ -11,17 +11,17 @@ tick by the contact predicate, and rebuilt once some vehicle has moved
 more than ``skin / 2`` since the last build; smaller fleets scan every
 pair every tick. Both give exactly the one-shot ``contact_pairs``. Pairs
 whose ends both carried the packet at the start of the tick are skipped,
-as neither can give the other anything; the rest are walked in (a, b) order,
-so a vehicle reached early in a tick can forward within it. Routing
-stops early at first delivery when the run is configured for
+as neither can give the other anything; the rest are walked in (a, b)
+order, so a vehicle reached early in a tick can forward within it.
+Routing stops early at first delivery when the run is configured for
 delivery-triggered settlement (always the case for the packet-trade
-scheme); mobility still runs to the end. After the loop the run settles
-once, at the delivery time if a delivery ended routing, otherwise at the
-earlier of the end of the run and the deadline. Simulated time at tick k
-is the float k * tick_seconds, never a running sum, so fractional ticks
-do not drift. Everything is driven by two child RNG streams of the run
-seed, one for mobility and one for the engine's own draws, so a
-(scenario, seed) pair fully determines the outcome.
+scheme); mobility stops with routing. The run then settles once, at the
+delivery time if a delivery ended it, otherwise at the earlier of the
+run's duration and the deadline. Simulated time at tick k is the float
+k * tick_seconds, never a running sum, so fractional ticks do not drift.
+Everything is driven by two child RNG streams of the run seed, one for
+mobility and one for the engine's own draws, so a (scenario, seed) pair
+fully determines the outcome.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def run(
 
     dt = mobility_cfg.tick_seconds
     ticks_total = int(round(engine_cfg.duration / dt))
-    # the last tick routed: the model's clock reads k * dt, within the deadline
+    # the last tick run: the model's clock reads k * dt, within the deadline
     past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline)
-    deadline_tick = next(past, ticks_total + 1) - 1
+    last_tick = next(past, ticks_total + 1) - 1
     contact_events = 0
     delivered_at: float | None = None
     carried = np.zeros(n, dtype=bool)
@@ -195,11 +195,9 @@ def run(
         # ~2 ticks at top speed between rebuilds; the list stays exact at any speed
         skin = min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt)
         neighbours = NeighbourList(skin)
-    for tick in range(ticks_total + 1):
+    for tick in range(last_tick + 1):
         if tick:
             model.step()
-        if tick > deadline_tick or (settle_on_delivery and delivered_at is not None):
-            continue  # routing is over; the fleet keeps moving to the end of the run
         now = model.now
         x, y = model.x, model.y
         a, b = contact_pairs(x, y, engine_cfg.radio_range, neighbours)
@@ -213,16 +211,17 @@ def run(
             if link is None:
                 continue
             carried[link.to_id] = True
-            if link.to_id == destination and delivered_at is None:
+            if link.to_id == destination:  # a vehicle joins the tree once
                 delivered_at = now
                 if settle_on_delivery:
                     break
+        if settle_on_delivery and delivered_at is not None:
+            break  # the packet's life ended at this tick
 
-    # a deadline written as an int must not make the settle time an int
     if settle_on_delivery and delivered_at is not None:
         settle_time = delivered_at
-    else:
-        settle_time = float(min(model.now, packet.deadline))
+    else:  # not model.now, which stops short of a deadline between ticks; never an int
+        settle_time = float(min(ticks_total * dt, packet.deadline))
     records, report = _settle(tree, packet, destination, incentive_cfg, engine_cfg, settle_time)
     vehicles = {
         i: Vehicle(
@@ -244,7 +243,7 @@ def run(
         vehicles=vehicles,
         settle_time=settle_time,
         final_time=model.now,
-        ticks_run=ticks_total,
+        ticks_run=model.tick,
         contact_events=contact_events,
         delivered=None if destination is None else delivered_at is not None,
     )

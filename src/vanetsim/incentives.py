@@ -165,10 +165,10 @@ class IncentiveConfig:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.time_scale > 0:
-            raise ValidationError("time_scale must be positive")
-        if not self.distance_scale > 0:
-            raise ValidationError("distance_scale must be positive")
+        if not 0 < self.time_scale < math.inf:
+            raise ValidationError("time_scale must be positive and finite")
+        if not 0 < self.distance_scale < math.inf:
+            raise ValidationError("distance_scale must be positive and finite")
         if self.distance_aggregate not in DISTANCE_AGGREGATES:
             raise ValidationError(
                 f"distance_aggregate must be one of {DISTANCE_AGGREGATES}"

@@ -78,15 +78,15 @@ class Packet:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.deadline > 0:
-            raise ValidationError(f"deadline must be > 0, got {self.deadline}")
-        if not self.interest_radius > 0:
+        if not 0 <= self.reward_budget < math.inf:
             raise ValidationError(
-                f"interest_radius must be > 0, got {self.interest_radius}"
+                f"reward_budget must be non-negative and finite, got {self.reward_budget}"
             )
-        if not self.reward_budget >= 0:
+        if not 0 < self.deadline < math.inf:
+            raise ValidationError(f"deadline must be positive and finite, got {self.deadline}")
+        if not 0 < self.interest_radius < math.inf:
             raise ValidationError(
-                f"reward_budget must be >= 0, got {self.reward_budget}"
+                f"interest_radius must be positive and finite, got {self.interest_radius}"
             )
 
 

@@ -8,6 +8,7 @@ from vanetsim import engine, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.kernels import contact_pairs
+from vanetsim.metrics import build_summary, summary_to_json
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 from vanetsim.model import ForwardingTree, Scheme, ValidationError, WeightSet, distance
 
@@ -121,7 +122,9 @@ class TestSettlementTiming:
         pkt = PacketSpec(deadline=120.0)
         result = run_default(eng=eng, pkt=pkt)
         assert result.settle_time == 120.0
-        assert result.final_time == pytest.approx(500.0)
+        # the run ends with the packet's life, not at the configured duration
+        assert result.final_time == 120.0
+        assert result.ticks_run == 120
 
     def test_settles_at_end_when_run_is_shorter(self):
         eng = EngineConfig(radio_range=100.0, duration=60.0)
@@ -140,10 +143,10 @@ class TestSettlementTiming:
     def test_fractional_tick_run_ends_on_the_exact_duration(self):
         mob = MobilityConfig(vehicle_count=5, tick_seconds=0.1)
         eng = EngineConfig(radio_range=100.0, duration=600.0)
-        result = run_default(mob=mob, eng=eng)
+        result = run_default(mob=mob, eng=eng, pkt=PacketSpec(deadline=600.0))
         assert result.ticks_run == 6000
         assert result.final_time == 600.0  # was 600.0000000000679 by summing ticks
-        assert result.settle_time == 300.0
+        assert result.settle_time == 600.0
         assert all(l.timestamp == round(l.timestamp * 10) * 0.1 for l in result.tree.links)
 
     def test_zero_duration_settles_immediately(self):
@@ -180,6 +183,9 @@ class TestSettlementTiming:
 def test_vehicles_hold_end_of_run_state(inc, pkt):
     seed = 7
     result = run_default(seed=seed, inc=inc, pkt=pkt)
+    # the run ends at the tick it settles on: the deadline's or the delivery's
+    assert result.final_time == result.settle_time
+    assert result.ticks_run == round(result.settle_time / MOB.tick_seconds)
     mob_seq, _ = np.random.SeedSequence(seed).spawn(2)
     model = RandomWaypointModel(MOB, np.random.default_rng(mob_seq))
     for _ in range(result.ticks_run):
@@ -192,10 +198,45 @@ def test_vehicles_hold_end_of_run_state(inc, pkt):
     assert any(v.credit_balance != 0.0 for v in result.vehicles.values())
 
 
+@pytest.mark.parametrize(
+    "eng,inc,pkt,steps",
+    [
+        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=120.0), 120),
+        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=150.5), 150),
+        (EngineConfig(duration=600.0), IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT, None),
+        (EngineConfig(duration=60.0), INC, PKT, 60),
+        (EngineConfig(duration=0.0), INC, PKT, 0),
+    ],
+    ids=["deadline_mid_run", "deadline_between_ticks", "delivery", "duration_first", "zero"],
+)
+def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, steps):
+    calls = []
+    step = RandomWaypointModel.step
+
+    def counting_step(model):
+        calls.append(model.tick + 1)
+        step(model)
+
+    monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
+    result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt)
+    if steps is None:  # settled on delivery: the last step is the delivery tick's
+        assert result.delivered
+        steps = round(result.settle_time / MOB.tick_seconds)
+        assert steps < round(pkt.deadline / MOB.tick_seconds)
+    assert calls == list(range(1, steps + 1))
+    assert result.ticks_run == steps
+
+
+def test_run_past_the_deadline_exports_the_same_summary():
+    def summary(duration):
+        result = run_default(seed=3, eng=EngineConfig(duration=duration), pkt=PKT)
+        return summary_to_json(build_summary(result, INC, "scenario-hash"))
+
+    assert summary(600.0) == summary(300.0)
+
+
 def _route_every_pair(result, mob, eng, settle_on_delivery):
     """Replay a run's routing with no pair filter: every contact pair is offered.
-
-    The run's deadline must not come before its end.
 
     Returns the tree, the contact count, the handoff calls the filtered
     engine must make per tick time (pairs not both carried at tick start,

@@ -236,6 +236,8 @@ class TestIncentiveConfig:
             {"first_proposal_mode": "cubic"},
             {"time_scale": math.nan},
             {"distance_scale": math.nan},
+            {"time_scale": math.inf},
+            {"distance_scale": math.inf},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

@@ -51,6 +51,9 @@ class TestPacket:
             {"deadline": math.nan},
             {"interest_radius": math.nan},
             {"budget": math.nan},
+            {"deadline": math.inf},
+            {"interest_radius": math.inf},
+            {"budget": math.inf},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
