@@ -1,17 +1,18 @@
 """Time contact detection per tick, three ways, and the waypoint step.
 
-Contact detection: the quadratic numpy scan, the one-shot cell-grid search
-and the neighbour list the engine keeps from the threshold on, each per
+Contact detection: the two pair lists a run can keep, all pairs and the
+Verlet neighbour list, and the one-shot quadratic numpy scan, each per
 tick over the same random-waypoint trajectory at the baseline density
 (15 vehicles per 800x800 m, speeds 5-15 m/s, 1 s ticks, 100 m radio
-range). The neighbour list's time includes its rebuilds. The table shows
-where the list starts to beat the scan; that crossover is what
+range). Each list starts empty, as in a run, and its time includes its
+builds. The table shows where the Verlet list starts to beat the
+all-pairs list; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
 Waypoint stepping: one numpy tick per call at the same sizes.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
-    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 50,64,100 --ticks 300
+    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 75,100,128 --ticks 300
 """
 
 from __future__ import annotations
@@ -50,42 +51,49 @@ def trajectory(n: int, ticks: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def time_per_tick(make_fn, frames) -> float:
     """Best of three mean seconds per tick over the whole trajectory.
 
-    ``make_fn()`` returns a fresh per-tick callable, so a neighbour list
-    starts empty in each trial, as it does in each run.
+    ``make_fn(n)`` returns a fresh per-tick callable, so a pair list is
+    built inside each trial, as it is in each run.
     """
     best = float("inf")
     for _ in range(3):
-        fn = make_fn()
         start = time.perf_counter()
+        fn = make_fn(len(frames[0][0]))
         for x, y in frames:
             fn(x, y, RADIO_RANGE)
         best = min(best, (time.perf_counter() - start) / len(frames))
     return best
 
 
-def neighbour_list_fn():
-    neighbours = kernels.NeighbourList(SKIN)
-    return lambda x, y, r: kernels.contact_pairs(x, y, r, neighbours)
+def scan_fn(n: int):
+    return kernels._contact_pairs_numpy
+
+
+def all_pairs_fn(n: int):
+    return kernels.AllPairs(n).pairs
+
+
+def verlet_fn(n: int):
+    return kernels.NeighbourList(SKIN).pairs
 
 
 def bench_contacts(sizes: list[int], ticks: int) -> int | None:
-    """Print the per-tick table; return the smallest size from which the list beats the scan."""
+    """Print the per-tick table; return the smallest size from which the Verlet list beats all pairs."""
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, baseline density)")
-    header = f"{'n':>6}  {'scan':>11}  {'grid':>11}  {'list':>11}  {'scan/list':>9}"
+    header = f"{'n':>6}  {'scan':>11}  {'all pairs':>11}  {'verlet':>11}  {'all/verlet':>10}"
     print(header)
     print("-" * len(header))
     crossover = None
     for n in sizes:
         frames = trajectory(n, ticks)
-        t_scan = time_per_tick(lambda: kernels._contact_pairs_numpy, frames)
-        t_grid = time_per_tick(lambda: kernels._contact_pairs_grid, frames)
-        t_list = time_per_tick(neighbour_list_fn, frames)
-        ratio = t_scan / t_list
+        t_scan = time_per_tick(scan_fn, frames)
+        t_all = time_per_tick(all_pairs_fn, frames)
+        t_verlet = time_per_tick(verlet_fn, frames)
+        ratio = t_all / t_verlet
         if ratio <= 1.0:
             crossover = None
         elif crossover is None:
             crossover = n
-        print(f"{n:>6}  {t_scan * 1e6:>9.1f}us  {t_grid * 1e6:>9.1f}us  {t_list * 1e6:>9.1f}us  {ratio:>8.2f}x")
+        print(f"{n:>6}  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x")
     return crossover
 
 
@@ -104,13 +112,16 @@ def bench_waypoints(sizes: list[int], repeats: int) -> None:
             np.zeros(n), np.zeros(n),
         )
         cand = rng.random((n, 3))
-        common = (cand, 0.0, 1.0, arena, arena, 5.0, 15.0, 2.0)
-        kernels.waypoint_step(*state, *common)
+        common = (arena, arena, 5.0, 15.0, 2.0)
+        # the clock advances a tick per call, so pauses end and vehicles keep
+        # moving and arriving as in a run
+        tick = 0
+        kernels.waypoint_step(*state, cand, 0.0, 1.0, *common)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            for _ in range(repeats):
-                kernels.waypoint_step(*state, *common)
+            for tick in range(tick + 1, tick + 1 + repeats):
+                kernels.waypoint_step(*state, cand, float(tick), 1.0, *common)
             best = min(best, (time.perf_counter() - start) / repeats)
         print(f"{n:>6}  {best * 1e6:>9.1f}us")
 
@@ -118,8 +129,8 @@ def bench_waypoints(sizes: list[int], repeats: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes", default="15,30,50,64,75,100,300,1000",
-        help="comma-separated fleet sizes, ascending (default 15,30,50,64,75,100,300,1000)",
+        "--sizes", default="15,30,50,64,75,100,128,300,1000",
+        help="comma-separated fleet sizes, ascending (default 15,30,50,64,75,100,128,300,1000)",
     )
     parser.add_argument("--ticks", type=int, default=100, help="trajectory length per size (default 100)")
     parser.add_argument("--repeats", type=int, default=100, help="waypoint-step calls per trial (default 100)")
@@ -128,10 +139,10 @@ def main() -> None:
 
     crossover = bench_contacts(sizes, args.ticks)
     if crossover is None:
-        print("\nthe neighbour list does not beat the scan at the largest size measured")
+        print("\nthe Verlet list does not beat all pairs at the largest size measured")
     else:
-        print(f"\nthe neighbour list beats the scan from n={crossover} on, among the sizes measured")
-    print(f"engine.run keeps one from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES}")
+        print(f"\nthe Verlet list beats all pairs from n={crossover} on, among the sizes measured")
+    print(f"engine.run keeps it from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES}")
     bench_waypoints(sizes, args.repeats)
 
 

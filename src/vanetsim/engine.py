@@ -3,16 +3,16 @@
 One run: place a fleet, inject a single packet at a source vehicle at
 t=0, then run one loop over the ticks within both the run and the packet
 deadline. Every tick after 0 moves the fleet; each tick detects radio
-contacts and hands the packet across them epidemically. Fleets of
-NEIGHBOUR_LIST_MIN_VEHICLES or more detect contacts through one
-``NeighbourList`` per run: the pairs within ``radio_range + skin``, with
-``skin = min(radio_range, 4 * speed_max * tick_seconds)``, filtered each
-tick by the contact predicate, and rebuilt once some vehicle has moved
-more than ``skin / 2`` since the last build; smaller fleets scan every
-pair every tick. Both give exactly the one-shot ``contact_pairs``. Pairs
-whose ends both carried the packet at the start of the tick are skipped,
-as neither can give the other anything; the rest are walked in (a, b)
-order, so a vehicle reached early in a tick can forward within it.
+contacts and hands the packet across them epidemically. Every run keeps
+one pair list and filters it each tick by the contact predicate: below
+NEIGHBOUR_LIST_MIN_VEHICLES ``AllPairs``, every pair, built once; from
+there on a Verlet ``NeighbourList`` of the pairs within ``radio_range +
+skin``, ``skin = min(radio_range, 4 * speed_max * tick_seconds)``, rebuilt
+once some vehicle has moved more than ``skin / 2``. Both give exactly the
+one-shot ``contact_pairs``. Pairs whose ends both carried the packet at
+the start of the tick are skipped, as neither can give the other
+anything; the rest are walked in (a, b) order, so a vehicle reached
+early in a tick can forward within it.
 Routing stops early at first delivery when the run is configured for
 delivery-triggered settlement (always the case for the packet-trade
 scheme); mobility stops with routing. The run then settles once, at the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incentives import IncentiveConfig
-from .kernels import NEIGHBOUR_LIST_MIN_VEHICLES, NeighbourList, contact_pairs
+from .kernels import NEIGHBOUR_LIST_MIN_VEHICLES, AllPairs, NeighbourList, contact_pairs
 from .mobility import MobilityConfig, RandomWaypointModel
 from .model import (
     PROPORTIONAL_SCHEMES,
@@ -190,11 +190,10 @@ def run(
     delivered_at: float | None = None
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
-    neighbours = None
-    if n >= NEIGHBOUR_LIST_MIN_VEHICLES:
-        # ~2 ticks at top speed between rebuilds; the list stays exact at any speed
-        skin = min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt)
-        neighbours = NeighbourList(skin)
+    if n < NEIGHBOUR_LIST_MIN_VEHICLES:
+        neighbours = AllPairs(n)
+    else:  # ~2 ticks at top speed between rebuilds; the list stays exact at any speed
+        neighbours = NeighbourList(min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt))
     for tick in range(last_tick + 1):
         if tick:
             model.step()

@@ -1,30 +1,31 @@
 """Hot per-tick kernels: radio contact detection and waypoint stepping.
 
-There is one waypoint step, in numpy, and one ``contact_pairs``. Every
+There is one waypoint step and one ``contact_pairs``, both numpy. Every
 contact test is the same predicate, ``dx*dx + dy*dy <= r*r``, and every
 pair list comes out sorted by (a, b) with a < b, so the choice of
-algorithm never changes a run's output. Everything is numpy.
+algorithm never changes a run's output.
 
-Below NEIGHBOUR_LIST_MIN_VEHICLES a quadratic distance scan is cheapest,
-because call overhead dominates. From there on a cell-grid range search
-finds the pairs: vehicles are sorted by the key of a square cell a hair
+Every run keeps one pair list and filters it each tick. Below
+NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead outweighs the pairs
+tested, it is ``AllPairs``, built once; from there on it is a Verlet
+``NeighbourList`` of the pairs within ``r + skin``, rebuilt once some
+vehicle has moved more than ``skin / 2`` (Verlet 1967) by a cell-grid
+range search. The grid sorts vehicles by the key of a square cell a hair
 wider than the cutoff, so a pair in range lies in one cell or in two
-adjacent ones, and each cell is compared with itself and four of its
-neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
-Liquids*, §5.3). For a run, the grid builds a ``NeighbourList`` of the
-pairs within ``r + skin``, which later ticks only filter until some
-vehicle has moved more than ``skin / 2`` (Verlet 1967).
-``benchmarks/bench_kernels.py`` times the scan, the grid and the list per
-tick; where the list starts to beat the scan sets the constant.
+adjacent ones, and compares each cell with itself and four neighbours
+(cell lists; Allen & Tildesley, *Computer Simulation of Liquids*, §5.3).
+A one-shot call scans all pairs below the constant and uses the grid from
+it on. ``benchmarks/bench_kernels.py`` times both lists and the scan per
+tick; where the Verlet list starts to beat all pairs sets the constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Fleets at least this large keep a neighbour list (and a one-shot call uses
-# the cell grid); smaller ones scan every pair every tick.
-NEIGHBOUR_LIST_MIN_VEHICLES = 64
+# Fleets at least this large keep a Verlet list (and a one-shot call uses the
+# cell grid); smaller ones keep all pairs (and a one-shot call scans them).
+NEIGHBOUR_LIST_MIN_VEHICLES = 100
 
 # Cells are this much wider than the cutoff, so rounding in the cell index
 # can never put two points in range two cells apart.
@@ -88,16 +89,29 @@ def _contact_pairs_grid(x: np.ndarray, y: np.ndarray, radio_range: float):
     return code // n, code % n
 
 
-class NeighbourList:
+class AllPairs:
+    """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range."""
+
+    def __init__(self, n: int) -> None:
+        a, b = np.triu_indices(n, 1)  # row-major, so already in (a, b) order
+        self.a, self.b = a.astype(np.int64), b.astype(np.int64)
+
+    def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
+        dx = x[self.a] - x[self.b]
+        dy = y[self.a] - y[self.b]
+        near = dx * dx + dy * dy <= radio_range * radio_range
+        return self.a[near], self.b[near]
+
+
+class NeighbourList(AllPairs):
     """Verlet list for one fleet: every pair within ``radio_range + skin``.
 
-    Each call returns the list's pairs that satisfy the contact predicate
-    on the current positions, which are exactly ``contact_pairs``' pairs as
-    long as no vehicle has moved more than ``skin / 2`` since the list was
-    built: a pair in range now was within ``r + skin`` then. Past that
-    displacement, or on a new radio range, the call rebuilds the list from
-    the cell grid first (Verlet 1967). The rule assumes no speed bound, so
-    it holds for any motion.
+    Filtering it gives exactly ``contact_pairs``' pairs as long as no
+    vehicle has moved more than ``skin / 2`` since the list was built: a
+    pair in range now was within ``r + skin`` then. Past that displacement,
+    or on a new radio range, a call rebuilds the list from the cell grid
+    first (Verlet 1967). The rule assumes no speed bound, so it holds for
+    any motion.
     """
 
     def __init__(self, skin: float) -> None:
@@ -118,14 +132,10 @@ class NeighbourList:
             self.a, self.b = _contact_pairs_grid(x, y, cutoff)
             self.x0, self.y0 = x.copy(), y.copy()
             self.radio_range = radio_range
-        a, b = self.a, self.b
-        dx = x[a] - x[b]
-        dy = y[a] - y[b]
-        near = dx * dx + dy * dy <= radio_range * radio_range
-        return a[near], b[near]
+        return super().pairs(x, y, radio_range)
 
 
-def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float, neighbours: NeighbourList | None = None):
+def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float, neighbours: AllPairs | None = None):
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
     With ``neighbours`` the pairs come from (and refresh) that list; without
@@ -154,27 +164,26 @@ def waypoint_step(
     dist = np.sqrt(dx * dx + dy * dy)
     step_len = speed * dt
     arrive = (dist <= step_len) & ~paused
-    move = ~arrive & ~paused
+    move = ~(arrive | paused)
 
-    ux = np.divide(dx, dist, out=np.zeros_like(dx), where=move)
-    uy = np.divide(dy, dist, out=np.zeros_like(dy), where=move)
-    x[move] = x[move] + ux[move] * step_len[move]
-    y[move] = y[move] + uy[move] * step_len[move]
-    vx[move] = ux[move] * speed[move]
-    vy[move] = uy[move] * speed[move]
+    # each where= lane goes through the same IEEE operations as a masked gather would
+    np.divide(dx, dist, out=dx, where=move)  # unit vector toward the waypoint
+    np.divide(dy, dist, out=dy, where=move)
+    vx.fill(0.0)  # arriving and paused vehicles stand
+    vy.fill(0.0)
+    np.multiply(dx, speed, out=vx, where=move)
+    np.multiply(dy, speed, out=vy, where=move)
+    np.add(x, np.multiply(dx, step_len, out=dx, where=move), out=x, where=move)
+    np.add(y, np.multiply(dy, step_len, out=dy, where=move), out=y, where=move)
 
-    x[arrive] = wx[arrive]
-    y[arrive] = wy[arrive]
-    vx[arrive] = 0.0
-    vy[arrive] = 0.0
-    pause_until[arrive] = now + pause_time
-    wx[arrive] = cand[arrive, 0] * arena_w
-    wy[arrive] = cand[arrive, 1] * arena_h
-    speed[arrive] = speed_min + cand[arrive, 2] * (speed_max - speed_min)
+    if arrive.any():
+        np.copyto(x, wx, where=arrive)
+        np.copyto(y, wy, where=arrive)
+        np.copyto(pause_until, now + pause_time, where=arrive)
+        np.multiply(cand[:, 0], arena_w, out=wx, where=arrive)
+        np.multiply(cand[:, 1], arena_h, out=wy, where=arrive)
+        np.add(speed_min, cand[:, 2] * (speed_max - speed_min), out=speed, where=arrive)
 
-    vx[paused] = 0.0
-    vy[paused] = 0.0
-
-    # guard against 1-ulp overshoot past the arena edge
-    np.clip(x, 0.0, arena_w, out=x)
-    np.clip(y, 0.0, arena_h, out=y)
+    # guard against 1-ulp overshoot past the arena edge (positions are never -0.0)
+    np.minimum(np.maximum(x, 0.0, out=x), arena_w, out=x)
+    np.minimum(np.maximum(y, 0.0, out=y), arena_h, out=y)

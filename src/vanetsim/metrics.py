@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +26,6 @@ from .model import ValidationError
 from .routing import descendant_counts
 
 SCHEMA_VERSION = 1
-
-ROW_FIELDS = (
-    "vehicle_id",
-    "reward",
-    "contribution",
-    "stored_time",
-    "forward_count",
-    "effective_distance",
-    "receive_distance",
-    "descendants",
-    "depth",
-)
 
 # bin key -> (row attribute, default bin width)
 BIN_KEYS: dict[str, tuple[str, float]] = {
@@ -62,6 +50,10 @@ class NodeRow:
     depth: int
 
 
+# the CSV header and every exported row's keys, in declaration order
+ROW_FIELDS = tuple(f.name for f in fields(NodeRow))
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Everything exported about one run; identity and totals live in ``scenario``."""
@@ -75,7 +67,7 @@ class RunSummary:
         return {
             "schema_version": self.schema_version,
             "scenario": dict(self.scenario),
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [{name: getattr(r, name) for name in ROW_FIELDS} for r in self.rows],
             "aggregates": self.aggregates,
         }
 

@@ -205,13 +205,16 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
 
 
 def test_contact_engine_matches_quadratic_oracle(capsys):
-    """Contact detection, scan or cell grid by fleet size, is exact on moving fleets.
+    """Contact detection, one-shot and through the run's pair list, is exact on moving fleets.
 
     50 seeded mobility runs, fleets up to 200 vehicles, every tick checked
     against the full-matrix oracle, exact index-pair equality.
     """
     start = time.perf_counter()
-    backend = f"numpy scan below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, cell grid from there"
+    backend = (
+        f"all-pairs list (one-shot: numpy scan) below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, "
+        "Verlet list (one-shot: cell grid) from there"
+    )
     ticks_checked = 0
     for run_idx in range(50):
         meta = np.random.default_rng(run_idx)
@@ -226,11 +229,16 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
             speed_max=20.0,
         )
         model = RandomWaypointModel(cfg, np.random.default_rng(1000 + run_idx))
+        if n < kernels.NEIGHBOUR_LIST_MIN_VEHICLES:  # the list engine.run keeps
+            neighbours = kernels.AllPairs(n)
+        else:
+            neighbours = kernels.NeighbourList(min(radio, 4.0 * cfg.speed_max * cfg.tick_seconds))
         for _ in range(25):
             model.step()
-            got_a, got_b = kernels.contact_pairs(model.x, model.y, radio)
             ref_a, ref_b = reference_pairs(model.x, model.y, radio)
-            assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+            for pair_list in (None, neighbours):
+                got_a, got_b = kernels.contact_pairs(model.x, model.y, radio, pair_list)
+                assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
             ticks_checked += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0

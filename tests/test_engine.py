@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vanetsim import engine, routing
+from vanetsim import engine, kernels, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.kernels import contact_pairs
@@ -225,6 +225,31 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, s
         assert steps < round(pkt.deadline / MOB.tick_seconds)
     assert calls == list(range(1, steps + 1))
     assert result.ticks_run == steps
+
+
+def test_small_fleet_builds_its_pair_list_once(monkeypatch):
+    builds, calls = [], []
+    init, pairs = kernels.AllPairs.__init__, kernels.AllPairs.pairs
+
+    def counting_init(self, n):
+        builds.append(n)
+        init(self, n)
+
+    def counting_pairs(self, x, y, radio_range):
+        calls.append(radio_range)
+        return pairs(self, x, y, radio_range)
+
+    def no_scan(*args):
+        raise AssertionError("a run with a pair list never scans or searches afresh")
+
+    monkeypatch.setattr(kernels.AllPairs, "__init__", counting_init)
+    monkeypatch.setattr(kernels.AllPairs, "pairs", counting_pairs)
+    monkeypatch.setattr(kernels, "_contact_pairs_numpy", no_scan)
+    monkeypatch.setattr(kernels, "_contact_pairs_grid", no_scan)
+    result = run_default(seed=7)
+    assert MOB.vehicle_count == 15 and result.ticks_run == 300
+    assert builds == [15]
+    assert len(calls) == 301  # ticks 0..300
 
 
 def test_run_past_the_deadline_exports_the_same_summary():

@@ -1,10 +1,10 @@
-"""Contact detection (both branches, and the neighbour list) and waypoint stepping against oracles."""
+"""Contact detection (both one-shot branches, and both pair lists) and waypoint stepping against oracles."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import kernels
@@ -167,20 +167,28 @@ class TestNeighbourList:
         step_share=st.sampled_from([0.0, 0.05, 0.3, 1.5, 4.0]),
         lattice=st.booleans(),
     )
+    @example(seed=0, n=0, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False)
+    @example(seed=0, n=1, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False)
+    @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, radio_range=25.0, skin_share=0.6,
+             step_share=1.5, lattice=True)
     def test_equals_one_shot_search_every_tick(self, seed, n, radio_range, skin_share, step_share, lattice):
         # random walks; a step share of 0 is a standing fleet and shares
         # above 0.5 step past the skin; on the integer lattice 3-4-5 and
-        # axis-aligned ties at exactly r are common
+        # axis-aligned ties at exactly r are common. Below the threshold the
+        # all-pairs list, the one engine.run keeps there, is checked too.
         rng = np.random.default_rng(seed)
         skin = skin_share * radio_range
         side = 2.0 * radio_range * max(n, 1) ** 0.5  # ~0.8 vehicles within r of each
         x, y = rng.random(n) * side, rng.random(n) * side
-        neighbours = kernels.NeighbourList(skin)
+        lists = [kernels.NeighbourList(skin)]
+        if n < kernels.NEIGHBOUR_LIST_MIN_VEHICLES:
+            lists.append(kernels.AllPairs(n))
         for _ in range(25):
-            a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
             ea, eb = kernels.contact_pairs(x, y, radio_range)
-            assert np.array_equal(a, ea) and np.array_equal(b, eb)
-            assert a.dtype == b.dtype == np.int64
+            for neighbours in lists:
+                a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
+                assert np.array_equal(a, ea) and np.array_equal(b, eb)
+                assert a.dtype == b.dtype == np.int64
             step = step_share * max(skin, radio_range)
             x = x + rng.uniform(-step, step, n)
             y = y + rng.uniform(-step, step, n)
@@ -258,3 +266,87 @@ class TestWaypointStep:
         assert pause[0] == 10.0  # now + pause_time
         assert (wx[0], wy[0]) == (50.0, 50.0)  # fresh waypoint from cand
         assert speed[0] == 1.0 + 0.5 * (5.0 - 1.0)
+
+
+def masked_waypoint_step(
+    x, y, wx, wy, speed, pause_until, vx, vy, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
+) -> None:
+    """Reference: the waypoint step as masked gathers and scatters, one per state array."""
+    paused = now < pause_until
+    dx = wx - x
+    dy = wy - y
+    dist = np.sqrt(dx * dx + dy * dy)
+    step_len = speed * dt
+    arrive = (dist <= step_len) & ~paused
+    move = ~arrive & ~paused
+
+    ux = np.divide(dx, dist, out=np.zeros_like(dx), where=move)
+    uy = np.divide(dy, dist, out=np.zeros_like(dy), where=move)
+    x[move] = x[move] + ux[move] * step_len[move]
+    y[move] = y[move] + uy[move] * step_len[move]
+    vx[move] = ux[move] * speed[move]
+    vy[move] = uy[move] * speed[move]
+
+    x[arrive] = wx[arrive]
+    y[arrive] = wy[arrive]
+    vx[arrive] = 0.0
+    vy[arrive] = 0.0
+    pause_until[arrive] = now + pause_time
+    wx[arrive] = cand[arrive, 0] * arena_w
+    wy[arrive] = cand[arrive, 1] * arena_h
+    speed[arrive] = speed_min + cand[arrive, 2] * (speed_max - speed_min)
+
+    vx[paused] = 0.0
+    vy[paused] = 0.0
+
+    np.clip(x, 0.0, arena_w, out=x)
+    np.clip(y, 0.0, arena_h, out=y)
+
+
+class TestFusedWaypointStep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        still=st.booleans(),
+        dt=st.sampled_from([0.25, 1.0, 3.0]),
+        pause_time=st.sampled_from([0.0, 1.0, 2.5]),
+    )
+    @example(seed=0, n=1, still=True, dt=1.0, pause_time=0.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=0.0)
+    def test_bit_identical_to_masked_step(self, seed, n, still, dt, pause_time):
+        rng = np.random.default_rng(seed)
+        w, h = 300.0, 200.0
+        speed_min, speed_max = (0.0, 0.0) if still else (2.0, 60.0)
+        on_edge = rng.random((2, n)) < 0.2  # waypoints on the arena's edges and corners
+
+        wx = np.where(on_edge[0], rng.choice([0.0, w], n), rng.random(n) * w)
+        wy = np.where(on_edge[1], rng.choice([0.0, h], n), rng.random(n) * h)
+        x, y = rng.random(n) * w, rng.random(n) * h
+        speed = speed_min + rng.random(n) * (speed_max - speed_min)
+        # paused, pausing until exactly tick 0 or 1, or free
+        pause = rng.choice([-np.inf, 0.0, 1.0, 5.0], n)
+        vx, vy = rng.random(n), rng.random(n)
+        x[0], y[0] = wx[0], wy[0]  # standing on its waypoint: dist == 0
+        if n > 1:
+            x[1], y[1] = w, 0.0  # on the arena's corner
+        if n > 2:  # arrives this tick, unless paused
+            pause[2] = -np.inf
+            x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
+        if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
+            x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
+        state = (x, y, wx, wy, speed, pause, vx, vy)
+        expected = tuple(a.copy() for a in state)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0/0 in any lane would fail
+            for tick in range(30):
+                cand = rng.random((n, 3))
+                cand[rng.random((n, 3)) < 0.1] = 0.0  # fresh waypoints on the edge
+                cand[rng.random((n, 3)) < 0.1] = 1.0
+                common = (cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
+                kernels.waypoint_step(*state, *common)
+                masked_waypoint_step(*expected, *common)
+                for got, want in zip(state, expected):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
