@@ -9,10 +9,10 @@ NEIGHBOUR_LIST_MIN_VEHICLES ``AllPairs``, every pair, built once; from
 there on a Verlet ``NeighbourList`` of the pairs within ``radio_range +
 skin``, ``skin = min(radio_range, 4 * speed_max * tick_seconds)``, rebuilt
 once some vehicle has moved more than ``skin / 2``. Both give exactly the
-one-shot ``contact_pairs``. Pairs whose ends both carried the packet at
-the start of the tick are skipped, as neither can give the other
-anything; the rest are walked in (a, b) order, so a vehicle reached
-early in a tick can forward within it.
+one-shot ``contact_pairs``. Within a tick the packet spreads only along
+its pairs from the tick's first carriers, so only pairs in a carrier's
+component (grown in numpy) and not both carried are walked, in (a, b)
+order: a vehicle reached early in a tick can forward within it.
 Routing stops early at first delivery when the run is configured for
 delivery-triggered settlement (always the case for the packet-trade
 scheme); mobility stops with routing. The run then settles once, at the
@@ -205,6 +205,13 @@ def run(
             continue  # every vehicle carries: no contact can hand off
         # both ends carried at tick start, so both still carry: no handoff possible
         keep = ~(carried[a] & carried[b])
+        a, b = a[keep], b[keep]
+        reach = carried.copy()  # a pair out of every carrier's component cannot hand off
+        grow = reach[a] != reach[b]
+        while np.count_nonzero(grow):
+            reach[a[grow]] = reach[b[grow]] = True
+            grow = reach[a] != reach[b]
+        keep = reach[a]
         for i, j in zip(a[keep].tolist(), b[keep].tolist()):
             link = handle_encounter(tree, packet, i, j, x, y, now)
             if link is None:

@@ -89,6 +89,12 @@ def _contact_pairs_grid(x: np.ndarray, y: np.ndarray, radio_range: float):
     return code // n, code % n
 
 
+def _in_range(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, radio_range: float):
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    near = dx * dx + dy * dy <= radio_range * radio_range
+    return a[near], b[near]
+
+
 class AllPairs:
     """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range."""
 
@@ -97,13 +103,10 @@ class AllPairs:
         self.a, self.b = a.astype(np.int64), b.astype(np.int64)
 
     def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        dx = x[self.a] - x[self.b]
-        dy = y[self.a] - y[self.b]
-        near = dx * dx + dy * dy <= radio_range * radio_range
-        return self.a[near], self.b[near]
+        return _in_range(self.a, self.b, x, y, radio_range)
 
 
-class NeighbourList(AllPairs):
+class NeighbourList:
     """Verlet list for one fleet: every pair within ``radio_range + skin``.
 
     Filtering it gives exactly ``contact_pairs``' pairs as long as no
@@ -116,8 +119,7 @@ class NeighbourList(AllPairs):
 
     def __init__(self, skin: float) -> None:
         self.skin = skin
-        self.radio_range: float | None = None
-        self.x0 = self.y0 = self.a = self.b = None
+        self.radio_range: float | None = None  # none yet: the first call builds the list
 
     def _stale(self, x: np.ndarray, y: np.ndarray, radio_range: float) -> bool:
         if radio_range != self.radio_range:
@@ -132,10 +134,11 @@ class NeighbourList(AllPairs):
             self.a, self.b = _contact_pairs_grid(x, y, cutoff)
             self.x0, self.y0 = x.copy(), y.copy()
             self.radio_range = radio_range
-        return super().pairs(x, y, radio_range)
+        return _in_range(self.a, self.b, x, y, radio_range)
 
 
-def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float, neighbours: AllPairs | None = None):
+def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
+                  neighbours: AllPairs | NeighbourList | None = None):
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
     With ``neighbours`` the pairs come from (and refresh) that list; without
@@ -176,7 +179,7 @@ def waypoint_step(
     np.add(x, np.multiply(dx, step_len, out=dx, where=move), out=x, where=move)
     np.add(y, np.multiply(dy, step_len, out=dy, where=move), out=y, where=move)
 
-    if arrive.any():
+    if np.count_nonzero(arrive):
         np.copyto(x, wx, where=arrive)
         np.copyto(y, wy, where=arrive)
         np.copyto(pause_until, now + pause_time, where=arrive)

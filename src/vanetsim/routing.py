@@ -6,10 +6,10 @@ copied over and the handoff is added to the tree. Carriers keep their
 copy, so each vehicle joins the tree at most once and the tree is the
 packet's whole routing state: its nodes are the carriers, a carrier's
 receipt time and position are on the link that reached it, and its
-forwards are the links it sent. The engine skips contacts whose ends
-both carried at the start of the tick and walks the rest in (a, b)
-order, so a vehicle that receives a copy can forward it again within the
-same tick.
+forwards are the links it sent. Within a tick a copy moves only along
+that tick's contacts, from the vehicles that carried at its start, so the
+engine routes only contacts in such a carrier's component, not both
+carried, in (a, b) order: a receiver can forward again within the tick.
 """
 
 from __future__ import annotations

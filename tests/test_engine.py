@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -260,13 +260,29 @@ def test_run_past_the_deadline_exports_the_same_summary():
     assert summary(600.0) == summary(300.0)
 
 
+def _joined_to(carriers, pairs):
+    """Every vehicle joined to a carrier by a chain of the given pairs."""
+    adjacent = defaultdict(list)
+    for i, j in pairs:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen, todo = set(carriers), list(carriers)
+    while todo:
+        for k in adjacent[todo.pop()]:
+            if k not in seen:
+                seen.add(k)
+                todo.append(k)
+    return seen
+
+
 def _route_every_pair(result, mob, eng, settle_on_delivery):
     """Replay a run's routing with no pair filter: every contact pair is offered.
 
     Returns the tree, the contact count, the handoff calls the filtered
-    engine must make per tick time (pairs not both carried at tick start,
-    on ticks that start with some vehicle still uncarried) and the first
-    tick time that started with every vehicle carrying.
+    engine must make per tick time (pairs not both carried at tick start
+    whose component in the tick's contact graph holds a carrier at tick
+    start, on ticks that start with some vehicle still uncarried) and the
+    first tick time that started with every vehicle carrying.
     """
     mob_seq, _ = np.random.SeedSequence(result.seed).spawn(2)
     model = RandomWaypointModel(mob, np.random.default_rng(mob_seq))
@@ -280,12 +296,14 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         now = model.now
         a, b = contact_pairs(model.x, model.y, eng.radio_range)
         contact_events += len(a)
+        pairs = list(zip(a.tolist(), b.tolist()))
         carried_at_start = set(tree.depth)
+        reached = _joined_to(carried_at_start, pairs)
         if len(carried_at_start) == mob.vehicle_count and full_from is None:
             full_from = now
         delivered = False
-        for i, j in zip(a.tolist(), b.tolist()):
-            if full_from is None and not (i in carried_at_start and j in carried_at_start):
+        for i, j in pairs:
+            if full_from is None and not (i in carried_at_start and j in carried_at_start) and i in reached:
                 expected_calls[now] += 1
             link = routing.handle_encounter(tree, result.packet, i, j, model.x, model.y, now)
             if settle_on_delivery and link is not None and link.to_id == result.destination_id:
@@ -294,6 +312,30 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         if delivered:
             break
     return tree, contact_events, expected_calls, full_from
+
+
+def _stand_fleet(monkeypatch, xs, ys):
+    """A fleet at speed 0 that stands on the given positions for the whole run."""
+    init = RandomWaypointModel.__post_init__
+
+    def placed(model):
+        init(model)
+        model.x, model.y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+
+    monkeypatch.setattr(RandomWaypointModel, "__post_init__", placed)
+    return MobilityConfig(vehicle_count=len(xs), speed_min=0.0, speed_max=0.0)
+
+
+def _logged_encounters(monkeypatch):
+    """Every (now, a, b) the engine offers to ``handle_encounter``, in order."""
+    offered = []
+
+    def logging_handle_encounter(tree, packet, a_id, b_id, x, y, now):
+        offered.append((now, a_id, b_id))
+        return routing.handle_encounter(tree, packet, a_id, b_id, x, y, now)
+
+    monkeypatch.setattr(engine, "handle_encounter", logging_handle_encounter)
+    return offered
 
 
 DENSE = MobilityConfig(vehicle_count=150, arena_width=400.0, arena_height=400.0)
@@ -312,14 +354,9 @@ DENSE = MobilityConfig(vehicle_count=150, arena_width=400.0, arena_height=400.0)
     ids=["dense0", "dense1", "dense2", "settle_on_delivery", "trade"],
 )
 def test_pair_filter_matches_routing_every_pair(monkeypatch, mob, eng, inc, seed, settle_on_delivery):
-    calls = Counter()
-
-    def counting_handle_encounter(tree, packet, a_id, b_id, x, y, now):
-        calls[now] += 1
-        return routing.handle_encounter(tree, packet, a_id, b_id, x, y, now)
-
-    monkeypatch.setattr(engine, "handle_encounter", counting_handle_encounter)
+    offered = _logged_encounters(monkeypatch)
     result = run(mob, eng, inc, PacketSpec(deadline=eng.duration), seed)
+    calls = Counter(now for now, _, _ in offered)
     tree, contact_events, expected_calls, full_from = _route_every_pair(
         result, mob, eng, settle_on_delivery
     )
@@ -332,6 +369,42 @@ def test_pair_filter_matches_routing_every_pair(monkeypatch, mob, eng, inc, seed
     else:  # the tree fills mid-run; no call is made from the next tick on
         assert full_from is not None
         assert all(now < full_from for now in calls)
+
+
+def test_component_without_a_carrier_is_never_routed(monkeypatch):
+    # source 0 and vehicle 3 meet; 1-2-4 is a chain of contacts far away,
+    # its pairs interleaved with the carrier's in (a, b) order; 5 is alone
+    mob = _stand_fleet(monkeypatch, [0, 500, 550, 50, 600, 900], [0, 500, 500, 0, 500, 900])
+    offered = _logged_encounters(monkeypatch)
+    eng = EngineConfig(radio_range=60.0, duration=5.0, source_id=0)
+    result = run(mob, eng, INC, PacketSpec(deadline=5.0), 0)
+    assert result.contact_events == 3 * 6  # (0, 3), (1, 2) and (2, 4) on ticks 0..5
+    assert offered == [(0.0, 0, 3)]  # later ticks hold no uncarried vehicle it can reach
+    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == [(0, 3, 0.0)]
+    tree, contact_events, _, _ = _route_every_pair(result, mob, eng, False)
+    assert result.tree.links == tree.links
+    assert result.contact_events == contact_events
+
+
+@pytest.mark.parametrize(
+    "source,hops",
+    [
+        (0, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0)]),  # pairs in (a, b) order relay it at once
+        (3, [(3, 2, 0.0), (2, 1, 1.0), (1, 0, 2.0)]),  # against the order: a hop a tick
+    ],
+    ids=["with_pair_order", "against_pair_order"],
+)
+def test_chain_is_routed_like_every_pair(monkeypatch, source, hops):
+    # source-A-B-C 90 m apart with a 100 m range: each vehicle meets only its neighbours
+    mob = _stand_fleet(monkeypatch, [0, 90, 180, 270], [0, 0, 0, 0])
+    offered = _logged_encounters(monkeypatch)
+    eng = EngineConfig(radio_range=100.0, duration=4.0, source_id=source)
+    result = run(mob, eng, INC, PacketSpec(deadline=4.0), 0)
+    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == hops
+    tree, contact_events, expected_calls, _ = _route_every_pair(result, mob, eng, False)
+    assert result.tree.links == tree.links
+    assert result.contact_events == contact_events
+    assert Counter(now for now, _, _ in offered) == expected_calls
 
 
 class TestAccounting:
