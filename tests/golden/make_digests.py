@@ -51,12 +51,18 @@ def cases() -> dict[str, object]:
     for scheme in Scheme:
         for seed in (0, 1, 2):
             out[f"baseline/{scheme.value}/s{seed}"] = with_updates(base, seed=seed, scheme=scheme)
-    # 128 vehicles at the baseline density: contact detection takes the k-d tree branch
+    # 128 vehicles at the baseline density: each run keeps a Verlet neighbour list
     fleet = scenario_from_dict(
         _variant(raw, mobility={"vehicle_count": 128, "arena_width": 2336.0, "arena_height": 2336.0})
     )
     for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE):
         out[f"fleet128/{scheme.value}/s0"] = with_updates(fleet, seed=0, scheme=scheme)
+    # 300 vehicles in the baseline arena: ~20x the density, so the Verlet
+    # list holds thousands of pairs and rebuilds every few ticks
+    dense = scenario_from_dict(
+        _variant(raw, mobility={"vehicle_count": 300}, engine={"duration": 60.0})
+    )
+    out["dense300/second_proposal/s0"] = with_updates(dense, seed=0)
     # the deadline falls between ticks, so settlement fires mid-run
     early = scenario_from_dict(_variant(raw, packet={"deadline": 150.5}))
     out["deadline150.5/second_proposal/s0"] = with_updates(early, seed=0)
