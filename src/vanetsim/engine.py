@@ -192,7 +192,7 @@ def run(
     carried[source] = True
     if n < NEIGHBOUR_LIST_MIN_VEHICLES:
         neighbours = AllPairs(n)
-    else:  # ~2 ticks at top speed between rebuilds; the list stays exact at any speed
+    else:  # half the skin is 2 ticks at top speed, so it rebuilds every ~3rd tick; exact at any speed
         neighbours = NeighbourList(min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt))
     for tick in range(last_tick + 1):
         if tick:

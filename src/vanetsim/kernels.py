@@ -1,6 +1,6 @@
 """Hot per-tick kernels: radio contact detection and waypoint stepping.
 
-There is one waypoint step and one ``contact_pairs``, both numpy. Every
+There is one waypoint step and one cell-grid search, both numpy. Every
 contact test is the same predicate, ``dx*dx + dy*dy <= r*r``, and every
 pair list comes out sorted by (a, b) with a < b, so the choice of
 algorithm never changes a run's output.
@@ -14,17 +14,28 @@ range search. The grid sorts vehicles by the key of a square cell a hair
 wider than the cutoff, so a pair in range lies in one cell or in two
 adjacent ones, and compares each cell with itself and four neighbours
 (cell lists; Allen & Tildesley, *Computer Simulation of Liquids*, §5.3).
-A one-shot call scans all pairs below the constant and uses the grid from
-it on. ``benchmarks/bench_kernels.py`` times both lists and the scan per
-tick; where the Verlet list starts to beat all pairs sets the constant.
+A one-shot ``contact_pairs`` filters a fresh list of the same kind.
+``benchmarks/bench_kernels.py`` times both lists per tick; where the
+Verlet list starts to beat all pairs sets the constant.
+
+The Verlet list keeps its pair-sized work arrays for its whole life, and
+each call gathers positions once, as one complex array. With 300 vehicles
+in 800 m a build tests ~18 000 candidate pairs and a tick filters ~7 400
+list pairs, so fresh temporaries would be 59-290 KB each: glibc maps those
+over its 128 KiB mmap threshold afresh on every call, and trims the heap
+above it, so their pages fault in again each time. Kept buffers took a
+build there from ~950 to ~330-520 us and a tick's filter from ~210 to
+~65-100 us on a 2-core Xeon (numpy 2.4). ``AllPairs`` keeps plain
+temporaries: at 15 vehicles (105 pairs) they stay under 2 KB, so there is
+no churn to save, and the buffered filter took the same ~6 us a tick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Fleets at least this large keep a Verlet list (and a one-shot call uses the
-# cell grid); smaller ones keep all pairs (and a one-shot call scans them).
+# Fleets at least this large keep a Verlet list, smaller ones all pairs; a
+# one-shot call filters a fresh list of the same kind.
 NEIGHBOUR_LIST_MIN_VEHICLES = 100
 
 # Cells are this much wider than the cutoff, so rounding in the cell index
@@ -38,63 +49,6 @@ _MAX_CELLS = 1 << 20
 _LIST_MARGIN = 1e-9
 
 
-def _contact_pairs_numpy(x: np.ndarray, y: np.ndarray, radio_range: float):
-    """All unordered index pairs within radio_range, lexicographically sorted.
-
-    Full distance matrix, so memory grows as n**2: meant for small fleets.
-    """
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    ii, jj = np.nonzero(dx * dx + dy * dy <= radio_range * radio_range)
-    keep = ii < jj  # upper triangle only: each pair once, a < b
-    # row-major enumeration is already lexicographic in (a, b)
-    return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
-
-
-def _contact_pairs_grid(x: np.ndarray, y: np.ndarray, radio_range: float):
-    """The same pairs as the quadratic scan, from a cell-grid range search."""
-    n = x.shape[0]
-    if n < 2:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    x0, y0 = x.min(), y.min()
-    span = max(x.max() - x0, y.max() - y0)
-    # a huge span over a tiny range coarsens the cells instead of overflowing
-    side = max(radio_range * (1.0 + _CELL_MARGIN), span / _MAX_CELLS) or 1.0
-    cx = ((x - x0) / side).astype(np.int64)
-    cy = ((y - y0) / side).astype(np.int64) + 1
-    rows = int(cy.max()) + 2  # the first and last rows stay empty: cy -/+ 1 never wraps
-    key = cx * rows + cy
-    order = np.argsort(key)
-    sorted_key = key[order]
-
-    # Each vehicle visits its own cell and four of its eight neighbours, so
-    # each pair of cells is visited once. Keys run up a column, so those five
-    # cells are two runs of sorted_key: its own cell (only the vehicles after
-    # it) and the one above, then the three cells of the next column.
-    pos = np.arange(n)
-    start = np.concatenate((pos + 1, np.searchsorted(sorted_key, sorted_key + (rows - 1))))
-    end = np.searchsorted(sorted_key, np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
-    count = end - start
-    owner = np.repeat(np.concatenate((pos, pos)), count)
-    # the k-th candidate of an owner sits at start + k
-    other = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count), count)
-    i, j = order[owner], order[other]
-
-    dx = x[i] - x[j]
-    dy = y[i] - y[j]
-    near = dx * dx + dy * dy <= radio_range * radio_range
-    i, j = i[near], j[near]
-    code = np.minimum(i, j) * n + np.maximum(i, j)
-    code.sort()
-    return code // n, code % n
-
-
-def _in_range(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, radio_range: float):
-    dx, dy = x[a] - x[b], y[a] - y[b]
-    near = dx * dx + dy * dy <= radio_range * radio_range
-    return a[near], b[near]
-
-
 class AllPairs:
     """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range."""
 
@@ -103,38 +57,118 @@ class AllPairs:
         self.a, self.b = a.astype(np.int64), b.astype(np.int64)
 
     def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        return _in_range(self.a, self.b, x, y, radio_range)
+        dx, dy = x[self.a] - x[self.b], y[self.a] - y[self.b]
+        near = dx * dx + dy * dy <= radio_range * radio_range
+        return self.a[near], self.b[near]
 
 
 class NeighbourList:
     """Verlet list for one fleet: every pair within ``radio_range + skin``.
 
-    Filtering it gives exactly ``contact_pairs``' pairs as long as no
-    vehicle has moved more than ``skin / 2`` since the list was built: a
-    pair in range now was within ``r + skin`` then. Past that displacement,
-    or on a new radio range, a call rebuilds the list from the cell grid
+    Filtering it gives exactly the pairs in range as long as no vehicle has
+    moved more than ``skin / 2`` since the list was built: a pair in range
+    now was within ``r + skin`` then. Past that displacement, on a new radio
+    range or a new fleet size, a call rebuilds the list from the cell grid
     first (Verlet 1967). The rule assumes no speed bound, so it holds for
     any motion.
+
+    The list and the arrays of every distance test live in buffers the list
+    keeps for its whole life; a build that needs more room doubles them.
+    Only the candidate indices a build expands with ``np.repeat`` and the
+    indices of the pairs in range are fresh, and so are the pairs a call
+    returns.
     """
 
     def __init__(self, skin: float) -> None:
         self.skin = skin
         self.radio_range: float | None = None  # none yet: the first call builds the list
+        self.z0 = np.zeros(0, np.complex128)
+        self._grow(0)
+        self.a, self.b = self._a, self._b
 
-    def _stale(self, x: np.ndarray, y: np.ndarray, radio_range: float) -> bool:
-        if radio_range != self.radio_range:
+    def _grow(self, size: int) -> None:
+        """Buffers for ``size`` pairs: the list is a prefix of ``_a`` and ``_b``."""
+        self._za, self._zb = np.empty(size, np.complex128), np.empty(size, np.complex128)
+        self._d2 = np.empty(size)
+        self._a, self._b = np.empty(size, np.int64), np.empty(size, np.int64)
+        self._iota = np.arange(size, dtype=np.int64)
+
+    def _stale(self, z: np.ndarray, radio_range: float) -> bool:
+        if radio_range != self.radio_range or z.shape != self.z0.shape:
             return True
-        dx = x - self.x0
-        dy = y - self.y0
-        return bool((dx * dx + dy * dy).max(initial=0.0) > 0.25 * self.skin * self.skin)
+        v = (z - self.z0).view(np.float64)  # dx, dy interleaved
+        v *= v
+        return bool(np.maximum.reduce(v[0::2] + v[1::2], initial=0.0) > 0.25 * self.skin * self.skin)
+
+    def _near(self, z: np.ndarray, a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+        """Indices k of the pairs (a[k], b[k]) of points z that lie within cutoff."""
+        m = len(a)
+        d = z.take(a, out=self._za[:m], mode="clip")
+        d -= z.take(b, out=self._zb[:m], mode="clip")
+        v = d.view(np.float64)  # dx, dy interleaved
+        v *= v
+        d2 = np.add(v[0::2], v[1::2], out=self._d2[:m])
+        return (d2 <= cutoff * cutoff).nonzero()[0]
+
+    def _build(self, z: np.ndarray, cutoff: float) -> None:
+        """Every pair within cutoff, sorted by (a, b), from a cell-grid range search."""
+        n = z.shape[0]
+        if n < 2:
+            self.a, self.b = self._a[:0], self._b[:0]
+            return
+        x, y = z.real, z.imag
+        x0, y0 = x.min(), y.min()
+        span = max(x.max() - x0, y.max() - y0)
+        # a huge span over a tiny range coarsens the cells instead of overflowing
+        side = max(cutoff * (1.0 + _CELL_MARGIN), span / _MAX_CELLS) or 1.0
+        cx = ((x - x0) / side).astype(np.int64)
+        cy = ((y - y0) / side).astype(np.int64) + 1
+        rows = int(cy.max()) + 2  # the first and last rows stay empty: cy -/+ 1 never wraps
+        key = cx * rows + cy
+        order = np.argsort(key)
+        sorted_key = key[order]
+
+        # Each vehicle visits its own cell and four of its eight neighbours, so
+        # each pair of cells is visited once. Keys run up a column, so those five
+        # cells are two runs of sorted_key: its own cell (only the vehicles after
+        # it) and the one above, then the three cells of the next column.
+        pos = np.arange(n)
+        start = np.concatenate((pos + 1, np.searchsorted(sorted_key, sorted_key + (rows - 1))))
+        end = np.searchsorted(sorted_key, np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
+        count = end - start
+        total = int(count.sum())
+        if total > len(self._d2):
+            self._grow(max(total, 2 * len(self._d2)))
+        owner = np.repeat(np.concatenate((pos, pos)), count)
+        other = np.repeat(start - (np.cumsum(count) - count), count)
+        other += self._iota[:total]  # the k-th candidate of an owner sits at start + k
+        near = self._near(z[order], owner, other, cutoff)
+
+        # the pairs in range as (min, max) of their vehicle indices, sorted
+        # by the code a * n + b
+        k = len(near)
+        a = owner.take(near, out=self._a[:k], mode="clip")
+        b = other.take(near, out=self._b[:k], mode="clip")
+        i = order.take(a, out=owner[:k], mode="clip")
+        j = order.take(b, out=other[:k], mode="clip")
+        np.minimum(i, j, out=a)
+        np.maximum(i, j, out=b)
+        code = np.multiply(a, n, out=i)
+        code += b
+        code.sort()
+        np.floor_divide(code, n, out=a)
+        np.subtract(code, np.multiply(a, n, out=b), out=b)
+        self.a, self.b = a, b
 
     def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        if self._stale(x, y, radio_range):
-            cutoff = (radio_range + self.skin) * (1.0 + _LIST_MARGIN)
-            self.a, self.b = _contact_pairs_grid(x, y, cutoff)
-            self.x0, self.y0 = x.copy(), y.copy()
+        z = np.empty(x.shape[0], np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
+        z.real, z.imag = x, y
+        if self._stale(z, radio_range):
+            self._build(z, (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
+            self.z0 = z
             self.radio_range = radio_range
-        return _in_range(self.a, self.b, x, y, radio_range)
+        near = self._near(z, self.a, self.b, radio_range)
+        return self.a[near], self.b[near]
 
 
 def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
@@ -142,13 +176,13 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
     With ``neighbours`` the pairs come from (and refresh) that list; without
-    it this is a one-shot search.
+    it this is a one-shot search through a fresh list, all pairs below
+    NEIGHBOUR_LIST_MIN_VEHICLES and the cell grid from there on.
     """
-    if neighbours is not None:
-        return neighbours.pairs(x, y, radio_range)
-    if x.shape[0] >= NEIGHBOUR_LIST_MIN_VEHICLES:
-        return _contact_pairs_grid(x, y, radio_range)
-    return _contact_pairs_numpy(x, y, radio_range)
+    if neighbours is None:
+        n = x.shape[0]
+        neighbours = AllPairs(n) if n < NEIGHBOUR_LIST_MIN_VEHICLES else NeighbourList(0.0)
+    return neighbours.pairs(x, y, radio_range)
 
 
 def waypoint_step(

@@ -212,8 +212,8 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
     """
     start = time.perf_counter()
     backend = (
-        f"all-pairs list (one-shot: numpy scan) below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, "
-        "Verlet list (one-shot: cell grid) from there"
+        f"all-pairs list (one-shot: a fresh one) below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, "
+        "Verlet list (one-shot: a fresh one, no skin) from there"
     )
     ticks_checked = 0
     for run_idx in range(50):

@@ -239,13 +239,12 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
         calls.append(radio_range)
         return pairs(self, x, y, radio_range)
 
-    def no_scan(*args):
-        raise AssertionError("a run with a pair list never scans or searches afresh")
+    def no_search(*args):
+        raise AssertionError("a run with an all-pairs list never searches the cell grid")
 
     monkeypatch.setattr(kernels.AllPairs, "__init__", counting_init)
     monkeypatch.setattr(kernels.AllPairs, "pairs", counting_pairs)
-    monkeypatch.setattr(kernels, "_contact_pairs_numpy", no_scan)
-    monkeypatch.setattr(kernels, "_contact_pairs_grid", no_scan)
+    monkeypatch.setattr(kernels.NeighbourList, "_build", no_search)
     result = run_default(seed=7)
     assert MOB.vehicle_count == 15 and result.ticks_run == 300
     assert builds == [15]

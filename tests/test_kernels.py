@@ -1,4 +1,4 @@
-"""Contact detection (both one-shot branches, and both pair lists) and waypoint stepping against oracles."""
+"""Contact detection (the cell grid, the one-shot search and both pair lists) and waypoint stepping against oracles."""
 
 import warnings
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import reference_pairs
 from vanetsim import kernels
 
 
@@ -25,11 +26,22 @@ def as_pair_list(a, b):
     return list(zip(a.tolist(), b.tolist()))
 
 
-@pytest.fixture(params=["numpy", "grid"])
+def grid_pairs(x, y, radio_range):
+    """The cell-grid search alone, at exactly radio_range: a fresh list's build."""
+    neighbours = kernels.NeighbourList(0.0)
+    z = np.empty(len(x), np.complex128)
+    z.real, z.imag = x, y
+    neighbours._build(z, radio_range)
+    return neighbours.a.copy(), neighbours.b.copy()
+
+
+def all_pairs(x, y, radio_range):
+    return kernels.AllPairs(len(x)).pairs(x, y, radio_range)
+
+
+@pytest.fixture(params=["all_pairs", "grid", "one_shot"])
 def pair_fn(request):
-    if request.param == "numpy":
-        return kernels._contact_pairs_numpy
-    return kernels._contact_pairs_grid
+    return {"all_pairs": all_pairs, "grid": grid_pairs, "one_shot": kernels.contact_pairs}[request.param]
 
 
 class TestContactPairs:
@@ -143,18 +155,33 @@ class TestContactPairs:
     @pytest.mark.parametrize(
         "n", [kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 1000]
     )
-    def test_dispatcher_matches_numpy_scan(self, n):
+    def test_one_shot_matches_quadratic_oracle(self, n):
         # both sides of the crossover, plus a fleet far above it
         rng = np.random.default_rng(n)
         arena = 800.0 * (n / 15.0) ** 0.5  # baseline density
         x = rng.random(n) * arena
         y = rng.random(n) * arena
         a, b = kernels.contact_pairs(x, y, 100.0)
-        na, nb = kernels._contact_pairs_numpy(x, y, 100.0)
+        na, nb = reference_pairs(x, y, 100.0)
         assert len(a) > 0
         assert a.dtype == b.dtype == np.int64
         assert np.array_equal(a, na) and np.array_equal(b, nb)
 
+
+
+def buffers(neighbours):
+    """The arrays a neighbour list keeps between calls."""
+    return [v for v in vars(neighbours).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The cutoff of every NeighbourList build, in call order."""
+    log = []
+    build = kernels.NeighbourList._build
+    monkeypatch.setattr(kernels.NeighbourList, "_build",
+                        lambda self, z, cutoff: log.append(cutoff) or build(self, z, cutoff))
+    return log
 
 
 class TestNeighbourList:
@@ -166,19 +193,24 @@ class TestNeighbourList:
         skin_share=st.sampled_from([0.0, 0.1, 0.6, 1.0]),
         step_share=st.sampled_from([0.0, 0.05, 0.3, 1.5, 4.0]),
         lattice=st.booleans(),
+        packing=st.sampled_from([1.0, 0.1]),
     )
-    @example(seed=0, n=0, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False)
-    @example(seed=0, n=1, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False)
+    @example(seed=0, n=0, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False, packing=1.0)
+    @example(seed=0, n=1, radio_range=5.0, skin_share=0.1, step_share=0.3, lattice=False, packing=1.0)
     @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, radio_range=25.0, skin_share=0.6,
-             step_share=1.5, lattice=True)
-    def test_equals_one_shot_search_every_tick(self, seed, n, radio_range, skin_share, step_share, lattice):
+             step_share=1.5, lattice=True, packing=1.0)
+    @example(seed=2, n=90, radio_range=10.0, skin_share=0.6, step_share=0.05, lattice=False, packing=0.1)
+    def test_equals_one_shot_search_every_tick(self, seed, n, radio_range, skin_share, step_share, lattice,
+                                               packing):
         # random walks; a step share of 0 is a standing fleet and shares
         # above 0.5 step past the skin; on the integer lattice 3-4-5 and
-        # axis-aligned ties at exactly r are common. Below the threshold the
-        # all-pairs list, the one engine.run keeps there, is checked too.
+        # axis-aligned ties at exactly r are common. A packing of 1 leaves
+        # ~0.8 vehicles within r of each, 0.1 about half the fleet. Below the
+        # threshold the all-pairs list, the one engine.run keeps there, is
+        # checked too.
         rng = np.random.default_rng(seed)
         skin = skin_share * radio_range
-        side = 2.0 * radio_range * max(n, 1) ** 0.5  # ~0.8 vehicles within r of each
+        side = packing * 2.0 * radio_range * max(n, 1) ** 0.5
         x, y = rng.random(n) * side, rng.random(n) * side
         lists = [kernels.NeighbourList(skin)]
         if n < kernels.NEIGHBOUR_LIST_MIN_VEHICLES:
@@ -195,10 +227,7 @@ class TestNeighbourList:
             if lattice:
                 x, y = np.round(x), np.round(y)
 
-    def test_rebuilds_only_past_half_the_skin(self, monkeypatch):
-        builds = []
-        grid = kernels._contact_pairs_grid
-        monkeypatch.setattr(kernels, "_contact_pairs_grid", lambda *args: builds.append(args[2]) or grid(*args))
+    def test_rebuilds_only_past_half_the_skin(self, builds):
         rng = np.random.default_rng(2)
         x, y = rng.random(200) * 500.0, rng.random(200) * 500.0
         neighbours = kernels.NeighbourList(skin=8.0)
@@ -211,6 +240,69 @@ class TestNeighbourList:
         neighbours.pairs(x, y, 30.0)
         neighbours.pairs(x, y, 20.0)  # a new range also rebuilds
         assert len(builds) == 3
+
+    def test_returned_pairs_survive_later_calls(self, builds):
+        # the list reuses its buffers on every call; what it returned earlier
+        # must not change, whether later calls rebuild or only filter
+        rng = np.random.default_rng(4)
+        x, y = rng.random(300) * 800.0, rng.random(300) * 800.0  # the dense fleet's density
+        neighbours = kernels.NeighbourList(skin=60.0)
+        returned, kept = [], []
+        for _ in range(12):
+            a, b = neighbours.pairs(x, y, 100.0)
+            assert len(a) > 0
+            for arr in (a, b):
+                assert not any(np.shares_memory(arr, buf) for buf in buffers(neighbours))
+            returned.append((a, b))
+            kept.append((a.copy(), b.copy()))
+            x = x + rng.uniform(-12.0, 12.0, 300)
+            y = y + rng.uniform(-12.0, 12.0, 300)
+        assert 1 < len(builds) < 12  # both rebuilding and filter-only calls
+        for (a, b), (ka, kb) in zip(returned, kept):
+            assert np.array_equal(a, ka) and np.array_equal(b, kb)
+
+    def test_packing_fleet_outgrows_its_buffers(self):
+        # the fleet packs into a small square, so the candidate pairs outgrow
+        # the buffers of the first builds mid-run, then spreads out again
+        rng = np.random.default_rng(6)
+        n, r = 150, 20.0
+        home_x, home_y = rng.random(n) * 1500.0, rng.random(n) * 1500.0
+        pack_x, pack_y = 700.0 + rng.random(n) * 30.0, 700.0 + rng.random(n) * 30.0
+        neighbours = kernels.NeighbourList(skin=10.0)
+        sizes = []
+        for tick in range(41):
+            share = 1.0 - abs(tick - 20) / 20.0  # 0 spread out, 1 packed
+            x = home_x + share * (pack_x - home_x)
+            y = home_y + share * (pack_y - home_y)
+            a, b = neighbours.pairs(x, y, r)
+            ra, rb = reference_pairs(x, y, r)
+            assert np.array_equal(a, ra) and np.array_equal(b, rb)
+            sizes.append(max(buf.size for buf in buffers(neighbours)))
+        assert sizes[-1] > 10 * sizes[0]
+        assert len(a) < 100  # spread out again
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_fleets_and_a_new_range(self, n):
+        neighbours = kernels.NeighbourList(skin=2.0)
+        x = np.array([0.0, 9.0])[:n]
+        y = np.zeros(n)
+        for r, dx in [(10.0, 0.0), (10.0, 0.5), (10.0, 3.0), (10.0, 0.0), (8.0, 0.0), (12.0, 0.0), (12.0, -9.0)]:
+            x = x + np.array([0.0, dx])[:n]
+            a, b = neighbours.pairs(x, y, r)
+            ra, rb = reference_pairs(x, y, r)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, ra) and np.array_equal(b, rb)
+        assert n < 2 or len(a) == 1  # vehicle 1 ends 3.5 m from vehicle 0
+
+    def test_a_new_fleet_size_rebuilds(self):
+        # every fleet stands within half the skin of the last one's vehicle
+        # 0, so only the change of size makes the list stale
+        neighbours = kernels.NeighbourList(skin=2.0)
+        for n in (1, 5, 3, 0, 2):
+            x, y = np.linspace(0.0, 0.5, n), np.zeros(n)
+            a, b = neighbours.pairs(x, y, 10.0)
+            assert as_pair_list(a, b) == sorted(brute_force_pairs(x, y, 10.0))
+
 
 def run_waypoint(fn, seed, ticks=200, n=20):
     rng = np.random.default_rng(seed)
