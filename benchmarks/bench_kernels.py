@@ -31,8 +31,8 @@ from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 RADIO_RANGE = 100.0
 SPEED_MAX = 15.0
 TICK_SECONDS = 1.0
-SKIN = min(RADIO_RANGE, 4.0 * SPEED_MAX * TICK_SECONDS)  # the rule engine.run uses
 DENSE = (300, 800.0)  # perfbench's dense_fleet: vehicles, arena side in metres
+SKIN = kernels.pair_list(DENSE[0], RADIO_RANGE, SPEED_MAX * TICK_SECONDS).skin  # a run's Verlet list skin
 
 
 def baseline_arena(n: int) -> float:
@@ -165,7 +165,8 @@ def main() -> None:
         print("\nthe Verlet list does not beat all pairs at the largest size measured")
     else:
         print(f"\nthe Verlet list beats all pairs from n={crossover} on, among the sizes measured")
-    print(f"engine.run keeps it from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES}")
+    print(f"kernels.pair_list picks it from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES},"
+          f" with skin {SKIN:g} m here")
     bench_waypoints(sizes, args.repeats)
 
 

@@ -1,38 +1,33 @@
 """Discrete-tick simulation driver.
 
-One run: place a fleet, inject a single packet at a source vehicle at
-t=0, then run one loop over the ticks within both the run and the packet
-deadline. Every tick after 0 moves the fleet; each tick detects radio
-contacts and hands the packet across them epidemically. Every run keeps
-one pair list and filters it each tick by the contact predicate: below
-NEIGHBOUR_LIST_MIN_VEHICLES ``AllPairs``, every pair, built once; from
-there on a Verlet ``NeighbourList`` of the pairs within ``radio_range +
-skin``, ``skin = min(radio_range, 4 * speed_max * tick_seconds)``, rebuilt
-once some vehicle has moved more than ``skin / 2``. Both give exactly the
-one-shot ``contact_pairs``. Within a tick the packet spreads only along
-its pairs from the tick's first carriers, so only pairs in a carrier's
-component (grown in numpy) and not both carried are walked, in (a, b)
-order: a vehicle reached early in a tick can forward within it.
-Routing stops early at first delivery when the run is configured for
-delivery-triggered settlement (always the case for the packet-trade
-scheme); mobility stops with routing. The run then settles once, at the
-delivery time if a delivery ended it, otherwise at the earlier of the
-run's duration and the deadline. Simulated time at tick k is the float
-k * tick_seconds, never a running sum, so fractional ticks do not drift.
-Everything is driven by two child RNG streams of the run seed, one for
-mobility and one for the engine's own draws, so a (scenario, seed) pair
-fully determines the outcome.
+One run places a fleet, injects a single packet at a source vehicle at
+t=0, runs the ticks of the packet's life through two layers and settles
+once. ``contacts`` is the physics: it steps the fleet once every tick
+after 0 and yields each tick's radio contacts, filtered from the one pair
+list the run keeps (``kernels.pair_list``). ``_route_tick`` hands the
+packet across them in (a, b) order, walking only the pairs that
+``routing`` says can carry it. The packet's life ends at
+``end = min(duration, deadline)``: the last tick is the last k with
+k * tick_seconds <= end, and the run settles at end. A run configured for
+delivery-triggered settlement (always so under packet trade) stops
+routing and mobility at the tick of first delivery instead, and settles
+at its time. Simulated time at tick k is the float k * tick_seconds,
+never a running sum, so fractional ticks do not drift. Two child RNG
+streams of the run seed, one for mobility and one for the engine's own
+draws, drive everything, so a (scenario, seed) pair fully determines the
+outcome.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .incentives import IncentiveConfig
-from .kernels import NEIGHBOUR_LIST_MIN_VEHICLES, AllPairs, NeighbourList, contact_pairs
+from .kernels import contact_pairs, pair_list
 from .mobility import MobilityConfig, RandomWaypointModel
 from .model import (
     PROPORTIONAL_SCHEMES,
@@ -44,6 +39,7 @@ from .model import (
     SettlementReport,
     ValidationError,
     Vehicle,
+    check_packet_limits,
 )
 from .routing import collect_records, handle_encounter
 from .settlement import (
@@ -65,13 +61,7 @@ class PacketSpec:
     packet_id: str = "p0"
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        if not 0 <= self.reward_budget < math.inf:
-            raise ValidationError("reward_budget must be non-negative and finite")
-        if not 0 < self.deadline < math.inf:
-            raise ValidationError("deadline must be positive and finite")
-        if not 0 < self.interest_radius < math.inf:
-            raise ValidationError("interest_radius must be positive and finite")
+        check_packet_limits(self.reward_budget, self.deadline, self.interest_radius)
 
 
 @dataclass(frozen=True)
@@ -135,6 +125,42 @@ def _settle(
     return records, report
 
 
+def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int) -> Iterator[tuple]:
+    """Yield ``(now, model.x, model.y, a, b)`` for ticks 0..last_tick; each after 0 steps the model first."""
+    cfg = model.config
+    neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
+    for tick in range(last_tick + 1):
+        if tick:
+            model.step()
+        a, b = contact_pairs(model.x, model.y, radio_range, neighbours)
+        yield model.now, model.x, model.y, a, b
+
+
+def _route_tick(
+    tree: ForwardingTree, packet: Packet, carried: np.ndarray, a: np.ndarray, b: np.ndarray,
+    x: np.ndarray, y: np.ndarray, now: float, stop_at: int | None,
+) -> bool:
+    """Hand the packet across one tick's contacts, marking new carriers; True once ``stop_at`` joins."""
+    if len(tree.depth) == len(carried):
+        return False  # every vehicle carries: no contact can hand off
+    # both ends carried at tick start, so both still carry: no handoff possible
+    keep = ~(carried[a] & carried[b])
+    a, b = a[keep], b[keep]
+    reach = carried.copy()  # a pair out of every carrier's component cannot hand off
+    grow = reach[a] != reach[b]
+    while np.count_nonzero(grow):
+        reach[a[grow]] = reach[b[grow]] = True
+        grow = reach[a] != reach[b]
+    keep = reach[a]
+    for i, j in zip(a[keep].tolist(), b[keep].tolist()):
+        link = handle_encounter(tree, packet, i, j, x, y, now)
+        if link is not None:
+            carried[link.to_id] = True
+            if link.to_id == stop_at:
+                return True
+    return False
+
+
 def run(
     mobility_cfg: MobilityConfig,
     engine_cfg: EngineConfig,
@@ -172,7 +198,6 @@ def run(
         raise ValidationError("destination must differ from the source")
 
     packet = Packet(
-        id=packet_spec.packet_id,
         source_id=source,
         origin_position=model.position_of(source),
         reward_budget=packet_spec.reward_budget,
@@ -182,52 +207,19 @@ def run(
     tree = ForwardingTree(root=source)
 
     dt = mobility_cfg.tick_seconds
-    ticks_total = int(round(engine_cfg.duration / dt))
-    # the last tick run: the model's clock reads k * dt, within the deadline
-    past = (k for k in range(ticks_total + 1) if k * dt > packet.deadline)
-    last_tick = next(past, ticks_total + 1) - 1
-    contact_events = 0
-    delivered_at: float | None = None
+    end = float(min(engine_cfg.duration, packet.deadline))  # never an int
+    # k * dt rounds: count down from past end / dt to the last tick whose clock reads at most end
+    last_tick = next(k for k in range(math.floor(end / dt) + 1, -1, -1) if k * dt <= end)
+    stop_at = destination if settle_on_delivery else None
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
-    if n < NEIGHBOUR_LIST_MIN_VEHICLES:
-        neighbours = AllPairs(n)
-    else:  # half the skin is 2 ticks at top speed, so it rebuilds every ~3rd tick; exact at any speed
-        neighbours = NeighbourList(min(engine_cfg.radio_range, 4.0 * mobility_cfg.speed_max * dt))
-    for tick in range(last_tick + 1):
-        if tick:
-            model.step()
-        now = model.now
-        x, y = model.x, model.y
-        a, b = contact_pairs(x, y, engine_cfg.radio_range, neighbours)
+    contact_events = 0
+    for now, x, y, a, b in contacts(model, engine_cfg.radio_range, last_tick):
         contact_events += len(a)
-        if len(tree.depth) == n:
-            continue  # every vehicle carries: no contact can hand off
-        # both ends carried at tick start, so both still carry: no handoff possible
-        keep = ~(carried[a] & carried[b])
-        a, b = a[keep], b[keep]
-        reach = carried.copy()  # a pair out of every carrier's component cannot hand off
-        grow = reach[a] != reach[b]
-        while np.count_nonzero(grow):
-            reach[a[grow]] = reach[b[grow]] = True
-            grow = reach[a] != reach[b]
-        keep = reach[a]
-        for i, j in zip(a[keep].tolist(), b[keep].tolist()):
-            link = handle_encounter(tree, packet, i, j, x, y, now)
-            if link is None:
-                continue
-            carried[link.to_id] = True
-            if link.to_id == destination:  # a vehicle joins the tree once
-                delivered_at = now
-                if settle_on_delivery:
-                    break
-        if settle_on_delivery and delivered_at is not None:
+        if _route_tick(tree, packet, carried, a, b, x, y, now, stop_at):
             break  # the packet's life ended at this tick
 
-    if settle_on_delivery and delivered_at is not None:
-        settle_time = delivered_at
-    else:  # not model.now, which stops short of a deadline between ticks; never an int
-        settle_time = float(min(ticks_total * dt, packet.deadline))
+    settle_time = tree.link_to[stop_at].timestamp if stop_at in tree.link_to else end
     records, report = _settle(tree, packet, destination, incentive_cfg, engine_cfg, settle_time)
     vehicles = {
         i: Vehicle(
@@ -251,5 +243,5 @@ def run(
         final_time=model.now,
         ticks_run=model.tick,
         contact_events=contact_events,
-        delivered=None if destination is None else delivered_at is not None,
+        delivered=None if destination is None else destination in tree.link_to,
     )

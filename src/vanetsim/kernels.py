@@ -5,16 +5,17 @@ contact test is the same predicate, ``dx*dx + dy*dy <= r*r``, and every
 pair list comes out sorted by (a, b) with a < b, so the choice of
 algorithm never changes a run's output.
 
-Every run keeps one pair list and filters it each tick. Below
-NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead outweighs the pairs
-tested, it is ``AllPairs``, built once; from there on it is a Verlet
-``NeighbourList`` of the pairs within ``r + skin``, rebuilt once some
-vehicle has moved more than ``skin / 2`` (Verlet 1967) by a cell-grid
-range search. The grid sorts vehicles by the key of a square cell a hair
-wider than the cutoff, so a pair in range lies in one cell or in two
-adjacent ones, and compares each cell with itself and four neighbours
-(cell lists; Allen & Tildesley, *Computer Simulation of Liquids*, §5.3).
-A one-shot ``contact_pairs`` filters a fresh list of the same kind.
+Every run keeps one pair list, from ``pair_list``, and filters it each
+tick. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead outweighs
+the pairs tested, it is ``AllPairs``, built once; from there on it is a
+Verlet ``NeighbourList`` of the pairs within ``r + skin``, rebuilt once
+some vehicle has moved more than ``skin / 2`` (Verlet 1967) by a
+cell-grid range search. The grid sorts vehicles by the key of a square
+cell a hair wider than the cutoff, so a pair in range lies in one cell or
+in two adjacent ones, and compares each cell with itself and four
+neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
+Liquids*, §5.3). A one-shot ``contact_pairs`` filters a fresh list of the
+same kind.
 ``benchmarks/bench_kernels.py`` times both lists per tick; where the
 Verlet list starts to beat all pairs sets the constant.
 
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Fleets at least this large keep a Verlet list, smaller ones all pairs; a
-# one-shot call filters a fresh list of the same kind.
 NEIGHBOUR_LIST_MIN_VEHICLES = 100
 
 # Cells are this much wider than the cutoff, so rounding in the cell index
@@ -171,17 +170,24 @@ class NeighbourList:
         return self.a[near], self.b[near]
 
 
+def pair_list(n: int, radio_range: float, max_step: float) -> AllPairs | NeighbourList:
+    """The pair list for n vehicles that each move at most ``max_step`` a tick."""
+    if n < NEIGHBOUR_LIST_MIN_VEHICLES:
+        return AllPairs(n)
+    # half the skin is 2 ticks at top speed: a rebuild every ~3rd tick; exact at any speed
+    return NeighbourList(min(radio_range, 4.0 * max_step))
+
+
 def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
                   neighbours: AllPairs | NeighbourList | None = None):
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
     With ``neighbours`` the pairs come from (and refresh) that list; without
-    it this is a one-shot search through a fresh list, all pairs below
-    NEIGHBOUR_LIST_MIN_VEHICLES and the cell grid from there on.
+    it this is a one-shot search through a fresh ``pair_list`` of a fleet
+    that stands still.
     """
     if neighbours is None:
-        n = x.shape[0]
-        neighbours = AllPairs(n) if n < NEIGHBOUR_LIST_MIN_VEHICLES else NeighbourList(0.0)
+        neighbours = pair_list(x.shape[0], radio_range, 0.0)
     return neighbours.pairs(x, y, radio_range)
 
 

@@ -65,11 +65,21 @@ class WeightSet:
         return self.distance_weight == 0.0
 
 
+def check_packet_limits(reward_budget: float, deadline: float, interest_radius: float) -> None:
+    """Raise ValidationError unless a packet's budget and limits are in range and finite."""
+    # each test is written so that NaN fails it
+    if not 0 <= reward_budget < math.inf:
+        raise ValidationError(f"reward_budget must be non-negative and finite, got {reward_budget}")
+    if not 0 < deadline < math.inf:
+        raise ValidationError(f"deadline must be positive and finite, got {deadline}")
+    if not 0 < interest_radius < math.inf:
+        raise ValidationError(f"interest_radius must be positive and finite, got {interest_radius}")
+
+
 @dataclass(frozen=True)
 class Packet:
     """A sprayed message with its reward budget and validity limits; sent at t=0."""
 
-    id: str
     source_id: int
     origin_position: Vec2
     reward_budget: float
@@ -77,17 +87,7 @@ class Packet:
     interest_radius: float
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        if not 0 <= self.reward_budget < math.inf:
-            raise ValidationError(
-                f"reward_budget must be non-negative and finite, got {self.reward_budget}"
-            )
-        if not 0 < self.deadline < math.inf:
-            raise ValidationError(f"deadline must be positive and finite, got {self.deadline}")
-        if not 0 < self.interest_radius < math.inf:
-            raise ValidationError(
-                f"interest_radius must be positive and finite, got {self.interest_radius}"
-            )
+        check_packet_limits(self.reward_budget, self.deadline, self.interest_radius)
 
 
 @dataclass

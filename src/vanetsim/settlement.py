@@ -139,7 +139,7 @@ def settle_packet_trade(
         raise ValidationError("trade settlement must be rooted at the source")
 
     shares = dict.fromkeys(tree.depth, 0.0)
-    delivered = destination_id in tree.depth and destination_id != packet.source_id
+    delivered = destination_id in tree.link_to
     if delivered:
         for link in path_from_root(tree, destination_id):
             shares[link.from_id] += hop_price

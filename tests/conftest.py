@@ -16,11 +16,9 @@ def make_packet(
     budget: float = 100.0,
     deadline: float = 300.0,
     interest_radius: float = 500.0,
-    packet_id: str = "p0",
     source_id: int = 0,
 ) -> Packet:
     return Packet(
-        id=packet_id,
         source_id=source_id,
         origin_position=(0.0, 0.0),
         reward_budget=budget,

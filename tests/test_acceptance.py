@@ -18,7 +18,7 @@ import pytest
 from conftest import make_packet
 from vanetsim import kernels
 from vanetsim.cli import main
-from vanetsim.engine import EngineConfig, PacketSpec, run
+from vanetsim.engine import EngineConfig, PacketSpec, contacts, run
 from vanetsim.incentives import (
     IncentiveConfig,
     contribution_second,
@@ -205,16 +205,12 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
 
 
 def test_contact_engine_matches_quadratic_oracle(capsys):
-    """Contact detection, one-shot and through the run's pair list, is exact on moving fleets.
+    """Contact detection, one-shot and through a run's contact stream, is exact on moving fleets.
 
     50 seeded mobility runs, fleets up to 200 vehicles, every tick checked
     against the full-matrix oracle, exact index-pair equality.
     """
     start = time.perf_counter()
-    backend = (
-        f"all-pairs list (one-shot: a fresh one) below {kernels.NEIGHBOUR_LIST_MIN_VEHICLES} vehicles, "
-        "Verlet list (one-shot: a fresh one, no skin) from there"
-    )
     ticks_checked = 0
     for run_idx in range(50):
         meta = np.random.default_rng(run_idx)
@@ -229,15 +225,9 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
             speed_max=20.0,
         )
         model = RandomWaypointModel(cfg, np.random.default_rng(1000 + run_idx))
-        if n < kernels.NEIGHBOUR_LIST_MIN_VEHICLES:  # the list engine.run keeps
-            neighbours = kernels.AllPairs(n)
-        else:
-            neighbours = kernels.NeighbourList(min(radio, 4.0 * cfg.speed_max * cfg.tick_seconds))
-        for _ in range(25):
-            model.step()
-            ref_a, ref_b = reference_pairs(model.x, model.y, radio)
-            for pair_list in (None, neighbours):
-                got_a, got_b = kernels.contact_pairs(model.x, model.y, radio, pair_list)
+        for _, x, y, a, b in contacts(model, radio, 25):  # filters the pair list engine.run keeps
+            ref_a, ref_b = reference_pairs(x, y, radio)
+            for got_a, got_b in ((a, b), kernels.contact_pairs(x, y, radio)):
                 assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
             ticks_checked += 1
     elapsed = time.perf_counter() - start
@@ -246,7 +236,8 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
         capsys,
         "contact engine equivalence",
         ok,
-        f"{ticks_checked} ticks exact via {backend}, {elapsed:.1f}s (limit 30s)",
+        f"{ticks_checked} ticks exact via engine.contacts (the list kernels.pair_list picks) "
+        f"and a one-shot list, {elapsed:.1f}s (limit 30s)",
     )
 
 

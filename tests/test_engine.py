@@ -155,6 +155,23 @@ class TestSettlementTiming:
         assert result.settle_time == 0.0
         assert result.ticks_run == 0
 
+    def test_delivery_without_settle_on_delivery_runs_to_the_deadline(self):
+        eng = EngineConfig(radio_range=100.0, duration=500.0, source_id=0, destination_id=5)
+        result = run_default(seed=2, eng=eng)
+        assert result.delivered is True
+        reached = result.tree.link_to[5].timestamp
+        assert 0.0 < reached < max(l.timestamp for l in result.tree.links)  # routing went on
+        assert result.settle_time == PKT.deadline
+        assert result.ticks_run == 300
+
+    def test_destination_never_reached_is_not_delivered(self):
+        eng = EngineConfig(radio_range=100.0, duration=300.0, source_id=0, destination_id=5)
+        for seed in range(5):
+            result = run_default(seed=seed, eng=eng, pkt=PacketSpec(deadline=30.0))
+            assert result.delivered is False
+            assert 5 not in result.tree.depth
+            assert result.settle_time == 30.0
+
     def test_settle_on_delivery_freezes_at_first_delivery(self):
         eng = EngineConfig(
             radio_range=100.0, duration=300.0, settle_on_delivery=True, source_id=0
@@ -199,17 +216,20 @@ def test_vehicles_hold_end_of_run_state(inc, pkt):
 
 
 @pytest.mark.parametrize(
-    "eng,inc,pkt,steps",
+    "eng,inc,pkt,steps,settle",
     [
-        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=120.0), 120),
-        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=150.5), 150),
-        (EngineConfig(duration=600.0), IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT, None),
-        (EngineConfig(duration=60.0), INC, PKT, 60),
-        (EngineConfig(duration=0.0), INC, PKT, 0),
+        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=120.0), 120, 120.0),
+        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=150.5), 150, 150.5),
+        (EngineConfig(duration=600.0), IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT, None, None),
+        (EngineConfig(duration=60.0), INC, PKT, 60, 60.0),
+        (EngineConfig(duration=10.6), INC, PKT, 10, 10.6),
+        (EngineConfig(duration=10.4), INC, PKT, 10, 10.4),
+        (EngineConfig(duration=0.0), INC, PKT, 0, 0.0),
     ],
-    ids=["deadline_mid_run", "deadline_between_ticks", "delivery", "duration_first", "zero"],
+    ids=["deadline_mid_run", "deadline_between_ticks", "delivery", "duration_first",
+         "duration_between_ticks_up", "duration_between_ticks_down", "zero"],
 )
-def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, steps):
+def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, steps, settle):
     calls = []
     step = RandomWaypointModel.step
 
@@ -221,10 +241,13 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, s
     result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt)
     if steps is None:  # settled on delivery: the last step is the delivery tick's
         assert result.delivered
-        steps = round(result.settle_time / MOB.tick_seconds)
+        settle = result.tree.link_to[result.destination_id].timestamp
+        steps = round(settle / MOB.tick_seconds)
         assert steps < round(pkt.deadline / MOB.tick_seconds)
     assert calls == list(range(1, steps + 1))
     assert result.ticks_run == steps
+    assert result.final_time == steps * MOB.tick_seconds
+    assert result.settle_time == settle
 
 
 def test_small_fleet_builds_its_pair_list_once(monkeypatch):

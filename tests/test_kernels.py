@@ -205,16 +205,13 @@ class TestNeighbourList:
         # random walks; a step share of 0 is a standing fleet and shares
         # above 0.5 step past the skin; on the integer lattice 3-4-5 and
         # axis-aligned ties at exactly r are common. A packing of 1 leaves
-        # ~0.8 vehicles within r of each, 0.1 about half the fleet. Below the
-        # threshold the all-pairs list, the one engine.run keeps there, is
-        # checked too.
+        # ~0.8 vehicles within r of each, 0.1 about half the fleet. The
+        # all-pairs list is checked too.
         rng = np.random.default_rng(seed)
         skin = skin_share * radio_range
         side = packing * 2.0 * radio_range * max(n, 1) ** 0.5
         x, y = rng.random(n) * side, rng.random(n) * side
-        lists = [kernels.NeighbourList(skin)]
-        if n < kernels.NEIGHBOUR_LIST_MIN_VEHICLES:
-            lists.append(kernels.AllPairs(n))
+        lists = [kernels.NeighbourList(skin), kernels.AllPairs(n)]
         for _ in range(25):
             ea, eb = kernels.contact_pairs(x, y, radio_range)
             for neighbours in lists:
@@ -302,6 +299,23 @@ class TestNeighbourList:
             x, y = np.linspace(0.0, 0.5, n), np.zeros(n)
             a, b = neighbours.pairs(x, y, 10.0)
             assert as_pair_list(a, b) == sorted(brute_force_pairs(x, y, 10.0))
+
+
+@pytest.mark.parametrize(
+    "n,radio_range,max_step,skin",
+    [
+        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, 100.0, 15.0, None),
+        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 100.0, 15.0, 60.0),  # half the skin is two ticks at top speed
+        (1000, 40.0, 15.0, 40.0),  # never wider than the range
+        (1000, 100.0, 0.0, 0.0),  # a fleet that stands still, as a one-shot search
+    ],
+)
+def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin):
+    neighbours = kernels.pair_list(n, radio_range, max_step)
+    if skin is None:
+        assert type(neighbours) is kernels.AllPairs and len(neighbours.a) == n * (n - 1) // 2
+    else:
+        assert type(neighbours) is kernels.NeighbourList and neighbours.skin == skin
 
 
 def run_waypoint(fn, seed, ticks=200, n=20):
