@@ -2,11 +2,12 @@
 
 One run places a fleet, injects a single packet at a source vehicle at
 t=0, runs the ticks of the packet's life through two layers and settles
-once. ``contacts`` is the physics: it steps the fleet once every tick
-after 0 and yields each tick's radio contacts, filtered from the one pair
-list the run keeps (``kernels.pair_list``). ``_route_tick`` hands the
-packet across them in (a, b) order, walking only the pairs that
-``routing`` says can carry it. The packet's life ends at
+once. The packet's forwarding tree is its relay record: the source is
+its root, and its origin is where the source stood at t=0. ``contacts``
+is the physics: it steps the fleet once every tick after 0 and yields
+each tick's radio contacts, filtered from the one pair list the run keeps
+(``kernels.pair_list``). ``_route_tick`` hands the packet across them in
+(a, b) order, walking only the pairs that ``routing`` says can carry it. The packet's life ends at
 ``end = min(duration, deadline)``: the last tick is the last k with
 k * tick_seconds <= end, and the run settles at end. A run configured for
 delivery-triggered settlement (always so under packet trade) stops
@@ -15,7 +16,9 @@ at its time. Simulated time at tick k is the float k * tick_seconds,
 never a running sum, so fractional ticks do not drift. Two child RNG
 streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
-outcome.
+outcome. The rules a fleet must meet to hold the run's source and
+destination are ``endpoint_problems``; a scenario file is checked against
+the same rules, and ``run`` checks them before its first draw.
 """
 
 from __future__ import annotations
@@ -33,13 +36,11 @@ from .model import (
     PROPORTIONAL_SCHEMES,
     ContributionRecord,
     ForwardingTree,
-    Packet,
-    PayloadClass,
+    PacketSpec,
     Scheme,
     SettlementReport,
     ValidationError,
     Vehicle,
-    check_packet_limits,
 )
 from .routing import collect_records, handle_encounter
 from .settlement import (
@@ -48,20 +49,6 @@ from .settlement import (
     settle_packet_trade,
     settle_proportional,
 )
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """Parameters of the single packet a run injects."""
-
-    reward_budget: float = 100.0
-    deadline: float = 300.0
-    interest_radius: float = 500.0
-    payload_class: PayloadClass = PayloadClass.SAFETY
-    packet_id: str = "p0"
-
-    def __post_init__(self) -> None:
-        check_packet_limits(self.reward_budget, self.deadline, self.interest_radius)
 
 
 @dataclass(frozen=True)
@@ -83,15 +70,42 @@ class EngineConfig:
             raise ValidationError("hop_price must be positive and finite")
 
 
+def _settles_on_delivery(engine_cfg: EngineConfig, scheme: Scheme) -> bool:
+    return engine_cfg.settle_on_delivery or scheme is Scheme.PACKET_TRADE
+
+
+def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Scheme) -> list[str]:
+    """Every reason a fleet of ``vehicle_count`` cannot hold the run's source and destination.
+
+    A run has a destination when one is given or when it settles on
+    delivery (always so under packet trade), which draws one; either way
+    the source and the destination are two vehicles.
+    """
+    n = vehicle_count
+    source, destination = engine_cfg.source_id, engine_cfg.destination_id
+    problems = []
+    if source is not None and not 0 <= source < n:
+        problems.append(f"engine.source_id: must be in [0, {n})")
+    if destination is not None and not 0 <= destination < n:
+        problems.append(f"engine.destination_id: must be in [0, {n})")
+    if destination is not None and destination == source:
+        problems.append("engine.destination_id: must differ from source_id")
+    if n < 2 and (destination is not None or _settles_on_delivery(engine_cfg, scheme)):
+        problems.append(
+            "mobility.vehicle_count: a run with a destination (destination_id,"
+            " settle_on_delivery or packet trade) needs at least 2 vehicles"
+        )
+    return problems
+
+
 @dataclass
 class RunResult:
-    """Everything a finished run produced."""
+    """Everything a finished run produced; the source is the tree's root."""
 
     seed: int
     scheme: Scheme
-    source_id: int
     destination_id: int | None
-    packet: Packet
+    packet: PacketSpec
     tree: ForwardingTree
     records: list[ContributionRecord]
     report: SettlementReport
@@ -100,26 +114,34 @@ class RunResult:
     final_time: float
     ticks_run: int
     contact_events: int
-    delivered: bool | None
+
+    @property
+    def source_id(self) -> int:
+        return self.tree.root
+
+    @property
+    def delivered(self) -> bool | None:
+        """Whether the packet reached the destination; None when the run has none."""
+        return None if self.destination_id is None else self.destination_id in self.tree.link_to
 
 
 def _settle(
     tree: ForwardingTree,
-    packet: Packet,
+    packet: PacketSpec,
     destination_id: int | None,
     incentives: IncentiveConfig,
     engine_cfg: EngineConfig,
     settle_time: float,
 ) -> tuple[list[ContributionRecord], SettlementReport]:
-    records = collect_records(tree, packet, settle_time)
+    records = collect_records(tree, settle_time)
     scheme = incentives.scheme
     if scheme in PROPORTIONAL_SCHEMES:
         incentives.score_records(records, packet)
-        report = settle_proportional(packet, records, scheme)
+        report = settle_proportional(tree, records, packet.reward_budget)
     elif scheme is Scheme.PACKET_PURSE:
-        report = settle_packet_purse(packet, tree, engine_cfg.hop_price)
+        report = settle_packet_purse(tree, packet.reward_budget, engine_cfg.hop_price)
     elif scheme is Scheme.PACKET_TRADE:
-        report = settle_packet_trade(packet, tree, destination_id, engine_cfg.hop_price)
+        report = settle_packet_trade(tree, destination_id, engine_cfg.hop_price)
     else:  # pragma: no cover - enum is exhaustive
         raise ValidationError(f"unhandled scheme {scheme}")
     return records, report
@@ -137,7 +159,7 @@ def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int) -> 
 
 
 def _route_tick(
-    tree: ForwardingTree, packet: Packet, carried: np.ndarray, a: np.ndarray, b: np.ndarray,
+    tree: ForwardingTree, carried: np.ndarray, a: np.ndarray, b: np.ndarray,
     x: np.ndarray, y: np.ndarray, now: float, stop_at: int | None,
 ) -> bool:
     """Hand the packet across one tick's contacts, marking new carriers; True once ``stop_at`` joins."""
@@ -153,7 +175,7 @@ def _route_tick(
         grow = reach[a] != reach[b]
     keep = reach[a]
     for i, j in zip(a[keep].tolist(), b[keep].tolist()):
-        link = handle_encounter(tree, packet, i, j, x, y, now)
+        link = handle_encounter(tree, i, j, x, y, now)
         if link is not None:
             carried[link.to_id] = True
             if link.to_id == stop_at:
@@ -170,44 +192,27 @@ def run(
 ) -> RunResult:
     """Simulate one packet's lifetime and settle its rewards."""
     n = mobility_cfg.vehicle_count
+    scheme = incentive_cfg.scheme
+    problems = endpoint_problems(n, engine_cfg, scheme)
+    if problems:
+        raise ValidationError("; ".join(problems))
     mob_seq, eng_seq = np.random.SeedSequence(seed).spawn(2)
     rng_engine = np.random.default_rng(eng_seq)
     model = RandomWaypointModel(mobility_cfg, np.random.default_rng(mob_seq))
 
     source = engine_cfg.source_id
     if source is None:
-        forbidden = engine_cfg.destination_id
-        candidates = [i for i in range(n) if i != forbidden]
-        if not candidates:
-            raise ValidationError("no vehicle left to act as the source")
+        candidates = [i for i in range(n) if i != engine_cfg.destination_id]
         source = candidates[int(rng_engine.integers(0, len(candidates)))]
-    elif not 0 <= source < n:
-        raise ValidationError(f"source_id {source} outside fleet of {n}")
-
-    scheme = incentive_cfg.scheme
-    settle_on_delivery = engine_cfg.settle_on_delivery or scheme is Scheme.PACKET_TRADE
+    settle_on_delivery = _settles_on_delivery(engine_cfg, scheme)
     destination = engine_cfg.destination_id
     if destination is None and settle_on_delivery:
         others = [i for i in range(n) if i != source]
-        if not others:
-            raise ValidationError("delivery settlement needs at least 2 vehicles")
         destination = others[int(rng_engine.integers(0, len(others)))]
-    if destination is not None and not 0 <= destination < n:
-        raise ValidationError(f"destination_id {destination} outside fleet of {n}")
-    if destination is not None and destination == source:
-        raise ValidationError("destination must differ from the source")
-
-    packet = Packet(
-        source_id=source,
-        origin_position=model.position_of(source),
-        reward_budget=packet_spec.reward_budget,
-        deadline=packet_spec.deadline,
-        interest_radius=packet_spec.interest_radius,
-    )
-    tree = ForwardingTree(root=source)
+    tree = ForwardingTree(root=source, origin=model.position_of(source))
 
     dt = mobility_cfg.tick_seconds
-    end = float(min(engine_cfg.duration, packet.deadline))  # never an int
+    end = float(min(engine_cfg.duration, packet_spec.deadline))  # never an int
     # k * dt rounds: count down from past end / dt to the last tick whose clock reads at most end
     last_tick = next(k for k in range(math.floor(end / dt) + 1, -1, -1) if k * dt <= end)
     stop_at = destination if settle_on_delivery else None
@@ -216,11 +221,11 @@ def run(
     contact_events = 0
     for now, x, y, a, b in contacts(model, engine_cfg.radio_range, last_tick):
         contact_events += len(a)
-        if _route_tick(tree, packet, carried, a, b, x, y, now, stop_at):
+        if _route_tick(tree, carried, a, b, x, y, now, stop_at):
             break  # the packet's life ended at this tick
 
     settle_time = tree.link_to[stop_at].timestamp if stop_at in tree.link_to else end
-    records, report = _settle(tree, packet, destination, incentive_cfg, engine_cfg, settle_time)
+    records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)
     vehicles = {
         i: Vehicle(
             id=i, position=model.position_of(i), velocity=(float(model.vx[i]), float(model.vy[i]))
@@ -232,9 +237,8 @@ def run(
     return RunResult(
         seed=seed,
         scheme=scheme,
-        source_id=source,
         destination_id=destination,
-        packet=packet,
+        packet=packet_spec,
         tree=tree,
         records=records,
         report=report,
@@ -243,5 +247,4 @@ def run(
         final_time=model.now,
         ticks_run=model.tick,
         contact_events=contact_events,
-        delivered=None if destination is None else destination in tree.link_to,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .model import (
     PROPORTIONAL_SCHEMES,
     ContributionRecord,
-    Packet,
+    PacketSpec,
     Scheme,
     ValidationError,
     WeightSet,
@@ -189,8 +189,8 @@ class IncentiveConfig:
                     " between 0 and 1"
                 )
 
-    def contribution_for(self, record: ContributionRecord, packet: Packet) -> float:
-        """Score one vehicle's carry/forward record for one packet."""
+    def contribution_for(self, record: ContributionRecord, packet: PacketSpec) -> float:
+        """Score one vehicle's carry/forward record; the packet gives the deadline and interest radius."""
         if self.scheme not in PROPORTIONAL_SCHEMES:
             raise ValidationError(
                 f"scheme {self.scheme.value} does not use contribution scoring"
@@ -213,7 +213,7 @@ class IncentiveConfig:
         )
 
     def score_records(
-        self, records: list[ContributionRecord], packet: Packet
+        self, records: list[ContributionRecord], packet: PacketSpec
     ) -> list[ContributionRecord]:
         """Fill in ``contribution`` on every record, in place."""
         for rec in records:

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class NodeRow:
 
 # the CSV header and every exported row's keys, in declaration order
 ROW_FIELDS = tuple(f.name for f in fields(NodeRow))
+# the type each CSV column is read back as
+_ROW_TYPES = get_type_hints(NodeRow)
 
 
 @dataclass(frozen=True)
@@ -237,20 +240,7 @@ def write_rows_csv(
 
 def load_rows_csv(path: str | Path) -> list[NodeRow]:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append(
-                NodeRow(
-                    vehicle_id=int(raw["vehicle_id"]),
-                    reward=float(raw["reward"]),
-                    contribution=float(raw["contribution"]),
-                    stored_time=float(raw["stored_time"]),
-                    forward_count=int(raw["forward_count"]),
-                    effective_distance=float(raw["effective_distance"]),
-                    receive_distance=float(raw["receive_distance"]),
-                    descendants=int(raw["descendants"]),
-                    depth=int(raw["depth"]),
-                )
-            )
-    return rows
+        return [
+            NodeRow(**{name: _ROW_TYPES[name](raw[name]) for name in ROW_FIELDS})
+            for raw in csv.DictReader(fh)
+        ]

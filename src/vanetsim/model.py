@@ -65,29 +65,24 @@ class WeightSet:
         return self.distance_weight == 0.0
 
 
-def check_packet_limits(reward_budget: float, deadline: float, interest_radius: float) -> None:
-    """Raise ValidationError unless a packet's budget and limits are in range and finite."""
-    # each test is written so that NaN fails it
-    if not 0 <= reward_budget < math.inf:
-        raise ValidationError(f"reward_budget must be non-negative and finite, got {reward_budget}")
-    if not 0 < deadline < math.inf:
-        raise ValidationError(f"deadline must be positive and finite, got {deadline}")
-    if not 0 < interest_radius < math.inf:
-        raise ValidationError(f"interest_radius must be positive and finite, got {interest_radius}")
-
-
 @dataclass(frozen=True)
-class Packet:
-    """A sprayed message with its reward budget and validity limits; sent at t=0."""
+class PacketSpec:
+    """The single packet a run injects at its source at t=0: reward budget and validity limits."""
 
-    source_id: int
-    origin_position: Vec2
-    reward_budget: float
-    deadline: float
-    interest_radius: float
+    reward_budget: float = 100.0
+    deadline: float = 300.0
+    interest_radius: float = 500.0
+    payload_class: PayloadClass = PayloadClass.SAFETY
+    packet_id: str = "p0"
 
     def __post_init__(self) -> None:
-        check_packet_limits(self.reward_budget, self.deadline, self.interest_radius)
+        # each test is written so that NaN fails it
+        if not 0 <= self.reward_budget < math.inf:
+            raise ValidationError(f"reward_budget must be non-negative and finite, got {self.reward_budget}")
+        if not 0 < self.deadline < math.inf:
+            raise ValidationError(f"deadline must be positive and finite, got {self.deadline}")
+        if not 0 < self.interest_radius < math.inf:
+            raise ValidationError(f"interest_radius must be positive and finite, got {self.interest_radius}")
 
 
 @dataclass
@@ -116,18 +111,21 @@ class TreeLink:
 class ForwardingTree:
     """Relay tree of the run's packet, rooted at the source vehicle.
 
-    It is the packet's only relay record. Every vehicle appears at most
-    once: nodes that have already carried the packet never re-enter, so
-    links arrive in strictly tree-growing order. ``add`` indexes each link
-    by the vehicle it reached (``link_to``, whose ``from_id`` is the
-    parent) and gives that vehicle its hop count from the root (``depth``,
-    root at 0). The keys of ``depth`` are the tree's nodes, so membership
-    is ``vehicle_id in tree.depth``. Links passed to the constructor are
-    added in order; append through ``add`` only, never to ``links``
-    directly.
+    It is the packet's only relay record. ``root`` is the source, which
+    pays under the budget schemes, and ``origin`` is where it stood at
+    t=0, the point relay distances are measured from. Every vehicle
+    appears at most once: nodes that have already carried the packet
+    never re-enter, so links arrive in strictly tree-growing order.
+    ``add`` indexes each link by the vehicle it reached (``link_to``,
+    whose ``from_id`` is the parent) and gives that vehicle its hop count
+    from the root (``depth``, root at 0). The keys of ``depth`` are the
+    tree's nodes, so membership is ``vehicle_id in tree.depth``. Links
+    passed to the constructor are added in order; append through ``add``
+    only, never to ``links`` directly.
     """
 
     root: int
+    origin: Vec2
     links: list[TreeLink] = field(default_factory=list)
     link_to: dict[int, TreeLink] = field(init=False, repr=False, compare=False)
     depth: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -164,16 +162,13 @@ class ContributionRecord:
 
 @dataclass
 class SettlementReport:
-    """Final per-node reward shares for the packet under one scheme."""
+    """Final per-node reward shares for the packet, and what the summary exports about them."""
 
-    scheme: Scheme
-    total_contribution: float
     shares: dict[int, float]
     payer_id: int
     overspend: float = 0.0
     shortfall: float = 0.0  # purse scheme: demand beyond the loaded budget
     paid_link_count: int | None = None  # purse scheme only
-    delivered: bool | None = None  # trade scheme only
 
     @property
     def total_paid(self) -> float:

@@ -1,6 +1,8 @@
 """Epidemic store-carry-forward routing.
 
 A packet starts at its source vehicle, the root of its forwarding tree.
+The tree also holds the origin, where the source stood at t=0; every
+relay distance is measured from it.
 Whenever a carrier meets a non-carrier inside radio range, the packet is
 copied over and the handoff is added to the tree. Carriers keep their
 copy, so each vehicle joins the tree at most once and the tree is the
@@ -14,11 +16,11 @@ carried, in (a, b) order: a receiver can forward again within the tick.
 
 from __future__ import annotations
 
-from .model import ContributionRecord, ForwardingTree, Packet, TreeLink, distance
+from .model import ContributionRecord, ForwardingTree, TreeLink, distance
 
 
 def handle_encounter(
-    tree: ForwardingTree, packet: Packet, a_id: int, b_id: int, x, y, now: float
+    tree: ForwardingTree, a_id: int, b_id: int, x, y, now: float
 ) -> TreeLink | None:
     """Copy the packet across one contact if exactly one side carries it.
 
@@ -39,7 +41,7 @@ def handle_encounter(
         timestamp=now,
         from_position=giver_pos,
         to_position=(float(x[taker]), float(y[taker])),
-        distance_from_origin=distance(giver_pos, packet.origin_position),
+        distance_from_origin=distance(giver_pos, tree.origin),
     )
     tree.add(link)
     return link
@@ -50,15 +52,13 @@ def stored_time(received_at: float, settle_time: float) -> float:
     return max(0.0, settle_time - received_at)
 
 
-def collect_records(
-    tree: ForwardingTree, packet: Packet, settle_time: float
-) -> list[ContributionRecord]:
+def collect_records(tree: ForwardingTree, settle_time: float) -> list[ContributionRecord]:
     """Contribution records for every carrier except the paying source.
 
     Ordered by vehicle id so downstream settlement is deterministic. A
     record's relay distances are those of the links it sent, in order.
     """
-    origin = packet.origin_position
+    origin = tree.origin
     sent: dict[int, list[float]] = {}
     for link in tree.links:
         sent.setdefault(link.from_id, []).append(link.distance_from_origin)

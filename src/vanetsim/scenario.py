@@ -22,10 +22,10 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .engine import EngineConfig, PacketSpec
+from .engine import EngineConfig, endpoint_problems
 from .incentives import IncentiveConfig
 from .mobility import MobilityConfig
-from .model import PayloadClass, Scheme, ValidationError, WeightSet
+from .model import PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet
 
 DEFAULT_SAFETY_DEADLINE_CAP = 300.0
 
@@ -138,7 +138,7 @@ def _section(cls, raw, label: str, problems: list[str]):
 
 
 def _scenario_problems(sc: Scenario) -> list[str]:
-    """Rules on the top-level fields and across sections."""
+    """Rules on the top-level fields and across sections; the endpoint rules are the engine's."""
     problems = []
     if not sc.name or "/" in sc.name or "\\" in sc.name:
         problems.append("name: must be a non-empty file stem without / or \\")
@@ -148,18 +148,7 @@ def _scenario_problems(sc: Scenario) -> list[str]:
         problems.append("safety_deadline_cap: must be positive")
     elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
         problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
-    n = sc.mobility.vehicle_count
-    engine = sc.engine
-    if engine.source_id is not None and not 0 <= engine.source_id < n:
-        problems.append(f"engine.source_id: must be in [0, {n})")
-    if engine.destination_id is not None:
-        if not 0 <= engine.destination_id < n:
-            problems.append(f"engine.destination_id: must be in [0, {n})")
-        if engine.destination_id == engine.source_id:
-            problems.append("engine.destination_id: must differ from source_id")
-    if sc.incentives.scheme is Scheme.PACKET_TRADE and n < 2:
-        problems.append("incentives.scheme: packet trade needs at least 2 vehicles")
-    return problems
+    return problems + endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -12,24 +12,17 @@ Three settlement styles:
   reached, pays the hop price to every vehicle that sold the packet
   onward along its delivery path. The source is never debited.
 
-A run settles its one packet once; ``apply_settlement`` posts the
-resulting report to vehicle balances.
+Each settle function takes the packet's forwarding tree, whose root is
+the source, and the prices it needs as plain numbers. A run settles its
+one packet once; ``apply_settlement`` posts the resulting report to
+vehicle balances.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import (
-    PROPORTIONAL_SCHEMES,
-    ContributionRecord,
-    ForwardingTree,
-    Packet,
-    Scheme,
-    SettlementReport,
-    ValidationError,
-    Vehicle,
-)
+from .model import ContributionRecord, ForwardingTree, SettlementReport, ValidationError, Vehicle
 from .routing import path_from_root
 
 # tolerates float noise in budget/price division when counting fundable hops
@@ -37,31 +30,22 @@ _FUND_EPS = 1e-9
 
 
 def settle_proportional(
-    packet: Packet, records: list[ContributionRecord], scheme: Scheme
+    tree: ForwardingTree, records: list[ContributionRecord], budget: float
 ) -> SettlementReport:
-    """Split the reward budget by contribution share; the packet's source pays.
+    """Split ``budget`` by contribution share; the tree's root, the source, pays.
 
     Records must already be scored. The paid total never exceeds the
     budget: rounding overshoot is shaved off the largest share.
     """
-    if scheme not in PROPORTIONAL_SCHEMES:
-        raise ValidationError(f"{scheme.value} is not a proportional scheme")
     for rec in records:
         if rec.contribution < 0:
             raise ValidationError(
                 f"negative contribution for vehicle {rec.vehicle_id}"
             )
     total_c = math.fsum(rec.contribution for rec in records)
-    budget = packet.reward_budget
 
     if total_c <= 0.0 or budget == 0.0:
-        shares = {rec.vehicle_id: 0.0 for rec in records}
-        return SettlementReport(
-            scheme=scheme,
-            total_contribution=total_c,
-            shares=shares,
-            payer_id=packet.source_id,
-        )
+        return SettlementReport(shares={rec.vehicle_id: 0.0 for rec in records}, payer_id=tree.root)
 
     shares = {rec.vehicle_id: budget * (rec.contribution / total_c) for rec in records}
     paid = math.fsum(shares.values())
@@ -75,13 +59,7 @@ def settle_proportional(
         if guard > 10:  # pragma: no cover - would indicate broken float logic
             raise AssertionError("budget shaving failed to converge")
 
-    return SettlementReport(
-        scheme=scheme,
-        total_contribution=total_c,
-        shares=shares,
-        payer_id=packet.source_id,
-        overspend=max(0.0, paid - budget),
-    )
+    return SettlementReport(shares=shares, payer_id=tree.root, overspend=max(0.0, paid - budget))
 
 
 def fundable_hops(budget: float, hop_price: float) -> int:
@@ -93,18 +71,16 @@ def fundable_hops(budget: float, hop_price: float) -> int:
     return int(math.floor(budget / hop_price + _FUND_EPS))
 
 
-def settle_packet_purse(packet: Packet, tree: ForwardingTree, hop_price: float) -> SettlementReport:
-    """Pay handoffs from the packet's purse in the order they happened.
+def settle_packet_purse(tree: ForwardingTree, budget: float, hop_price: float) -> SettlementReport:
+    """Pay handoffs from a purse of ``budget`` in the order they happened; the source loads it.
 
     Each funded link pays its sender one hop price. Once the purse cannot
     cover the next hop, every remaining link goes unpaid: the packet is
     economically dead from that point on, which is the scheme's known
     failure mode. ``shortfall`` reports the unfunded demand.
     """
-    if tree.root != packet.source_id:
-        raise ValidationError("purse settlement must be rooted at the source")
     links = tree.links
-    affordable = fundable_hops(packet.reward_budget, hop_price)
+    affordable = fundable_hops(budget, hop_price)
     paid_links = min(len(links), affordable)
 
     # every funded link pays its sender, the source included: its own
@@ -114,19 +90,14 @@ def settle_packet_purse(packet: Packet, tree: ForwardingTree, hop_price: float) 
         shares[link.from_id] += hop_price
 
     demand = len(links) * hop_price
-    shortfall = max(0.0, demand - packet.reward_budget)
+    shortfall = max(0.0, demand - budget)
     return SettlementReport(
-        scheme=Scheme.PACKET_PURSE,
-        total_contribution=float(len(links)),
-        shares=shares,
-        payer_id=packet.source_id,
-        shortfall=shortfall,
-        paid_link_count=paid_links,
+        shares=shares, payer_id=tree.root, shortfall=shortfall, paid_link_count=paid_links
     )
 
 
 def settle_packet_trade(
-    packet: Packet, tree: ForwardingTree, destination_id: int, hop_price: float
+    tree: ForwardingTree, destination_id: int, hop_price: float
 ) -> SettlementReport:
     """Destination pays each seller on its delivery path one hop price.
 
@@ -135,23 +106,14 @@ def settle_packet_trade(
     """
     if not 0 < hop_price < math.inf:  # written so that NaN fails it
         raise ValidationError("hop_price must be positive and finite")
-    if tree.root != packet.source_id:
-        raise ValidationError("trade settlement must be rooted at the source")
 
     shares = dict.fromkeys(tree.depth, 0.0)
-    delivered = destination_id in tree.link_to
-    if delivered:
+    if destination_id in tree.link_to:
         for link in path_from_root(tree, destination_id):
             shares[link.from_id] += hop_price
     shares.pop(destination_id, None)
 
-    return SettlementReport(
-        scheme=Scheme.PACKET_TRADE,
-        total_contribution=0.0,
-        shares=shares,
-        payer_id=destination_id,
-        delivered=delivered,
-    )
+    return SettlementReport(shares=shares, payer_id=destination_id)
 
 
 def apply_settlement(report: SettlementReport, vehicles: dict[int, Vehicle]) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vanetsim.model import ForwardingTree, Packet, TreeLink
+from vanetsim.model import ForwardingTree, PacketSpec, TreeLink
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_YAML = REPO_ROOT / "scenarios" / "baseline.yaml"
@@ -16,15 +16,8 @@ def make_packet(
     budget: float = 100.0,
     deadline: float = 300.0,
     interest_radius: float = 500.0,
-    source_id: int = 0,
-) -> Packet:
-    return Packet(
-        source_id=source_id,
-        origin_position=(0.0, 0.0),
-        reward_budget=budget,
-        deadline=deadline,
-        interest_radius=interest_radius,
-    )
+) -> PacketSpec:
+    return PacketSpec(reward_budget=budget, deadline=deadline, interest_radius=interest_radius)
 
 
 def make_link(
@@ -41,15 +34,15 @@ def make_link(
 
 
 def chain_tree(root: int = 0, length: int = 3) -> ForwardingTree:
-    """root -> root+1 -> ... -> root+length, one link per hop."""
+    """root -> root+1 -> ... -> root+length, one link per hop, from the (0, 0) origin."""
     links = [
         make_link(root + i, root + i + 1, timestamp=float(i)) for i in range(length)
     ]
-    return ForwardingTree(root=root, links=links)
+    return ForwardingTree(root=root, origin=(0.0, 0.0), links=links)
 
 
 @pytest.fixture
-def packet() -> Packet:
+def packet() -> PacketSpec:
     return make_packet()
 
 

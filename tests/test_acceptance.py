@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import make_packet
+from conftest import chain_tree
 from vanetsim import kernels
 from vanetsim.cli import main
 from vanetsim.engine import EngineConfig, PacketSpec, contacts, run
@@ -126,9 +126,7 @@ def test_budget_conservation_over_randomized_settlements(capsys):
             )
             for i, c in enumerate(contribs)
         ]
-        report = settle_proportional(
-            make_packet(budget=budget), records, Scheme.SECOND_PROPOSAL
-        )
+        report = settle_proportional(chain_tree(length=0), records, budget)
         paid = report.total_paid
         if paid > budget:
             overspends += 1

@@ -179,6 +179,17 @@ class TestValidateCommand:
             assert "engine.duration: must be a finite number" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("engine", ["settle_on_delivery: true", "destination_id: 0"])
+    def test_one_vehicle_with_a_destination_is_exit_1_for_validate_and_run(
+        self, tmp_path, capsys, engine
+    ):
+        bad = tmp_path / "lone.yaml"
+        bad.write_text(f"mobility:\n  vehicle_count: 1\nengine:\n  {engine}\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert "needs at least 2 vehicles" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_invalid_file_lists_every_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

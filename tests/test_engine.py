@@ -28,6 +28,7 @@ def run_default(seed: int = 7, eng: EngineConfig = ENG, inc: IncentiveConfig = I
     [
         {"reward_budget": -1.0},
         {"deadline": 0.0},
+        {"deadline": -5.0},
         {"interest_radius": 0.0},
         {"reward_budget": math.nan},
         {"deadline": math.nan},
@@ -90,7 +91,6 @@ class TestSourceAndDestination:
         result = run_default(eng=eng)
         assert result.source_id == 4
         assert result.tree.root == 4
-        assert result.packet.source_id == 4
 
     def test_source_out_of_range_rejected(self):
         eng = EngineConfig(radio_range=100.0, duration=50.0, source_id=15)
@@ -308,7 +308,7 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
     """
     mob_seq, _ = np.random.SeedSequence(result.seed).spawn(2)
     model = RandomWaypointModel(mob, np.random.default_rng(mob_seq))
-    tree = ForwardingTree(root=result.source_id)
+    tree = ForwardingTree(root=result.source_id, origin=result.tree.origin)
     contact_events = 0
     expected_calls = Counter()
     full_from = None
@@ -327,7 +327,7 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         for i, j in pairs:
             if full_from is None and not (i in carried_at_start and j in carried_at_start) and i in reached:
                 expected_calls[now] += 1
-            link = routing.handle_encounter(tree, result.packet, i, j, model.x, model.y, now)
+            link = routing.handle_encounter(tree, i, j, model.x, model.y, now)
             if settle_on_delivery and link is not None and link.to_id == result.destination_id:
                 delivered = True
                 break
@@ -352,9 +352,9 @@ def _logged_encounters(monkeypatch):
     """Every (now, a, b) the engine offers to ``handle_encounter``, in order."""
     offered = []
 
-    def logging_handle_encounter(tree, packet, a_id, b_id, x, y, now):
+    def logging_handle_encounter(tree, a_id, b_id, x, y, now):
         offered.append((now, a_id, b_id))
-        return routing.handle_encounter(tree, packet, a_id, b_id, x, y, now)
+        return routing.handle_encounter(tree, a_id, b_id, x, y, now)
 
     monkeypatch.setattr(engine, "handle_encounter", logging_handle_encounter)
     return offered
@@ -435,7 +435,7 @@ class TestAccounting:
             result = run_default(seed=seed)
             paid = result.report.total_paid
             assert paid <= PKT.reward_budget + 1e-12
-            if result.records and result.report.total_contribution > 0:
+            if result.records and math.fsum(r.contribution for r in result.records) > 0:
                 assert paid == pytest.approx(PKT.reward_budget, rel=1e-9)
 
     def test_credit_is_conserved_across_the_fleet(self):
@@ -495,7 +495,7 @@ class TestTreeShape:
 
     def test_link_distance_matches_giver_position(self):
         result = run_default(seed=13)
-        origin = result.packet.origin_position
+        origin = result.tree.origin
         for link in result.tree.links:
             expect = distance(link.from_position, origin)
             assert link.distance_from_origin == expect

@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from conftest import chain_tree, make_link, make_packet
+from conftest import chain_tree, make_link
 from vanetsim.model import (
     ForwardingTree,
-    Scheme,
     SettlementReport,
     ValidationError,
     WeightSet,
@@ -40,27 +39,6 @@ class TestWeightSet:
         assert not WeightSet(0.25, 0.5, 0.25).is_two_term
 
 
-class TestPacket:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"deadline": 0.0},
-            {"deadline": -5.0},
-            {"interest_radius": 0.0},
-            {"budget": -1.0},
-            {"deadline": math.nan},
-            {"interest_radius": math.nan},
-            {"budget": math.nan},
-            {"deadline": math.inf},
-            {"interest_radius": math.inf},
-            {"budget": math.inf},
-        ],
-    )
-    def test_rejects_bad_limits(self, kwargs):
-        with pytest.raises(ValidationError):
-            make_packet(**kwargs)
-
-
 class TestForwardingTree:
     def test_depth_is_keyed_by_every_node(self):
         tree = chain_tree(length=3)  # 0 -> 1 -> 2 -> 3
@@ -69,6 +47,7 @@ class TestForwardingTree:
     def test_link_to_gives_the_parent(self):
         tree = ForwardingTree(
             root=0,
+            origin=(0.0, 0.0),
             links=[make_link(0, 1), make_link(0, 2), make_link(2, 3)],
         )
         assert tree.link_to[3].from_id == 2
@@ -77,17 +56,12 @@ class TestForwardingTree:
         assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
 
     def test_empty_tree_is_just_the_root(self):
-        tree = ForwardingTree(root=7)
+        tree = ForwardingTree(root=7, origin=(0.0, 0.0))
         assert tree.link_to == {}
         assert tree.depth == {7: 0}
 
 
 class TestSettlementReport:
     def test_total_paid_sums_shares(self):
-        report = SettlementReport(
-            scheme=Scheme.SECOND_PROPOSAL,
-            total_contribution=3.0,
-            shares={1: 0.1, 2: 0.2, 3: 0.7},
-            payer_id=0,
-        )
+        report = SettlementReport(shares={1: 0.1, 2: 0.2, 3: 0.7}, payer_id=0)
         assert math.isclose(report.total_paid, 1.0, rel_tol=0, abs_tol=1e-15)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import make_link, make_packet
+from conftest import make_link
 from vanetsim.model import ForwardingTree, ValidationError
 from vanetsim.routing import (
     collect_records,
@@ -12,18 +12,15 @@ from vanetsim.routing import (
     stored_time,
 )
 
-PACKET = make_packet()  # source 0, origin (0, 0)
-
-
 def new_tree(source: int = 0) -> ForwardingTree:
-    return ForwardingTree(root=source)
+    return ForwardingTree(root=source, origin=(0.0, 0.0))
 
 
 def meet(tree, a, b, a_pos, b_pos, now):
     """One encounter with the two vehicles standing at ``a_pos`` and ``b_pos``."""
     x = {a: a_pos[0], b: b_pos[0]}
     y = {a: a_pos[1], b: b_pos[1]}
-    return handle_encounter(tree, PACKET, a, b, x, y, now)
+    return handle_encounter(tree, a, b, x, y, now)
 
 
 class TestHandleEncounter:
@@ -57,7 +54,7 @@ class TestHandleEncounter:
         meet(tree, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
         sent = [l for l in tree.links if l.from_id == 0]
         assert [l.distance_from_origin for l in sent] == [0.0, 3.0]
-        assert [r.forward_count for r in collect_records(tree, PACKET, 5.0)] == [0, 0]
+        assert [r.forward_count for r in collect_records(tree, 5.0)] == [0, 0]
 
     def test_both_carriers_is_a_noop(self):
         tree = new_tree()
@@ -75,8 +72,8 @@ class TestHandleEncounter:
         tree = new_tree()
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         # no coordinates at all: a pair that cannot hand off must not ask
-        assert handle_encounter(tree, PACKET, 4, 5, {}, {}, 2.0) is None
-        assert handle_encounter(tree, PACKET, 0, 1, {}, {}, 2.0) is None
+        assert handle_encounter(tree, 4, 5, {}, {}, 2.0) is None
+        assert handle_encounter(tree, 0, 1, {}, {}, 2.0) is None
 
     def test_each_vehicle_joins_the_tree_once(self):
         tree = new_tree()
@@ -106,14 +103,14 @@ class TestCollectRecords:
         tree = new_tree()
         meet(tree, 0, 7, (0.0, 0.0), (1.0, 0.0), 1.0)
         meet(tree, 7, 3, (2.0, 0.0), (3.0, 0.0), 2.0)
-        records = collect_records(tree, PACKET, 10.0)
+        records = collect_records(tree, 10.0)
         assert [r.vehicle_id for r in records] == [3, 7]
 
     def test_record_contents(self):
         tree = new_tree()
         meet(tree, 0, 1, (0.0, 0.0), (3.0, 4.0), 2.0)
         meet(tree, 1, 2, (6.0, 8.0), (9.0, 12.0), 5.0)
-        rec1, rec2 = collect_records(tree, PACKET, 12.0)
+        rec1, rec2 = collect_records(tree, 12.0)
         assert rec1.vehicle_id == 1
         assert rec1.stored_time == 10.0
         assert rec1.forward_count == 1
@@ -128,9 +125,9 @@ class TestCollectRecords:
         tree = new_tree()
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         meet(tree, 1, 2, (2.0, 0.0), (3.0, 0.0), 2.0)
-        (rec,) = [r for r in collect_records(tree, PACKET, 5.0) if r.vehicle_id == 1]
+        (rec,) = [r for r in collect_records(tree, 5.0) if r.vehicle_id == 1]
         rec.relay_distances.append(99.0)
-        (again,) = [r for r in collect_records(tree, PACKET, 5.0) if r.vehicle_id == 1]
+        (again,) = [r for r in collect_records(tree, 5.0) if r.vehicle_id == 1]
         assert again.relay_distances == [2.0]
         assert len(tree.links) == 2
 
@@ -144,6 +141,7 @@ class TestTreeQueries:
         #    3   4    5
         return ForwardingTree(
             root=0,
+            origin=(0.0, 0.0),
             links=[
                 make_link(0, 1, 1.0),
                 make_link(0, 2, 1.0),
@@ -157,11 +155,11 @@ class TestTreeQueries:
         assert descendant_counts(self.tree()) == {0: 5, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0}
 
     def test_descendants_of_bare_root(self):
-        assert descendant_counts(ForwardingTree(root=4)) == {4: 0}
+        assert descendant_counts(ForwardingTree(root=4, origin=(0.0, 0.0))) == {4: 0}
 
     def test_descendants_match_a_walk_up_the_parents(self):
         rng = random.Random(3)
-        tree = ForwardingTree(root=0)
+        tree = ForwardingTree(root=0, origin=(0.0, 0.0))
         for to_id in range(1, 40):
             tree.add(make_link(rng.randrange(to_id), to_id))  # parent is some earlier node
         walked = dict.fromkeys(tree.depth, 0)
@@ -211,12 +209,12 @@ class TestTreeIndex:
         assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.depth)
 
     def test_constructor_links_are_indexed(self):
-        tree = ForwardingTree(root=0, links=[make_link(0, 1), make_link(1, 2)])
+        tree = ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(0, 1), make_link(1, 2)])
         assert tree.link_to[2].from_id == 1
         assert tree.depth[2] == 2
 
     def test_add_rejects_a_second_copy(self):
-        tree = ForwardingTree(root=0, links=[make_link(0, 1)])
+        tree = ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(0, 1)])
         with pytest.raises(ValidationError):
             tree.add(make_link(0, 1))
         with pytest.raises(ValidationError):
@@ -224,4 +222,4 @@ class TestTreeIndex:
 
     def test_add_rejects_a_sender_outside_the_tree(self):
         with pytest.raises(ValidationError):
-            ForwardingTree(root=0, links=[make_link(5, 6)])
+            ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(5, 6)])

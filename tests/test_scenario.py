@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import pytest
 import yaml
 
+from vanetsim.engine import EngineConfig, PacketSpec, run
+from vanetsim.incentives import IncentiveConfig
+from vanetsim.mobility import MobilityConfig
 from vanetsim.model import Scheme, ValidationError
 from vanetsim.scenario import (
     DEFAULT_SAFETY_DEADLINE_CAP,
@@ -120,6 +124,45 @@ class TestScenarioFromDict:
         with pytest.raises(ValidationError) as exc:
             scenario_from_dict(doc)
         assert "packet trade" in str(exc.value)
+
+    @pytest.mark.parametrize("vehicle_count", [1, 2, 3])
+    def test_rejects_exactly_the_endpoints_run_rejects(self, vehicle_count):
+        ids = (None, 0, 1, 3)
+        disagree = []
+        for source, destination, on_delivery, scheme in itertools.product(
+            ids, ids, (False, True), ("second_proposal", "packet_trade")
+        ):
+            engine = {
+                "duration": 2.0,
+                "source_id": source,
+                "destination_id": destination,
+                "settle_on_delivery": on_delivery,
+            }
+            doc = {
+                "mobility": {"vehicle_count": vehicle_count},
+                "engine": engine,
+                "packet": {"deadline": 2.0},
+                "incentives": {"scheme": scheme},
+            }
+            try:
+                scenario_from_dict(doc)
+                file_ok = True
+            except ValidationError:
+                file_ok = False
+            try:
+                run(
+                    MobilityConfig(vehicle_count=vehicle_count),
+                    EngineConfig(**engine),
+                    IncentiveConfig(scheme=Scheme(scheme)),
+                    PacketSpec(deadline=2.0),
+                    0,
+                )
+                run_ok = True
+            except ValidationError:
+                run_ok = False
+            if file_ok != run_ok:
+                disagree.append((engine, scheme, f"file ok={file_ok}", f"run ok={run_ok}"))
+        assert disagree == []
 
     def test_non_mapping_document_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from conftest import chain_tree, make_link, make_packet
+from conftest import chain_tree, make_link
 from vanetsim.model import (
     ContributionRecord,
     ForwardingTree,
-    Scheme,
     SettlementReport,
     ValidationError,
     Vehicle,
@@ -36,63 +35,40 @@ def records_with(contributions: list[float]) -> list[ContributionRecord]:
 
 class TestProportional:
     def test_shares_follow_contributions(self):
-        packet = make_packet(budget=100.0)
-        report = settle_proportional(
-            packet, records_with([1.0, 3.0]), Scheme.SECOND_PROPOSAL
-        )
+        report = settle_proportional(chain_tree(length=0), records_with([1.0, 3.0]), 100.0)
         assert report.shares[1] == pytest.approx(25.0)
         assert report.shares[2] == pytest.approx(75.0)
         assert report.payer_id == 0
-        assert report.total_contribution == 4.0
 
     def test_total_paid_equals_budget(self):
-        packet = make_packet(budget=73.5)
-        report = settle_proportional(
-            packet, records_with([0.3, 0.7, 2.1]), Scheme.FIRST_PROPOSAL
-        )
+        report = settle_proportional(chain_tree(length=0), records_with([0.3, 0.7, 2.1]), 73.5)
         assert report.total_paid == pytest.approx(73.5, rel=1e-12)
         assert report.total_paid <= 73.5
 
     def test_zero_contribution_pays_nothing(self):
-        packet = make_packet(budget=50.0)
-        report = settle_proportional(
-            packet, records_with([0.0, 0.0]), Scheme.BASIC_LINEAR
-        )
+        report = settle_proportional(chain_tree(length=0), records_with([0.0, 0.0]), 50.0)
         assert report.shares == {1: 0.0, 2: 0.0}
         assert report.total_paid == 0.0
 
     def test_zero_budget_pays_nothing(self):
-        packet = make_packet(budget=0.0)
-        report = settle_proportional(
-            packet, records_with([1.0, 2.0]), Scheme.SECOND_PROPOSAL
-        )
+        report = settle_proportional(chain_tree(length=0), records_with([1.0, 2.0]), 0.0)
         assert report.total_paid == 0.0
 
     def test_no_records_is_fine(self):
-        packet = make_packet()
-        report = settle_proportional(packet, [], Scheme.SECOND_PROPOSAL)
+        report = settle_proportional(chain_tree(length=0), [], 100.0)
         assert report.shares == {}
         assert report.total_paid == 0.0
 
     def test_rejects_negative_contribution(self):
-        packet = make_packet()
         with pytest.raises(ValidationError):
-            settle_proportional(packet, records_with([-0.1]), Scheme.BASIC_LINEAR)
-
-    def test_rejects_non_proportional_scheme(self):
-        packet = make_packet()
-        with pytest.raises(ValidationError):
-            settle_proportional(packet, [], Scheme.PACKET_PURSE)
+            settle_proportional(chain_tree(length=0), records_with([-0.1]), 100.0)
 
     def test_never_overspends_on_adversarial_floats(self):
         # contribution triples chosen so budget * (c / total) rounds up
-        packet = make_packet(budget=0.1)
         for k in range(1, 200):
             contribs = [0.1 / k] * k + [0.3, 1e-9]
-            report = settle_proportional(
-                packet, records_with(contribs), Scheme.SECOND_PROPOSAL
-            )
-            assert report.total_paid <= packet.reward_budget
+            report = settle_proportional(chain_tree(length=0), records_with(contribs), 0.1)
+            assert report.total_paid <= 0.1
             assert report.overspend == 0.0
 
 
@@ -123,44 +99,36 @@ class TestFundableHops:
 
 class TestPacketPurse:
     def test_pays_handoffs_in_order_until_dry(self):
-        packet = make_packet(budget=2.0)
         tree = chain_tree(length=4)  # links 0->1, 1->2, 2->3, 3->4
-        report = settle_packet_purse(packet, tree, hop_price=1.0)
+        report = settle_packet_purse(tree, 2.0, hop_price=1.0)
         assert report.paid_link_count == 2
         assert report.shares[0] == 1.0  # first handoff was the source's
         assert report.shares[1] == 1.0
         assert report.shares[2] == 0.0  # purse already empty
         assert report.shares[3] == 0.0
         assert report.shortfall == 2.0
-        assert report.scheme is Scheme.PACKET_PURSE
 
     def test_full_purse_covers_everything(self):
-        packet = make_packet(budget=10.0)
         tree = chain_tree(length=3)
-        report = settle_packet_purse(packet, tree, hop_price=1.0)
+        report = settle_packet_purse(tree, 10.0, hop_price=1.0)
         assert report.paid_link_count == 3
         assert report.shortfall == 0.0
         assert report.total_paid == 3.0
 
     def test_fanout_pays_the_busy_forwarder_repeatedly(self):
-        packet = make_packet(budget=5.0)
         tree = ForwardingTree(
             root=0,
+            origin=(0.0, 0.0),
             links=[make_link(0, 1, 1.0), make_link(1, 2, 2.0), make_link(1, 3, 3.0)],
         )
-        report = settle_packet_purse(packet, tree, hop_price=1.0)
+        report = settle_packet_purse(tree, 5.0, hop_price=1.0)
         assert report.shares[1] == 2.0
         assert report.shares[0] == 1.0
-
-    def test_rejects_foreign_tree(self):
-        packet = make_packet()
-        with pytest.raises(ValidationError):
-            settle_packet_purse(make_packet(source_id=1), chain_tree(root=0), hop_price=1.0)
 
     @pytest.mark.parametrize("price", [math.nan, math.inf])
     def test_rejects_non_finite_price(self, price):
         with pytest.raises(ValidationError):
-            settle_packet_purse(make_packet(), chain_tree(), hop_price=price)
+            settle_packet_purse(chain_tree(), 100.0, hop_price=price)
 
 
 class TestPacketTrade:
@@ -168,6 +136,7 @@ class TestPacketTrade:
         # 0 -> 1 -> 2 -> 3 plus a side branch 1 -> 4
         return ForwardingTree(
             root=0,
+            origin=(0.0, 0.0),
             links=[
                 make_link(0, 1, 1.0),
                 make_link(1, 2, 2.0),
@@ -177,54 +146,40 @@ class TestPacketTrade:
         )
 
     def test_destination_pays_its_delivery_path(self):
-        packet = make_packet()
-        report = settle_packet_trade(packet, self.tree(), 3, hop_price=2.0)
-        assert report.delivered is True
+        report = settle_packet_trade(self.tree(), 3, hop_price=2.0)
         assert report.payer_id == 3
         assert report.shares == {0: 2.0, 1: 2.0, 2: 2.0, 4: 0.0}
         assert report.total_paid == 6.0
 
     def test_off_path_relays_earn_nothing(self):
-        packet = make_packet()
-        report = settle_packet_trade(packet, self.tree(), 2, hop_price=1.0)
+        report = settle_packet_trade(self.tree(), 2, hop_price=1.0)
         assert report.shares[4] == 0.0
         assert 2 not in report.shares  # the payer holds no share entry
 
     def test_undelivered_pays_nobody(self):
-        packet = make_packet()
-        report = settle_packet_trade(packet, self.tree(), 9, hop_price=1.0)
-        assert report.delivered is False
+        report = settle_packet_trade(self.tree(), 9, hop_price=1.0)
         assert report.total_paid == 0.0
 
     def test_source_is_never_debited(self):
-        packet = make_packet()
-        report = settle_packet_trade(packet, self.tree(), 3, hop_price=1.0)
+        report = settle_packet_trade(self.tree(), 3, hop_price=1.0)
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(5)}
         apply_settlement(report, vehicles)
         assert vehicles[0].credit_balance == 1.0  # earned for the first sale
         assert vehicles[3].credit_balance == -3.0  # destination paid the path
 
-    def test_rejects_bad_price_and_foreign_tree(self):
-        packet = make_packet()
+    def test_rejects_bad_price(self):
         with pytest.raises(ValidationError):
-            settle_packet_trade(packet, self.tree(), 3, hop_price=0.0)
-        with pytest.raises(ValidationError):
-            settle_packet_trade(make_packet(source_id=5), self.tree(), 3, hop_price=1.0)
+            settle_packet_trade(self.tree(), 3, hop_price=0.0)
 
     @pytest.mark.parametrize("price", [math.nan, math.inf])
     def test_rejects_non_finite_price(self, price):
         with pytest.raises(ValidationError):
-            settle_packet_trade(make_packet(), self.tree(), 3, hop_price=price)
+            settle_packet_trade(self.tree(), 3, hop_price=price)
 
 
 class TestApplySettlement:
     def report(self) -> SettlementReport:
-        return SettlementReport(
-            scheme=Scheme.SECOND_PROPOSAL,
-            total_contribution=2.0,
-            shares={1: 30.0, 2: 70.0},
-            payer_id=0,
-        )
+        return SettlementReport(shares={1: 30.0, 2: 70.0}, payer_id=0)
 
     def test_moves_credit_and_conserves_total(self):
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
@@ -237,12 +192,7 @@ class TestApplySettlement:
     def test_distinct_schemes_settle_independently(self):
         vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
         apply_settlement(self.report(), vehicles)
-        other = SettlementReport(
-            scheme=Scheme.PACKET_PURSE,
-            total_contribution=1.0,
-            shares={1: 1.0},
-            payer_id=0,
-        )
+        other = SettlementReport(shares={1: 1.0}, payer_id=0)
         apply_settlement(other, vehicles)
         assert vehicles[1].credit_balance == 31.0
         assert vehicles[2].credit_balance == 70.0
