@@ -116,6 +116,54 @@ class TestSourceAndDestination:
         assert result.delivered is None
 
 
+NEEDS_TWO = (
+    "mobility.vehicle_count: a run with a destination (destination_id,"
+    " settle_on_delivery or packet trade) needs at least 2 vehicles"
+)
+
+
+class TestEndpointProblems:
+    @pytest.mark.parametrize(
+        "vehicle_count, engine_kwargs, scheme, expected",
+        [
+            (3, {"source_id": 3}, Scheme.SECOND_PROPOSAL, "engine.source_id: must be in [0, 3)"),
+            (3, {"destination_id": -1}, Scheme.SECOND_PROPOSAL,
+             "engine.destination_id: must be in [0, 3)"),
+            (3, {"source_id": 1, "destination_id": 1}, Scheme.SECOND_PROPOSAL,
+             "engine.destination_id: must differ from source_id"),
+            (1, {"destination_id": 0}, Scheme.SECOND_PROPOSAL, NEEDS_TWO),
+            (1, {"settle_on_delivery": True}, Scheme.SECOND_PROPOSAL, NEEDS_TWO),
+            (1, {}, Scheme.PACKET_TRADE, NEEDS_TWO),
+        ],
+    )
+    def test_each_rule_is_reported_alone(self, vehicle_count, engine_kwargs, scheme, expected):
+        eng = EngineConfig(duration=1.0, **engine_kwargs)
+        assert engine.endpoint_problems(vehicle_count, eng, scheme) == [expected]
+
+    @pytest.mark.parametrize(
+        "vehicle_count, engine_kwargs, scheme",
+        [
+            (1, {}, Scheme.SECOND_PROPOSAL),
+            (1, {"source_id": 0}, Scheme.PACKET_PURSE),
+            (2, {"source_id": 0, "destination_id": 1}, Scheme.PACKET_TRADE),
+        ],
+    )
+    def test_holdable_endpoints_have_no_problems(self, vehicle_count, engine_kwargs, scheme):
+        eng = EngineConfig(duration=1.0, **engine_kwargs)
+        assert engine.endpoint_problems(vehicle_count, eng, scheme) == []
+
+    def test_run_raises_every_problem_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run drew from the seed before checking its endpoints")
+
+        monkeypatch.setattr(engine.np.random, "SeedSequence", no_draws)
+        eng = EngineConfig(duration=1.0, source_id=5, destination_id=5)
+        with pytest.raises(ValidationError) as exc:
+            run_default(eng=eng, mob=MobilityConfig(vehicle_count=1))
+        assert "engine.source_id: must be in [0, 1)" in str(exc.value)
+        assert "engine.destination_id: must differ from source_id" in str(exc.value)
+
+
 class TestSettlementTiming:
     def test_settles_at_deadline_when_run_is_longer(self):
         eng = EngineConfig(radio_range=100.0, duration=500.0)

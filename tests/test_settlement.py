@@ -59,6 +59,10 @@ class TestProportional:
         assert report.shares == {}
         assert report.total_paid == 0.0
 
+    def test_tree_root_pays(self):
+        report = settle_proportional(chain_tree(root=5, length=2), records_with([1.0, 1.0]), 10.0)
+        assert report.payer_id == 5
+
     def test_rejects_negative_contribution(self):
         with pytest.raises(ValidationError):
             settle_proportional(chain_tree(length=0), records_with([-0.1]), 100.0)
@@ -124,6 +128,11 @@ class TestPacketPurse:
         report = settle_packet_purse(tree, 5.0, hop_price=1.0)
         assert report.shares[1] == 2.0
         assert report.shares[0] == 1.0
+
+    def test_tree_root_pays(self):
+        report = settle_packet_purse(chain_tree(root=5, length=2), 10.0, hop_price=1.0)
+        assert report.payer_id == 5
+        assert report.shares == {5: 1.0, 6: 1.0, 7: 0.0}
 
     @pytest.mark.parametrize("price", [math.nan, math.inf])
     def test_rejects_non_finite_price(self, price):
