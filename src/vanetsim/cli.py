@@ -83,7 +83,7 @@ def _execute(scenario: Scenario, seed: int, digest: str) -> RunSummary:
     result = run_engine(
         scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, seed
     )
-    return build_summary(result, scenario.incentives, digest)
+    return build_summary(result, digest)
 
 
 def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) -> Path:

@@ -18,7 +18,10 @@ streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
 outcome. The rules a fleet must meet to hold the run's source and
 destination are ``endpoint_problems``; a scenario file is checked against
-the same rules, and ``run`` checks them before its first draw.
+the same rules, and ``run`` checks them before its first draw. The
+``RunResult`` holds everything the summary reads, the ``IncentiveConfig``
+the run was scored with included, and the settlement report's
+``balances`` are the run's only credit postings.
 """
 
 from __future__ import annotations
@@ -40,15 +43,9 @@ from .model import (
     Scheme,
     SettlementReport,
     ValidationError,
-    Vehicle,
 )
 from .routing import collect_records, handle_encounter
-from .settlement import (
-    apply_settlement,
-    settle_packet_purse,
-    settle_packet_trade,
-    settle_proportional,
-)
+from .settlement import settle_packet_purse, settle_packet_trade, settle_proportional
 
 
 @dataclass(frozen=True)
@@ -100,16 +97,19 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
 
 @dataclass
 class RunResult:
-    """Everything a finished run produced; the source is the tree's root."""
+    """Everything a finished run produced; the source is the tree's root.
+
+    ``incentives`` is the config the run was scored with, so a summary
+    needs nothing but the result. Who paid whom is ``report.balances``.
+    """
 
     seed: int
-    scheme: Scheme
+    incentives: IncentiveConfig
     destination_id: int | None
     packet: PacketSpec
     tree: ForwardingTree
     records: list[ContributionRecord]
     report: SettlementReport
-    vehicles: dict[int, Vehicle]
     settle_time: float
     final_time: float
     ticks_run: int
@@ -226,23 +226,14 @@ def run(
 
     settle_time = tree.link_to[stop_at].timestamp if stop_at in tree.link_to else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)
-    vehicles = {
-        i: Vehicle(
-            id=i, position=model.position_of(i), velocity=(float(model.vx[i]), float(model.vy[i]))
-        )
-        for i in range(n)
-    }
-    apply_settlement(report, vehicles)
-
     return RunResult(
         seed=seed,
-        scheme=scheme,
+        incentives=incentive_cfg,
         destination_id=destination,
         packet=packet_spec,
         tree=tree,
         records=records,
         report=report,
-        vehicles=vehicles,
         settle_time=settle_time,
         final_time=model.now,
         ticks_run=model.tick,

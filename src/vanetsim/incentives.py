@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .model import (
     PROPORTIONAL_SCHEMES,
+    TWO_TERM_SCHEMES,
     ContributionRecord,
     PacketSpec,
     Scheme,
@@ -177,7 +178,7 @@ class IncentiveConfig:
             raise ValidationError(
                 f"first_proposal_mode must be one of {FIRST_PROPOSAL_MODES}"
             )
-        if self.scheme in (Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL):
+        if self.scheme in TWO_TERM_SCHEMES:
             if not self.weights.is_two_term:
                 raise ValidationError(
                     f"{self.scheme.value} uses two terms; distance_weight must be 0"

@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .engine import RunResult
-from .incentives import IncentiveConfig, effective_distance
+from .incentives import effective_distance
 from .model import ValidationError
 from .routing import descendant_counts
 
@@ -150,11 +150,10 @@ def reward_vs_descendants(
     return pairs, spearman([p[0] for p in pairs], [p[1] for p in pairs])
 
 
-def build_summary(
-    result: RunResult, incentive_cfg: IncentiveConfig, scenario_hash: str
-) -> RunSummary:
-    """Flatten a finished run into its reportable summary."""
+def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
+    """Flatten a finished run into its reportable summary; the run's own config scores distances."""
     tree = result.tree
+    aggregate = result.incentives.distance_aggregate
     desc = descendant_counts(tree)
     rows = []
     for rec in result.records:
@@ -167,9 +166,7 @@ def build_summary(
                 stored_time=rec.stored_time,
                 forward_count=rec.forward_count,
                 effective_distance=effective_distance(
-                    rec.relay_distances,
-                    rec.receive_distance,
-                    incentive_cfg.distance_aggregate,
+                    rec.relay_distances, rec.receive_distance, aggregate
                 ),
                 receive_distance=rec.receive_distance,
                 descendants=desc[vid],
@@ -187,7 +184,7 @@ def build_summary(
     }
     identity = {
         "scenario_hash": scenario_hash,
-        "scheme": result.scheme.value,
+        "scheme": result.incentives.scheme.value,
         "seed": result.seed,
         "source_id": result.source_id,
         "destination_id": result.destination_id,

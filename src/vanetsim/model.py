@@ -31,6 +31,8 @@ class Scheme(Enum):
 PROPORTIONAL_SCHEMES = frozenset(
     {Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL, Scheme.SECOND_PROPOSAL}
 )
+# the schemes that score time and forwards only: their distance weight is 0
+TWO_TERM_SCHEMES = frozenset({Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL})
 
 
 def distance(a: Vec2, b: Vec2) -> float:
@@ -83,16 +85,6 @@ class PacketSpec:
             raise ValidationError(f"deadline must be positive and finite, got {self.deadline}")
         if not 0 < self.interest_radius < math.inf:
             raise ValidationError(f"interest_radius must be positive and finite, got {self.interest_radius}")
-
-
-@dataclass
-class Vehicle:
-    """A mobile node: position/velocity and credit account."""
-
-    id: int
-    position: Vec2
-    velocity: Vec2 = (0.0, 0.0)
-    credit_balance: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,11 @@ class ContributionRecord:
 
 @dataclass
 class SettlementReport:
-    """Final per-node reward shares for the packet, and what the summary exports about them."""
+    """Final per-node reward shares for the packet, and what the summary exports about them.
+
+    It is the run's only record of who paid whom: ``balances`` posts the
+    shares as credits and the paid total as the payer's debit.
+    """
 
     shares: dict[int, float]
     payer_id: int
@@ -173,3 +169,10 @@ class SettlementReport:
     @property
     def total_paid(self) -> float:
         return math.fsum(self.shares.values())
+
+    @property
+    def balances(self) -> dict[int, float]:
+        """Vehicle id -> net credit after settlement; vehicles absent from it hold 0."""
+        balances = dict(self.shares)
+        balances[self.payer_id] = balances.get(self.payer_id, 0.0) - self.total_paid
+        return balances

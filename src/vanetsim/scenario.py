@@ -25,7 +25,7 @@ import yaml
 from .engine import EngineConfig, endpoint_problems
 from .incentives import IncentiveConfig
 from .mobility import MobilityConfig
-from .model import PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet
+from .model import TWO_TERM_SCHEMES, PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet
 
 DEFAULT_SAFETY_DEADLINE_CAP = 300.0
 
@@ -186,7 +186,7 @@ def with_updates(
         d["seed"] = seed
     if scheme is not None:
         d["incentives"]["scheme"] = scheme.value
-        if scheme in (Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL):
+        if scheme in TWO_TERM_SCHEMES:
             w = d["incentives"]["weights"]
             if w["distance"] != 0.0:
                 # fold the distance weight into forwarding so the pair sums to 1

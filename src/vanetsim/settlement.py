@@ -14,15 +14,16 @@ Three settlement styles:
 
 Each settle function takes the packet's forwarding tree, whose root is
 the source, and the prices it needs as plain numbers. A run settles its
-one packet once; ``apply_settlement`` posts the resulting report to
-vehicle balances.
+one packet once. The resulting report is the only record of who paid
+whom: its ``balances`` credit every share and debit the payer the paid
+total.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ContributionRecord, ForwardingTree, SettlementReport, ValidationError, Vehicle
+from .model import ContributionRecord, ForwardingTree, SettlementReport, ValidationError
 from .routing import path_from_root
 
 # tolerates float noise in budget/price division when counting fundable hops
@@ -115,15 +116,3 @@ def settle_packet_trade(
 
     return SettlementReport(shares=shares, payer_id=destination_id)
 
-
-def apply_settlement(report: SettlementReport, vehicles: dict[int, Vehicle]) -> None:
-    """Post a report to vehicle balances.
-
-    Credits every share and debits the payer by the paid total.
-    """
-    for vid, amount in sorted(report.shares.items()):
-        if amount != 0.0:
-            vehicles[vid].credit_balance += amount
-    total = report.total_paid
-    if total != 0.0:
-        vehicles[report.payer_id].credit_balance -= total

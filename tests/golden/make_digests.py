@@ -97,7 +97,7 @@ def digests() -> dict[str, dict[str, str]]:
     out = {}
     for case, scenario in cases().items():
         result = run(scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, scenario.seed)
-        summary = build_summary(result, scenario.incentives, scenario_hash(scenario))
+        summary = build_summary(result, scenario_hash(scenario))
         out[case] = {"summary.json": _sha256(summary_to_json(summary)), "rows.csv": _sha256(rows_to_csv(summary.rows))}
     out["sweep/baseline/s0-4"] = {"aggregate.json": sweep_aggregate_digest()}
     return out

@@ -265,7 +265,7 @@ def test_reward_trends_across_the_baseline_fleet(capsys, baseline_path):
             scenario.mobility, scenario.engine, scenario.incentives,
             scenario.packet, seed,
         )
-        summary = build_summary(result, scenario.incentives, sid)
+        summary = build_summary(result, sid)
 
         forward_bins = bin_rewards(summary.rows, "forwards")
         if len(forward_bins) >= 3:
@@ -351,11 +351,11 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
     )
     # the source's balance holds only earnings; the debit landed elsewhere
     trade_ok = trade_ok and (
-        trade.vehicles[source].credit_balance
+        trade.report.balances.get(source, 0.0)
         == trade.report.shares.get(source, 0.0)
     )
     if trade.delivered:
-        payer_balance = trade.vehicles[trade.destination_id].credit_balance
+        payer_balance = trade.report.balances.get(trade.destination_id, 0.0)
         trade_ok = trade_ok and payer_balance < 0.0
 
     ok = purse_ok and trade_ok

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetsim.engine import EngineConfig, PacketSpec, run
-from vanetsim.incentives import IncentiveConfig
+from vanetsim.incentives import IncentiveConfig, effective_distance
 from vanetsim.metrics import (
     NodeRow,
     RunSummary,
@@ -49,7 +49,7 @@ def summary_for(seed: int = 7, inc: IncentiveConfig | None = None) -> RunSummary
         PacketSpec(deadline=300.0),
         seed,
     )
-    return build_summary(result, inc, "testhash")
+    return build_summary(result, "testhash")
 
 
 class TestBinRewards:
@@ -205,7 +205,7 @@ class TestBuildSummary:
             PacketSpec(deadline=300.0),
             3,
         )
-        s = build_summary(result, inc, "h")
+        s = build_summary(result, "h")
         for r in s.rows:
             assert r.reward == result.report.shares[r.vehicle_id]
 
@@ -220,6 +220,32 @@ class TestBuildSummary:
                            ("reward_by_distance", 50.0)):
             for start, _, _ in s.aggregates[key]:
                 assert start == pytest.approx(round(start / width) * width)
+
+
+class TestSummaryFollowsItsRun:
+    def run_with(self, aggregate: str):
+        inc = IncentiveConfig(distance_aggregate=aggregate)
+        return run(
+            MobilityConfig(),
+            EngineConfig(radio_range=100.0, duration=300.0),
+            inc,
+            PacketSpec(deadline=300.0),
+            7,
+        )
+
+    @pytest.mark.parametrize("aggregate", ["min", "max", "last"])
+    def test_effective_distance_uses_the_run_aggregate(self, aggregate):
+        result = self.run_with(aggregate)
+        rows = build_summary(result, "h").rows
+        assert [r.vehicle_id for r in rows] == [rec.vehicle_id for rec in result.records]
+        for r, rec in zip(rows, result.records):
+            assert r.effective_distance == effective_distance(
+                rec.relay_distances, rec.receive_distance, aggregate
+            )
+        mean_rows = build_summary(self.run_with("mean"), "h").rows
+        assert any(
+            r.effective_distance != m.effective_distance for r, m in zip(rows, mean_rows)
+        )
 
 
 class TestJsonExport:

@@ -3,15 +3,16 @@ import math
 import pytest
 
 from conftest import chain_tree, make_link
+from vanetsim.engine import EngineConfig, run
+from vanetsim.incentives import IncentiveConfig
+from vanetsim.mobility import MobilityConfig
 from vanetsim.model import (
     ContributionRecord,
     ForwardingTree,
-    SettlementReport,
+    PacketSpec,
     ValidationError,
-    Vehicle,
 )
 from vanetsim.settlement import (
-    apply_settlement,
     fundable_hops,
     settle_packet_purse,
     settle_packet_trade,
@@ -170,11 +171,9 @@ class TestPacketTrade:
         assert report.total_paid == 0.0
 
     def test_source_is_never_debited(self):
-        report = settle_packet_trade(self.tree(), 3, hop_price=1.0)
-        vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(5)}
-        apply_settlement(report, vehicles)
-        assert vehicles[0].credit_balance == 1.0  # earned for the first sale
-        assert vehicles[3].credit_balance == -3.0  # destination paid the path
+        balances = settle_packet_trade(self.tree(), 3, hop_price=1.0).balances
+        assert balances[0] == 1.0  # earned for the first sale
+        assert balances[3] == -3.0  # destination paid the path
 
     def test_rejects_bad_price(self):
         with pytest.raises(ValidationError):
@@ -186,23 +185,40 @@ class TestPacketTrade:
             settle_packet_trade(self.tree(), 3, hop_price=price)
 
 
-class TestApplySettlement:
-    def report(self) -> SettlementReport:
-        return SettlementReport(shares={1: 30.0, 2: 70.0}, payer_id=0)
+class TestBalances:
+    def assert_conserved(self, balances):
+        assert math.fsum(balances.values()) == pytest.approx(0.0, abs=1e-9)
 
-    def test_moves_credit_and_conserves_total(self):
-        vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
-        apply_settlement(self.report(), vehicles)
-        assert vehicles[1].credit_balance == 30.0
-        assert vehicles[2].credit_balance == 70.0
-        assert vehicles[0].credit_balance == -100.0
-        assert math.fsum(v.credit_balance for v in vehicles.values()) == 0.0
+    def test_proportional_root_is_debited_the_budget(self):
+        report = settle_proportional(chain_tree(root=5, length=0), records_with([0.3, 0.7, 2.1]), 73.5)
+        balances = report.balances
+        assert balances[5] == -report.total_paid
+        assert balances[5] == pytest.approx(-73.5, rel=1e-12)
+        assert {vid: balances[vid] for vid in (1, 2, 3)} == report.shares
+        self.assert_conserved(balances)
 
-    def test_distinct_schemes_settle_independently(self):
-        vehicles = {i: Vehicle(id=i, position=(0.0, 0.0)) for i in range(3)}
-        apply_settlement(self.report(), vehicles)
-        other = SettlementReport(shares={1: 1.0}, payer_id=0)
-        apply_settlement(other, vehicles)
-        assert vehicles[1].credit_balance == 31.0
-        assert vehicles[2].credit_balance == 70.0
-        assert vehicles[0].credit_balance == -101.0
+    def test_purse_source_earns_for_its_own_handoffs(self):
+        tree = chain_tree(length=4)  # links 0->1, 1->2, 2->3, 3->4
+        report = settle_packet_purse(tree, 2.0, hop_price=1.0)
+        balances = report.balances
+        assert balances[0] == report.shares[0] - report.total_paid == -1.0
+        assert balances[1] == 1.0
+        assert balances[2] == balances[3] == balances[4] == 0.0
+        self.assert_conserved(balances)
+
+    def test_trade_destination_is_debited_and_source_keeps_its_sale(self):
+        report = settle_packet_trade(TestPacketTrade().tree(), 3, hop_price=2.0)
+        balances = report.balances
+        assert balances[3] == -6.0
+        assert balances[0] == balances[1] == balances[2] == 2.0
+        assert balances[4] == 0.0
+        self.assert_conserved(balances)
+
+    def test_run_that_pays_nothing_leaves_every_balance_at_zero(self):
+        result = run(
+            MobilityConfig(), EngineConfig(duration=300.0), IncentiveConfig(),
+            PacketSpec(reward_budget=0.0, deadline=300.0), 7,
+        )
+        assert len(result.tree.links) > 0  # carriers exist, but none is paid
+        assert result.report.total_paid == 0.0
+        assert all(balance == 0.0 for balance in result.report.balances.values())
