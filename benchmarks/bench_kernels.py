@@ -11,7 +11,8 @@ for the Verlet list the table also gives its rebuild count and splits its
 time per tick into builds and filtering. The baseline rows show where the
 Verlet list starts to beat the all-pairs list; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
-Waypoint stepping: one numpy tick per call at the baseline sizes.
+Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
+every tick, its candidate draw included, at the baseline sizes.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -120,30 +121,23 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
-    print("\nwaypoint stepping (one tick, pause 2 s)")
+    print("\nwaypoint stepping (RandomWaypointModel.step, pause 2 s)")
     header = f"{'n':>6}  {'per call':>11}"
     print(header)
     print("-" * len(header))
     for n in sizes:
-        rng = np.random.default_rng(n)
         arena = baseline_arena(n)
-        state = (
-            rng.random(n) * arena, rng.random(n) * arena,
-            rng.random(n) * arena, rng.random(n) * arena,
-            5.0 + rng.random(n) * 10.0, np.full(n, -np.inf),
-            np.zeros(n), np.zeros(n),
-        )
-        cand = rng.random((n, 3))
-        common = (arena, arena, 5.0, 15.0, 2.0)
+        cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX,
+                             pause_time=2.0, tick_seconds=TICK_SECONDS)
         # the clock advances a tick per call, so pauses end and vehicles keep
         # moving and arriving as in a run
-        tick = 0
-        kernels.waypoint_step(*state, cand, 0.0, 1.0, *common)
+        model = RandomWaypointModel(cfg, np.random.default_rng(n))
+        model.step()
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            for tick in range(tick + 1, tick + 1 + repeats):
-                kernels.waypoint_step(*state, cand, float(tick), 1.0, *common)
+            for _ in range(repeats):
+                model.step()
             best = min(best, (time.perf_counter() - start) / repeats)
         print(f"{n:>6}  {best * 1e6:>9.1f}us")
 

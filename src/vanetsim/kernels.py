@@ -46,6 +46,7 @@ _MAX_CELLS = 1 << 20
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
 # covers the rounding in the displacement test and the distances.
 _LIST_MARGIN = 1e-9
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class AllPairs:
@@ -144,7 +145,7 @@ class NeighbourList:
         near = self._near(z[order], owner, other, cutoff)
 
         # the pairs in range as (min, max) of their vehicle indices, sorted
-        # by the code a * n + b
+        # by the code a * n + b; int32 codes, while n * n fits, sort in about half the time
         k = len(near)
         a = owner.take(near, out=self._a[:k], mode="clip")
         b = other.take(near, out=self._b[:k], mode="clip")
@@ -154,6 +155,8 @@ class NeighbourList:
         np.maximum(i, j, out=b)
         code = np.multiply(a, n, out=i)
         code += b
+        if n * n <= _INT32_MAX:
+            code = code.astype(np.int32)
         code.sort()
         np.floor_divide(code, n, out=a)
         np.subtract(code, np.multiply(a, n, out=b), out=b)
@@ -192,41 +195,38 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
 
 
 def waypoint_step(
-    x, y, wx, wy, speed, pause_until, vx, vy, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
+    p, w, speed, pause_until, v, cand, now, dt, arena, speed_min, speed_max, pause_time
 ) -> None:
     """Advance all vehicles one tick of random-waypoint motion, in place.
 
-    Paused vehicles stand still; a vehicle that can reach its waypoint this
-    tick snaps onto it, starts its pause and takes a fresh waypoint and
-    speed from its row of ``cand``; every other vehicle moves ``speed * dt``
-    toward its waypoint.
+    ``p``, ``w`` and ``v`` are the fleet's positions, waypoints and
+    velocities as ``(2, n)`` arrays, x in row 0 and y in row 1, and
+    ``arena`` is the ``(2, 1)`` column of the arena's width and height, so
+    each call covers both axes and the per-vehicle masks broadcast over
+    the rows. Paused vehicles stand still; a vehicle that can reach its
+    waypoint this tick snaps onto it, starts its pause and takes a fresh
+    waypoint and speed from its row of ``cand``; every other vehicle moves
+    ``speed * dt`` toward its waypoint.
     """
     paused = now < pause_until
-    dx = wx - x
-    dy = wy - y
-    dist = np.sqrt(dx * dx + dy * dy)
+    d = w - p
+    sq = d * d
+    dist = np.sqrt(sq[0] + sq[1])
     step_len = speed * dt
     arrive = (dist <= step_len) & ~paused
     move = ~(arrive | paused)
 
     # each where= lane goes through the same IEEE operations as a masked gather would
-    np.divide(dx, dist, out=dx, where=move)  # unit vector toward the waypoint
-    np.divide(dy, dist, out=dy, where=move)
-    vx.fill(0.0)  # arriving and paused vehicles stand
-    vy.fill(0.0)
-    np.multiply(dx, speed, out=vx, where=move)
-    np.multiply(dy, speed, out=vy, where=move)
-    np.add(x, np.multiply(dx, step_len, out=dx, where=move), out=x, where=move)
-    np.add(y, np.multiply(dy, step_len, out=dy, where=move), out=y, where=move)
+    np.divide(d, dist, out=d, where=move)  # unit vector toward the waypoint
+    v.fill(0.0)  # arriving and paused vehicles stand
+    np.multiply(d, speed, out=v, where=move)
+    np.add(p, np.multiply(d, step_len, out=d, where=move), out=p, where=move)
 
     if np.count_nonzero(arrive):
-        np.copyto(x, wx, where=arrive)
-        np.copyto(y, wy, where=arrive)
+        np.copyto(p, w, where=arrive)
         np.copyto(pause_until, now + pause_time, where=arrive)
-        np.multiply(cand[:, 0], arena_w, out=wx, where=arrive)
-        np.multiply(cand[:, 1], arena_h, out=wy, where=arrive)
+        np.multiply(cand[:, :2].T, arena, out=w, where=arrive)
         np.add(speed_min, cand[:, 2] * (speed_max - speed_min), out=speed, where=arrive)
 
     # guard against 1-ulp overshoot past the arena edge (positions are never -0.0)
-    np.minimum(np.maximum(x, 0.0, out=x), arena_w, out=x)
-    np.minimum(np.maximum(y, 0.0, out=y), arena_h, out=y)
+    np.minimum(np.maximum(p, 0.0, out=p), arena, out=p)

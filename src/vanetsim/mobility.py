@@ -1,11 +1,13 @@
 """Random-waypoint mobility over a rectangular arena.
 
 Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
-constant speed, arrive, pause, and repeat. State lives in flat numpy
-arrays; the per-tick update is delegated to the kernels module. One
-uniform triple per vehicle is drawn every tick whether or not it is
-consumed, so the generator advances by the same amount each tick and a
-run's random stream does not depend on when vehicles happen to arrive.
+constant speed, arrive, pause, and repeat. State lives in numpy arrays,
+positions, waypoints and velocities each as one ``(2, n)`` array of x and
+y rows, so the per-tick update, delegated to the kernels module, makes
+one numpy call where a pair of x and y arrays would take two. One uniform
+triple per vehicle is drawn every tick whether or not it is consumed, so
+the generator advances by the same amount each tick and a run's random
+stream does not depend on when vehicles happen to arrive.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ class MobilityConfig:
 class RandomWaypointModel:
     """Mutable mobility state for a fleet of vehicles.
 
+    Positions, waypoints and velocities are ``(2, n)`` arrays, x in row 0
+    and y in row 1, so one numpy call of the step covers both axes;
+    ``x``, ``y``, ``vx`` and ``vy`` are read-only views of their rows.
     The clock is an integer tick count; ``now`` is derived from it, so
     simulated time never drifts by summing a fractional tick length.
     """
@@ -54,25 +59,22 @@ class RandomWaypointModel:
     config: MobilityConfig
     rng: np.random.Generator
     tick: int = field(default=0, init=False)
-    x: np.ndarray = field(init=False)
-    y: np.ndarray = field(init=False)
-    vx: np.ndarray = field(init=False)
-    vy: np.ndarray = field(init=False)
-    waypoint_x: np.ndarray = field(init=False)
-    waypoint_y: np.ndarray = field(init=False)
+    pos: np.ndarray = field(init=False)
+    way: np.ndarray = field(init=False)
+    vel: np.ndarray = field(init=False)
     speed: np.ndarray = field(init=False)
     pause_until: np.ndarray = field(init=False)
+    arena: np.ndarray = field(init=False)  # (2, 1): width over height
 
     def __post_init__(self) -> None:
         cfg = self.config
         n = cfg.vehicle_count
-        self.x = self.rng.random(n) * cfg.arena_width
-        self.y = self.rng.random(n) * cfg.arena_height
-        self.waypoint_x = self.rng.random(n) * cfg.arena_width
-        self.waypoint_y = self.rng.random(n) * cfg.arena_height
+        self.arena = np.array([[cfg.arena_width], [cfg.arena_height]])
+        # row-major draws: every x, then every y, as two draws of n would be
+        self.pos = self.rng.random((2, n)) * self.arena
+        self.way = self.rng.random((2, n)) * self.arena
         self.speed = cfg.speed_min + self.rng.random(n) * (cfg.speed_max - cfg.speed_min)
-        self.vx = np.zeros(n)
-        self.vy = np.zeros(n)
+        self.vel = np.zeros((2, n))
         self.pause_until = np.full(n, -np.inf)
 
     def step(self) -> None:
@@ -80,10 +82,8 @@ class RandomWaypointModel:
         cfg = self.config
         cand = self.rng.random((cfg.vehicle_count, 3))
         waypoint_step(
-            self.x, self.y, self.waypoint_x, self.waypoint_y,
-            self.speed, self.pause_until, self.vx, self.vy,
-            cand, self.now, cfg.tick_seconds,
-            cfg.arena_width, cfg.arena_height,
+            self.pos, self.way, self.speed, self.pause_until, self.vel,
+            cand, self.now, cfg.tick_seconds, self.arena,
             cfg.speed_min, cfg.speed_max, cfg.pause_time,
         )
         self.tick += 1
@@ -92,5 +92,21 @@ class RandomWaypointModel:
     def now(self) -> float:
         return float(self.tick * self.config.tick_seconds)
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.pos[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.pos[1]
+
+    @property
+    def vx(self) -> np.ndarray:
+        return self.vel[0]
+
+    @property
+    def vy(self) -> np.ndarray:
+        return self.vel[1]
+
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
-        return (float(self.x[vehicle_id]), float(self.y[vehicle_id]))
+        return (float(self.pos[0, vehicle_id]), float(self.pos[1, vehicle_id]))

@@ -381,7 +381,7 @@ def _stand_fleet(monkeypatch, xs, ys):
 
     def placed(model):
         init(model)
-        model.x, model.y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        model.pos[:] = xs, ys
 
     monkeypatch.setattr(RandomWaypointModel, "__post_init__", placed)
     return MobilityConfig(vehicle_count=len(xs), speed_min=0.0, speed_max=0.0)

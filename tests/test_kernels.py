@@ -300,6 +300,25 @@ class TestNeighbourList:
             a, b = neighbours.pairs(x, y, 10.0)
             assert as_pair_list(a, b) == sorted(brute_force_pairs(x, y, 10.0))
 
+    # pair codes a * n + b reach n * n - n - 1, which wraps in int32 from
+    # 46 342 vehicles on; the list sorts int32 codes only while n * n fits
+    @pytest.mark.parametrize("n", [46_340, 46_341, 46_342])
+    def test_pair_codes_of_a_huge_fleet(self, n):
+        # a lattice 10 m apart with a 1 m range: only the vehicles moved
+        # next to another one are in range, the top indices among them
+        side = int(np.ceil(np.sqrt(n)))
+        x, y = np.arange(n) % side * 10.0, np.arange(n) // side * 10.0
+        x[n - 1], y[n - 1] = x[n - 2] + 0.5, y[n - 2]
+        x[n - 3], y[n - 3] = x[5], y[5] + 0.25
+        x[n - 5], y[n - 5] = x[n - 4] - 0.75, y[n - 4]
+        expected = [(5, n - 3), (n - 5, n - 4), (n - 2, n - 1)]
+        neighbours = kernels.NeighbourList(skin=0.5)
+        for dy in (0.0, 0.1):  # a build, then a filter of the list it kept
+            a, b = neighbours.pairs(x, y + dy, 1.0)
+            assert as_pair_list(a, b) == expected
+            assert a.dtype == b.dtype == np.int64
+        assert as_pair_list(*grid_pairs(x, y, 1.0)) == expected
+
 
 @pytest.mark.parametrize(
     "n,radio_range,max_step,skin",
@@ -318,59 +337,51 @@ def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin):
         assert type(neighbours) is kernels.NeighbourList and neighbours.skin == skin
 
 
-def run_waypoint(fn, seed, ticks=200, n=20):
+def run_waypoint(seed, ticks=200, n=20):
     rng = np.random.default_rng(seed)
-    w, h = 300.0, 200.0
-    x = rng.random(n) * w
-    y = rng.random(n) * h
-    wx = rng.random(n) * w
-    wy = rng.random(n) * h
+    arena = np.array([[300.0], [200.0]])
+    p = rng.random((2, n)) * arena
+    w = rng.random((2, n)) * arena
     speed = 2.0 + rng.random(n) * 8.0
     pause = np.full(n, -np.inf)
-    vx = np.zeros(n)
-    vy = np.zeros(n)
+    v = np.zeros((2, n))
     for t in range(ticks):
         cand = rng.random((n, 3))
-        fn(x, y, wx, wy, speed, pause, vx, vy, cand, float(t), 1.0, w, h, 2.0, 10.0, 3.0)
-    return x, y, vx, vy, wx, wy, speed, pause
+        kernels.waypoint_step(p, w, speed, pause, v, cand, float(t), 1.0, arena, 2.0, 10.0, 3.0)
+    return p, w, speed, pause, v
+
+
+ARENA = np.array([[100.0], [100.0]])
 
 
 class TestWaypointStep:
     def test_positions_stay_in_arena(self):
-        x, y, *_ = run_waypoint(kernels.waypoint_step, seed=9, ticks=500)
-        assert np.all((x >= 0) & (x <= 300.0))
-        assert np.all((y >= 0) & (y <= 200.0))
+        p, *_ = run_waypoint(seed=9, ticks=500)
+        assert np.all((p[0] >= 0) & (p[0] <= 300.0))
+        assert np.all((p[1] >= 0) & (p[1] <= 200.0))
 
     def test_paused_vehicle_does_not_move(self):
-        n = 1
-        x = np.array([50.0]); y = np.array([50.0])
-        wx = np.array([60.0]); wy = np.array([50.0])
+        p = np.array([[50.0], [50.0]])
+        w = np.array([[60.0], [50.0]])
         speed = np.array([5.0])
         pause = np.array([10.0])  # paused until t=10
-        vx = np.zeros(n); vy = np.zeros(n)
-        cand = np.zeros((n, 3))
-        kernels.waypoint_step(
-            x, y, wx, wy, speed, pause, vx, vy, cand, 0.0, 1.0,
-            100.0, 100.0, 1.0, 5.0, 3.0,
-        )
-        assert x[0] == 50.0 and y[0] == 50.0
-        assert vx[0] == 0.0 and vy[0] == 0.0
+        v = np.zeros((2, 1))
+        cand = np.zeros((1, 3))
+        kernels.waypoint_step(p, w, speed, pause, v, cand, 0.0, 1.0, ARENA, 1.0, 5.0, 3.0)
+        assert p[0, 0] == 50.0 and p[1, 0] == 50.0
+        assert v[0, 0] == 0.0 and v[1, 0] == 0.0
 
     def test_arrival_snaps_and_pauses(self):
-        n = 1
-        x = np.array([50.0]); y = np.array([50.0])
-        wx = np.array([52.0]); wy = np.array([50.0])
+        p = np.array([[50.0], [50.0]])
+        w = np.array([[52.0], [50.0]])
         speed = np.array([5.0])  # step length 5 > remaining 2: arrives this tick
-        pause = np.full(n, -np.inf)
-        vx = np.zeros(n); vy = np.zeros(n)
-        cand = np.array([[0.5, 0.5, 0.5]])
-        kernels.waypoint_step(
-            x, y, wx, wy, speed, pause, vx, vy, cand, 7.0, 1.0,
-            100.0, 100.0, 1.0, 5.0, 3.0,
-        )
-        assert x[0] == 52.0 and y[0] == 50.0
+        pause = np.full(1, -np.inf)
+        v = np.zeros((2, 1))
+        cand = np.array([[0.5, 0.25, 0.5]])
+        kernels.waypoint_step(p, w, speed, pause, v, cand, 7.0, 1.0, np.array([[100.0], [80.0]]), 1.0, 5.0, 3.0)
+        assert p[0, 0] == 52.0 and p[1, 0] == 50.0
         assert pause[0] == 10.0  # now + pause_time
-        assert (wx[0], wy[0]) == (50.0, 50.0)  # fresh waypoint from cand
+        assert (w[0, 0], w[1, 0]) == (50.0, 20.0)  # fresh waypoint from cand, scaled per axis
         assert speed[0] == 1.0 + 0.5 * (5.0 - 1.0)
 
 
@@ -441,8 +452,9 @@ class TestFusedWaypointStep:
             x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
         if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
             x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
-        state = (x, y, wx, wy, speed, pause, vx, vy)
-        expected = tuple(a.copy() for a in state)
+        expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy(), vx.copy(), vy.copy())
+        p, way, v = np.stack((x, y)), np.stack((wx, wy)), np.stack((vx, vy))
+        arena = np.array([[w], [h]])
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a 0/0 in any lane would fail
@@ -450,9 +462,10 @@ class TestFusedWaypointStep:
                 cand = rng.random((n, 3))
                 cand[rng.random((n, 3)) < 0.1] = 0.0  # fresh waypoints on the edge
                 cand[rng.random((n, 3)) < 0.1] = 1.0
-                common = (cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
-                kernels.waypoint_step(*state, *common)
-                masked_waypoint_step(*expected, *common)
+                kernels.waypoint_step(p, way, speed, pause, v, cand, tick * dt, dt, arena,
+                                      speed_min, speed_max, pause_time)
+                masked_waypoint_step(*expected, cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
+                state = (p[0], p[1], way[0], way[1], speed, pause, v[0], v[1])
                 for got, want in zip(state, expected):
                     assert np.array_equal(got, want)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too

@@ -104,6 +104,30 @@ class TestRandomWaypointModel:
                 assert np.array_equal(m.y[paused], before[1][paused])
         assert saw_pause
 
+    def test_axis_views_share_the_planar_state(self):
+        m = make_model(2, pause_time=1.0)
+        m.step()
+        for view, planar, row in ((m.x, m.pos, 0), (m.y, m.pos, 1), (m.vx, m.vel, 0), (m.vy, m.vel, 1)):
+            assert np.shares_memory(view, planar)
+            assert view.base is planar
+            assert np.array_equal(view, planar[row])
+        for name in ("x", "y", "vx", "vy"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, np.zeros(m.config.vehicle_count))
+
+    def test_start_state_keeps_the_per_axis_draw_order(self):
+        # x, y, waypoint x, waypoint y, speed: one draw of n each, as before the planar layout
+        m = make_model(11, vehicle_count=6, arena_width=300.0, arena_height=200.0)
+        rng = np.random.default_rng(11)
+        assert np.array_equal(m.x, rng.random(6) * 300.0)
+        assert np.array_equal(m.y, rng.random(6) * 200.0)
+        assert np.array_equal(m.way[0], rng.random(6) * 300.0)
+        assert np.array_equal(m.way[1], rng.random(6) * 200.0)
+        assert np.array_equal(m.speed, 5.0 + rng.random(6) * 10.0)
+        m.step()  # then one (n, 3) draw a step
+        rng.random((6, 3))
+        assert np.array_equal(m.rng.random(4), rng.random(4))
+
     def test_position_of_matches_arrays(self):
         m = make_model(1)
         m.step()
