@@ -76,6 +76,9 @@ def cases() -> dict[str, object]:
     fractional = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}))
     for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE):
         out[f"tick0.1/{scheme.value}/s0"] = with_updates(fractional, seed=0, scheme=scheme)
+    # 150.7 s is 1 507 ticks of 0.1 s, though 1507 * 0.1 reads an ulp past 150.7
+    whole_ticks = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}, packet={"deadline": 150.7}))
+    out["tick0.1_deadline150.7/second_proposal/s0"] = with_updates(whole_ticks, seed=0)
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,49 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, s
     assert result.ticks_run == steps
     assert result.final_time == steps * MOB.tick_seconds
     assert result.settle_time == settle
+
+
+@pytest.mark.parametrize(
+    "eng,pkt,steps,settle",
+    [
+        (EngineConfig(duration=0.3), PKT, 3, 0.3),  # 0.3 / 0.1 is 2.9999999999999996
+        (EngineConfig(duration=600.0), PacketSpec(deadline=0.7), 7, 0.7),  # 0.7 / 0.1 is 6.999999999999999
+        (EngineConfig(duration=0.35), PKT, 3, 0.35),  # between ticks: rounds down
+        (EngineConfig(duration=0.25), PKT, 2, 0.25),
+        (EngineConfig(duration=600.0), PacketSpec(deadline=150.7), 1507, 150.7),
+    ],
+    ids=["duration_0.3", "deadline_0.7", "duration_0.35", "duration_0.25", "deadline_150.7"],
+)
+def test_fractional_ticks_end_in_whole_ticks(monkeypatch, eng, pkt, steps, settle):
+    calls = []
+    step = RandomWaypointModel.step
+    monkeypatch.setattr(RandomWaypointModel, "step", lambda model: calls.append(model.tick) or step(model))
+    result = run_default(eng=eng, pkt=pkt, mob=MobilityConfig(tick_seconds=0.1))
+    assert len(calls) == result.ticks_run == steps
+    assert result.final_time == steps * 0.1
+    assert result.settle_time == settle
+
+
+@pytest.mark.parametrize("settle_on_delivery", [False, True])
+def test_handoff_on_a_clock_an_ulp_past_the_end_is_held_for_no_time(monkeypatch, settle_on_delivery):
+    # vehicle 1 drives 10 m a tick toward vehicle 0 and comes into range on
+    # tick 3, whose clock, 3 * 0.1, reads an ulp past the run's 0.3 s end:
+    # the run still settles at its end, so the handoff is held for 0 s
+    def drive(model):
+        model.pos[0, 1] -= 10.0
+        model.tick += 1
+
+    mob = _stand_fleet(monkeypatch, [0.0, 130.0], [0.0, 0.0])
+    monkeypatch.setattr(RandomWaypointModel, "step", drive)
+    eng = EngineConfig(radio_range=100.0, duration=0.3, source_id=0, destination_id=1,
+                       settle_on_delivery=settle_on_delivery)
+    result = run(replace(mob, tick_seconds=0.1), eng, INC, PKT, 0)
+    assert result.ticks_run == 3
+    assert result.final_time == 3 * 0.1 > 0.3
+    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == [(0, 1, 3 * 0.1)]
+    assert result.delivered
+    assert result.settle_time == 0.3
+    assert [(r.vehicle_id, r.stored_time) for r in result.records] == [(1, 0.0)]
 
 
 def test_small_fleet_builds_its_pair_list_once(monkeypatch):
