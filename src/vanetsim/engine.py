@@ -8,16 +8,14 @@ is the physics: it steps the fleet once every tick after 0 and yields
 each tick's radio contacts, filtered from the one pair list the run keeps
 (``kernels.pair_list``). ``_route_tick`` hands the packet across them in
 (a, b) order, walking only the pairs that ``routing`` says can carry it. The packet's life ends at
-``end = min(duration, deadline)``, counted in whole ticks: the last tick
-is end / tick_seconds, read as the nearest integer when it lies within a
-few ulps of one and rounded down otherwise, so 0.3 s of 0.1 s ticks is 3
-ticks. The run settles at end. A run configured for delivery-triggered
-settlement (always so under packet trade) stops routing and mobility at
-the tick of first delivery instead, and settles at its time. Simulated
-time at tick k is the float k * tick_seconds, never a running sum, so
-fractional ticks do not drift; the last tick's clock can read an ulp past
-end (3 * 0.1 is 0.30000000000000004), and then the run still settles at
-end, so a handoff on that tick is held for 0 s. Two child RNG
+``end = min(duration, deadline)``, in whole ticks: the last tick is
+end / tick_seconds, read as an integer within a few ulps of one and
+rounded down otherwise. The run settles at end, or at the first delivery
+when that settles it (always so under packet trade), whose tick stops
+routing and mobility; never past end, though the last tick's clock can
+read an ulp past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
+Simulated time at tick k is the float k * tick_seconds, never a running
+sum, so fractional ticks do not drift. Two child RNG
 streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
 outcome. The rules a fleet must meet to hold the run's source and
@@ -228,7 +226,6 @@ def run(
         if _route_tick(tree, carried, a, b, x, y, now, stop_at):
             break  # the packet's life ended at this tick
 
-    # the last tick's clock can read an ulp past end (3 * 0.1 > 0.3); the run still settles by end
     settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)
     return RunResult(

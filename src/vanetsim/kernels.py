@@ -46,7 +46,6 @@ _MAX_CELLS = 1 << 20
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
 # covers the rounding in the displacement test and the distances.
 _LIST_MARGIN = 1e-9
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 class AllPairs:
@@ -155,7 +154,7 @@ class NeighbourList:
         np.maximum(i, j, out=b)
         code = np.multiply(a, n, out=i)
         code += b
-        if n * n <= _INT32_MAX:
+        if n * n < 2**31:
             code = code.astype(np.int32)
         code.sort()
         np.floor_divide(code, n, out=a)
@@ -199,14 +198,13 @@ def waypoint_step(
 ) -> None:
     """Advance all vehicles one tick of random-waypoint motion, in place.
 
-    ``p``, ``w`` and ``v`` are the fleet's positions, waypoints and
-    velocities as ``(2, n)`` arrays, x in row 0 and y in row 1, and
-    ``arena`` is the ``(2, 1)`` column of the arena's width and height, so
-    each call covers both axes and the per-vehicle masks broadcast over
-    the rows. Paused vehicles stand still; a vehicle that can reach its
-    waypoint this tick snaps onto it, starts its pause and takes a fresh
-    waypoint and speed from its row of ``cand``; every other vehicle moves
-    ``speed * dt`` toward its waypoint.
+    ``p``, ``w`` and ``v`` are ``(2, n)`` positions, waypoints and
+    velocities, x in row 0 and y in row 1, and ``arena`` is the ``(2, 1)``
+    column of width and height, so per-vehicle masks broadcast over both
+    rows. Paused vehicles stand still; a vehicle that can reach its waypoint
+    this tick snaps onto it, starts its pause and takes a fresh waypoint and
+    speed from its row of ``cand``; every other vehicle moves ``speed * dt``
+    toward its waypoint.
     """
     paused = now < pause_until
     d = w - p

@@ -1,13 +1,12 @@
 """Random-waypoint mobility over a rectangular arena.
 
 Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
-constant speed, arrive, pause, and repeat. State lives in numpy arrays,
-positions, waypoints and velocities each as one ``(2, n)`` array of x and
-y rows, so the per-tick update, delegated to the kernels module, makes
-one numpy call where a pair of x and y arrays would take two. One uniform
-triple per vehicle is drawn every tick whether or not it is consumed, so
-the generator advances by the same amount each tick and a run's random
-stream does not depend on when vehicles happen to arrive.
+constant speed, arrive, pause, and repeat. Positions, waypoints and
+velocities are ``(2, n)`` arrays of x and y rows, so the kernels module's
+step makes one numpy call for both axes. One uniform triple per vehicle
+is drawn every tick whether or not it is consumed, so the generator
+advances by the same amount each tick and a run's random stream does not
+depend on when vehicles happen to arrive.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class MobilityConfig:
 class RandomWaypointModel:
     """Mutable mobility state for a fleet of vehicles.
 
-    Positions, waypoints and velocities are ``(2, n)`` arrays, x in row 0
-    and y in row 1, so one numpy call of the step covers both axes;
-    ``x``, ``y``, ``vx`` and ``vy`` are read-only views of their rows.
     The clock is an integer tick count; ``now`` is derived from it, so
     simulated time never drifts by summing a fractional tick length.
     """
@@ -81,32 +77,19 @@ class RandomWaypointModel:
         """Advance every vehicle by one tick."""
         cfg = self.config
         cand = self.rng.random((cfg.vehicle_count, 3))
-        waypoint_step(
-            self.pos, self.way, self.speed, self.pause_until, self.vel,
-            cand, self.now, cfg.tick_seconds, self.arena,
-            cfg.speed_min, cfg.speed_max, cfg.pause_time,
-        )
+        waypoint_step(self.pos, self.way, self.speed, self.pause_until, self.vel, cand, self.now,
+                      cfg.tick_seconds, self.arena, cfg.speed_min, cfg.speed_max, cfg.pause_time)
         self.tick += 1
 
     @property
     def now(self) -> float:
         return float(self.tick * self.config.tick_seconds)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.pos[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.pos[1]
-
-    @property
-    def vx(self) -> np.ndarray:
-        return self.vel[0]
-
-    @property
-    def vy(self) -> np.ndarray:
-        return self.vel[1]
+    # read-only views of the rows of pos and vel
+    x = property(lambda self: self.pos[0])
+    y = property(lambda self: self.pos[1])
+    vx = property(lambda self: self.vel[0])
+    vy = property(lambda self: self.vel[1])
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.pos[0, vehicle_id]), float(self.pos[1, vehicle_id]))
