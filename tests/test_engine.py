@@ -256,20 +256,28 @@ def test_vehicles_hold_end_of_run_state(inc, pkt):
 
 
 @pytest.mark.parametrize(
-    "eng,inc,pkt,steps,settle",
+    "dt,eng,inc,pkt,steps,settle",
     [
-        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=120.0), 120, 120.0),
-        (EngineConfig(duration=500.0), INC, PacketSpec(deadline=150.5), 150, 150.5),
-        (EngineConfig(duration=600.0), IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT, None, None),
-        (EngineConfig(duration=60.0), INC, PKT, 60, 60.0),
-        (EngineConfig(duration=10.6), INC, PKT, 10, 10.6),
-        (EngineConfig(duration=10.4), INC, PKT, 10, 10.4),
-        (EngineConfig(duration=0.0), INC, PKT, 0, 0.0),
+        (1.0, EngineConfig(duration=500.0), INC, PacketSpec(deadline=120.0), 120, 120.0),
+        (1.0, EngineConfig(duration=500.0), INC, PacketSpec(deadline=150.5), 150, 150.5),
+        (1.0, EngineConfig(duration=600.0), IncentiveConfig(scheme=Scheme.PACKET_TRADE), PKT, None, None),
+        (1.0, EngineConfig(duration=60.0), INC, PKT, 60, 60.0),
+        (1.0, EngineConfig(duration=10.6), INC, PKT, 10, 10.6),
+        (1.0, EngineConfig(duration=10.4), INC, PKT, 10, 10.4),
+        (1.0, EngineConfig(duration=0.0), INC, PKT, 0, 0.0),
+        # whole ticks: 0.3 / 0.1 is 2.9999999999999996, 0.7 / 0.1 is 6.999999999999999
+        (0.1, EngineConfig(duration=0.3), INC, PKT, 3, 0.3),
+        (0.1, EngineConfig(duration=600.0), INC, PacketSpec(deadline=0.7), 7, 0.7),
+        (0.1, EngineConfig(duration=600.0), INC, PacketSpec(deadline=150.7), 1507, 150.7),
+        (0.1, EngineConfig(duration=0.35), INC, PKT, 3, 0.35),
+        (0.1, EngineConfig(duration=0.25), INC, PKT, 2, 0.25),
     ],
     ids=["deadline_mid_run", "deadline_between_ticks", "delivery", "duration_first",
-         "duration_between_ticks_up", "duration_between_ticks_down", "zero"],
+         "duration_between_ticks_up", "duration_between_ticks_down", "zero",
+         "tenth_ticks_duration_0.3", "tenth_ticks_deadline_0.7", "tenth_ticks_deadline_150.7",
+         "tenth_ticks_between_up", "tenth_ticks_between_down"],
 )
-def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, steps, settle):
+def test_mobility_steps_stop_with_the_packets_life(monkeypatch, dt, eng, inc, pkt, steps, settle):
     calls = []
     step = RandomWaypointModel.step
 
@@ -278,36 +286,15 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, eng, inc, pkt, s
         step(model)
 
     monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
-    result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt)
+    result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt, mob=MobilityConfig(tick_seconds=dt))
     if steps is None:  # settled on delivery: the last step is the delivery tick's
         assert result.delivered
         settle = result.tree.link_to[result.destination_id].timestamp
-        steps = round(settle / MOB.tick_seconds)
-        assert steps < round(pkt.deadline / MOB.tick_seconds)
+        steps = round(settle / dt)
+        assert steps < round(pkt.deadline / dt)
     assert calls == list(range(1, steps + 1))
     assert result.ticks_run == steps
-    assert result.final_time == steps * MOB.tick_seconds
-    assert result.settle_time == settle
-
-
-@pytest.mark.parametrize(
-    "eng,pkt,steps,settle",
-    [
-        (EngineConfig(duration=0.3), PKT, 3, 0.3),  # 0.3 / 0.1 is 2.9999999999999996
-        (EngineConfig(duration=600.0), PacketSpec(deadline=0.7), 7, 0.7),  # 0.7 / 0.1 is 6.999999999999999
-        (EngineConfig(duration=0.35), PKT, 3, 0.35),  # between ticks: rounds down
-        (EngineConfig(duration=0.25), PKT, 2, 0.25),
-        (EngineConfig(duration=600.0), PacketSpec(deadline=150.7), 1507, 150.7),
-    ],
-    ids=["duration_0.3", "deadline_0.7", "duration_0.35", "duration_0.25", "deadline_150.7"],
-)
-def test_fractional_ticks_end_in_whole_ticks(monkeypatch, eng, pkt, steps, settle):
-    calls = []
-    step = RandomWaypointModel.step
-    monkeypatch.setattr(RandomWaypointModel, "step", lambda model: calls.append(model.tick) or step(model))
-    result = run_default(eng=eng, pkt=pkt, mob=MobilityConfig(tick_seconds=0.1))
-    assert len(calls) == result.ticks_run == steps
-    assert result.final_time == steps * 0.1
+    assert result.final_time == steps * dt
     assert result.settle_time == settle
 
 

@@ -351,9 +351,6 @@ def run_waypoint(seed, ticks=200, n=20):
     return p, w, speed, pause, v
 
 
-ARENA = np.array([[100.0], [100.0]])
-
-
 class TestWaypointStep:
     def test_positions_stay_in_arena(self):
         p, *_ = run_waypoint(seed=9, ticks=500)
@@ -367,7 +364,7 @@ class TestWaypointStep:
         pause = np.array([10.0])  # paused until t=10
         v = np.zeros((2, 1))
         cand = np.zeros((1, 3))
-        kernels.waypoint_step(p, w, speed, pause, v, cand, 0.0, 1.0, ARENA, 1.0, 5.0, 3.0)
+        kernels.waypoint_step(p, w, speed, pause, v, cand, 0.0, 1.0, np.array([[100.0], [100.0]]), 1.0, 5.0, 3.0)
         assert p[0, 0] == 50.0 and p[1, 0] == 50.0
         assert v[0, 0] == 0.0 and v[1, 0] == 0.0
 
