@@ -1,8 +1,7 @@
 """Hot per-tick kernels: radio contact detection and waypoint stepping.
 
-One numpy waypoint step over ``(2, n)`` x/y arrays (~19 numpy calls, ~22 us
-a tick at 15 vehicles, where separate x and y arrays took ~28 calls, ~41 us;
-2-core Xeon, numpy 2.4) and one numpy cell-grid search. Every contact test is
+There is one waypoint step, over ``(2, n)`` x/y arrays, and one cell-grid
+search, both numpy. Every contact test is the same predicate,
 ``dx*dx + dy*dy <= r*r``, and every pair list comes out sorted by (a, b)
 with a < b, so the choice of algorithm never changes a run's output.
 
@@ -145,7 +144,7 @@ class NeighbourList:
         near = self._near(z[order], owner, other, cutoff)
 
         # the pairs in range as (min, max) of their vehicle indices, sorted
-        # by the code a * n + b; int32 codes, while n * n fits, sort in about half the time
+        # by the code a * n + b
         k = len(near)
         a = owner.take(near, out=self._a[:k], mode="clip")
         b = other.take(near, out=self._b[:k], mode="clip")
@@ -155,8 +154,6 @@ class NeighbourList:
         np.maximum(i, j, out=b)
         code = np.multiply(a, n, out=i)
         code += b
-        if n * n < 2**31:
-            code = code.astype(np.int32)
         code.sort()
         np.floor_divide(code, n, out=a)
         np.subtract(code, np.multiply(a, n, out=b), out=b)

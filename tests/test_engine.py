@@ -269,13 +269,10 @@ def test_vehicles_hold_end_of_run_state(inc, pkt):
         (0.1, EngineConfig(duration=0.3), INC, PKT, 3, 0.3),
         (0.1, EngineConfig(duration=600.0), INC, PacketSpec(deadline=0.7), 7, 0.7),
         (0.1, EngineConfig(duration=600.0), INC, PacketSpec(deadline=150.7), 1507, 150.7),
-        (0.1, EngineConfig(duration=0.35), INC, PKT, 3, 0.35),
-        (0.1, EngineConfig(duration=0.25), INC, PKT, 2, 0.25),
     ],
     ids=["deadline_mid_run", "deadline_between_ticks", "delivery", "duration_first",
          "duration_between_ticks_up", "duration_between_ticks_down", "zero",
-         "tenth_ticks_duration_0.3", "tenth_ticks_deadline_0.7", "tenth_ticks_deadline_150.7",
-         "tenth_ticks_between_up", "tenth_ticks_between_down"],
+         "tenth_ticks_duration_0.3", "tenth_ticks_deadline_0.7", "tenth_ticks_deadline_150.7"],
 )
 def test_mobility_steps_stop_with_the_packets_life(monkeypatch, dt, eng, inc, pkt, steps, settle):
     calls = []
