@@ -83,10 +83,9 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
     n = vehicle_count
     source, destination = engine_cfg.source_id, engine_cfg.destination_id
     problems = []
-    if source is not None and not 0 <= source < n:
-        problems.append(f"engine.source_id: must be in [0, {n})")
-    if destination is not None and not 0 <= destination < n:
-        problems.append(f"engine.destination_id: must be in [0, {n})")
+    for name, vehicle in (("source_id", source), ("destination_id", destination)):
+        if vehicle is not None and not (isinstance(vehicle, (int, np.integer)) and 0 <= vehicle < n):
+            problems.append(f"engine.{name}: must be an integer in [0, {n})")
     if destination is not None and destination == source:
         problems.append("engine.destination_id: must differ from source_id")
     if n < 2 and (destination is not None or _settles_on_delivery(engine_cfg, scheme)):

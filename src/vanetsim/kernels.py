@@ -24,11 +24,9 @@ each call gathers positions once, as one complex array. With 300 vehicles
 in 800 m a build tests ~18 000 candidate pairs and a tick filters ~7 400
 list pairs, so fresh temporaries would be 59-290 KB each: glibc maps those
 over its 128 KiB mmap threshold afresh on every call, and trims the heap
-above it, so their pages fault in again each time. Kept buffers took a
-build there from ~950 to ~330-520 us and a tick's filter from ~210 to
-~65-100 us on a 2-core Xeon (numpy 2.4). ``AllPairs`` keeps plain
-temporaries: at 15 vehicles (105 pairs) they stay under 2 KB, so there is
-no churn to save, and the buffered filter took the same ~6 us a tick.
+above it, so their pages fault in again each time. ``AllPairs`` keeps
+plain temporaries: at 15 vehicles (105 pairs) they stay under 2 KB, so
+there is no churn to save.
 """
 
 from __future__ import annotations
@@ -192,17 +190,16 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
 
 
 def waypoint_step(
-    p, w, speed, pause_until, v, cand, now, dt, arena, speed_min, speed_max, pause_time
+    p, w, speed, pause_until, cand, now, dt, arena, speed_min, speed_max, pause_time
 ) -> None:
     """Advance all vehicles one tick of random-waypoint motion, in place.
 
-    ``p``, ``w`` and ``v`` are ``(2, n)`` positions, waypoints and
-    velocities, x in row 0 and y in row 1, and ``arena`` is the ``(2, 1)``
-    column of width and height, so per-vehicle masks broadcast over both
-    rows. Paused vehicles stand still; a vehicle that can reach its waypoint
-    this tick snaps onto it, starts its pause and takes a fresh waypoint and
-    speed from its row of ``cand``; every other vehicle moves ``speed * dt``
-    toward its waypoint.
+    ``p`` and ``w`` are ``(2, n)`` positions and waypoints, x in row 0 and
+    y in row 1, and ``arena`` is the ``(2, 1)`` column of width and height,
+    so per-vehicle masks broadcast over both rows. Paused vehicles stand
+    still; a vehicle that can reach its waypoint this tick snaps onto it,
+    starts its pause and takes a fresh waypoint and speed from its row of
+    ``cand``; every other vehicle moves ``speed * dt`` toward its waypoint.
     """
     paused = now < pause_until
     d = w - p
@@ -214,8 +211,6 @@ def waypoint_step(
 
     # each where= lane goes through the same IEEE operations as a masked gather would
     np.divide(d, dist, out=d, where=move)  # unit vector toward the waypoint
-    v.fill(0.0)  # arriving and paused vehicles stand
-    np.multiply(d, speed, out=v, where=move)
     np.add(p, np.multiply(d, step_len, out=d, where=move), out=p, where=move)
 
     if np.count_nonzero(arrive):

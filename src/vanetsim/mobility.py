@@ -1,12 +1,12 @@
 """Random-waypoint mobility over a rectangular arena.
 
 Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
-constant speed, arrive, pause, and repeat. Positions, waypoints and
-velocities are ``(2, n)`` arrays of x and y rows, so the kernels module's
-step makes one numpy call for both axes. One uniform triple per vehicle
-is drawn every tick whether or not it is consumed, so the generator
-advances by the same amount each tick and a run's random stream does not
-depend on when vehicles happen to arrive.
+constant speed, arrive, pause, and repeat. Positions and waypoints are
+``(2, n)`` arrays of x and y rows, so the kernels module's step makes one
+numpy call for both axes. One uniform triple per vehicle is drawn every
+tick whether or not it is consumed, so the generator advances by the same
+amount each tick and a run's random stream does not depend on when
+vehicles happen to arrive.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class MobilityConfig:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.vehicle_count >= 1:
-            raise ValidationError("vehicle_count must be at least 1")
+        if not (isinstance(self.vehicle_count, (int, np.integer)) and self.vehicle_count >= 1):
+            raise ValidationError("vehicle_count must be an integer of at least 1")
         if not (0 < self.arena_width < math.inf and 0 < self.arena_height < math.inf):
             raise ValidationError("arena dimensions must be positive and finite")
         if not 0 <= self.speed_min <= self.speed_max < math.inf:
@@ -57,7 +57,6 @@ class RandomWaypointModel:
     tick: int = field(default=0, init=False)
     pos: np.ndarray = field(init=False)
     way: np.ndarray = field(init=False)
-    vel: np.ndarray = field(init=False)
     speed: np.ndarray = field(init=False)
     pause_until: np.ndarray = field(init=False)
     arena: np.ndarray = field(init=False)  # (2, 1): width over height
@@ -70,14 +69,13 @@ class RandomWaypointModel:
         self.pos = self.rng.random((2, n)) * self.arena
         self.way = self.rng.random((2, n)) * self.arena
         self.speed = cfg.speed_min + self.rng.random(n) * (cfg.speed_max - cfg.speed_min)
-        self.vel = np.zeros((2, n))
         self.pause_until = np.full(n, -np.inf)
 
     def step(self) -> None:
         """Advance every vehicle by one tick."""
         cfg = self.config
         cand = self.rng.random((cfg.vehicle_count, 3))
-        waypoint_step(self.pos, self.way, self.speed, self.pause_until, self.vel, cand, self.now,
+        waypoint_step(self.pos, self.way, self.speed, self.pause_until, cand, self.now,
                       cfg.tick_seconds, self.arena, cfg.speed_min, cfg.speed_max, cfg.pause_time)
         self.tick += 1
 
@@ -85,11 +83,9 @@ class RandomWaypointModel:
     def now(self) -> float:
         return float(self.tick * self.config.tick_seconds)
 
-    # read-only views of the rows of pos and vel
+    # read-only views of the rows of pos
     x = property(lambda self: self.pos[0])
     y = property(lambda self: self.pos[1])
-    vx = property(lambda self: self.vel[0])
-    vy = property(lambda self: self.vel[1])
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.pos[0, vehicle_id]), float(self.pos[1, vehicle_id]))

@@ -125,9 +125,13 @@ class TestEndpointProblems:
     @pytest.mark.parametrize(
         "vehicle_count, engine_kwargs, scheme, expected",
         [
-            (3, {"source_id": 3}, Scheme.SECOND_PROPOSAL, "engine.source_id: must be in [0, 3)"),
+            (3, {"source_id": 3}, Scheme.SECOND_PROPOSAL, "engine.source_id: must be an integer in [0, 3)"),
             (3, {"destination_id": -1}, Scheme.SECOND_PROPOSAL,
-             "engine.destination_id: must be in [0, 3)"),
+             "engine.destination_id: must be an integer in [0, 3)"),
+            (3, {"source_id": 1.5}, Scheme.SECOND_PROPOSAL,
+             "engine.source_id: must be an integer in [0, 3)"),
+            (3, {"destination_id": 2.0}, Scheme.SECOND_PROPOSAL,
+             "engine.destination_id: must be an integer in [0, 3)"),
             (3, {"source_id": 1, "destination_id": 1}, Scheme.SECOND_PROPOSAL,
              "engine.destination_id: must differ from source_id"),
             (1, {"destination_id": 0}, Scheme.SECOND_PROPOSAL, NEEDS_TWO),
@@ -145,6 +149,7 @@ class TestEndpointProblems:
             (1, {}, Scheme.SECOND_PROPOSAL),
             (1, {"source_id": 0}, Scheme.PACKET_PURSE),
             (2, {"source_id": 0, "destination_id": 1}, Scheme.PACKET_TRADE),
+            (2, {"source_id": np.int64(1), "destination_id": np.int32(0)}, Scheme.PACKET_TRADE),
         ],
     )
     def test_holdable_endpoints_have_no_problems(self, vehicle_count, engine_kwargs, scheme):
@@ -159,7 +164,7 @@ class TestEndpointProblems:
         eng = EngineConfig(duration=1.0, source_id=5, destination_id=5)
         with pytest.raises(ValidationError) as exc:
             run_default(eng=eng, mob=MobilityConfig(vehicle_count=1))
-        assert "engine.source_id: must be in [0, 1)" in str(exc.value)
+        assert "engine.source_id: must be an integer in [0, 1)" in str(exc.value)
         assert "engine.destination_id: must differ from source_id" in str(exc.value)
 
 

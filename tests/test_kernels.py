@@ -343,16 +343,15 @@ def run_waypoint(seed, ticks=200, n=20):
     w = rng.random((2, n)) * arena
     speed = 2.0 + rng.random(n) * 8.0
     pause = np.full(n, -np.inf)
-    v = np.zeros((2, n))
     for t in range(ticks):
         cand = rng.random((n, 3))
-        kernels.waypoint_step(p, w, speed, pause, v, cand, float(t), 1.0, arena, 2.0, 10.0, 3.0)
-    return p, w, speed, pause, v
+        kernels.waypoint_step(p, w, speed, pause, cand, float(t), 1.0, arena, 2.0, 10.0, 3.0)
+    return p
 
 
 class TestWaypointStep:
     def test_positions_stay_in_arena(self):
-        p, *_ = run_waypoint(seed=9, ticks=500)
+        p = run_waypoint(seed=9, ticks=500)
         assert np.all((p[0] >= 0) & (p[0] <= 300.0))
         assert np.all((p[1] >= 0) & (p[1] <= 200.0))
 
@@ -361,20 +360,17 @@ class TestWaypointStep:
         w = np.array([[60.0], [50.0]])
         speed = np.array([5.0])
         pause = np.array([10.0])  # paused until t=10
-        v = np.zeros((2, 1))
         cand = np.zeros((1, 3))
-        kernels.waypoint_step(p, w, speed, pause, v, cand, 0.0, 1.0, np.array([[100.0], [100.0]]), 1.0, 5.0, 3.0)
+        kernels.waypoint_step(p, w, speed, pause, cand, 0.0, 1.0, np.array([[100.0], [100.0]]), 1.0, 5.0, 3.0)
         assert p[0, 0] == 50.0 and p[1, 0] == 50.0
-        assert v[0, 0] == 0.0 and v[1, 0] == 0.0
 
     def test_arrival_snaps_and_pauses(self):
         p = np.array([[50.0], [50.0]])
         w = np.array([[52.0], [50.0]])
         speed = np.array([5.0])  # step length 5 > remaining 2: arrives this tick
         pause = np.full(1, -np.inf)
-        v = np.zeros((2, 1))
         cand = np.array([[0.5, 0.25, 0.5]])
-        kernels.waypoint_step(p, w, speed, pause, v, cand, 7.0, 1.0, np.array([[100.0], [80.0]]), 1.0, 5.0, 3.0)
+        kernels.waypoint_step(p, w, speed, pause, cand, 7.0, 1.0, np.array([[100.0], [80.0]]), 1.0, 5.0, 3.0)
         assert p[0, 0] == 52.0 and p[1, 0] == 50.0
         assert pause[0] == 10.0  # now + pause_time
         assert (w[0, 0], w[1, 0]) == (50.0, 20.0)  # fresh waypoint from cand, scaled per axis
@@ -382,7 +378,7 @@ class TestWaypointStep:
 
 
 def masked_waypoint_step(
-    x, y, wx, wy, speed, pause_until, vx, vy, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
+    x, y, wx, wy, speed, pause_until, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
 ) -> None:
     """Reference: the waypoint step as masked gathers and scatters, one per state array."""
     paused = now < pause_until
@@ -397,20 +393,13 @@ def masked_waypoint_step(
     uy = np.divide(dy, dist, out=np.zeros_like(dy), where=move)
     x[move] = x[move] + ux[move] * step_len[move]
     y[move] = y[move] + uy[move] * step_len[move]
-    vx[move] = ux[move] * speed[move]
-    vy[move] = uy[move] * speed[move]
 
     x[arrive] = wx[arrive]
     y[arrive] = wy[arrive]
-    vx[arrive] = 0.0
-    vy[arrive] = 0.0
     pause_until[arrive] = now + pause_time
     wx[arrive] = cand[arrive, 0] * arena_w
     wy[arrive] = cand[arrive, 1] * arena_h
     speed[arrive] = speed_min + cand[arrive, 2] * (speed_max - speed_min)
-
-    vx[paused] = 0.0
-    vy[paused] = 0.0
 
     np.clip(x, 0.0, arena_w, out=x)
     np.clip(y, 0.0, arena_h, out=y)
@@ -439,7 +428,6 @@ class TestFusedWaypointStep:
         speed = speed_min + rng.random(n) * (speed_max - speed_min)
         # paused, pausing until exactly tick 0 or 1, or free
         pause = rng.choice([-np.inf, 0.0, 1.0, 5.0], n)
-        vx, vy = rng.random(n), rng.random(n)
         x[0], y[0] = wx[0], wy[0]  # standing on its waypoint: dist == 0
         if n > 1:
             x[1], y[1] = w, 0.0  # on the arena's corner
@@ -448,8 +436,8 @@ class TestFusedWaypointStep:
             x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
         if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
             x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
-        expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy(), vx.copy(), vy.copy())
-        p, way, v = np.stack((x, y)), np.stack((wx, wy)), np.stack((vx, vy))
+        expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy())
+        p, way = np.stack((x, y)), np.stack((wx, wy))
         arena = np.array([[w], [h]])
 
         with warnings.catch_warnings():
@@ -458,10 +446,10 @@ class TestFusedWaypointStep:
                 cand = rng.random((n, 3))
                 cand[rng.random((n, 3)) < 0.1] = 0.0  # fresh waypoints on the edge
                 cand[rng.random((n, 3)) < 0.1] = 1.0
-                kernels.waypoint_step(p, way, speed, pause, v, cand, tick * dt, dt, arena,
+                kernels.waypoint_step(p, way, speed, pause, cand, tick * dt, dt, arena,
                                       speed_min, speed_max, pause_time)
                 masked_waypoint_step(*expected, cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
-                state = (p[0], p[1], way[0], way[1], speed, pause, v[0], v[1])
+                state = (p[0], p[1], way[0], way[1], speed, pause)
                 for got, want in zip(state, expected):
                     assert np.array_equal(got, want)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too

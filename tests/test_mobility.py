@@ -17,6 +17,8 @@ class TestMobilityConfig:
         "kwargs",
         [
             {"vehicle_count": 0},
+            {"vehicle_count": 2.5},
+            {"vehicle_count": 15.0},
             {"arena_width": 0.0},
             {"arena_height": -1.0},
             {"speed_min": -1.0},
@@ -42,6 +44,9 @@ class TestMobilityConfig:
         with pytest.raises(ValidationError):
             MobilityConfig(**kwargs)
 
+    def test_accepts_a_numpy_integer_count(self):
+        assert make_model(0, vehicle_count=np.int64(4)).pos.shape == (2, 4)
+
 
 class TestRandomWaypointModel:
     def test_same_seed_same_trajectories(self):
@@ -50,9 +55,8 @@ class TestRandomWaypointModel:
         for _ in range(100):
             m1.step()
             m2.step()
-        assert np.array_equal(m1.x, m2.x)
-        assert np.array_equal(m1.y, m2.y)
-        assert np.array_equal(m1.vx, m2.vx)
+        for name in ("pos", "way", "speed", "pause_until"):
+            assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_different_seeds_diverge(self):
         m1 = make_model(1)
@@ -82,14 +86,20 @@ class TestRandomWaypointModel:
         assert m.now == 300.0  # summing 0.1 3 000 times gives 299.99999999999997
 
     def test_moving_speed_within_bounds(self):
-        m = make_model(3, speed_min=4.0, speed_max=9.0)
+        m = make_model(3, speed_min=4.0, speed_max=9.0, pause_time=1.0, tick_seconds=0.5)
+        saw_move = False
         for _ in range(200):
+            before, way, speed = m.pos.copy(), m.way.copy(), m.speed.copy()
+            paused = m.now < m.pause_until
             m.step()
-            v = np.sqrt(m.vx**2 + m.vy**2)
-            moving = v > 0.0
-            # paused/arrived vehicles carry zero velocity; movers obey limits
-            assert np.all(v[moving] <= 9.0 + 1e-9)
-            assert np.all(v[moving] >= 4.0 - 1e-9)
+            assert np.all((m.speed >= 4.0) & (m.speed <= 9.0))
+            moved = np.hypot(*(m.pos - before))
+            assert np.all(moved <= 9.0 * 0.5 * (1 + 1e-9))
+            # neither paused nor arrived: an arrival takes a fresh waypoint
+            cruising = ~paused & np.all(m.way == way, axis=0)
+            saw_move |= bool(np.any(cruising))
+            assert np.allclose(moved[cruising], speed[cruising] * 0.5, rtol=1e-9, atol=0.0)
+        assert saw_move
 
     def test_pause_time_freezes_vehicles_after_arrival(self):
         m = make_model(5, vehicle_count=30, speed_max=50.0, pause_time=5.0)
@@ -107,11 +117,11 @@ class TestRandomWaypointModel:
     def test_axis_views_share_the_planar_state(self):
         m = make_model(2, pause_time=1.0)
         m.step()
-        for view, planar, row in ((m.x, m.pos, 0), (m.y, m.pos, 1), (m.vx, m.vel, 0), (m.vy, m.vel, 1)):
-            assert np.shares_memory(view, planar)
-            assert view.base is planar
-            assert np.array_equal(view, planar[row])
-        for name in ("x", "y", "vx", "vy"):
+        for view, row in ((m.x, 0), (m.y, 1)):
+            assert np.shares_memory(view, m.pos)
+            assert view.base is m.pos
+            assert np.array_equal(view, m.pos[row])
+        for name in ("x", "y"):
             with pytest.raises(AttributeError):
                 setattr(m, name, np.zeros(m.config.vehicle_count))
 
