@@ -84,7 +84,8 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
     source, destination = engine_cfg.source_id, engine_cfg.destination_id
     problems = []
     for name, vehicle in (("source_id", source), ("destination_id", destination)):
-        if vehicle is not None and not (isinstance(vehicle, (int, np.integer)) and 0 <= vehicle < n):
+        integral = isinstance(vehicle, (int, np.integer)) and not isinstance(vehicle, bool)
+        if vehicle is not None and not (integral and 0 <= vehicle < n):
             problems.append(f"engine.{name}: must be an integer in [0, {n})")
     if destination is not None and destination == source:
         problems.append("engine.destination_id: must differ from source_id")
@@ -141,10 +142,8 @@ def _settle(
         report = settle_proportional(tree, records, packet.reward_budget)
     elif scheme is Scheme.PACKET_PURSE:
         report = settle_packet_purse(tree, packet.reward_budget, engine_cfg.hop_price)
-    elif scheme is Scheme.PACKET_TRADE:
+    else:
         report = settle_packet_trade(tree, destination_id, engine_cfg.hop_price)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValidationError(f"unhandled scheme {scheme}")
     return records, report
 
 

@@ -10,7 +10,10 @@ Three scoring rules share the same record shape:
 
 Time inputs to the pure functions are unitless; the config layer divides
 raw seconds by ``time_scale`` before calling them. Distances stay in
-metres with an explicit decay scale.
+metres with an explicit decay scale. Callers pass values already
+checked by ``PacketSpec``, ``WeightSet`` and ``IncentiveConfig``, and
+times, counts and distances that are non-negative by construction;
+nothing here checks them again. Only an unknown mode or aggregate raises.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ def time_term(stored_time: float, deadline: float) -> float:
     Grows from 0, saturates at just under ``deadline`` once the packet has
     been held for its whole lifetime; holding longer earns nothing more.
     """
-    if not stored_time >= 0:
-        raise ValidationError("stored_time must be non-negative")
-    if not deadline > 0:
-        raise ValidationError("deadline must be positive")
     t = min(stored_time, deadline)
     # expm1 keeps relative accuracy for small t where exp(-t) ~ 1
     return deadline * -math.expm1(-t)
@@ -49,8 +48,6 @@ def time_term(stored_time: float, deadline: float) -> float:
 
 def forward_term(forward_count: int) -> float:
     """Forwarding credit is linear in the number of handoffs."""
-    if not forward_count >= 0:
-        raise ValidationError("forward_count must be non-negative")
     return float(forward_count)
 
 
@@ -61,12 +58,6 @@ def distance_term(dist: float, interest_radius: float, decay_scale: float) -> fl
     relay's distance from the origin and drops to exactly zero once the
     relay happens outside the packet's region of interest.
     """
-    if not dist >= 0:
-        raise ValidationError("dist must be non-negative")
-    if not interest_radius > 0:
-        raise ValidationError("interest_radius must be positive")
-    if not decay_scale > 0:
-        raise ValidationError("decay_scale must be positive")
     if dist > interest_radius:
         return 0.0
     return interest_radius * math.exp(-dist / decay_scale)
@@ -74,10 +65,6 @@ def distance_term(dist: float, interest_radius: float, decay_scale: float) -> fl
 
 def contribution_basic(alpha: float, stored_time: float, forward_count: int) -> float:
     """Two-term linear blend; time credit is unbounded."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError("alpha must lie in [0, 1]")
-    if not stored_time >= 0:
-        raise ValidationError("stored_time must be non-negative")
     return alpha * stored_time + (1.0 - alpha) * forward_term(forward_count)
 
 
@@ -94,12 +81,6 @@ def contribution_first(
     packet is alive); ``product`` reads it as t * T. Both readings are
     kept selectable because they reward storage very differently.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie strictly between 0 and 1")
-    if not stored_time >= 0:
-        raise ValidationError("stored_time must be non-negative")
-    if not deadline > 0:
-        raise ValidationError("deadline must be positive")
     if mode == "ratio":
         time_credit = stored_time / deadline
     elif mode == "product":
@@ -165,6 +146,8 @@ class IncentiveConfig:
     distance_aggregate: str = "mean"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scheme, Scheme):
+            raise ValidationError(f"scheme must be a Scheme, got {self.scheme!r}")
         # each test is written so that NaN fails it
         if not 0 < self.time_scale < math.inf:
             raise ValidationError("time_scale must be positive and finite")

@@ -32,7 +32,8 @@ class MobilityConfig:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not (isinstance(self.vehicle_count, (int, np.integer)) and self.vehicle_count >= 1):
+        n = self.vehicle_count
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise ValidationError("vehicle_count must be an integer of at least 1")
         if not (0 < self.arena_width < math.inf and 0 < self.arena_height < math.inf):
             raise ValidationError("arena dimensions must be positive and finite")

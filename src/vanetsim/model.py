@@ -78,6 +78,8 @@ class PacketSpec:
     packet_id: str = "p0"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.payload_class, PayloadClass):
+            raise ValidationError(f"payload_class must be a PayloadClass, got {self.payload_class!r}")
         # each test is written so that NaN fails it
         if not 0 <= self.reward_budget < math.inf:
             raise ValidationError(f"reward_budget must be non-negative and finite, got {self.reward_budget}")
@@ -94,7 +96,6 @@ class TreeLink:
     from_id: int
     to_id: int
     timestamp: float
-    from_position: Vec2
     to_position: Vec2
     distance_from_origin: float  # origin -> forwarder position at relay time
 

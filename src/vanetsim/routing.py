@@ -39,7 +39,6 @@ def handle_encounter(
         from_id=giver,
         to_id=taker,
         timestamp=now,
-        from_position=giver_pos,
         to_position=(float(x[taker]), float(y[taker])),
         distance_from_origin=distance(giver_pos, tree.origin),
     )

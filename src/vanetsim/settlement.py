@@ -13,7 +13,9 @@ Three settlement styles:
   onward along its delivery path. The source is never debited.
 
 Each settle function takes the packet's forwarding tree, whose root is
-the source, and the prices it needs as plain numbers. A run settles its
+the source, and the prices it needs as plain numbers, already checked
+by ``PacketSpec`` and ``EngineConfig``; proportional records carry
+non-negative scores. Nothing here checks them again. A run settles its
 one packet once. The resulting report is the only record of who paid
 whom: its ``balances`` credit every share and debit the payer the paid
 total.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ContributionRecord, ForwardingTree, SettlementReport, ValidationError
+from .model import ContributionRecord, ForwardingTree, SettlementReport
 from .routing import path_from_root
 
 # tolerates float noise in budget/price division when counting fundable hops
@@ -38,11 +40,6 @@ def settle_proportional(
     Records must already be scored. The paid total never exceeds the
     budget: rounding overshoot is shaved off the largest share.
     """
-    for rec in records:
-        if rec.contribution < 0:
-            raise ValidationError(
-                f"negative contribution for vehicle {rec.vehicle_id}"
-            )
     total_c = math.fsum(rec.contribution for rec in records)
 
     if total_c <= 0.0 or budget == 0.0:
@@ -65,8 +62,6 @@ def settle_proportional(
 
 def fundable_hops(budget: float, hop_price: float) -> int:
     """How many hop payments a purse of ``budget`` can cover."""
-    if not 0 < hop_price < math.inf:  # written so that NaN fails it
-        raise ValidationError("hop_price must be positive and finite")
     if budget <= 0:
         return 0
     return int(math.floor(budget / hop_price + _FUND_EPS))
@@ -105,9 +100,6 @@ def settle_packet_trade(
     If the packet never reached the destination nobody pays anything.
     The source is never debited; at most it earns for the first sale.
     """
-    if not 0 < hop_price < math.inf:  # written so that NaN fails it
-        raise ValidationError("hop_price must be positive and finite")
-
     shares = dict.fromkeys(tree.depth, 0.0)
     if destination_id in tree.link_to:
         for link in path_from_root(tree, destination_id):

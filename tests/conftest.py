@@ -27,7 +27,6 @@ def make_link(
         from_id=from_id,
         to_id=to_id,
         timestamp=timestamp,
-        from_position=(dist, 0.0),
         to_position=(dist + 1.0, 0.0),
         distance_from_origin=dist,
     )

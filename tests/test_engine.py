@@ -11,7 +11,8 @@ from vanetsim.incentives import IncentiveConfig
 from vanetsim.kernels import contact_pairs
 from vanetsim.metrics import build_summary, summary_to_json
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
-from vanetsim.model import ForwardingTree, Scheme, ValidationError, WeightSet, distance
+from vanetsim.model import ForwardingTree, Scheme, ValidationError, WeightSet
+from vanetsim.scenario import load_scenario, with_updates
 
 MOB = MobilityConfig()  # 15 vehicles, 800 x 800
 ENG = EngineConfig(radio_range=100.0, duration=300.0)
@@ -37,6 +38,7 @@ def run_default(seed: int = 7, eng: EngineConfig = ENG, inc: IncentiveConfig = I
         {"reward_budget": math.inf},
         {"deadline": math.inf},
         {"interest_radius": math.inf},
+        {"payload_class": "safety"},
     ],
 )
 def test_packet_spec_rejects_bad_limits(kwargs):
@@ -131,6 +133,10 @@ class TestEndpointProblems:
             (3, {"source_id": 1.5}, Scheme.SECOND_PROPOSAL,
              "engine.source_id: must be an integer in [0, 3)"),
             (3, {"destination_id": 2.0}, Scheme.SECOND_PROPOSAL,
+             "engine.destination_id: must be an integer in [0, 3)"),
+            (3, {"source_id": True}, Scheme.SECOND_PROPOSAL,
+             "engine.source_id: must be an integer in [0, 3)"),
+            (3, {"destination_id": True}, Scheme.SECOND_PROPOSAL,
              "engine.destination_id: must be an integer in [0, 3)"),
             (3, {"source_id": 1, "destination_id": 1}, Scheme.SECOND_PROPOSAL,
              "engine.destination_id: must differ from source_id"),
@@ -565,9 +571,15 @@ class TestTreeShape:
             assert link.to_id not in seen
             seen.add(link.to_id)
 
-    def test_link_distance_matches_giver_position(self):
-        result = run_default(seed=13)
-        origin = result.tree.origin
-        for link in result.tree.links:
-            expect = distance(link.from_position, origin)
-            assert link.distance_from_origin == expect
+
+@pytest.mark.parametrize("settle_on_delivery", [False, True])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_records_are_finite_and_non_negative(baseline_path, scheme, settle_on_delivery):
+    """Scoring and settlement take record fields unchecked; a run only makes finite, non-negative ones."""
+    sc = with_updates(load_scenario(baseline_path), scheme=scheme)
+    eng = replace(sc.engine, settle_on_delivery=settle_on_delivery)
+    result = run(sc.mobility, eng, sc.incentives, sc.packet, sc.seed)
+    assert result.records
+    for rec in result.records:
+        fields = [rec.stored_time, rec.forward_count, *rec.relay_distances, rec.receive_distance, rec.contribution]
+        assert all(0 <= v < math.inf for v in fields), rec

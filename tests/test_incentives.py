@@ -50,11 +50,6 @@ class TestTimeTerm:
         for t in (0.1, 1.0, 5.0, 100.0):
             assert 0.0 < time_term(t, 5.0) < 5.0
 
-    def test_rejects_bad_inputs(self):
-        for args in [(-1.0, 10.0), (1.0, 0.0), (math.nan, 5.0), (1.0, math.nan)]:
-            with pytest.raises(ValidationError):
-                time_term(*args)
-
     def test_small_time_accuracy(self):
         # expm1 keeps this accurate where exp(-t) - 1 would cancel
         t = 1e-12
@@ -65,11 +60,6 @@ class TestForwardTerm:
     def test_linear(self):
         assert forward_term(0) == 0.0
         assert forward_term(7) == 7.0
-
-    def test_rejects_negative(self):
-        for count in (-1, math.nan):
-            with pytest.raises(ValidationError):
-                forward_term(count)
 
 
 class TestDistanceTerm:
@@ -84,18 +74,6 @@ class TestDistanceTerm:
         assert distance_term(500.0, 500.0, 100.0) == pytest.approx(
             500.0 * math.exp(-5.0), rel=1e-15
         )
-
-    def test_rejects_bad_inputs(self):
-        for args in [
-            (-1.0, 500.0, 100.0),
-            (1.0, 0.0, 100.0),
-            (1.0, 500.0, 0.0),
-            (math.nan, 5.0, 1.0),
-            (1.0, math.nan, 1.0),
-            (1.0, 5.0, math.nan),
-        ]:
-            with pytest.raises(ValidationError):
-                distance_term(*args)
 
 
 class TestTwoTermMetrics:
@@ -115,20 +93,6 @@ class TestTwoTermMetrics:
     def test_first_product_formula(self):
         got = contribution_first(0.4, 3.0, 12.0, 2, mode="product")
         assert got == pytest.approx(0.4 * (3.0 * 12.0) + 0.6 * 2.0, rel=1e-15)
-
-    def test_first_requires_open_interval(self):
-        for alpha in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValidationError):
-                contribution_first(alpha, 1.0, 10.0, 1)
-
-    def test_rejects_nan_times(self):
-        for fn, args in [
-            (contribution_basic, (0.5, math.nan, 1)),
-            (contribution_first, (0.5, math.nan, 10.0, 1)),
-            (contribution_first, (0.5, 1.0, math.nan, 1)),
-        ]:
-            with pytest.raises(ValidationError):
-                fn(*args)
 
     def test_first_rejects_unknown_mode(self):
         with pytest.raises(ValidationError):
@@ -238,6 +202,7 @@ class TestIncentiveConfig:
             {"distance_scale": math.nan},
             {"time_scale": math.inf},
             {"distance_scale": math.inf},
+            {"scheme": "packet_trade"},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

@@ -19,6 +19,7 @@ class TestMobilityConfig:
             {"vehicle_count": 0},
             {"vehicle_count": 2.5},
             {"vehicle_count": 15.0},
+            {"vehicle_count": True},
             {"arena_width": 0.0},
             {"arena_height": -1.0},
             {"speed_min": -1.0},

@@ -10,7 +10,6 @@ from vanetsim.model import (
     ContributionRecord,
     ForwardingTree,
     PacketSpec,
-    ValidationError,
 )
 from vanetsim.settlement import (
     fundable_hops,
@@ -64,10 +63,6 @@ class TestProportional:
         report = settle_proportional(chain_tree(root=5, length=2), records_with([1.0, 1.0]), 10.0)
         assert report.payer_id == 5
 
-    def test_rejects_negative_contribution(self):
-        with pytest.raises(ValidationError):
-            settle_proportional(chain_tree(length=0), records_with([-0.1]), 100.0)
-
     def test_never_overspends_on_adversarial_floats(self):
         # contribution triples chosen so budget * (c / total) rounds up
         for k in range(1, 200):
@@ -91,15 +86,6 @@ class TestFundableHops:
     def test_zero_and_negative_budget(self):
         assert fundable_hops(0.0, 1.0) == 0
         assert fundable_hops(-2.0, 1.0) == 0
-
-    def test_rejects_bad_price(self):
-        with pytest.raises(ValidationError):
-            fundable_hops(1.0, 0.0)
-
-    @pytest.mark.parametrize("price", [math.nan, math.inf])
-    def test_rejects_non_finite_price(self, price):
-        with pytest.raises(ValidationError):
-            fundable_hops(1.0, price)
 
 
 class TestPacketPurse:
@@ -135,11 +121,6 @@ class TestPacketPurse:
         assert report.payer_id == 5
         assert report.shares == {5: 1.0, 6: 1.0, 7: 0.0}
 
-    @pytest.mark.parametrize("price", [math.nan, math.inf])
-    def test_rejects_non_finite_price(self, price):
-        with pytest.raises(ValidationError):
-            settle_packet_purse(chain_tree(), 100.0, hop_price=price)
-
 
 class TestPacketTrade:
     def tree(self) -> ForwardingTree:
@@ -174,15 +155,6 @@ class TestPacketTrade:
         balances = settle_packet_trade(self.tree(), 3, hop_price=1.0).balances
         assert balances[0] == 1.0  # earned for the first sale
         assert balances[3] == -3.0  # destination paid the path
-
-    def test_rejects_bad_price(self):
-        with pytest.raises(ValidationError):
-            settle_packet_trade(self.tree(), 3, hop_price=0.0)
-
-    @pytest.mark.parametrize("price", [math.nan, math.inf])
-    def test_rejects_non_finite_price(self, price):
-        with pytest.raises(ValidationError):
-            settle_packet_trade(self.tree(), 3, hop_price=price)
 
 
 class TestBalances:
