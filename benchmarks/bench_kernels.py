@@ -4,12 +4,16 @@ Contact detection: the two pair lists a run can keep, all pairs and the
 Verlet neighbour list, and a full distance-matrix scan (the quadratic
 oracle the acceptance test checks them against), each per tick over the
 same random-waypoint trajectory (speeds 5-15 m/s, 1 s ticks, 100 m radio
-range). The rows run at the baseline density (15 vehicles per 800x800 m),
-then one more at perfbench's dense_fleet shape, 300 vehicles in 800 m.
-Each list starts empty, as in a run, and its time includes its builds;
-for the Verlet list the table also gives its rebuild count and splits its
-time per tick into builds and filtering. The baseline rows show where the
-Verlet list starts to beat the all-pairs list; that crossover is what
+range). The all-pairs list is timed twice: a tick a call, as a run that
+settles on delivery filters it, and a block of ticks a call, as any
+other run does, at the list's own ``block`` width (given in the table).
+The rows run at the baseline density (15 vehicles per 800x800 m), then
+one more at perfbench's dense_fleet shape, 300 vehicles in 800 m. Each
+list starts empty, as in a run, and its time includes its builds; for
+the Verlet list the table also gives its rebuild count and splits its
+time per tick into builds (the cell grid's count-table search) and
+filtering. The baseline rows show where the Verlet list starts to beat
+the all-pairs list, a tick a call; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
 every tick, its candidate draw included, at the baseline sizes.
@@ -41,15 +45,16 @@ def baseline_arena(n: int) -> float:
     return 800.0 * (n / 15.0) ** 0.5
 
 
-def trajectory(n: int, arena: float, ticks: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Positions of an n-vehicle fleet in a square arena at ticks 0..ticks."""
+def trajectory(n: int, arena: float, ticks: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of an n-vehicle fleet in a square arena at ticks 0..ticks, one row a tick."""
     cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX)
     model = RandomWaypointModel(cfg, np.random.default_rng(n))
-    frames = [(model.x.copy(), model.y.copy())]
+    frames = [model.pos.copy()]
     for _ in range(ticks):
         model.step()
-        frames.append((model.x.copy(), model.y.copy()))
-    return frames
+        frames.append(model.pos.copy())
+    xs, ys = np.stack(frames, axis=1)
+    return xs, ys
 
 
 class MatrixScan:
@@ -77,19 +82,25 @@ class TimedNeighbourList(kernels.NeighbourList):
         self.builds += 1
 
 
-def time_per_tick(make_list, frames):
+def time_per_tick(make_list, xs, ys, block=1):
     """Best of three mean seconds per tick over the whole trajectory, and that trial's list.
 
     ``make_list(n)`` returns a fresh pair list, so a list is built inside
-    each trial, as it is in each run.
+    each trial, as it is in each run. Each call filters a stack of
+    ``block`` ticks' rows, or, as a run does, one tick's when ``block`` is 1.
     """
     best, best_list = float("inf"), None
+    ticks = len(xs)
     for _ in range(3):
         start = time.perf_counter()
-        pair_list = make_list(len(frames[0][0]))
-        for x, y in frames:
-            pair_list.pairs(x, y, RADIO_RANGE)
-        seconds = (time.perf_counter() - start) / len(frames)
+        pair_list = make_list(xs.shape[1])
+        if block == 1:
+            for x, y in zip(xs, ys):
+                pair_list.pairs(x, y, RADIO_RANGE)
+        else:
+            for first in range(0, ticks, block):
+                pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
+        seconds = (time.perf_counter() - start) / ticks
         if seconds < best:
             best, best_list = seconds, pair_list
     return best, best_list
@@ -98,25 +109,28 @@ def time_per_tick(make_list, frames):
 def bench_contacts(sizes: list[int], ticks: int) -> int | None:
     """Print the per-tick table; return the smallest size from which the Verlet list beats all pairs."""
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
-    header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'verlet':>11}  {'all/verlet':>10}"
-              f"  {'rebuilds':>8}  {'build':>11}  {'filter':>11}")
+    header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
+              f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}")
     print(header)
     print("-" * len(header))
     crossover = None
     for n, arena in [(n, baseline_arena(n)) for n in sizes] + [DENSE]:
-        frames = trajectory(n, arena, ticks)
-        t_scan, _ = time_per_tick(lambda n: MatrixScan(), frames)
-        t_all, _ = time_per_tick(kernels.AllPairs, frames)
-        t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN), frames)
-        t_build = verlet.build_s / len(frames)
+        xs, ys = trajectory(n, arena, ticks)
+        block = kernels.AllPairs(n).block  # the width a run filters all pairs at
+        t_scan, _ = time_per_tick(lambda n: MatrixScan(), xs, ys)
+        t_all, _ = time_per_tick(kernels.AllPairs, xs, ys)
+        t_block, _ = time_per_tick(kernels.AllPairs, xs, ys, block)
+        t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys)
+        t_build = verlet.build_s / len(xs)
         ratio = t_all / t_verlet
         if (n, arena) != DENSE:
             if ratio <= 1.0:
                 crossover = None
             elif crossover is None:
                 crossover = n
-        print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us"
-              f"  {ratio:>9.2f}x  {verlet.builds:>8}  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us")
+        print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {block:>5}"
+              f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {verlet.builds:>8}"
+              f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us")
     return crossover
 
 

@@ -6,7 +6,12 @@ once. The packet's forwarding tree is its relay record: the source is
 its root, and its origin is where the source stood at t=0. ``contacts``
 is the physics: it steps the fleet once every tick after 0 and yields
 each tick's radio contacts, filtered from the one pair list the run keeps
-(``kernels.pair_list``). ``_route_tick`` hands the packet across them in
+(``kernels.pair_list``). When no delivery can end the run, the fleet
+steps up to the pair list's ``block`` ticks ahead and one call filters
+their stacked positions: many ticks for an all-pairs list, one for a
+Verlet list. A run that settles on delivery steps and filters one tick
+at a time, so it never steps past its delivery tick. Either way each
+tick's pairs are the same. ``_route_tick`` hands the packet across them in
 (a, b) order, walking only the pairs that ``routing`` says can carry it. The packet's life ends at
 ``end = min(duration, deadline)``, in whole ticks: the last tick is
 end / tick_seconds, read as an integer within a few ulps of one and
@@ -19,8 +24,10 @@ sum, so fractional ticks do not drift. Two child RNG
 streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
 outcome. The rules a fleet must meet to hold the run's source and
-destination are ``endpoint_problems``; a scenario file is checked against
-the same rules, and ``run`` checks them before its first draw. The
+destination are ``endpoint_problems``, and the deadline in ``time_scale``
+units must be positive and finite (``scale_problems``); a scenario file
+is checked against the same rules, and ``run`` checks them before its
+first draw. The
 ``RunResult`` holds everything the summary reads, the ``IncentiveConfig``
 the run was scored with included, and the settlement report's
 ``balances`` are the run's only credit postings.
@@ -97,6 +104,18 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
     return problems
 
 
+def scale_problems(packet: PacketSpec, incentives: IncentiveConfig) -> list[str]:
+    """Why the packet's deadline, in ``time_scale`` units, cannot score a run; empty if it can.
+
+    Every stored time is read against that scaled deadline, so it must be
+    positive and finite: an overflow to inf turns the shares into NaN, an
+    underflow to 0 divides by zero.
+    """
+    if 0 < packet.deadline / incentives.time_scale < math.inf:  # written so that NaN fails it
+        return []
+    return ["incentives.time_scale: packet.deadline / time_scale must be positive and finite"]
+
+
 @dataclass
 class RunResult:
     """Everything a finished run produced; the source is the tree's root.
@@ -147,15 +166,38 @@ def _settle(
     return records, report
 
 
-def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int) -> Iterator[tuple]:
-    """Yield ``(now, model.x, model.y, a, b)`` for ticks 0..last_tick; each after 0 steps the model first."""
+def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
+             look_ahead: bool = True) -> Iterator[tuple]:
+    """Yield ``(now, x, y, a, b)`` for ticks 0..last_tick; each after 0 steps the model first.
+
+    With ``look_ahead`` the model steps a block of up to the pair list's
+    ``block`` ticks before their contacts are filtered in one call;
+    without it, one tick. ``x`` and ``y`` hold the tick's positions until
+    the next tick is yielded.
+    """
     cfg = model.config
     neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
-    for tick in range(last_tick + 1):
-        if tick:
-            model.step()
-        a, b = contact_pairs(model.x, model.y, radio_range, neighbours)
-        yield model.now, model.x, model.y, a, b
+    width = neighbours.block if look_ahead else 1
+    xs, ys = stack = np.empty((2, width, cfg.vehicle_count))  # each tick's x and y rows of a block
+    x0, y0 = xs[0], ys[0]  # a one-tick block's rows
+    later_rows = np.arange(1, width)
+    for first in range(0, last_tick + 1, width):
+        nows = []
+        for i in range(min(width, last_tick + 1 - first)):
+            if first + i:
+                model.step()
+            stack[:, i] = model.pos
+            nows.append(model.now)
+        k = len(nows)
+        if k == 1:  # a one-tick block is filtered as that tick alone
+            a, b = contact_pairs(x0, y0, radio_range, neighbours)
+            yield nows[0], x0, y0, a, b
+            continue
+        a, b, row = contact_pairs(xs[:k], ys[:k], radio_range, neighbours)
+        start = 0  # row i's pairs end where row i + 1's start
+        for i, end in enumerate([*row.searchsorted(later_rows[:k - 1]).tolist(), len(a)]):
+            yield nows[i], xs[i], ys[i], a[start:end], b[start:end]
+            start = end
 
 
 def _route_tick(
@@ -193,7 +235,7 @@ def run(
     """Simulate one packet's lifetime and settle its rewards."""
     n = mobility_cfg.vehicle_count
     scheme = incentive_cfg.scheme
-    problems = endpoint_problems(n, engine_cfg, scheme)
+    problems = endpoint_problems(n, engine_cfg, scheme) + scale_problems(packet_spec, incentive_cfg)
     if problems:
         raise ValidationError("; ".join(problems))
     mob_seq, eng_seq = np.random.SeedSequence(seed).spawn(2)
@@ -219,7 +261,8 @@ def run(
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
     contact_events = 0
-    for now, x, y, a, b in contacts(model, engine_cfg.radio_range, last_tick):
+    # no delivery can end a run without stop_at, so its fleet may step ahead
+    for now, x, y, a, b in contacts(model, engine_cfg.radio_range, last_tick, stop_at is None):
         contact_events += len(a)
         if _route_tick(tree, carried, a, b, x, y, now, stop_at):
             break  # the packet's life ended at this tick

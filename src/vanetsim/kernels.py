@@ -14,10 +14,19 @@ cell-grid range search. The grid sorts vehicles by the key of a square
 cell a hair wider than the cutoff, so a pair in range lies in one cell or
 in two adjacent ones, and compares each cell with itself and four
 neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
-Liquids*, §5.3). A one-shot ``contact_pairs`` filters a fresh list of the
-same kind.
+Liquids*, §5.3). A table of per-cell counts, summed, gives where each
+cell's run of sorted vehicles starts. The cells widen on a wide or sparse
+fleet, so neither axis nor the grid has more than ``_CELLS_PER_VEHICLE``
+cells per vehicle and the table stays O(n) for any extents. A one-shot
+``contact_pairs`` filters a fresh list of the same kind.
 ``benchmarks/bench_kernels.py`` times both lists per tick; where the
 Verlet list starts to beat all pairs sets the constant.
+
+Both lists also filter a ``(k, n)`` stack of k ticks' positions in one
+call, and then return each pair's row as well. ``AllPairs`` filters the
+whole stack as one flat array, so it pays its per-call cost once for up
+to ``block`` ticks; the Verlet list goes a row at a time, as any row may
+rebuild it, so its ``block`` is 1.
 
 The Verlet list keeps its pair-sized work arrays for its whole life, and
 each call gathers positions once, as one complex array. With 300 vehicles
@@ -25,11 +34,13 @@ in 800 m a build tests ~18 000 candidate pairs and a tick filters ~7 400
 list pairs, so fresh temporaries would be 59-290 KB each: glibc maps those
 over its 128 KiB mmap threshold afresh on every call, and trims the heap
 above it, so their pages fault in again each time. ``AllPairs`` keeps
-plain temporaries: at 15 vehicles (105 pairs) they stay under 2 KB, so
-there is no churn to save.
+plain temporaries, as its ``block`` holds each of them, and each of the
+stack indices it keeps, to ``_BLOCK_BYTES``, under that threshold.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,25 +49,62 @@ NEIGHBOUR_LIST_MIN_VEHICLES = 100
 # Cells are this much wider than the cutoff, so rounding in the cell index
 # can never put two points in range two cells apart.
 _CELL_MARGIN = 1e-6
-# At most this many cells per axis: keys stay far inside int64, and cell
-# indices stay small enough for _CELL_MARGIN to cover their rounding.
-_MAX_CELLS = 1 << 20
+# Cells are coarsened so that neither axis, nor the grid as a whole, has
+# more than this many cells per vehicle: the count table stays O(n) for
+# any extents, keys stay far inside int64, and cell indices stay small
+# enough for _CELL_MARGIN to cover their rounding.
+_CELLS_PER_VEHICLE = 4
+# A stacked all-pairs filter keeps each temporary within this many bytes,
+# half glibc's 128 KiB mmap threshold, so it reuses heap pages instead of
+# mapping fresh ones on every call.
+_BLOCK_BYTES = 1 << 16
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
 # covers the rounding in the displacement test and the distances.
 _LIST_MARGIN = 1e-9
 
 
 class AllPairs:
-    """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range."""
+    """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range.
+
+    A ``(k, n)`` stack of k ticks' positions is filtered as one flat array,
+    and the call then also returns each pair's row. ``block`` is the most
+    rows whose ``(k, pairs)`` arrays and ``(2, k, n)`` positions each fit
+    in ``_BLOCK_BYTES``.
+    """
 
     def __init__(self, n: int) -> None:
         a, b = np.triu_indices(n, 1)  # row-major, so already in (a, b) order
         self.a, self.b = a.astype(np.int64), b.astype(np.int64)
+        self.n = n
+        self.block = max(1, _BLOCK_BYTES // (8 * max(len(a), 2 * n, 1)))
+        self._stack_ends(self.block)
+
+    def _stack_ends(self, k: int) -> None:
+        """Each pair's ends in a flat stack of k rows of n positions: row i's are a + i * n."""
+        shift = np.arange(k)[:, None] * self.n
+        self._fa, self._fb = (self.a + shift).reshape(-1), (self.b + shift).reshape(-1)
 
     def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        dx, dy = x[self.a] - x[self.b], y[self.a] - y[self.b]
-        near = dx * dx + dy * dy <= radio_range * radio_range
-        return self.a[near], self.b[near]
+        stacked = x.ndim == 2
+        if stacked:
+            m = len(x) * len(self.a)
+            if m > len(self._fa):  # taller than a block
+                self._stack_ends(len(x))
+            fa, fb = self._fa[:m], self._fb[:m]
+        else:
+            fa, fb = self.a, self.b
+        x, y = x.reshape(-1), y.reshape(-1)
+        dx, dy = x[fa], y[fa]
+        dx -= x[fb]  # in place: at most three temporaries live at once
+        dy -= y[fb]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near = (dx <= radio_range * radio_range).nonzero()[0]  # row by row, each in (a, b) order
+        if not stacked:
+            return self.a[near], self.b[near]
+        row, k = np.divmod(near, len(self.a))
+        return self.a[k], self.b[k], row
 
 
 class NeighbourList:
@@ -69,17 +117,24 @@ class NeighbourList:
     first (Verlet 1967). The rule assumes no speed bound, so it holds for
     any motion.
 
-    The list and the arrays of every distance test live in buffers the list
-    keeps for its whole life; a build that needs more room doubles them.
+    The list, the build's count table and the arrays of every distance
+    test live in buffers the list keeps for its whole life; a build that
+    needs more room doubles them.
     Only the candidate indices a build expands with ``np.repeat`` and the
     indices of the pairs in range are fresh, and so are the pairs a call
     returns.
+
+    A ``(k, n)`` stack of ticks is filtered a row at a time, as each row
+    may rebuild the list, so ``block`` is 1: a run hands it one tick a call.
     """
+
+    block = 1
 
     def __init__(self, skin: float) -> None:
         self.skin = skin
         self.radio_range: float | None = None  # none yet: the first call builds the list
         self.z0 = np.zeros(0, np.complex128)
+        self._first = np.zeros(1, np.int64)  # the count table; its first entry stays 0
         self._grow(0)
         self.a, self.b = self._a, self._b
 
@@ -115,9 +170,13 @@ class NeighbourList:
             return
         x, y = z.real, z.imag
         x0, y0 = x.min(), y.min()
-        span = max(x.max() - x0, y.max() - y0)
-        # a huge span over a tiny range coarsens the cells instead of overflowing
-        side = max(cutoff * (1.0 + _CELL_MARGIN), span / _MAX_CELLS) or 1.0
+        wx, wy = x.max() - x0, y.max() - y0
+        # a wide or sparse fleet coarsens the cells, so the grid has at most
+        # `cells` columns, rows (bar the two empty ones) and cells in all;
+        # the area's share is a product of roots, which cannot overflow
+        cells = _CELLS_PER_VEHICLE * n
+        side = max(cutoff * (1.0 + _CELL_MARGIN), wx / cells, wy / cells,
+                   math.sqrt(wx / cells) * math.sqrt(wy)) or 1.0
         cx = ((x - x0) / side).astype(np.int64)
         cy = ((y - y0) / side).astype(np.int64) + 1
         rows = int(cy.max()) + 2  # the first and last rows stay empty: cy -/+ 1 never wraps
@@ -125,13 +184,22 @@ class NeighbourList:
         order = np.argsort(key)
         sorted_key = key[order]
 
+        # first[c] counts the vehicles in cells before c, so the vehicles of
+        # cells c..d-1 are sorted_key's run first[c]:first[d]; the table runs
+        # one column past the last, which the runs below reach.
+        size = (int(cx.max()) + 2) * rows
+        if size >= len(self._first):
+            self._first = np.zeros(max(size + 1, 2 * len(self._first)), np.int64)
+        first = self._first[:size + 1]
+        np.cumsum(np.bincount(sorted_key, minlength=size), out=first[1:])
+
         # Each vehicle visits its own cell and four of its eight neighbours, so
         # each pair of cells is visited once. Keys run up a column, so those five
         # cells are two runs of sorted_key: its own cell (only the vehicles after
         # it) and the one above, then the three cells of the next column.
         pos = np.arange(n)
-        start = np.concatenate((pos + 1, np.searchsorted(sorted_key, sorted_key + (rows - 1))))
-        end = np.searchsorted(sorted_key, np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
+        start = np.concatenate((pos + 1, first.take(sorted_key + (rows - 1))))
+        end = first.take(np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
         count = end - start
         total = int(count.sum())
         if total > len(self._d2):
@@ -158,6 +226,12 @@ class NeighbourList:
         self.a, self.b = a, b
 
     def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
+        if x.ndim == 2:  # a stack of ticks, a row at a time: each row may rebuild the list
+            found = [self.pairs(xi, yi, radio_range) for xi, yi in zip(x, y)]
+            row = np.arange(len(found)).repeat([len(a) for a, _ in found])
+            # the empty row[:0] joins in too, so a stack of no rows gives empty pairs
+            a, b = (np.concatenate([p[i] for p in found] + [row[:0]]) for i in (0, 1))
+            return a, b, row
         z = np.empty(x.shape[0], np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
         z.real, z.imag = x, y
         if self._stale(z, radio_range):
@@ -180,12 +254,14 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
                   neighbours: AllPairs | NeighbourList | None = None):
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
-    With ``neighbours`` the pairs come from (and refresh) that list; without
-    it this is a one-shot search through a fresh ``pair_list`` of a fleet
-    that stands still.
+    ``x`` and ``y`` hold one tick's positions, or a ``(k, n)`` stack of k
+    ticks': then the pairs come row by row, each row sorted, with a third
+    array of their rows. With ``neighbours`` the pairs come from (and
+    refresh) that list; without it this is a one-shot search through a
+    fresh ``pair_list`` of a fleet that stands still.
     """
     if neighbours is None:
-        neighbours = pair_list(x.shape[0], radio_range, 0.0)
+        neighbours = pair_list(x.shape[-1], radio_range, 0.0)
     return neighbours.pairs(x, y, radio_range)
 
 

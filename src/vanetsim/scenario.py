@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .engine import EngineConfig, endpoint_problems
+from .engine import EngineConfig, endpoint_problems, scale_problems
 from .incentives import IncentiveConfig
 from .mobility import MobilityConfig
 from .model import TWO_TERM_SCHEMES, PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet
@@ -138,7 +138,7 @@ def _section(cls, raw, label: str, problems: list[str]):
 
 
 def _scenario_problems(sc: Scenario) -> list[str]:
-    """Rules on the top-level fields and across sections; the endpoint rules are the engine's."""
+    """Rules on the top-level fields and across sections; the endpoint and scale rules are the engine's."""
     problems = []
     if not sc.name or "/" in sc.name or "\\" in sc.name:
         problems.append("name: must be a non-empty file stem without / or \\")
@@ -148,7 +148,8 @@ def _scenario_problems(sc: Scenario) -> list[str]:
         problems.append("safety_deadline_cap: must be positive")
     elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
         problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
-    return problems + endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
+    problems += endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
+    return problems + scale_problems(sc.packet, sc.incentives)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -190,6 +190,15 @@ class TestValidateCommand:
             assert "needs at least 2 vehicles" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    def test_an_overflowing_time_scale_is_exit_1_for_validate_and_run(self, tmp_path, capsys):
+        # a positive, finite scale that puts the 300 s deadline at inf units
+        bad = tmp_path / "scale.yaml"
+        bad.write_text("incentives:\n  time_scale: 1.0e-320\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert "packet.deadline / time_scale must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_invalid_file_lists_every_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

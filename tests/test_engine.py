@@ -174,6 +174,33 @@ class TestEndpointProblems:
         assert "engine.destination_id: must differ from source_id" in str(exc.value)
 
 
+class TestScaledDeadline:
+    """The deadline in time_scale units must be positive and finite, checked before the first draw."""
+
+    @pytest.mark.parametrize(
+        "inc, pkt",
+        [
+            (IncentiveConfig(time_scale=1e-320), PKT),  # overflows to inf: NaN shares
+            (IncentiveConfig(scheme=Scheme.FIRST_PROPOSAL, weights=WeightSet(0.5, 0.5, 0.0), time_scale=1e300),
+             PacketSpec(deadline=1e-300)),  # underflows to 0: a ratio run divides by zero
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_run_rejects_it_before_drawing(self, monkeypatch, inc, pkt):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run drew from the seed before checking the scaled deadline")
+
+        monkeypatch.setattr(engine.np.random, "SeedSequence", no_draws)
+        with pytest.raises(ValidationError, match="packet.deadline / time_scale must be positive and finite"):
+            run_default(inc=inc, pkt=pkt)
+
+    def test_extreme_but_representable_scales_still_run(self):
+        inc = IncentiveConfig(time_scale=1e-300)  # 300 s is 3e302 units: finite
+        assert engine.scale_problems(PKT, inc) == []
+        summary = summary_to_json(build_summary(run_default(seed=7, inc=inc), "h"))
+        assert "NaN" not in summary and "Infinity" not in summary
+
+
 class TestSettlementTiming:
     def test_settles_at_deadline_when_run_is_longer(self):
         eng = EngineConfig(radio_range=100.0, duration=500.0)
@@ -329,7 +356,7 @@ def test_handoff_on_a_clock_an_ulp_past_the_end_is_held_for_no_time(monkeypatch,
 
 
 def test_small_fleet_builds_its_pair_list_once(monkeypatch):
-    builds, calls = [], []
+    builds, rows = [], []
     init, pairs = kernels.AllPairs.__init__, kernels.AllPairs.pairs
 
     def counting_init(self, n):
@@ -337,7 +364,7 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
         init(self, n)
 
     def counting_pairs(self, x, y, radio_range):
-        calls.append(radio_range)
+        rows.append(len(x) if x.ndim == 2 else 1)
         return pairs(self, x, y, radio_range)
 
     def no_search(*args):
@@ -349,7 +376,47 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
     result = run_default(seed=7)
     assert MOB.vehicle_count == 15 and result.ticks_run == 300
     assert builds == [15]
-    assert len(calls) == 301  # ticks 0..300
+    assert sum(rows) == 301  # ticks 0..300, a block of them per call
+
+
+@pytest.mark.parametrize("n", [15, 40, 64, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1])
+def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
+    # 0.1 s ticks, 250 of them: the all-pairs blocks of 78, 10, 4 and 1
+    # ticks end inside the run, so the stream crosses block edges
+    cfg = MobilityConfig(vehicle_count=n, tick_seconds=0.1)
+    last_tick = 250
+    assert kernels.pair_list(n, 100.0, 1.5).block < last_tick
+    models = [RandomWaypointModel(cfg, np.random.default_rng(n)) for _ in range(2)]
+    ahead = engine.contacts(models[0], 100.0, last_tick, look_ahead=True)
+    tick_by_tick = engine.contacts(models[1], 100.0, last_tick, look_ahead=False)
+    ticks = 0
+    for got, want in zip(ahead, tick_by_tick, strict=True):
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        ticks += 1
+    assert ticks == last_tick + 1
+    assert models[0].tick == models[1].tick == last_tick
+
+
+@pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False)])
+def test_every_contact_comes_through_engine_contact_pairs(monkeypatch, n, settle_on_delivery):
+    # traced benchmarks count a run's contacts as the pairs engine.contact_pairs returns
+    returned, rows = [], []
+
+    def counting(x, y, radio_range, neighbours):
+        found = contact_pairs(x, y, radio_range, neighbours)
+        returned.append(len(found[0]))
+        rows.append(len(x) if x.ndim == 2 else 1)
+        return found
+
+    monkeypatch.setattr(engine, "contact_pairs", counting)
+    eng = EngineConfig(settle_on_delivery=settle_on_delivery)
+    result = run_default(seed=3, eng=eng, mob=MobilityConfig(vehicle_count=n))
+    assert sum(returned) == result.contact_events > 0
+    assert sum(rows) == result.ticks_run + 1
+    # a run that settles on delivery, or keeps a Verlet list, filters a tick a call
+    assert (max(rows) == 1) == (settle_on_delivery or n >= kernels.NEIGHBOUR_LIST_MIN_VEHICLES)
 
 
 def test_run_past_the_deadline_exports_the_same_summary():

@@ -169,6 +169,63 @@ class TestContactPairs:
 
 
 
+class TestStacks:
+    """A (k, n) stack of ticks filters to each row's pairs, tagged with the row, row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1),
+        k=st.integers(1, 40),
+        lattice=st.booleans(),
+    )
+    @example(seed=0, n=0, k=1, lattice=False)
+    @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, k=40, lattice=True)
+    def test_all_pairs_stack_equals_each_row(self, seed, n, k, lattice):
+        # on the integer lattice 3-4-5 and axis-aligned ties at exactly r are common
+        rng = np.random.default_rng(seed)
+        r = 5.0
+        side = 2.0 * r * max(n, 1) ** 0.5
+        x, y = rng.random((k, n)) * side, rng.random((k, n)) * side
+        if lattice:
+            x, y = np.round(x), np.round(y)
+        neighbours = kernels.AllPairs(n)
+        a, b, row = kernels.contact_pairs(x, y, r, neighbours)
+        assert a.dtype == b.dtype == row.dtype == np.int64
+        assert np.all(np.diff(row) >= 0)
+        for i in range(k):
+            ea, eb = neighbours.pairs(x[i], y[i], r)
+            assert np.array_equal(a[row == i], ea) and np.array_equal(b[row == i], eb)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_neighbour_list_stack_equals_each_row(self, k):
+        rng = np.random.default_rng(k)
+        n = kernels.NEIGHBOUR_LIST_MIN_VEHICLES + 50
+        x, y = rng.random((k, n)) * 300.0, rng.random((k, n)) * 300.0
+        a, b, row = kernels.contact_pairs(x, y, 30.0)  # one-shot: a fresh Verlet list
+        assert a.dtype == b.dtype == row.dtype == np.int64
+        assert np.all(np.diff(row) >= 0)
+        for i in range(k):
+            ea, eb = reference_pairs(x[i], y[i], 30.0)
+            assert np.array_equal(a[row == i], ea) and np.array_equal(b[row == i], eb)
+
+    def test_one_tick_is_filtered_as_before(self):
+        # a 1-D call returns the pairs alone, as it always did
+        rng = np.random.default_rng(5)
+        x, y = rng.random(30) * 200.0, rng.random(30) * 200.0
+        found = kernels.contact_pairs(x, y, 50.0)
+        assert len(found) == 2
+        assert np.array_equal(found[0], reference_pairs(x, y, 50.0)[0])
+
+    def test_block_keeps_temporaries_under_the_mmap_threshold(self):
+        for n in (2, 15, 40, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1):
+            neighbours = kernels.AllPairs(n)
+            per_tick = 8 * max(len(neighbours.a), 2 * n)  # the widest (k, ...) float array of a tick
+            assert neighbours.block >= 1 and neighbours.block * per_tick < 128 * 1024
+        assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
+        assert kernels.NeighbourList(1.0).block == 1
+
+
 def buffers(neighbours):
     """The arrays a neighbour list keeps between calls."""
     return [v for v in vars(neighbours).values() if isinstance(v, np.ndarray)]
@@ -317,6 +374,32 @@ class TestNeighbourList:
             assert as_pair_list(a, b) == expected
             assert a.dtype == b.dtype == np.int64
         assert as_pair_list(*grid_pairs(x, y, 1.0)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, radio_range, side",
+    [
+        (62, 1e-9, (1e12, 0.0)),  # a line: capping only the area would ask for a ~1e21-cell table
+        (500, 1.0, (1e12, 1e12)),
+        (2000, 100.0, (1e6, 1e6)),
+    ],
+    ids=["line_1e12", "square_1e12", "sparse_2000"],
+)
+def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
+    # a fifth of the fleet sits next to vehicles of the rest, a half range
+    # away, so some pairs are in range; the rest is spread over the arena
+    rng = np.random.default_rng(n)
+    x, y = rng.random(n) * side[0], rng.random(n) * side[1]
+    twins = n // 5
+    x[-twins:] = x[:twins] + 0.5 * radio_range
+    y[-twins:] = y[:twins]
+    neighbours = kernels.NeighbourList(skin=0.0)
+    a, b = neighbours.pairs(x, y, radio_range)
+    ra, rb = reference_pairs(x, y, radio_range)
+    assert np.array_equal(a, ra) and np.array_equal(b, rb)
+    assert len(a) > 0
+    # cells are capped at 4 per vehicle along each axis and in all
+    assert max(buf.size for buf in buffers(neighbours)) <= 16 * n
 
 
 @pytest.mark.parametrize(
