@@ -4,9 +4,11 @@ Contact detection: the two pair lists a run can keep, all pairs and the
 Verlet neighbour list, and a full distance-matrix scan (the quadratic
 oracle the acceptance test checks them against), each per tick over the
 same random-waypoint trajectory (speeds 5-15 m/s, 1 s ticks, 100 m radio
-range). The all-pairs list is timed twice: a tick a call, as a run that
-settles on delivery filters it, and a block of ticks a call, as any
-other run does, at the list's own ``block`` width (given in the table).
+range). Every list is handed blocks of ticks through the one ``pairs``
+interface: one-row blocks in the per-tick columns, as a run that settles
+on delivery filters all pairs and as every run filters a Verlet list;
+the all-pairs list is timed once more at its own ``block`` width (given
+in the table), as any other run filters it.
 The rows run at the baseline density (15 vehicles per 800x800 m), then
 one more at perfbench's dense_fleet shape, 300 vehicles in 800 m. Each
 list starts empty, as in a run, and its time includes its builds; for
@@ -58,14 +60,15 @@ def trajectory(n: int, arena: float, ticks: int) -> tuple[np.ndarray, np.ndarray
 
 
 class MatrixScan:
-    """The quadratic oracle: a full distance matrix, upper triangle."""
+    """The quadratic oracle: a full distance matrix, upper triangle, over a block of one row."""
 
-    def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
+    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+        (x,), (y,) = xs, ys
         dx = x[:, None] - x[None, :]
         dy = y[:, None] - y[None, :]
         ii, jj = np.nonzero(dx * dx + dy * dy <= radio_range * radio_range)
         keep = ii < jj
-        return ii[keep], jj[keep]
+        return ii[keep], jj[keep], [np.count_nonzero(keep)]
 
 
 class TimedNeighbourList(kernels.NeighbourList):
@@ -86,20 +89,16 @@ def time_per_tick(make_list, xs, ys, block=1):
     """Best of three mean seconds per tick over the whole trajectory, and that trial's list.
 
     ``make_list(n)`` returns a fresh pair list, so a list is built inside
-    each trial, as it is in each run. Each call filters a stack of
-    ``block`` ticks' rows, or, as a run does, one tick's when ``block`` is 1.
+    each trial, as it is in each run. Each call filters a block of
+    ``block`` ticks' rows.
     """
     best, best_list = float("inf"), None
     ticks = len(xs)
     for _ in range(3):
         start = time.perf_counter()
         pair_list = make_list(xs.shape[1])
-        if block == 1:
-            for x, y in zip(xs, ys):
-                pair_list.pairs(x, y, RADIO_RANGE)
-        else:
-            for first in range(0, ticks, block):
-                pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
+        for first in range(0, ticks, block):
+            pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
         seconds = (time.perf_counter() - start) / ticks
         if seconds < best:
             best, best_list = seconds, pair_list

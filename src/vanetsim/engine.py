@@ -6,13 +6,14 @@ once. The packet's forwarding tree is its relay record: the source is
 its root, and its origin is where the source stood at t=0. ``contacts``
 is the physics: it steps the fleet once every tick after 0 and yields
 each tick's radio contacts, filtered from the one pair list the run keeps
-(``kernels.pair_list``). When no delivery can end the run, the fleet
-steps up to the pair list's ``block`` ticks ahead and one call filters
-their stacked positions: many ticks for an all-pairs list, one for a
-Verlet list. A run that settles on delivery steps and filters one tick
-at a time, so it never steps past its delivery tick. Either way each
-tick's pairs are the same. ``_route_tick`` hands the packet across them in
-(a, b) order, walking only the pairs that ``routing`` says can carry it. The packet's life ends at
+(``kernels.pair_list``) by one ``contact_pairs`` call per block of ticks,
+whose result one loop splits at its row ends, whatever the block's width.
+When no delivery can end the run, a block is up to the pair list's
+``block`` ticks: many for an all-pairs list, one for a Verlet list. A run
+that settles on delivery steps and filters one-tick blocks, so it never
+steps past its delivery tick. Either way each tick's pairs are the same.
+``_route_tick`` hands the packet across them in (a, b) order, walking
+only the pairs that ``routing`` says can carry it. The packet's life ends at
 ``end = min(duration, deadline)``, in whole ticks: the last tick is
 end / tick_seconds, read as an integer within a few ulps of one and
 rounded down otherwise. The run settles at end, or at the first delivery
@@ -25,7 +26,7 @@ streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
 outcome. The rules a fleet must meet to hold the run's source and
 destination are ``endpoint_problems``, and the deadline in ``time_scale``
-units must be positive and finite (``scale_problems``); a scenario file
+units must keep every score finite (``scale_problems``); a scenario file
 is checked against the same rules, and ``run`` checks them before its
 first draw. The
 ``RunResult`` holds everything the summary reads, the ``IncentiveConfig``
@@ -52,6 +53,7 @@ from .model import (
     Scheme,
     SettlementReport,
     ValidationError,
+    check_range,
 )
 from .routing import collect_records, handle_encounter
 from .settlement import settle_packet_purse, settle_packet_trade, settle_proportional
@@ -67,13 +69,9 @@ class EngineConfig:
     hop_price: float = 1.0
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
-        if not 0 < self.radio_range < math.inf:
-            raise ValidationError("radio_range must be positive and finite")
-        if not 0 <= self.duration < math.inf:
-            raise ValidationError("duration must be non-negative and finite")
-        if not 0 < self.hop_price < math.inf:
-            raise ValidationError("hop_price must be positive and finite")
+        check_range("radio_range", self.radio_range, open_low=True)
+        check_range("duration", self.duration)
+        check_range("hop_price", self.hop_price, open_low=True)
 
 
 def _settles_on_delivery(engine_cfg: EngineConfig, scheme: Scheme) -> bool:
@@ -104,16 +102,27 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
     return problems
 
 
-def scale_problems(packet: PacketSpec, incentives: IncentiveConfig) -> list[str]:
-    """Why the packet's deadline, in ``time_scale`` units, cannot score a run; empty if it can.
+def scale_problems(vehicle_count: int, packet: PacketSpec, incentives: IncentiveConfig) -> list[str]:
+    """Why the run's scores could overflow or divide by zero; empty if they cannot.
 
-    Every stored time is read against that scaled deadline, so it must be
-    positive and finite: an overflow to inf turns the shares into NaN, an
-    underflow to 0 divides by zero.
+    Stored times are read against the deadline in ``time_scale`` units, T,
+    so T must be positive and finite. A stored time is at most the
+    deadline, so a score, a blend by weights that sum to 1, is at most the
+    largest of its time credit (T; T * T in the first proposal's product
+    mode, 1 in its ratio mode), its forwards (n - 1) and the second
+    proposal's distance credit (the interest radius). Settlement sums up to
+    n - 1 scores, so n - 1 times that bound must be finite too.
     """
-    if 0 < packet.deadline / incentives.time_scale < math.inf:  # written so that NaN fails it
+    scaled = packet.deadline / incentives.time_scale
+    if not 0 < scaled < math.inf:  # written so that NaN fails it
+        return ["incentives.time_scale: packet.deadline / time_scale must be positive and finite"]
+    carriers, product = max(vehicle_count - 1, 1), incentives.first_proposal_mode == "product"
+    credit = {Scheme.BASIC_LINEAR: scaled, Scheme.FIRST_PROPOSAL: scaled * scaled if product else 1.0,
+              Scheme.SECOND_PROPOSAL: max(scaled, packet.interest_radius)}.get(incentives.scheme, 0.0)
+    if carriers * max(credit, carriers) < math.inf:
         return []
-    return ["incentives.time_scale: packet.deadline / time_scale must be positive and finite"]
+    return [f"incentives: {carriers} carriers' scores, each up to {credit:g} with"
+            f" deadline / time_scale = {scaled:g}, must sum to a finite total"]
 
 
 @dataclass
@@ -179,24 +188,20 @@ def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
     neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
     width = neighbours.block if look_ahead else 1
     xs, ys = stack = np.empty((2, width, cfg.vehicle_count))  # each tick's x and y rows of a block
-    x0, y0 = xs[0], ys[0]  # a one-tick block's rows
-    later_rows = np.arange(1, width)
+    slots = [stack[:, i] for i in range(width)]  # tick i's (2, n) positions in the block
+    rows = list(zip(xs, ys))  # and its x and y rows
     for first in range(0, last_tick + 1, width):
         nows = []
         for i in range(min(width, last_tick + 1 - first)):
             if first + i:
                 model.step()
-            stack[:, i] = model.pos
+            slots[i][...] = model.pos
             nows.append(model.now)
         k = len(nows)
-        if k == 1:  # a one-tick block is filtered as that tick alone
-            a, b = contact_pairs(x0, y0, radio_range, neighbours)
-            yield nows[0], x0, y0, a, b
-            continue
-        a, b, row = contact_pairs(xs[:k], ys[:k], radio_range, neighbours)
+        a, b, ends = contact_pairs(xs[:k], ys[:k], radio_range, neighbours)
         start = 0  # row i's pairs end where row i + 1's start
-        for i, end in enumerate([*row.searchsorted(later_rows[:k - 1]).tolist(), len(a)]):
-            yield nows[i], xs[i], ys[i], a[start:end], b[start:end]
+        for i, end in enumerate(ends):
+            yield nows[i], *rows[i], a[start:end], b[start:end]
             start = end
 
 
@@ -207,15 +212,16 @@ def _route_tick(
     """Hand the packet across one tick's contacts, marking new carriers; True once ``stop_at`` joins."""
     if len(tree.depth) == len(carried):
         return False  # every vehicle carries: no contact can hand off
-    # both ends carried at tick start, so both still carry: no handoff possible
-    keep = ~(carried[a] & carried[b])
-    a, b = a[keep], b[keep]
+    ca, cb = carried[a], carried[b]
+    grow = ca != cb
+    if not np.count_nonzero(grow):
+        return False  # no carrier meets a non-carrier
     reach = carried.copy()  # a pair out of every carrier's component cannot hand off
-    grow = reach[a] != reach[b]
     while np.count_nonzero(grow):
         reach[a[grow]] = reach[b[grow]] = True
         grow = reach[a] != reach[b]
-    keep = reach[a]
+    # nor can a pair whose ends both carried at tick start, as both still carry
+    keep = reach[a] > (ca & cb)
     for i, j in zip(a[keep].tolist(), b[keep].tolist()):
         link = handle_encounter(tree, i, j, x, y, now)
         if link is not None:
@@ -235,7 +241,7 @@ def run(
     """Simulate one packet's lifetime and settle its rewards."""
     n = mobility_cfg.vehicle_count
     scheme = incentive_cfg.scheme
-    problems = endpoint_problems(n, engine_cfg, scheme) + scale_problems(packet_spec, incentive_cfg)
+    problems = endpoint_problems(n, engine_cfg, scheme) + scale_problems(n, packet_spec, incentive_cfg)
     if problems:
         raise ValidationError("; ".join(problems))
     mob_seq, eng_seq = np.random.SeedSequence(seed).spawn(2)

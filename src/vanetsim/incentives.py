@@ -29,6 +29,7 @@ from .model import (
     Scheme,
     ValidationError,
     WeightSet,
+    check_range,
 )
 
 FIRST_PROPOSAL_MODES = ("ratio", "product")
@@ -148,11 +149,8 @@ class IncentiveConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scheme, Scheme):
             raise ValidationError(f"scheme must be a Scheme, got {self.scheme!r}")
-        # each test is written so that NaN fails it
-        if not 0 < self.time_scale < math.inf:
-            raise ValidationError("time_scale must be positive and finite")
-        if not 0 < self.distance_scale < math.inf:
-            raise ValidationError("distance_scale must be positive and finite")
+        check_range("time_scale", self.time_scale, open_low=True)
+        check_range("distance_scale", self.distance_scale, open_low=True)
         if self.distance_aggregate not in DISTANCE_AGGREGATES:
             raise ValidationError(
                 f"distance_aggregate must be one of {DISTANCE_AGGREGATES}"

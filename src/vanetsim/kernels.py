@@ -5,9 +5,9 @@ search, both numpy. Every contact test is the same predicate,
 ``dx*dx + dy*dy <= r*r``, and every pair list comes out sorted by (a, b)
 with a < b, so the choice of algorithm never changes a run's output.
 
-Every run keeps one pair list, from ``pair_list``, and filters it each
-tick. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead outweighs
-the pairs tested, it is ``AllPairs``, built once; from there on it is a
+Every run keeps one pair list, from ``pair_list``, and filters every
+tick through it. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead
+outweighs the pairs tested, it is ``AllPairs``, built once; from there on it is a
 Verlet ``NeighbourList`` of the pairs within ``r + skin``, rebuilt once
 some vehicle has moved more than ``skin / 2`` (Verlet 1967) by a
 cell-grid range search. The grid sorts vehicles by the key of a square
@@ -17,16 +17,19 @@ neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
 Liquids*, §5.3). A table of per-cell counts, summed, gives where each
 cell's run of sorted vehicles starts. The cells widen on a wide or sparse
 fleet, so neither axis nor the grid has more than ``_CELLS_PER_VEHICLE``
-cells per vehicle and the table stays O(n) for any extents. A one-shot
-``contact_pairs`` filters a fresh list of the same kind.
+cells per vehicle and the table stays O(n) for any extents.
 ``benchmarks/bench_kernels.py`` times both lists per tick; where the
 Verlet list starts to beat all pairs sets the constant.
 
-Both lists also filter a ``(k, n)`` stack of k ticks' positions in one
-call, and then return each pair's row as well. ``AllPairs`` filters the
-whole stack as one flat array, so it pays its per-call cost once for up
-to ``block`` ticks; the Verlet list goes a row at a time, as any row may
-rebuild it, so its ``block`` is 1.
+Both lists have one entry point, ``pairs(xs, ys, r)``: it filters a
+``(k, n)`` block of the x and y positions of k ticks, at most the list's
+``block``, and returns ``(a, b, ends)``, where row i's pairs are
+``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for row 0). ``AllPairs``
+filters a block as one flat array, so it pays its per-call cost once for
+up to ``block`` ticks; any tick may rebuild the Verlet list, so its
+``block`` is 1. ``contact_pairs`` is the one function that also takes a
+single tick's 1-D positions; without a list it filters a fresh list of
+the kind its fleet size would keep.
 
 The Verlet list keeps its pair-sized work arrays for its whole life, and
 each call gathers positions once, as one complex array. With 300 vehicles
@@ -35,7 +38,7 @@ list pairs, so fresh temporaries would be 59-290 KB each: glibc maps those
 over its 128 KiB mmap threshold afresh on every call, and trims the heap
 above it, so their pages fault in again each time. ``AllPairs`` keeps
 plain temporaries, as its ``block`` holds each of them, and each of the
-stack indices it keeps, to ``_BLOCK_BYTES``, under that threshold.
+index tables it keeps, to ``_BLOCK_BYTES``, under that threshold.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ _CELL_MARGIN = 1e-6
 # any extents, keys stay far inside int64, and cell indices stay small
 # enough for _CELL_MARGIN to cover their rounding.
 _CELLS_PER_VEHICLE = 4
-# A stacked all-pairs filter keeps each temporary within this many bytes,
-# half glibc's 128 KiB mmap threshold, so it reuses heap pages instead of
-# mapping fresh ones on every call.
+# An all-pairs block keeps each temporary and each kept index table within
+# this many bytes, half glibc's 128 KiB mmap threshold, so a call reuses
+# heap pages instead of mapping fresh ones every time.
 _BLOCK_BYTES = 1 << 16
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
 # covers the rounding in the displacement test and the distances.
@@ -66,34 +69,29 @@ _LIST_MARGIN = 1e-9
 class AllPairs:
     """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range.
 
-    A ``(k, n)`` stack of k ticks' positions is filtered as one flat array,
-    and the call then also returns each pair's row. ``block`` is the most
-    rows whose ``(k, pairs)`` arrays and ``(2, k, n)`` positions each fit
-    in ``_BLOCK_BYTES``.
+    A block of k ticks is filtered as one flat array of k rows of pairs.
+    ``block`` is the most rows whose ``(k, pairs)`` arrays and ``(2, k, n)``
+    positions each fit in ``_BLOCK_BYTES``. For a whole block the list keeps
+    each flat pair's ends in the flat positions, its vehicle ids and where
+    each row's pairs end, so a call slices them to its k rows.
     """
 
     def __init__(self, n: int) -> None:
-        a, b = np.triu_indices(n, 1)  # row-major, so already in (a, b) order
-        self.a, self.b = a.astype(np.int64), b.astype(np.int64)
-        self.n = n
-        self.block = max(1, _BLOCK_BYTES // (8 * max(len(a), 2 * n, 1)))
-        self._stack_ends(self.block)
+        v = np.arange(n)
+        pair = np.less.outer(v, v).nonzero()  # the pairs a < b, row-major, so in (a, b) order
+        m = len(pair[0])
+        self.block = max(1, _BLOCK_BYTES // (8 * max(m, 2 * n, 1)))
+        ids = np.empty((2, self.block, m), np.int64)
+        ids[:] = np.reshape(pair, (2, 1, m))
+        self._a, self._b = ids.reshape(2, -1)
+        self._fa, self._fb = (ids + n * np.arange(self.block)[:, None]).reshape(2, -1)  # row i's: + i * n
+        self._ends = np.arange(1, self.block + 1) * m
 
-    def _stack_ends(self, k: int) -> None:
-        """Each pair's ends in a flat stack of k rows of n positions: row i's are a + i * n."""
-        shift = np.arange(k)[:, None] * self.n
-        self._fa, self._fb = (self.a + shift).reshape(-1), (self.b + shift).reshape(-1)
-
-    def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        stacked = x.ndim == 2
-        if stacked:
-            m = len(x) * len(self.a)
-            if m > len(self._fa):  # taller than a block
-                self._stack_ends(len(x))
-            fa, fb = self._fa[:m], self._fb[:m]
-        else:
-            fa, fb = self.a, self.b
-        x, y = x.reshape(-1), y.reshape(-1)
+    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+        k = len(xs)
+        m = self._ends[k - 1]  # a block taller than ``block`` fails here
+        fa, fb = self._fa[:m], self._fb[:m]
+        x, y = xs.ravel(), ys.ravel()
         dx, dy = x[fa], y[fa]
         dx -= x[fb]  # in place: at most three temporaries live at once
         dy -= y[fb]
@@ -101,10 +99,7 @@ class AllPairs:
         dy *= dy
         dx += dy
         near = (dx <= radio_range * radio_range).nonzero()[0]  # row by row, each in (a, b) order
-        if not stacked:
-            return self.a[near], self.b[near]
-        row, k = np.divmod(near, len(self.a))
-        return self.a[k], self.b[k], row
+        return self._a[near], self._b[near], near.searchsorted(self._ends[:k]).tolist()
 
 
 class NeighbourList:
@@ -124,8 +119,8 @@ class NeighbourList:
     indices of the pairs in range are fresh, and so are the pairs a call
     returns.
 
-    A ``(k, n)`` stack of ticks is filtered a row at a time, as each row
-    may rebuild the list, so ``block`` is 1: a run hands it one tick a call.
+    Any tick may rebuild the list, so ``block`` is 1: a call filters a
+    block of one row.
     """
 
     block = 1
@@ -225,13 +220,8 @@ class NeighbourList:
         np.subtract(code, np.multiply(a, n, out=b), out=b)
         self.a, self.b = a, b
 
-    def pairs(self, x: np.ndarray, y: np.ndarray, radio_range: float):
-        if x.ndim == 2:  # a stack of ticks, a row at a time: each row may rebuild the list
-            found = [self.pairs(xi, yi, radio_range) for xi, yi in zip(x, y)]
-            row = np.arange(len(found)).repeat([len(a) for a, _ in found])
-            # the empty row[:0] joins in too, so a stack of no rows gives empty pairs
-            a, b = (np.concatenate([p[i] for p in found] + [row[:0]]) for i in (0, 1))
-            return a, b, row
+    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+        (x,), (y,) = xs, ys  # a block of one row
         z = np.empty(x.shape[0], np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
         z.real, z.imag = x, y
         if self._stale(z, radio_range):
@@ -239,7 +229,7 @@ class NeighbourList:
             self.z0 = z
             self.radio_range = radio_range
         near = self._near(z, self.a, self.b, radio_range)
-        return self.a[near], self.b[near]
+        return self.a[near], self.b[near], [len(near)]
 
 
 def pair_list(n: int, radio_range: float, max_step: float) -> AllPairs | NeighbourList:
@@ -254,15 +244,18 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
                   neighbours: AllPairs | NeighbourList | None = None):
     """Unordered vehicle-index pairs within radio range, sorted by (a, b).
 
-    ``x`` and ``y`` hold one tick's positions, or a ``(k, n)`` stack of k
-    ticks': then the pairs come row by row, each row sorted, with a third
-    array of their rows. With ``neighbours`` the pairs come from (and
-    refresh) that list; without it this is a one-shot search through a
-    fresh ``pair_list`` of a fleet that stands still.
+    ``x`` and ``y`` hold one tick's positions, and the pairs come as
+    ``(a, b)``; or a block of ticks, and they come with its row ends as the
+    list's ``pairs`` returns them. With ``neighbours`` the pairs come from
+    (and refresh) that list; without it this is a one-shot search through
+    a fresh ``pair_list`` of a fleet that stands still.
     """
     if neighbours is None:
         neighbours = pair_list(x.shape[-1], radio_range, 0.0)
-    return neighbours.pairs(x, y, radio_range)
+    if x.ndim == 2:
+        return neighbours.pairs(x, y, radio_range)
+    a, b, _ = neighbours.pairs(x[None], y[None], radio_range)
+    return a, b
 
 
 def waypoint_step(

@@ -11,13 +11,12 @@ vehicles happen to arrive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import waypoint_step
-from .model import ValidationError
+from .model import ValidationError, check_range
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,15 @@ class MobilityConfig:
     tick_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        # each test is written so that NaN fails it
         n = self.vehicle_count
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise ValidationError("vehicle_count must be an integer of at least 1")
-        if not (0 < self.arena_width < math.inf and 0 < self.arena_height < math.inf):
-            raise ValidationError("arena dimensions must be positive and finite")
-        if not 0 <= self.speed_min <= self.speed_max < math.inf:
-            raise ValidationError("need 0 <= speed_min <= speed_max < inf")
-        if not 0 <= self.pause_time < math.inf:
-            raise ValidationError("pause_time must be non-negative and finite")
-        if not 0 < self.tick_seconds < math.inf:
-            raise ValidationError("tick_seconds must be positive and finite")
+        check_range("arena_width", self.arena_width, open_low=True)
+        check_range("arena_height", self.arena_height, open_low=True)
+        check_range("speed_min", self.speed_min)
+        check_range("speed_max", self.speed_max, self.speed_min)
+        check_range("pause_time", self.pause_time)
+        check_range("tick_seconds", self.tick_seconds, open_low=True)
 
 
 @dataclass

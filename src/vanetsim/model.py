@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +36,17 @@ PROPORTIONAL_SCHEMES = frozenset(
 TWO_TERM_SCHEMES = frozenset({Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL})
 
 
+def check_range(name: str, value, low: float = 0.0, high: float = math.inf, *, open_low: bool = False) -> None:
+    """Raise a ValidationError naming ``name`` unless ``value`` is finite and in [low, high].
+
+    ``open_low`` leaves ``low`` out. A bool, a string or None fails, as NaN does.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low < value if open_low else low <= value) and value <= high and value < math.inf):
+        interval = f"{'(' if open_low else '['}{float(low):g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ValidationError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
 def distance(a: Vec2, b: Vec2) -> float:
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
 
@@ -51,13 +63,8 @@ class WeightSet:
     distance_weight: float
 
     def __post_init__(self) -> None:
-        for name, w in (
-            ("time_weight", self.time_weight),
-            ("forward_weight", self.forward_weight),
-            ("distance_weight", self.distance_weight),
-        ):
-            if not (0.0 <= w <= 1.0):
-                raise ValidationError(f"{name} must be in [0, 1], got {w}")
+        for name in ("time_weight", "forward_weight", "distance_weight"):
+            check_range(name, getattr(self, name), 0.0, 1.0)
         total = self.time_weight + self.forward_weight + self.distance_weight
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 1 (got {total!r})")
@@ -80,13 +87,9 @@ class PacketSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.payload_class, PayloadClass):
             raise ValidationError(f"payload_class must be a PayloadClass, got {self.payload_class!r}")
-        # each test is written so that NaN fails it
-        if not 0 <= self.reward_budget < math.inf:
-            raise ValidationError(f"reward_budget must be non-negative and finite, got {self.reward_budget}")
-        if not 0 < self.deadline < math.inf:
-            raise ValidationError(f"deadline must be positive and finite, got {self.deadline}")
-        if not 0 < self.interest_radius < math.inf:
-            raise ValidationError(f"interest_radius must be positive and finite, got {self.interest_radius}")
+        check_range("reward_budget", self.reward_budget)
+        check_range("deadline", self.deadline, open_low=True)
+        check_range("interest_radius", self.interest_radius, open_low=True)
 
 
 @dataclass(frozen=True)

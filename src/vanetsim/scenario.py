@@ -149,7 +149,7 @@ def _scenario_problems(sc: Scenario) -> list[str]:
     elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
         problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
     problems += endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
-    return problems + scale_problems(sc.packet, sc.incentives)
+    return problems + scale_problems(sc.mobility.vehicle_count, sc.packet, sc.incentives)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

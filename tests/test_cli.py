@@ -199,6 +199,17 @@ class TestValidateCommand:
             assert "packet.deadline / time_scale must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    def test_an_overflowing_product_score_is_exit_1_for_validate(self, tmp_path, capsys):
+        # (300 s / 3e-198)**2 overflows the first proposal's product-mode time credit
+        bad = tmp_path / "product.yaml"
+        bad.write_text(
+            "incentives:\n  scheme: first_proposal\n  weights: {time: 0.5, forward: 0.5, distance: 0.0}\n"
+            "  first_proposal_mode: product\n  time_scale: 3.0e-198\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "must sum to a finite total" in capsys.readouterr().err
+
     def test_invalid_file_lists_every_problem(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

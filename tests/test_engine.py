@@ -1,10 +1,14 @@
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_engine import reference_run
 from vanetsim import engine, kernels, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
@@ -174,8 +178,15 @@ class TestEndpointProblems:
         assert "engine.destination_id: must differ from source_id" in str(exc.value)
 
 
+# the first-proposal product mode reads a time credit as t * T, up to T * T for T = deadline / time_scale
+PRODUCT = IncentiveConfig(scheme=Scheme.FIRST_PROPOSAL, weights=WeightSet(0.5, 0.5, 0.0),
+                          first_proposal_mode="product")
+# the largest T whose T * T, summed over the baseline's 14 carriers, stays finite
+PRODUCT_LIMIT = math.sqrt(sys.float_info.max / 14)
+
+
 class TestScaledDeadline:
-    """The deadline in time_scale units must be positive and finite, checked before the first draw."""
+    """The deadline in time_scale units must keep every score finite, checked before the first draw."""
 
     @pytest.mark.parametrize(
         "inc, pkt",
@@ -194,11 +205,43 @@ class TestScaledDeadline:
         with pytest.raises(ValidationError, match="packet.deadline / time_scale must be positive and finite"):
             run_default(inc=inc, pkt=pkt)
 
-    def test_extreme_but_representable_scales_still_run(self):
-        inc = IncentiveConfig(time_scale=1e-300)  # 300 s is 3e302 units: finite
-        assert engine.scale_problems(PKT, inc) == []
+    @pytest.mark.parametrize(
+        "inc, pkt",
+        [
+            (replace(PRODUCT, time_scale=3e-198), PKT),  # T * T overflows: NaN shares
+            (replace(PRODUCT, time_scale=300.0 / 1e154), PKT),  # T * T = 1e308, but 14 of them overflow
+            (IncentiveConfig(scheme=Scheme.BASIC_LINEAR, weights=WeightSet(0.5, 0.5, 0.0), time_scale=3e-306), PKT),
+            (IncentiveConfig(time_scale=3e-306), PKT),  # T = 1e308 in the second proposal's time credit
+            (IncentiveConfig(distance_scale=1e308), PacketSpec(deadline=300.0, interest_radius=1e308)),
+        ],
+        ids=["product", "product_summed", "basic_linear", "second_time", "second_distance"],
+    )
+    def test_run_rejects_scores_that_sum_past_the_float_range(self, monkeypatch, inc, pkt):
+        # each of these wrote NaN shares or ended in OverflowError after every tick was simulated
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run drew from the seed before checking the scores' bound")
+
+        monkeypatch.setattr(engine.np.random, "SeedSequence", no_draws)
+        with pytest.raises(ValidationError, match="carriers' scores, each up to .* must sum to a finite total"):
+            run_default(inc=inc, pkt=pkt)
+
+    @pytest.mark.parametrize(
+        "inc",
+        [
+            IncentiveConfig(time_scale=1e-300),  # 300 s is 3e302 units: finite, and 14 of them too
+            replace(PRODUCT, time_scale=300.0 / (PRODUCT_LIMIT / 1.001)),  # just inside the product bound
+        ],
+        ids=["second", "product"],
+    )
+    def test_extreme_but_representable_scales_still_run(self, inc):
+        assert engine.scale_problems(MOB.vehicle_count, PKT, inc) == []
         summary = summary_to_json(build_summary(run_default(seed=7, inc=inc), "h"))
         assert "NaN" not in summary and "Infinity" not in summary
+
+    def test_the_product_bound_counts_the_carriers(self):
+        inc = replace(PRODUCT, time_scale=300.0 / (PRODUCT_LIMIT * 1.001))  # just outside for 15 vehicles
+        assert engine.scale_problems(15, PKT, inc)
+        assert engine.scale_problems(2, PKT, inc) == []  # one carrier's score is still finite
 
 
 class TestSettlementTiming:
@@ -572,6 +615,58 @@ def test_chain_is_routed_like_every_pair(monkeypatch, source, hops):
     assert result.tree.links == tree.links
     assert result.contact_events == contact_events
     assert Counter(now for now, _, _ in offered) == expected_calls
+
+
+# every scheme, with weights it accepts; first proposal in both modes
+REFERENCE_SCHEMES = [
+    IncentiveConfig(scheme=Scheme.BASIC_LINEAR, weights=WeightSet(0.5, 0.5, 0.0)),
+    IncentiveConfig(scheme=Scheme.FIRST_PROPOSAL, weights=WeightSet(0.4, 0.6, 0.0)),
+    IncentiveConfig(scheme=Scheme.FIRST_PROPOSAL, weights=WeightSet(0.4, 0.6, 0.0), first_proposal_mode="product"),
+    IncentiveConfig(scheme=Scheme.SECOND_PROPOSAL, distance_aggregate="min"),
+    IncentiveConfig(scheme=Scheme.PACKET_PURSE),
+    IncentiveConfig(scheme=Scheme.PACKET_TRADE),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1) | st.integers(kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 130),
+    packing=st.sampled_from([0.6, 1.0]),
+    speeds=st.sampled_from([(5.0, 15.0), (0.0, 40.0), (0.0, 0.0)]),
+    pause_time=st.sampled_from([0.0, 2.5]),
+    dt=st.sampled_from([0.25, 0.7, 1.0, 2.5]),
+    duration=st.sampled_from([0.0, 3.5, 20.0, 45.5, 60.0]),
+    deadline=st.sampled_from([12.25, 30.0, 300.0]),
+    settle_on_delivery=st.booleans(),
+    inc=st.sampled_from(REFERENCE_SCHEMES),
+    data=st.data(),
+)
+def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, dt, duration, deadline,
+                                         settle_on_delivery, inc, data):
+    # fleets on both sides of the Verlet crossover, at and above baseline
+    # density; ticks that do and do not divide the end; endpoints given or drawn
+    side = packing * 800.0 * (n / 15.0) ** 0.5
+    mob = MobilityConfig(vehicle_count=n, arena_width=side, arena_height=side, speed_min=speeds[0],
+                         speed_max=speeds[1], pause_time=pause_time, tick_seconds=dt)
+    source = data.draw(st.none() | st.integers(0, n - 1), label="source_id")
+    destination = data.draw(st.none() | st.integers(0, n - 1).filter(lambda d: d != source),
+                            label="destination_id")
+    eng = EngineConfig(duration=duration, source_id=source, destination_id=destination,
+                       settle_on_delivery=settle_on_delivery)
+    pkt = PacketSpec(reward_budget=20.0, deadline=deadline)
+    result = run(mob, eng, inc, pkt, seed)
+    assert reference_run(mob, eng, inc, pkt, seed) == {
+        "source_id": result.source_id,
+        "destination_id": result.destination_id,
+        "links": result.tree.links,
+        "records": result.records,
+        "report": result.report,
+        "settle_time": result.settle_time,
+        "final_time": result.final_time,
+        "ticks_run": result.ticks_run,
+        "contact_events": result.contact_events,
+    }
 
 
 class TestAccounting:

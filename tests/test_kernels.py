@@ -36,7 +36,7 @@ def grid_pairs(x, y, radio_range):
 
 
 def all_pairs(x, y, radio_range):
-    return kernels.AllPairs(len(x)).pairs(x, y, radio_range)
+    return kernels.contact_pairs(x, y, radio_range, kernels.AllPairs(len(x)))
 
 
 @pytest.fixture(params=["all_pairs", "grid", "one_shot"])
@@ -170,47 +170,53 @@ class TestContactPairs:
 
 
 class TestStacks:
-    """A (k, n) stack of ticks filters to each row's pairs, tagged with the row, row by row."""
+    """A (k, n) block of ticks filters to each row's pairs, split at ``ends``, row by row."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1),
-        k=st.integers(1, 40),
         lattice=st.booleans(),
+        data=st.data(),
     )
-    @example(seed=0, n=0, k=1, lattice=False)
-    @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, k=40, lattice=True)
-    def test_all_pairs_stack_equals_each_row(self, seed, n, k, lattice):
+    @example(seed=0, n=0, lattice=False, data=None)
+    @example(seed=1, n=15, lattice=True, data=None)
+    @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, lattice=True, data=None)
+    def test_all_pairs_stack_equals_each_row(self, seed, n, lattice, data):
         # on the integer lattice 3-4-5 and axis-aligned ties at exactly r are common
+        neighbours = kernels.AllPairs(n)
+        # the explicit examples take a whole block
+        k = neighbours.block if data is None else data.draw(st.integers(1, neighbours.block), label="k")
         rng = np.random.default_rng(seed)
         r = 5.0
         side = 2.0 * r * max(n, 1) ** 0.5
         x, y = rng.random((k, n)) * side, rng.random((k, n)) * side
         if lattice:
             x, y = np.round(x), np.round(y)
-        neighbours = kernels.AllPairs(n)
-        a, b, row = kernels.contact_pairs(x, y, r, neighbours)
-        assert a.dtype == b.dtype == row.dtype == np.int64
-        assert np.all(np.diff(row) >= 0)
-        for i in range(k):
-            ea, eb = neighbours.pairs(x[i], y[i], r)
-            assert np.array_equal(a[row == i], ea) and np.array_equal(b[row == i], eb)
+        a, b, ends = kernels.contact_pairs(x, y, r, neighbours)
+        assert a.dtype == b.dtype == np.int64
+        assert len(ends) == k and ends[-1] == len(a)
+        for i, (start, end) in enumerate(zip([0, *ends], ends)):
+            ea, eb = kernels.contact_pairs(x[i], y[i], r, neighbours)
+            assert np.array_equal(a[start:end], ea) and np.array_equal(b[start:end], eb)
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_neighbour_list_stack_equals_each_row(self, k):
-        rng = np.random.default_rng(k)
+    def test_neighbour_list_block_is_one_row(self):
+        rng = np.random.default_rng(3)
         n = kernels.NEIGHBOUR_LIST_MIN_VEHICLES + 50
-        x, y = rng.random((k, n)) * 300.0, rng.random((k, n)) * 300.0
-        a, b, row = kernels.contact_pairs(x, y, 30.0)  # one-shot: a fresh Verlet list
-        assert a.dtype == b.dtype == row.dtype == np.int64
-        assert np.all(np.diff(row) >= 0)
-        for i in range(k):
-            ea, eb = reference_pairs(x[i], y[i], 30.0)
-            assert np.array_equal(a[row == i], ea) and np.array_equal(b[row == i], eb)
+        x, y = rng.random((1, n)) * 300.0, rng.random((1, n)) * 300.0
+        a, b, ends = kernels.contact_pairs(x, y, 30.0)  # one-shot: a fresh Verlet list
+        ea, eb = reference_pairs(x[0], y[0], 30.0)
+        assert ends == [len(a)] and np.array_equal(a, ea) and np.array_equal(b, eb)
+
+    @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15), kernels.NeighbourList(1.0)],
+                             ids=["all_pairs", "neighbour_list"])
+    def test_a_block_taller_than_block_is_refused(self, neighbours):
+        xs = np.zeros((neighbours.block + 1, 15))
+        with pytest.raises((IndexError, ValueError)):
+            neighbours.pairs(xs, xs, 1.0)
 
     def test_one_tick_is_filtered_as_before(self):
-        # a 1-D call returns the pairs alone, as it always did
+        # a 1-D tick gives the pairs alone
         rng = np.random.default_rng(5)
         x, y = rng.random(30) * 200.0, rng.random(30) * 200.0
         found = kernels.contact_pairs(x, y, 50.0)
@@ -220,8 +226,9 @@ class TestStacks:
     def test_block_keeps_temporaries_under_the_mmap_threshold(self):
         for n in (2, 15, 40, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1):
             neighbours = kernels.AllPairs(n)
-            per_tick = 8 * max(len(neighbours.a), 2 * n)  # the widest (k, ...) float array of a tick
+            per_tick = 8 * max(n * (n - 1) // 2, 2 * n)  # the widest (k, ...) float array of a tick
             assert neighbours.block >= 1 and neighbours.block * per_tick < 128 * 1024
+            assert all(buf.nbytes <= 64 * 1024 for buf in buffers(neighbours))
         assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
         assert kernels.NeighbourList(1.0).block == 1
 
@@ -285,14 +292,14 @@ class TestNeighbourList:
         rng = np.random.default_rng(2)
         x, y = rng.random(200) * 500.0, rng.random(200) * 500.0
         neighbours = kernels.NeighbourList(skin=8.0)
-        neighbours.pairs(x, y, 30.0)
+        kernels.contact_pairs(x, y, 30.0, neighbours)
         x[17] += 4.0  # exactly half the skin: the list still covers every pair
-        neighbours.pairs(x, y, 30.0)
-        neighbours.pairs(x, y, 30.0)
+        kernels.contact_pairs(x, y, 30.0, neighbours)
+        kernels.contact_pairs(x, y, 30.0, neighbours)
         assert len(builds) == 1 and builds[0] >= 38.0
         x[17] += 1e-6
-        neighbours.pairs(x, y, 30.0)
-        neighbours.pairs(x, y, 20.0)  # a new range also rebuilds
+        kernels.contact_pairs(x, y, 30.0, neighbours)
+        kernels.contact_pairs(x, y, 20.0, neighbours)  # a new range also rebuilds
         assert len(builds) == 3
 
     def test_returned_pairs_survive_later_calls(self, builds):
@@ -303,7 +310,7 @@ class TestNeighbourList:
         neighbours = kernels.NeighbourList(skin=60.0)
         returned, kept = [], []
         for _ in range(12):
-            a, b = neighbours.pairs(x, y, 100.0)
+            a, b = kernels.contact_pairs(x, y, 100.0, neighbours)
             assert len(a) > 0
             for arr in (a, b):
                 assert not any(np.shares_memory(arr, buf) for buf in buffers(neighbours))
@@ -328,7 +335,7 @@ class TestNeighbourList:
             share = 1.0 - abs(tick - 20) / 20.0  # 0 spread out, 1 packed
             x = home_x + share * (pack_x - home_x)
             y = home_y + share * (pack_y - home_y)
-            a, b = neighbours.pairs(x, y, r)
+            a, b = kernels.contact_pairs(x, y, r, neighbours)
             ra, rb = reference_pairs(x, y, r)
             assert np.array_equal(a, ra) and np.array_equal(b, rb)
             sizes.append(max(buf.size for buf in buffers(neighbours)))
@@ -342,7 +349,7 @@ class TestNeighbourList:
         y = np.zeros(n)
         for r, dx in [(10.0, 0.0), (10.0, 0.5), (10.0, 3.0), (10.0, 0.0), (8.0, 0.0), (12.0, 0.0), (12.0, -9.0)]:
             x = x + np.array([0.0, dx])[:n]
-            a, b = neighbours.pairs(x, y, r)
+            a, b = kernels.contact_pairs(x, y, r, neighbours)
             ra, rb = reference_pairs(x, y, r)
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, ra) and np.array_equal(b, rb)
@@ -354,7 +361,7 @@ class TestNeighbourList:
         neighbours = kernels.NeighbourList(skin=2.0)
         for n in (1, 5, 3, 0, 2):
             x, y = np.linspace(0.0, 0.5, n), np.zeros(n)
-            a, b = neighbours.pairs(x, y, 10.0)
+            a, b = kernels.contact_pairs(x, y, 10.0, neighbours)
             assert as_pair_list(a, b) == sorted(brute_force_pairs(x, y, 10.0))
 
     def test_pair_codes_of_a_huge_fleet(self):
@@ -370,7 +377,7 @@ class TestNeighbourList:
         expected = [(5, n - 3), (n - 5, n - 4), (n - 2, n - 1)]
         neighbours = kernels.NeighbourList(skin=0.5)
         for dy in (0.0, 0.1):  # a build, then a filter of the list it kept
-            a, b = neighbours.pairs(x, y + dy, 1.0)
+            a, b = kernels.contact_pairs(x, y + dy, 1.0, neighbours)
             assert as_pair_list(a, b) == expected
             assert a.dtype == b.dtype == np.int64
         assert as_pair_list(*grid_pairs(x, y, 1.0)) == expected
@@ -394,7 +401,7 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
     x[-twins:] = x[:twins] + 0.5 * radio_range
     y[-twins:] = y[:twins]
     neighbours = kernels.NeighbourList(skin=0.0)
-    a, b = neighbours.pairs(x, y, radio_range)
+    a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
     ra, rb = reference_pairs(x, y, radio_range)
     assert np.array_equal(a, ra) and np.array_equal(b, rb)
     assert len(a) > 0
@@ -414,7 +421,9 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
 def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin):
     neighbours = kernels.pair_list(n, radio_range, max_step)
     if skin is None:
-        assert type(neighbours) is kernels.AllPairs and len(neighbours.a) == n * (n - 1) // 2
+        assert type(neighbours) is kernels.AllPairs
+        stand = np.zeros((1, n))  # every vehicle on one spot: all pairs in range
+        assert neighbours.pairs(stand, stand, 1.0)[2] == [n * (n - 1) // 2]
     else:
         assert type(neighbours) is kernels.NeighbourList and neighbours.skin == skin
 

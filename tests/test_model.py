@@ -1,13 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import chain_tree, make_link
+from vanetsim.engine import EngineConfig
+from vanetsim.incentives import IncentiveConfig
+from vanetsim.mobility import MobilityConfig
 from vanetsim.model import (
     ForwardingTree,
+    PacketSpec,
     SettlementReport,
     ValidationError,
     WeightSet,
+    check_range,
     distance,
 )
 
@@ -15,6 +21,39 @@ from vanetsim.model import (
 def test_distance_is_euclidean():
     assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
     assert distance((1.0, 1.0), (1.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: EngineConfig(radio_range="100"), "radio_range"),
+        (lambda: PacketSpec(deadline=None), "deadline"),
+        (lambda: MobilityConfig(arena_width="1"), "arena_width"),
+        (lambda: IncentiveConfig(time_scale="6"), "time_scale"),
+        (lambda: WeightSet(0.5, "0.5", 0.0), "forward_weight"),
+    ],
+    ids=["engine", "packet", "mobility", "incentives", "weights"],
+)
+def test_a_value_of_the_wrong_type_is_a_validation_error_naming_its_field(build, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+        build()
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("value", [0.5, 1, np.float64(0.25), np.int64(1), 0.0])
+    def test_accepts_real_numbers_in_range(self, value):
+        check_range("w", value, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [-0.0 - 1e-300, 1.5, math.nan, math.inf, True, "1", None, np.array(0.5)])
+    def test_rejects_the_rest(self, value):
+        with pytest.raises(ValidationError, match=r"^w must be a finite number in \[0, 1\], got "):
+            check_range("w", value, 0.0, 1.0)
+
+    def test_open_low_end_and_open_infinite_top(self):
+        check_range("r", 1e308, open_low=True)
+        for value in (0.0, math.inf):
+            with pytest.raises(ValidationError, match=r"^r must be a finite number in \(0, inf\), got "):
+                check_range("r", value, open_low=True)
 
 
 class TestWeightSet:
