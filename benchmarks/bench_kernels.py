@@ -6,16 +6,19 @@ oracle the acceptance test checks them against), each per tick over the
 same random-waypoint trajectory (speeds 5-15 m/s, 1 s ticks, 100 m radio
 range). Every list is handed blocks of ticks through the one ``pairs``
 interface: one-row blocks in the per-tick columns, as a run that settles
-on delivery filters all pairs and as every run filters a Verlet list;
-the all-pairs list is timed once more at its own ``block`` width (given
-in the table), as any other run filters it.
+on delivery filters either list; each list is timed once more at its own
+``block`` width, as any other run filters it (the all-pairs width is
+given in the table, the Verlet width in the column's name).
 The rows run at the baseline density (15 vehicles per 800x800 m), then
 one more at perfbench's dense_fleet shape, 300 vehicles in 800 m. Each
 list starts empty, as in a run, and its time includes its builds; for
 the Verlet list the table also gives its rebuild count and splits its
 time per tick into builds (the cell grid's count-table search) and
-filtering. The baseline rows show where the Verlet list starts to beat
-the all-pairs list, a tick a call; that crossover is what
+filtering, a tick a call, and gives the rebuild count at its block
+width next to that time: a stale tick there builds the list from a
+later tick of its block, so fewer builds serve the same ticks.
+The baseline rows show where the Verlet list starts to beat the
+all-pairs list, a tick a call; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
 every tick, its candidate draw included, at the baseline sizes.
@@ -108,8 +111,10 @@ def time_per_tick(make_list, xs, ys, block=1):
 def bench_contacts(sizes: list[int], ticks: int) -> int | None:
     """Print the per-tick table; return the smallest size from which the Verlet list beats all pairs."""
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
+    width = kernels.NeighbourList.block
     header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
-              f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}")
+              f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}"
+              f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}")
     print(header)
     print("-" * len(header))
     crossover = None
@@ -120,6 +125,7 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
         t_all, _ = time_per_tick(kernels.AllPairs, xs, ys)
         t_block, _ = time_per_tick(kernels.AllPairs, xs, ys, block)
         t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys)
+        t_wide, wide = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys, width)
         t_build = verlet.build_s / len(xs)
         ratio = t_all / t_verlet
         if (n, arena) != DENSE:
@@ -129,7 +135,8 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
                 crossover = n
         print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {block:>5}"
               f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {verlet.builds:>8}"
-              f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us")
+              f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us"
+              f"  {t_wide * 1e6:>9.1f}us  {wide.builds:>11}")
     return crossover
 
 

@@ -9,7 +9,8 @@ each tick's radio contacts, filtered from the one pair list the run keeps
 (``kernels.pair_list``) by one ``contact_pairs`` call per block of ticks,
 whose result one loop splits at its row ends, whatever the block's width.
 When no delivery can end the run, a block is up to the pair list's
-``block`` ticks: many for an all-pairs list, one for a Verlet list. A run
+``block`` ticks: many for an all-pairs list, five for a Verlet list, so
+that a stale tick can build it from a later tick's positions. A run
 that settles on delivery steps and filters one-tick blocks, so it never
 steps past its delivery tick. Either way each tick's pairs are the same.
 ``_route_tick`` hands the packet across them in (a, b) order, walking

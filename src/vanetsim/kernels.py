@@ -26,10 +26,12 @@ Both lists have one entry point, ``pairs(xs, ys, r)``: it filters a
 ``block``, and returns ``(a, b, ends)``, where row i's pairs are
 ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for row 0). ``AllPairs``
 filters a block as one flat array, so it pays its per-call cost once for
-up to ``block`` ticks; any tick may rebuild the Verlet list, so its
-``block`` is 1. ``contact_pairs`` is the one function that also takes a
-single tick's 1-D positions; without a list it filters a fresh list of
-the kind its fleet size would keep.
+up to ``block`` ticks. The Verlet list filters a block row by row, and a
+row that finds it stale builds it from a later row of the block when it
+can: a list built at positions z_c serves every tick within ``skin / 2``
+of z_c, before c as well as after. ``contact_pairs`` is the one function
+that also takes a single tick's 1-D positions; without a list it filters
+a fresh list of the kind its fleet size would keep.
 
 The Verlet list keeps its pair-sized work arrays for its whole life, and
 each call gathers positions once, as one complex array. With 300 vehicles
@@ -119,11 +121,17 @@ class NeighbourList:
     indices of the pairs in range are fresh, and so are the pairs a call
     returns.
 
-    Any tick may rebuild the list, so ``block`` is 1: a call filters a
-    block of one row.
+    A call filters a block of up to ``block`` rows, each tested for
+    staleness against the list's build positions as above. A stale row i
+    builds the list from the last row c >= i of the block that row i lies
+    within ``skin / 2`` of, so the list serves row i, then later rows up
+    to c and past it, until one of them finds it stale in turn. At
+    ``pair_list``'s skin, half the skin is 2 ticks at top speed, so a list
+    built at tick c can serve ticks c - 2 to c + 2: that is ``block``, as
+    a taller block saves no builds at top speed.
     """
 
-    block = 1
+    block = 5
 
     def __init__(self, skin: float) -> None:
         self.skin = skin
@@ -140,12 +148,14 @@ class NeighbourList:
         self._a, self._b = np.empty(size, np.int64), np.empty(size, np.int64)
         self._iota = np.arange(size, dtype=np.int64)
 
-    def _stale(self, z: np.ndarray, radio_range: float) -> bool:
-        if radio_range != self.radio_range or z.shape != self.z0.shape:
-            return True
-        v = (z - self.z0).view(np.float64)  # dx, dy interleaved
+    def _moved(self, z: np.ndarray, z0: np.ndarray) -> np.ndarray:
+        """For each row of z, whether some vehicle lies more than ``skin / 2`` from where z0 has it."""
+        v = (z - z0).view(np.float64)  # dx, dy interleaved
         v *= v
-        return bool(np.maximum.reduce(v[0::2] + v[1::2], initial=0.0) > 0.25 * self.skin * self.skin)
+        return np.maximum.reduce(v[..., 0::2] + v[..., 1::2], axis=-1, initial=0.0) > 0.25 * self.skin * self.skin
+
+    def _stale(self, z: np.ndarray, radio_range: float) -> bool:
+        return radio_range != self.radio_range or z.shape != self.z0.shape or bool(self._moved(z, self.z0))
 
     def _near(self, z: np.ndarray, a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
         """Indices k of the pairs (a[k], b[k]) of points z that lie within cutoff."""
@@ -221,22 +231,33 @@ class NeighbourList:
         self.a, self.b = a, b
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
-        (x,), (y,) = xs, ys  # a block of one row
-        z = np.empty(x.shape[0], np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
-        z.real, z.imag = x, y
-        if self._stale(z, radio_range):
-            self._build(z, (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
-            self.z0 = z
-            self.radio_range = radio_range
-        near = self._near(z, self.a, self.b, radio_range)
-        return self.a[near], self.b[near], [len(near)]
+        if len(xs) > self.block:
+            raise ValueError(f"a block of {len(xs)} rows is taller than {self.block}")
+        z = np.empty(xs.shape, np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
+        z.real, z.imag = xs, ys
+        a, b, ends, end = [], [], [], 0
+        for i, row in enumerate(z):
+            if self._stale(row, radio_range):
+                # build at the last row that row i lies within half the skin of
+                # (row i itself at least), so the list serves the rows after i too
+                c = i + np.flatnonzero(~self._moved(z[i:], row))[-1]
+                self._build(z[c], (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
+                self.z0 = z[c]
+                self.radio_range = radio_range
+            near = self._near(row, self.a, self.b, radio_range)
+            a.append(self.a[near])
+            b.append(self.b[near])
+            end += len(near)
+            ends.append(end)
+        return np.concatenate(a), np.concatenate(b), ends
 
 
 def pair_list(n: int, radio_range: float, max_step: float) -> AllPairs | NeighbourList:
     """The pair list for n vehicles that each move at most ``max_step`` a tick."""
     if n < NEIGHBOUR_LIST_MIN_VEHICLES:
         return AllPairs(n)
-    # half the skin is 2 ticks at top speed: a rebuild every ~3rd tick; exact at any speed
+    # half the skin is 2 ticks at top speed: a rebuild every ~3rd tick, or ~5th when
+    # built mid-block; exact at any speed
     return NeighbourList(min(radio_range, 4.0 * max_step))
 
 

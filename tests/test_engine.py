@@ -422,10 +422,11 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
     assert sum(rows) == 301  # ticks 0..300, a block of them per call
 
 
-@pytest.mark.parametrize("n", [15, 40, 64, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1])
+@pytest.mark.parametrize("n", [15, 40, 64, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, 120, 150])
 def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
     # 0.1 s ticks, 250 of them: the all-pairs blocks of 78, 10, 4 and 1
-    # ticks end inside the run, so the stream crosses block edges
+    # ticks and the Verlet blocks of 5 end inside the run, so the stream
+    # crosses block edges
     cfg = MobilityConfig(vehicle_count=n, tick_seconds=0.1)
     last_tick = 250
     assert kernels.pair_list(n, 100.0, 1.5).block < last_tick
@@ -442,7 +443,24 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
     assert models[0].tick == models[1].tick == last_tick
 
 
-@pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False)])
+def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):
+    # a dense fleet, 300 vehicles in 800 m: a stale tick builds the list
+    # from a later tick of its block, so one build serves ticks either side
+    builds = []
+    build = kernels.NeighbourList._build
+    monkeypatch.setattr(kernels.NeighbourList, "_build",
+                        lambda self, z, cutoff: builds.append(cutoff) or build(self, z, cutoff))
+    cfg = MobilityConfig(vehicle_count=300, arena_width=800.0, arena_height=800.0)
+    counts = []
+    for look_ahead in (True, False):
+        builds.clear()
+        for _ in engine.contacts(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300, look_ahead):
+            pass
+        counts.append(len(builds))
+    assert counts[0] <= 0.65 * counts[1]  # 61 against 101 builds
+
+
+@pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False), (120, True)])
 def test_every_contact_comes_through_engine_contact_pairs(monkeypatch, n, settle_on_delivery):
     # traced benchmarks count a run's contacts as the pairs engine.contact_pairs returns
     returned, rows = [], []
@@ -458,8 +476,8 @@ def test_every_contact_comes_through_engine_contact_pairs(monkeypatch, n, settle
     result = run_default(seed=3, eng=eng, mob=MobilityConfig(vehicle_count=n))
     assert sum(returned) == result.contact_events > 0
     assert sum(rows) == result.ticks_run + 1
-    # a run that settles on delivery, or keeps a Verlet list, filters a tick a call
-    assert (max(rows) == 1) == (settle_on_delivery or n >= kernels.NEIGHBOUR_LIST_MIN_VEHICLES)
+    # only a run that settles on delivery filters a tick a call
+    assert (max(rows) == 1) == settle_on_delivery
 
 
 def test_run_past_the_deadline_exports_the_same_summary():

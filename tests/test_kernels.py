@@ -208,6 +208,57 @@ class TestStacks:
         ea, eb = reference_pairs(x[0], y[0], 30.0)
         assert ends == [len(a)] and np.array_equal(a, ea) and np.array_equal(b, eb)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 90),
+        k=st.integers(1, kernels.NeighbourList.block),
+        step_share=st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.5]),
+        jump=st.booleans(),
+        lattice=st.booleans(),
+    )
+    @example(seed=0, n=0, k=1, step_share=0.2, jump=False, lattice=False)
+    @example(seed=1, n=60, k=kernels.NeighbourList.block, step_share=0.05, jump=True, lattice=False)
+    @example(seed=2, n=90, k=kernels.NeighbourList.block, step_share=0.2, jump=True, lattice=True)
+    def test_neighbour_list_stack_equals_each_row(self, seed, n, k, step_share, jump, lattice):
+        # random walks of up to step_share * skin per axis a tick: small
+        # shares keep the rows of a block within half the skin of each
+        # other, larger ones step past it; with a jump one vehicle leaves by three
+        # skins for one row of each block and comes back the next. On the
+        # integer lattice ties at exactly r are common.
+        rng = np.random.default_rng(seed)
+        r, skin = 10.0, 4.0
+        side = 2.0 * r * max(n, 1) ** 0.5
+        neighbours = kernels.NeighbourList(skin)
+        x, y = rng.random(n) * side, rng.random(n) * side
+        for _ in range(6):  # later blocks start from the list an earlier one built
+            xs, ys = np.cumsum(rng.uniform(-1.0, 1.0, (2, k, n)) * step_share * skin, axis=1) + [[x], [y]]
+            if jump and n and k > 1:
+                xs[rng.integers(k - 1), rng.integers(n)] += 3.0 * skin
+            if lattice:
+                xs, ys = np.round(xs), np.round(ys)
+            assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+            x, y = xs[-1], ys[-1]
+
+    def test_a_stale_row_builds_the_list_from_a_later_row(self, builds):
+        # the fleet creeps a tenth of the skin a tick
+        rng = np.random.default_rng(8)
+        n, r, skin = 150, 30.0, 8.0
+        xs = rng.random(n) * 3000.0 + 0.1 * skin * np.arange(5)[:, None]
+        ys = np.repeat(rng.random((1, n)) * 3000.0, 5, axis=0)
+        neighbours = kernels.NeighbourList(skin)
+        assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+        assert len(builds) == 1 and np.array_equal(neighbours.z0.real, xs[4])  # row 0 builds from row 4
+        # at row 2 alone vehicle 0 stands half the range from vehicle 1,
+        # which the list built from row 4 does not pair it with
+        assert np.hypot(xs[4, 0] - xs[4, 1], ys[4, 0] - ys[4, 1]) > r + skin
+        xs[2, 0], ys[2, 0] = xs[2, 1] + 0.5 * r, ys[2, 1]
+        neighbours = kernels.NeighbourList(skin)
+        assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+        # row 0 builds from row 4 again, past row 2, which finds that list
+        # stale and builds from itself; row 3 then builds from row 4
+        assert len(builds) == 4 and np.array_equal(neighbours.z0.real, xs[4])
+
     @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15), kernels.NeighbourList(1.0)],
                              ids=["all_pairs", "neighbour_list"])
     def test_a_block_taller_than_block_is_refused(self, neighbours):
@@ -230,7 +281,17 @@ class TestStacks:
             assert neighbours.block >= 1 and neighbours.block * per_tick < 128 * 1024
             assert all(buf.nbytes <= 64 * 1024 for buf in buffers(neighbours))
         assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
-        assert kernels.NeighbourList(1.0).block == 1
+        assert kernels.NeighbourList(1.0).block == 5  # a build serves 2 ticks either side at top speed
+
+
+def assert_rows_exact(found, xs, ys, radio_range):
+    """A block's ``(a, b, ends)`` splits into each row's exact pairs."""
+    a, b, ends = found
+    assert a.dtype == b.dtype == np.int64
+    assert len(ends) == len(xs) and ends[-1] == len(a)
+    for i, (start, end) in enumerate(zip([0, *ends], ends)):
+        ea, eb = reference_pairs(xs[i], ys[i], radio_range)
+        assert np.array_equal(a[start:end], ea) and np.array_equal(b[start:end], eb)
 
 
 def buffers(neighbours):
