@@ -18,8 +18,10 @@ filtering, a tick a call, and gives the rebuild count at its block
 width next to that time: a stale tick there builds the list from a
 later tick of its block, so fewer builds serve the same ticks.
 The baseline rows show where the Verlet list starts to beat the
-all-pairs list, a tick a call; that crossover is what
-``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
+all-pairs list at each list's own block width, the widths every run
+that cannot end at a delivery filters at; that crossover is what
+``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from. The crossover a
+tick a call, the width of a delivery-settled run, is printed too.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
 every tick, its candidate draw included, at the baseline sizes.
 Run from the repository root:
@@ -108,16 +110,26 @@ def time_per_tick(make_list, xs, ys, block=1):
     return best, best_list
 
 
-def bench_contacts(sizes: list[int], ticks: int) -> int | None:
-    """Print the per-tick table; return the smallest size from which the Verlet list beats all pairs."""
+def since_first_win(crossover: int | None, n: int, ratio: float) -> int | None:
+    """The smallest size so far from which the Verlet list beats all pairs at every size, n's included."""
+    if ratio <= 1.0:
+        return None
+    return n if crossover is None else crossover
+
+
+def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None]:
+    """Print the per-tick table; return the smallest sizes from which the Verlet list beats all pairs.
+
+    The first is at each list's own block width, the second a tick a call.
+    """
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
     width = kernels.NeighbourList.block
     header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
               f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}"
-              f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}")
+              f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}  {'all/verlet, blocks':>18}")
     print(header)
     print("-" * len(header))
-    crossover = None
+    crossover = crossover_row = None
     for n, arena in [(n, baseline_arena(n)) for n in sizes] + [DENSE]:
         xs, ys = trajectory(n, arena, ticks)
         block = kernels.AllPairs(n).block  # the width a run filters all pairs at
@@ -127,17 +139,15 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
         t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys)
         t_wide, wide = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys, width)
         t_build = verlet.build_s / len(xs)
-        ratio = t_all / t_verlet
+        ratio, ratio_block = t_all / t_verlet, t_block / t_wide
         if (n, arena) != DENSE:
-            if ratio <= 1.0:
-                crossover = None
-            elif crossover is None:
-                crossover = n
+            crossover = since_first_win(crossover, n, ratio_block)
+            crossover_row = since_first_win(crossover_row, n, ratio)
         print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {block:>5}"
               f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {verlet.builds:>8}"
               f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us"
-              f"  {t_wide * 1e6:>9.1f}us  {wide.builds:>11}")
-    return crossover
+              f"  {t_wide * 1e6:>9.1f}us  {wide.builds:>11}  {ratio_block:>17.2f}x")
+    return crossover, crossover_row
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
@@ -174,11 +184,14 @@ def main() -> None:
     args = parser.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(",") if s.strip())
 
-    crossover = bench_contacts(sizes, args.ticks)
-    if crossover is None:
-        print("\nthe Verlet list does not beat all pairs at the largest size measured")
-    else:
-        print(f"\nthe Verlet list beats all pairs from n={crossover} on, among the sizes measured")
+    crossover, crossover_row = bench_contacts(sizes, args.ticks)
+    print()
+    for found, widths in ((crossover, "at each list's block width, as most runs filter (sets the constant)"),
+                          (crossover_row, "a tick a call, as a run settled on delivery filters")):
+        if found is None:
+            print(f"{widths}: the Verlet list does not beat all pairs at the largest size measured")
+        else:
+            print(f"{widths}: the Verlet list beats all pairs from n={found} on, among the sizes measured")
     print(f"kernels.pair_list picks it from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES},"
           f" with skin {SKIN:g} m here")
     bench_waypoints(sizes, args.repeats)

@@ -1,9 +1,9 @@
-"""Hot per-tick kernels: radio contact detection and waypoint stepping.
+"""Hot per-tick kernels: radio contact detection.
 
-There is one waypoint step, over ``(2, n)`` x/y arrays, and one cell-grid
-search, both numpy. Every contact test is the same predicate,
-``dx*dx + dy*dy <= r*r``, and every pair list comes out sorted by (a, b)
-with a < b, so the choice of algorithm never changes a run's output.
+There is one cell-grid search, in numpy. Every contact test is the same
+predicate, ``dx*dx + dy*dy <= r*r``, and every pair list comes out sorted
+by (a, b) with a < b, so the choice of algorithm never changes a run's
+output.
 
 Every run keeps one pair list, from ``pair_list``, and filters every
 tick through it. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead
@@ -277,37 +277,3 @@ def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
         return neighbours.pairs(x, y, radio_range)
     a, b, _ = neighbours.pairs(x[None], y[None], radio_range)
     return a, b
-
-
-def waypoint_step(
-    p, w, speed, pause_until, cand, now, dt, arena, speed_min, speed_max, pause_time
-) -> None:
-    """Advance all vehicles one tick of random-waypoint motion, in place.
-
-    ``p`` and ``w`` are ``(2, n)`` positions and waypoints, x in row 0 and
-    y in row 1, and ``arena`` is the ``(2, 1)`` column of width and height,
-    so per-vehicle masks broadcast over both rows. Paused vehicles stand
-    still; a vehicle that can reach its waypoint this tick snaps onto it,
-    starts its pause and takes a fresh waypoint and speed from its row of
-    ``cand``; every other vehicle moves ``speed * dt`` toward its waypoint.
-    """
-    paused = now < pause_until
-    d = w - p
-    sq = d * d
-    dist = np.sqrt(sq[0] + sq[1])
-    step_len = speed * dt
-    arrive = (dist <= step_len) & ~paused
-    move = ~(arrive | paused)
-
-    # each where= lane goes through the same IEEE operations as a masked gather would
-    np.divide(d, dist, out=d, where=move)  # unit vector toward the waypoint
-    np.add(p, np.multiply(d, step_len, out=d, where=move), out=p, where=move)
-
-    if np.count_nonzero(arrive):
-        np.copyto(p, w, where=arrive)
-        np.copyto(pause_until, now + pause_time, where=arrive)
-        np.multiply(cand[:, :2].T, arena, out=w, where=arrive)
-        np.add(speed_min, cand[:, 2] * (speed_max - speed_min), out=speed, where=arrive)
-
-    # guard against 1-ulp overshoot past the arena edge (positions are never -0.0)
-    np.minimum(np.maximum(p, 0.0, out=p), arena, out=p)

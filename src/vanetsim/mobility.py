@@ -2,11 +2,11 @@
 
 Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
 constant speed, arrive, pause, and repeat. Positions and waypoints are
-``(2, n)`` arrays of x and y rows, so the kernels module's step makes one
-numpy call for both axes. One uniform triple per vehicle is drawn every
-tick whether or not it is consumed, so the generator advances by the same
-amount each tick and a run's random stream does not depend on when
-vehicles happen to arrive.
+``(2, n)`` arrays of x and y rows, so the step makes one numpy call for
+both axes. One uniform triple per vehicle is drawn every tick whether or
+not it is consumed, so the generator advances by the same amount each
+tick and a run's random stream does not depend on when vehicles happen
+to arrive.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import waypoint_step
 from .model import ValidationError, check_range
 
 
@@ -69,20 +68,38 @@ class RandomWaypointModel:
         self.pause_until = np.full(n, -np.inf)
 
     def step(self) -> None:
-        """Advance every vehicle by one tick."""
+        """Advance every vehicle by one tick, in place: a paused one stands still,
+        one that can reach its waypoint snaps onto it, pauses and takes a fresh
+        waypoint and speed from its row of the tick's triples, and the rest
+        move ``speed * tick_seconds`` toward their waypoints."""
         cfg = self.config
         cand = self.rng.random((cfg.vehicle_count, 3))
-        waypoint_step(self.pos, self.way, self.speed, self.pause_until, cand, self.now,
-                      cfg.tick_seconds, self.arena, cfg.speed_min, cfg.speed_max, cfg.pause_time)
+        p, w, speed, now = self.pos, self.way, self.speed, self.now
+        paused = now < self.pause_until
+        d = w - p
+        sq = d * d
+        dist = np.sqrt(sq[0] + sq[1])
+        step_len = speed * cfg.tick_seconds
+        arrive = (dist <= step_len) & ~paused
+        move = ~(arrive | paused)
+
+        # each where= lane goes through the same IEEE operations as a masked gather would
+        np.divide(d, dist, out=d, where=move)  # unit vector toward the waypoint
+        np.add(p, np.multiply(d, step_len, out=d, where=move), out=p, where=move)
+
+        if np.count_nonzero(arrive):
+            np.copyto(p, w, where=arrive)
+            np.copyto(self.pause_until, now + cfg.pause_time, where=arrive)
+            np.multiply(cand[:, :2].T, self.arena, out=w, where=arrive)
+            np.add(cfg.speed_min, cand[:, 2] * (cfg.speed_max - cfg.speed_min), out=speed, where=arrive)
+
+        # guard against 1-ulp overshoot past the arena edge (positions are never -0.0)
+        np.minimum(np.maximum(p, 0.0, out=p), self.arena, out=p)
         self.tick += 1
 
     @property
     def now(self) -> float:
         return float(self.tick * self.config.tick_seconds)
-
-    # read-only views of the rows of pos
-    x = property(lambda self: self.pos[0])
-    y = property(lambda self: self.pos[1])
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.pos[0, vehicle_id]), float(self.pos[1, vehicle_id]))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from test_acceptance import reference_pairs
-from test_kernels import masked_waypoint_step
+from test_mobility import masked_waypoint_step
 from vanetsim.model import PROPORTIONAL_SCHEMES, ForwardingTree, Scheme
 from vanetsim.routing import collect_records, handle_encounter
 from vanetsim.settlement import settle_packet_purse, settle_packet_trade, settle_proportional

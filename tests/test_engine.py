@@ -522,7 +522,7 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         if tick:
             model.step()
         now = model.now
-        a, b = contact_pairs(model.x, model.y, eng.radio_range)
+        a, b = contact_pairs(model.pos[0], model.pos[1], eng.radio_range)
         contact_events += len(a)
         pairs = list(zip(a.tolist(), b.tolist()))
         carried_at_start = set(tree.depth)
@@ -533,7 +533,7 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         for i, j in pairs:
             if full_from is None and not (i in carried_at_start and j in carried_at_start) and i in reached:
                 expected_calls[now] += 1
-            link = routing.handle_encounter(tree, i, j, model.x, model.y, now)
+            link = routing.handle_encounter(tree, i, j, model.pos[0], model.pos[1], now)
             if settle_on_delivery and link is not None and link.to_id == result.destination_id:
                 delivered = True
                 break

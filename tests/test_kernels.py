@@ -1,4 +1,4 @@
-"""Contact detection (the cell grid, the one-shot search and both pair lists) and waypoint stepping against oracles."""
+"""Contact detection (the cell grid, the one-shot search and both pair lists) against oracles."""
 
 import warnings
 
@@ -488,121 +488,3 @@ def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin):
     else:
         assert type(neighbours) is kernels.NeighbourList and neighbours.skin == skin
 
-
-def run_waypoint(seed, ticks=200, n=20):
-    rng = np.random.default_rng(seed)
-    arena = np.array([[300.0], [200.0]])
-    p = rng.random((2, n)) * arena
-    w = rng.random((2, n)) * arena
-    speed = 2.0 + rng.random(n) * 8.0
-    pause = np.full(n, -np.inf)
-    for t in range(ticks):
-        cand = rng.random((n, 3))
-        kernels.waypoint_step(p, w, speed, pause, cand, float(t), 1.0, arena, 2.0, 10.0, 3.0)
-    return p
-
-
-class TestWaypointStep:
-    def test_positions_stay_in_arena(self):
-        p = run_waypoint(seed=9, ticks=500)
-        assert np.all((p[0] >= 0) & (p[0] <= 300.0))
-        assert np.all((p[1] >= 0) & (p[1] <= 200.0))
-
-    def test_paused_vehicle_does_not_move(self):
-        p = np.array([[50.0], [50.0]])
-        w = np.array([[60.0], [50.0]])
-        speed = np.array([5.0])
-        pause = np.array([10.0])  # paused until t=10
-        cand = np.zeros((1, 3))
-        kernels.waypoint_step(p, w, speed, pause, cand, 0.0, 1.0, np.array([[100.0], [100.0]]), 1.0, 5.0, 3.0)
-        assert p[0, 0] == 50.0 and p[1, 0] == 50.0
-
-    def test_arrival_snaps_and_pauses(self):
-        p = np.array([[50.0], [50.0]])
-        w = np.array([[52.0], [50.0]])
-        speed = np.array([5.0])  # step length 5 > remaining 2: arrives this tick
-        pause = np.full(1, -np.inf)
-        cand = np.array([[0.5, 0.25, 0.5]])
-        kernels.waypoint_step(p, w, speed, pause, cand, 7.0, 1.0, np.array([[100.0], [80.0]]), 1.0, 5.0, 3.0)
-        assert p[0, 0] == 52.0 and p[1, 0] == 50.0
-        assert pause[0] == 10.0  # now + pause_time
-        assert (w[0, 0], w[1, 0]) == (50.0, 20.0)  # fresh waypoint from cand, scaled per axis
-        assert speed[0] == 1.0 + 0.5 * (5.0 - 1.0)
-
-
-def masked_waypoint_step(
-    x, y, wx, wy, speed, pause_until, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
-) -> None:
-    """Reference: the waypoint step as masked gathers and scatters, one per state array."""
-    paused = now < pause_until
-    dx = wx - x
-    dy = wy - y
-    dist = np.sqrt(dx * dx + dy * dy)
-    step_len = speed * dt
-    arrive = (dist <= step_len) & ~paused
-    move = ~arrive & ~paused
-
-    ux = np.divide(dx, dist, out=np.zeros_like(dx), where=move)
-    uy = np.divide(dy, dist, out=np.zeros_like(dy), where=move)
-    x[move] = x[move] + ux[move] * step_len[move]
-    y[move] = y[move] + uy[move] * step_len[move]
-
-    x[arrive] = wx[arrive]
-    y[arrive] = wy[arrive]
-    pause_until[arrive] = now + pause_time
-    wx[arrive] = cand[arrive, 0] * arena_w
-    wy[arrive] = cand[arrive, 1] * arena_h
-    speed[arrive] = speed_min + cand[arrive, 2] * (speed_max - speed_min)
-
-    np.clip(x, 0.0, arena_w, out=x)
-    np.clip(y, 0.0, arena_h, out=y)
-
-
-class TestFusedWaypointStep:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 40),
-        still=st.booleans(),
-        dt=st.sampled_from([0.25, 1.0, 3.0]),
-        pause_time=st.sampled_from([0.0, 1.0, 2.5]),
-    )
-    @example(seed=0, n=1, still=True, dt=1.0, pause_time=0.0)
-    @example(seed=0, n=8, still=False, dt=1.0, pause_time=0.0)
-    def test_bit_identical_to_masked_step(self, seed, n, still, dt, pause_time):
-        rng = np.random.default_rng(seed)
-        w, h = 300.0, 200.0
-        speed_min, speed_max = (0.0, 0.0) if still else (2.0, 60.0)
-        on_edge = rng.random((2, n)) < 0.2  # waypoints on the arena's edges and corners
-
-        wx = np.where(on_edge[0], rng.choice([0.0, w], n), rng.random(n) * w)
-        wy = np.where(on_edge[1], rng.choice([0.0, h], n), rng.random(n) * h)
-        x, y = rng.random(n) * w, rng.random(n) * h
-        speed = speed_min + rng.random(n) * (speed_max - speed_min)
-        # paused, pausing until exactly tick 0 or 1, or free
-        pause = rng.choice([-np.inf, 0.0, 1.0, 5.0], n)
-        x[0], y[0] = wx[0], wy[0]  # standing on its waypoint: dist == 0
-        if n > 1:
-            x[1], y[1] = w, 0.0  # on the arena's corner
-        if n > 2:  # arrives this tick, unless paused
-            pause[2] = -np.inf
-            x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
-        if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
-            x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
-        expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy())
-        p, way = np.stack((x, y)), np.stack((wx, wy))
-        arena = np.array([[w], [h]])
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a 0/0 in any lane would fail
-            for tick in range(30):
-                cand = rng.random((n, 3))
-                cand[rng.random((n, 3)) < 0.1] = 0.0  # fresh waypoints on the edge
-                cand[rng.random((n, 3)) < 0.1] = 1.0
-                kernels.waypoint_step(p, way, speed, pause, cand, tick * dt, dt, arena,
-                                      speed_min, speed_max, pause_time)
-                masked_waypoint_step(*expected, cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
-                state = (p[0], p[1], way[0], way[1], speed, pause)
-                for got, want in zip(state, expected):
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too

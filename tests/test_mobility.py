@@ -1,7 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 from vanetsim.model import ValidationError
@@ -10,6 +14,28 @@ from vanetsim.model import ValidationError
 def make_model(seed: int, **overrides) -> RandomWaypointModel:
     cfg = MobilityConfig(**overrides)
     return RandomWaypointModel(cfg, np.random.default_rng(seed))
+
+
+class ScriptedRng:
+    """Stands in for a model's generator: ``random`` hands out the given draws in turn."""
+
+    def __init__(self, draws) -> None:
+        self.draws = iter(draws)
+
+    def random(self, size):
+        draw = next(self.draws)
+        assert draw.shape == (size if isinstance(size, tuple) else (size,))
+        return draw
+
+
+def driven_model(cands, pos, way, speed, pause_until, tick=0, **overrides) -> RandomWaypointModel:
+    """A model set to the given state whose steps take their candidate triples from ``cands``."""
+    cfg = MobilityConfig(vehicle_count=len(speed), **overrides)
+    n = cfg.vehicle_count
+    start = (np.zeros((2, n)), np.zeros((2, n)), np.zeros(n))  # the constructor's draws
+    m = RandomWaypointModel(cfg, ScriptedRng(itertools.chain(start, cands)))
+    m.pos, m.way, m.speed, m.pause_until, m.tick = pos, way, speed, pause_until, tick
+    return m
 
 
 class TestMobilityConfig:
@@ -64,14 +90,14 @@ class TestRandomWaypointModel:
         m2 = make_model(2)
         m1.step()
         m2.step()
-        assert not np.array_equal(m1.x, m2.x)
+        assert not np.array_equal(m1.pos[0], m2.pos[0])
 
     def test_positions_contained_for_long_runs(self):
         m = make_model(7, arena_width=120.0, arena_height=90.0, speed_max=40.0)
         for _ in range(1000):
             m.step()
-            assert np.all((m.x >= 0.0) & (m.x <= 120.0))
-            assert np.all((m.y >= 0.0) & (m.y <= 90.0))
+            assert np.all((m.pos[0] >= 0.0) & (m.pos[0] <= 120.0))
+            assert np.all((m.pos[1] >= 0.0) & (m.pos[1] <= 90.0))
 
     def test_clock_advances_by_tick(self):
         m = make_model(0, tick_seconds=0.5)
@@ -106,41 +132,159 @@ class TestRandomWaypointModel:
         m = make_model(5, vehicle_count=30, speed_max=50.0, pause_time=5.0)
         saw_pause = False
         for _ in range(300):
-            before = (m.x.copy(), m.y.copy())
+            before = m.pos.copy()
             paused = m.now < m.pause_until  # pause state the step acts on
             m.step()
             if np.any(paused):
                 saw_pause = True
-                assert np.array_equal(m.x[paused], before[0][paused])
-                assert np.array_equal(m.y[paused], before[1][paused])
+                assert np.array_equal(m.pos[:, paused], before[:, paused])
         assert saw_pause
 
-    def test_axis_views_share_the_planar_state(self):
-        m = make_model(2, pause_time=1.0)
-        m.step()
-        for view, row in ((m.x, 0), (m.y, 1)):
-            assert np.shares_memory(view, m.pos)
-            assert view.base is m.pos
-            assert np.array_equal(view, m.pos[row])
-        for name in ("x", "y"):
-            with pytest.raises(AttributeError):
-                setattr(m, name, np.zeros(m.config.vehicle_count))
-
     def test_start_state_keeps_the_per_axis_draw_order(self):
-        # x, y, waypoint x, waypoint y, speed: one draw of n each, as before the planar layout
-        m = make_model(11, vehicle_count=6, arena_width=300.0, arena_height=200.0)
+        # x, y, waypoint x, waypoint y, speed: one draw of n each, as before the planar layout;
+        # then one (n, 3) draw a step, as one (k, n, 3) draw of k steps' rows would be. In a
+        # small arena with a 2 s pause vehicles arrive, pause and redraw within the k steps.
+        n, k = 6, 60
+        m = make_model(11, vehicle_count=n, arena_width=40.0, arena_height=30.0, pause_time=2.0)
         rng = np.random.default_rng(11)
-        assert np.array_equal(m.x, rng.random(6) * 300.0)
-        assert np.array_equal(m.y, rng.random(6) * 200.0)
-        assert np.array_equal(m.way[0], rng.random(6) * 300.0)
-        assert np.array_equal(m.way[1], rng.random(6) * 200.0)
-        assert np.array_equal(m.speed, 5.0 + rng.random(6) * 10.0)
-        m.step()  # then one (n, 3) draw a step
-        rng.random((6, 3))
+        x, y, wx, wy, s = (rng.random(n) for _ in range(5))
+        assert np.array_equal(m.pos[0], x * 40.0)
+        assert np.array_equal(m.pos[1], y * 30.0)
+        assert np.array_equal(m.way[0], wx * 40.0)
+        assert np.array_equal(m.way[1], wy * 30.0)
+        assert np.array_equal(m.speed, 5.0 + s * 10.0)
+        block = rng.random((k, n, 3))
+        saw_pause = False
+        for _ in range(k):
+            saw_pause |= bool(np.any(m.now < m.pause_until))
+            m.step()
+        assert saw_pause and np.all(np.isfinite(m.pause_until))  # each vehicle arrived
         assert np.array_equal(m.rng.random(4), rng.random(4))
+
+        # fed the block's rows one per step, a model ends bit for bit where the drawing one does
+        fed = RandomWaypointModel(m.config, ScriptedRng([np.stack((x, y)), np.stack((wx, wy)), s, *block]))
+        for _ in range(k):
+            fed.step()
+        for name in ("pos", "way", "speed", "pause_until"):
+            assert np.array_equal(getattr(fed, name).view(np.uint64), getattr(m, name).view(np.uint64))
 
     def test_position_of_matches_arrays(self):
         m = make_model(1)
         m.step()
         px, py = m.position_of(4)
-        assert px == m.x[4] and py == m.y[4]
+        assert px == m.pos[0, 4] and py == m.pos[1, 4]
+
+
+def run_waypoint(seed, ticks=200, n=20):
+    m = make_model(seed, vehicle_count=n, arena_width=300.0, arena_height=200.0,
+                   speed_min=2.0, speed_max=10.0, pause_time=3.0)
+    for _ in range(ticks):
+        m.step()
+    return m.pos
+
+
+class TestWaypointStep:
+    def test_positions_stay_in_arena(self):
+        p = run_waypoint(seed=9, ticks=500)
+        assert np.all((p[0] >= 0) & (p[0] <= 300.0))
+        assert np.all((p[1] >= 0) & (p[1] <= 200.0))
+
+    def test_paused_vehicle_does_not_move(self):
+        m = driven_model([np.zeros((1, 3))], pos=np.array([[50.0], [50.0]]), way=np.array([[60.0], [50.0]]),
+                         speed=np.array([5.0]), pause_until=np.array([10.0]),  # paused until t=10
+                         arena_width=100.0, arena_height=100.0, speed_min=1.0, speed_max=5.0, pause_time=3.0)
+        m.step()
+        assert m.pos[0, 0] == 50.0 and m.pos[1, 0] == 50.0
+
+    def test_arrival_snaps_and_pauses(self):
+        m = driven_model([np.array([[0.5, 0.25, 0.5]])], pos=np.array([[50.0], [50.0]]),
+                         way=np.array([[52.0], [50.0]]),
+                         speed=np.array([5.0]),  # step length 5 > remaining 2: arrives this tick
+                         pause_until=np.full(1, -np.inf), tick=7,
+                         arena_width=100.0, arena_height=80.0, speed_min=1.0, speed_max=5.0, pause_time=3.0)
+        m.step()
+        assert m.pos[0, 0] == 52.0 and m.pos[1, 0] == 50.0
+        assert m.pause_until[0] == 10.0  # now + pause_time
+        assert (m.way[0, 0], m.way[1, 0]) == (50.0, 20.0)  # fresh waypoint from the triple, scaled per axis
+        assert m.speed[0] == 1.0 + 0.5 * (5.0 - 1.0)
+
+
+def masked_waypoint_step(
+    x, y, wx, wy, speed, pause_until, cand, now, dt, arena_w, arena_h, speed_min, speed_max, pause_time
+) -> None:
+    """Reference: the waypoint step as masked gathers and scatters, one per state array."""
+    paused = now < pause_until
+    dx = wx - x
+    dy = wy - y
+    dist = np.sqrt(dx * dx + dy * dy)
+    step_len = speed * dt
+    arrive = (dist <= step_len) & ~paused
+    move = ~arrive & ~paused
+
+    ux = np.divide(dx, dist, out=np.zeros_like(dx), where=move)
+    uy = np.divide(dy, dist, out=np.zeros_like(dy), where=move)
+    x[move] = x[move] + ux[move] * step_len[move]
+    y[move] = y[move] + uy[move] * step_len[move]
+
+    x[arrive] = wx[arrive]
+    y[arrive] = wy[arrive]
+    pause_until[arrive] = now + pause_time
+    wx[arrive] = cand[arrive, 0] * arena_w
+    wy[arrive] = cand[arrive, 1] * arena_h
+    speed[arrive] = speed_min + cand[arrive, 2] * (speed_max - speed_min)
+
+    np.clip(x, 0.0, arena_w, out=x)
+    np.clip(y, 0.0, arena_h, out=y)
+
+
+class TestFusedWaypointStep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        still=st.booleans(),
+        dt=st.sampled_from([0.25, 1.0, 3.0]),
+        pause_time=st.sampled_from([0.0, 1.0, 2.5]),
+    )
+    @example(seed=0, n=1, still=True, dt=1.0, pause_time=0.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=0.0)
+    def test_bit_identical_to_masked_step(self, seed, n, still, dt, pause_time):
+        rng = np.random.default_rng(seed)
+        w, h = 300.0, 200.0
+        speed_min, speed_max = (0.0, 0.0) if still else (2.0, 60.0)
+        on_edge = rng.random((2, n)) < 0.2  # waypoints on the arena's edges and corners
+
+        wx = np.where(on_edge[0], rng.choice([0.0, w], n), rng.random(n) * w)
+        wy = np.where(on_edge[1], rng.choice([0.0, h], n), rng.random(n) * h)
+        x, y = rng.random(n) * w, rng.random(n) * h
+        speed = speed_min + rng.random(n) * (speed_max - speed_min)
+        # paused, pausing until exactly tick 0 or 1, or free
+        pause = rng.choice([-np.inf, 0.0, 1.0, 5.0], n)
+        x[0], y[0] = wx[0], wy[0]  # standing on its waypoint: dist == 0
+        if n > 1:
+            x[1], y[1] = w, 0.0  # on the arena's corner
+        if n > 2:  # arrives this tick, unless paused
+            pause[2] = -np.inf
+            x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
+        if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
+            x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
+        expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy())
+        cands = []
+        for _ in range(30):
+            cand = rng.random((n, 3))
+            cand[rng.random((n, 3)) < 0.1] = 0.0  # fresh waypoints on the edge
+            cand[rng.random((n, 3)) < 0.1] = 1.0
+            cands.append(cand)
+        m = driven_model(cands, np.stack((x, y)), np.stack((wx, wy)), speed, pause,
+                         arena_width=w, arena_height=h, speed_min=speed_min, speed_max=speed_max,
+                         pause_time=pause_time, tick_seconds=dt)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0/0 in any lane would fail
+            for tick, cand in enumerate(cands):
+                m.step()
+                masked_waypoint_step(*expected, cand, tick * dt, dt, w, h, speed_min, speed_max, pause_time)
+                state = (m.pos[0], m.pos[1], m.way[0], m.way[1], m.speed, m.pause_until)
+                for got, want in zip(state, expected):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
