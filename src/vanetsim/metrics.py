@@ -7,6 +7,8 @@ vehicle (every tree member except the root), and aggregate statistics
 reward-vs-descendants rank correlation). Exports are deterministic
 byte-for-byte for a given summary: JSON is written with sorted keys, CSV
 with a fixed header, LF newlines, "." decimals, and repr floats.
+``summary.json`` holds the bytes of ``json.dumps(to_dict(), sort_keys=True,
+indent=2)``, its rows written by the C encoder in one call.
 """
 
 from __future__ import annotations
@@ -202,8 +204,25 @@ def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
     return RunSummary(scenario=identity, rows=rows_t, aggregates=aggregates)
 
 
+# Rows go through the C encoder, which runs only without ``indent``. Its item
+# separator puts each field on its own line at the rows' depth; the braces are
+# re-indented after, which is safe because rows hold numbers alone.
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def summary_to_json(summary: RunSummary) -> str:
-    return json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The summary as ``json.dumps(summary.to_dict(), sort_keys=True, indent=2)`` plus "\\n"."""
+    rows = _ROWS_ENCODER.encode([r.__dict__ for r in summary.rows])
+    if summary.rows:  # "[{", "},\n      {" and "}]" take the indent=2 layout
+        rows = "[\n    {\n      " + rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+    doc = json.dumps(
+        {"schema_version": summary.schema_version, "scenario": summary.scenario, "rows": [],
+         "aggregates": summary.aggregates},
+        sort_keys=True, indent=2,
+    )
+    # a line with two spaces of indent holds a top-level key, so this is the rows key
+    head, tail = doc.split('\n  "rows": []', 1)
+    return f'{head}\n  "rows": {rows}{tail}\n'
 
 
 def write_summary_json(summary: RunSummary, path: str | Path) -> Path:

@@ -20,6 +20,13 @@ from .model import ValidationError, check_range
 
 @dataclass(frozen=True)
 class MobilityConfig:
+    """Fleet, arena and motion of a random-waypoint run.
+
+    ``pause_time`` holds an arrived vehicle for ``ceil(pause_time /
+    tick_seconds) - 1`` whole steps: its pause runs from the start of the
+    tick it arrives in, so a pause of at most one tick never shows.
+    """
+
     vehicle_count: int = 15
     arena_width: float = 800.0
     arena_height: float = 800.0

@@ -23,7 +23,7 @@ from vanetsim.metrics import (
     write_summary_json,
 )
 from vanetsim.mobility import MobilityConfig
-from vanetsim.model import ValidationError
+from vanetsim.model import TWO_TERM_SCHEMES, Scheme, ValidationError, WeightSet
 
 
 def row(vid=1, reward=0.0, forwards=0, stored=0.0, dist=0.0, desc=0, depth=1):
@@ -272,6 +272,51 @@ class TestJsonExport:
         p2 = write_summary_json(s, tmp_path / "b.json")
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().endswith(b"\n")
+
+
+def reference_json(s: RunSummary) -> str:
+    """The whole document through the standard library's indenting encoder."""
+    return json.dumps(s.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def odd_summary(rows, aggregates=None) -> RunSummary:
+    aggregates = {"reward_by_time": [], "reward_by_forwards": [], "reward_by_distance": [],
+                  "spearman_reward_descendants": None, "total_reward": 0.0} if aggregates is None else aggregates
+    return RunSummary(scenario={"scenario_hash": "h", "scheme": "basic_linear", "seed": 2**70,
+                                "delivered": False, "settle_time": -0.0},
+                      rows=tuple(rows), aggregates=aggregates)
+
+
+class TestJsonExactness:
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            odd_summary([]),
+            odd_summary([row(1, 2.5, forwards=1, stored=3.0, dist=4.0, desc=2, depth=1)]),
+            odd_summary(
+                [row(0, math.nan, stored=math.inf, dist=-math.inf), row(2**63 + 1, -0.0, forwards=2**64, desc=-1),
+                 row(3, 1e308, stored=5e-324, dist=0.1 + 0.2, depth=0)],
+                {"reward_by_time": [[math.nan, math.inf, 2], [-0.0, -math.inf, 10**30]],
+                 "reward_by_forwards": [], "reward_by_distance": [[0.0, 1.0 / 3.0, 1]],
+                 "spearman_reward_descendants": None, "total_reward": math.nan},
+            ),
+            odd_summary([row(i, float(i) / 7.0, forwards=i, desc=i) for i in range(40)],
+                        {"reward_by_time": [], "spearman_reward_descendants": -0.0, "total_reward": -math.inf}),
+        ],
+        ids=["no_rows", "one_row", "non_finite_and_large", "many_rows"],
+    )
+    def test_hand_built_summaries_match_the_indenting_encoder(self, summary):
+        assert summary_to_json(summary) == reference_json(summary)
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("n", [15, 150], ids=["all_pairs", "neighbour_list"])
+    def test_engine_runs_match_the_indenting_encoder(self, scheme, n):
+        weights = WeightSet(0.5, 0.5, 0.0) if scheme in TWO_TERM_SCHEMES else WeightSet(0.25, 0.5, 0.25)
+        result = run(MobilityConfig(vehicle_count=n), EngineConfig(radio_range=100.0, duration=120.0),
+                     IncentiveConfig(scheme=scheme, weights=weights), PacketSpec(deadline=120.0), 3)
+        s = build_summary(result, "testhash")
+        assert len(s.rows) > 1
+        assert summary_to_json(s) == reference_json(s)
 
 
 class TestCsvExport:

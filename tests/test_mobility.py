@@ -140,6 +140,34 @@ class TestRandomWaypointModel:
                 assert np.array_equal(m.pos[:, paused], before[:, paused])
         assert saw_pause
 
+    def test_a_pause_holds_ceil_of_its_ticks_less_one_steps(self):
+        # an arrival in the step from `now` pauses until now + pause_time, and the
+        # next step starts at now + 1 s: pauses of at most a tick never show
+        def trajectory(pause_time, steps=120):
+            m = make_model(4, vehicle_count=20, arena_width=60.0, arena_height=40.0, pause_time=pause_time)
+            out = []
+            for _ in range(steps):
+                before = m.pause_until.copy()
+                m.step()
+                out.append((m.pos.copy(), m.pause_until != before))  # positions, who arrived
+            return out
+
+        still = trajectory(0.0)
+        assert sum(int(arrived.sum()) for _, arrived in still) > 50
+        for pause_time in (0.5, 1.0):
+            for (p, _), (q, _) in zip(trajectory(pause_time), still):
+                assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
+
+        held = trajectory(1.5)
+        assert not all(np.array_equal(p, q) for (p, _), (q, _) in zip(held, still))
+        saw_hold = False
+        for (p, arrived), (q, _), (r, _) in zip(held, held[1:], held[2:]):
+            # the step after an arrival stands still, the one after that moves on
+            assert np.array_equal(q[:, arrived], p[:, arrived])
+            assert np.all(np.any(r[:, arrived] != q[:, arrived], axis=0))
+            saw_hold |= bool(arrived.any())
+        assert saw_hold
+
     def test_start_state_keeps_the_per_axis_draw_order(self):
         # x, y, waypoint x, waypoint y, speed: one draw of n each, as before the planar layout;
         # then one (n, 3) draw a step, as one (k, n, 3) draw of k steps' rows would be. In a
