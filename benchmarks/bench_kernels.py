@@ -23,7 +23,9 @@ that cannot end at a delivery filters at; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from. The crossover a
 tick a call, the width of a delivery-settled run, is printed too.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
-every tick, its candidate draw included, at the baseline sizes.
+every tick, its candidate draw included, at the baseline sizes, with no
+pause and with a 2 s pause (while a vehicle may still be paused, the step
+also builds a pause mask).
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -151,25 +153,29 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
-    print("\nwaypoint stepping (RandomWaypointModel.step, pause 2 s)")
-    header = f"{'n':>6}  {'per call':>11}"
+    pauses = (0.0, 2.0)  # every perfbench workload runs pause 0, where the step builds no pause mask
+    print("\nwaypoint stepping (RandomWaypointModel.step) per call")
+    header = f"{'n':>6}" + "".join(f"  {f'pause {p:g} s':>11}" for p in pauses)
     print(header)
     print("-" * len(header))
     for n in sizes:
         arena = baseline_arena(n)
-        cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX,
-                             pause_time=2.0, tick_seconds=TICK_SECONDS)
-        # the clock advances a tick per call, so pauses end and vehicles keep
-        # moving and arriving as in a run
-        model = RandomWaypointModel(cfg, np.random.default_rng(n))
-        model.step()
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(repeats):
-                model.step()
-            best = min(best, (time.perf_counter() - start) / repeats)
-        print(f"{n:>6}  {best * 1e6:>9.1f}us")
+        row = f"{n:>6}"
+        for pause in pauses:
+            cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX,
+                                 pause_time=pause, tick_seconds=TICK_SECONDS)
+            # the clock advances a tick per call, so pauses end and vehicles keep
+            # moving and arriving as in a run
+            model = RandomWaypointModel(cfg, np.random.default_rng(n))
+            model.step()
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                for _ in range(repeats):
+                    model.step()
+                best = min(best, (time.perf_counter() - start) / repeats)
+            row += f"  {best * 1e6:>9.1f}us"
+        print(row)
 
 
 def main() -> None:

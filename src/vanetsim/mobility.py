@@ -3,14 +3,17 @@
 Vehicles spawn uniformly, pick a waypoint and a speed, drive straight at
 constant speed, arrive, pause, and repeat. Positions and waypoints are
 ``(2, n)`` arrays of x and y rows, so the step makes one numpy call for
-both axes. One uniform triple per vehicle is drawn every tick whether or
-not it is consumed, so the generator advances by the same amount each
-tick and a run's random stream does not depend on when vehicles happen
-to arrive.
+both axes; the arena bounds, distances and step lengths the step works
+with are ``(2, n)`` arrays too, a column a vehicle, so that none of its
+calls broadcasts. One uniform triple per vehicle is drawn every
+tick whether or not it is consumed, so the generator advances by the
+same amount each tick and a run's random stream does not depend on when
+vehicles happen to arrive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +28,10 @@ class MobilityConfig:
     ``pause_time`` holds an arrived vehicle for ``ceil(pause_time /
     tick_seconds) - 1`` whole steps: its pause runs from the start of the
     tick it arrives in, so a pause of at most one tick never shows.
+
+    ``arena_width**2 + arena_height**2`` must be finite, so that no squared
+    distance between two points of the arena overflows, and so must
+    ``speed_max * tick_seconds``, the longest step a vehicle takes.
     """
 
     vehicle_count: int = 15
@@ -45,6 +52,13 @@ class MobilityConfig:
         check_range("speed_max", self.speed_max, self.speed_min)
         check_range("pause_time", self.pause_time)
         check_range("tick_seconds", self.tick_seconds, open_low=True)
+        w, h = float(self.arena_width), float(self.arena_height)
+        if not math.isfinite(w * w + h * h):
+            raise ValidationError(f"arena_width**2 + arena_height**2 must be finite, got {w!r} and {h!r}")
+        if not math.isfinite(float(self.speed_max) * float(self.tick_seconds)):
+            raise ValidationError(
+                f"speed_max * tick_seconds must be finite, got {self.speed_max!r} and {self.tick_seconds!r}"
+            )
 
 
 @dataclass
@@ -53,6 +67,9 @@ class RandomWaypointModel:
 
     The clock is an integer tick count; ``now`` is derived from it, so
     simulated time never drifts by summing a fractional tick length.
+    The step keeps each vehicle's step length and a bound on
+    ``pause_until``, so replace ``speed`` or ``pause_until`` only through
+    ``set_state``.
     """
 
     config: MobilityConfig
@@ -62,45 +79,68 @@ class RandomWaypointModel:
     way: np.ndarray = field(init=False)
     speed: np.ndarray = field(init=False)
     pause_until: np.ndarray = field(init=False)
-    arena: np.ndarray = field(init=False)  # (2, 1): width over height
+    arena: np.ndarray = field(init=False)  # (2, n): the arena's width over its height, a column a vehicle
 
     def __post_init__(self) -> None:
         cfg = self.config
         n = cfg.vehicle_count
-        self.arena = np.array([[cfg.arena_width], [cfg.arena_height]])
+        self.arena = np.full((2, n), [[cfg.arena_width], [cfg.arena_height]], dtype=float)
         # row-major draws: every x, then every y, as two draws of n would be
-        self.pos = self.rng.random((2, n)) * self.arena
-        self.way = self.rng.random((2, n)) * self.arena
-        self.speed = cfg.speed_min + self.rng.random(n) * (cfg.speed_max - cfg.speed_min)
-        self.pause_until = np.full(n, -np.inf)
+        pos = self.rng.random((2, n)) * self.arena
+        way = self.rng.random((2, n)) * self.arena
+        speed = cfg.speed_min + self.rng.random(n) * (cfg.speed_max - cfg.speed_min)
+        self.set_state(pos, way, speed, np.full(n, -np.inf))
+        # the step's work buffers, (2, n) like the positions so that no call broadcasts
+        self._d, self._sq, self._dist = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+        self._sq_swapped = self._sq[::-1]
+        self._arrive = np.empty(n, dtype=bool)
+
+    def set_state(self, pos, way, speed, pause_until, tick: int = 0) -> None:
+        """Put the fleet in the given state, with the step lengths and pause bound the step keeps."""
+        self.pos, self.way, self.speed, self.pause_until, self.tick = pos, way, speed, pause_until, tick
+        step_len = speed * self.config.tick_seconds
+        self._step_len = np.stack((step_len, step_len))  # refreshed wherever speed changes
+        self._pause_bound = float(np.max(pause_until))  # no vehicle is paused from this time on
 
     def step(self) -> None:
         """Advance every vehicle by one tick, in place: a paused one stands still,
         one that can reach its waypoint snaps onto it, pauses and takes a fresh
         waypoint and speed from its row of the tick's triples, and the rest
-        move ``speed * tick_seconds`` toward their waypoints."""
+        move ``speed * tick_seconds`` toward their waypoints.
+
+        Every lane runs the same move; a held lane, paused or arriving, gets
+        ``dist = inf`` and so steps ``d / inf * step_len = ±0``. The pause
+        mask is built only while some vehicle may still be paused.
+        """
         cfg = self.config
         cand = self.rng.random((cfg.vehicle_count, 3))
-        p, w, speed, now = self.pos, self.way, self.speed, self.now
-        paused = now < self.pause_until
-        d = w - p
-        sq = d * d
-        dist = np.sqrt(sq[0] + sq[1])
-        step_len = speed * cfg.tick_seconds
-        arrive = (dist <= step_len) & ~paused
-        move = ~(arrive | paused)
+        p, w, step_len, now = self.pos, self.way, self._step_len, self.now
+        d, sq, dist = self._d, self._sq, self._dist
+        np.subtract(w, p, out=d)
+        np.multiply(d, d, out=sq)
+        # both rows of dist are the distance: IEEE addition commutes, so dx² + dy² == dy² + dx²
+        np.sqrt(np.add(sq, self._sq_swapped, out=dist), out=dist)
+        arrive = hold = np.less_equal(dist[0], step_len[0], out=self._arrive)
+        if now < self._pause_bound:
+            paused = now < self.pause_until
+            hold = arrive | paused
+            arrive &= ~paused
 
-        # each where= lane goes through the same IEEE operations as a masked gather would
-        np.divide(d, dist, out=d, where=move)  # unit vector toward the waypoint
-        np.add(p, np.multiply(d, step_len, out=d, where=move), out=p, where=move)
+        # p + ±0 == p as positions are never -0.0: draws and waypoints are +0.0 or more,
+        # and an IEEE sum is -0.0 only when both of its terms are
+        np.copyto(dist, np.inf, where=hold)
+        np.add(p, np.multiply(np.divide(d, dist, out=d), step_len, out=d), out=p)
 
         if np.count_nonzero(arrive):
             np.copyto(p, w, where=arrive)
-            np.copyto(self.pause_until, now + cfg.pause_time, where=arrive)
+            until = now + cfg.pause_time
+            np.copyto(self.pause_until, until, where=arrive)
+            self._pause_bound = max(self._pause_bound, until)
             np.multiply(cand[:, :2].T, self.arena, out=w, where=arrive)
-            np.add(cfg.speed_min, cand[:, 2] * (cfg.speed_max - cfg.speed_min), out=speed, where=arrive)
+            np.add(cfg.speed_min, cand[:, 2] * (cfg.speed_max - cfg.speed_min), out=self.speed, where=arrive)
+            np.multiply(self.speed, cfg.tick_seconds, out=step_len, where=arrive)
 
-        # guard against 1-ulp overshoot past the arena edge (positions are never -0.0)
+        # guard against 1-ulp overshoot past the arena edge
         np.minimum(np.maximum(p, 0.0, out=p), self.arena, out=p)
         self.tick += 1
 

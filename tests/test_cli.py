@@ -199,6 +199,22 @@ class TestValidateCommand:
             assert "packet.deadline / time_scale must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize(
+        ("mobility", "problem"),
+        [
+            ("arena_width: 1.0e+160\n  arena_height: 1.0e+160", "arena_width**2 + arena_height**2 must be finite"),
+            ("speed_max: 1.0e+308\n  tick_seconds: 10.0", "speed_max * tick_seconds must be finite"),
+        ],
+    )
+    def test_an_overflowing_step_is_exit_1_for_validate_and_run(self, tmp_path, capsys, mobility, problem):
+        # each value is finite, but a squared distance or a step length would overflow
+        bad = tmp_path / "overflow.yaml"
+        bad.write_text(f"mobility:\n  {mobility}\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert problem in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_an_overflowing_product_score_is_exit_1_for_validate(self, tmp_path, capsys):
         # (300 s / 3e-198)**2 overflows the first proposal's product-mode time credit
         bad = tmp_path / "product.yaml"

@@ -34,7 +34,7 @@ def driven_model(cands, pos, way, speed, pause_until, tick=0, **overrides) -> Ra
     n = cfg.vehicle_count
     start = (np.zeros((2, n)), np.zeros((2, n)), np.zeros(n))  # the constructor's draws
     m = RandomWaypointModel(cfg, ScriptedRng(itertools.chain(start, cands)))
-    m.pos, m.way, m.speed, m.pause_until, m.tick = pos, way, speed, pause_until, tick
+    m.set_state(pos, way, speed, pause_until, tick)
     return m
 
 
@@ -65,6 +65,11 @@ class TestMobilityConfig:
             {"speed_max": math.inf},
             {"speed_min": math.inf, "speed_max": math.inf},
             {"pause_time": math.inf},
+            # finite values whose step arithmetic overflows: a squared distance, a step length
+            {"arena_width": 1e160, "arena_height": 1e160},
+            {"arena_width": 1e154, "arena_height": 1e154},
+            {"speed_max": 1e308, "tick_seconds": 10.0},
+            {"speed_min": 1e300, "speed_max": 1e300, "tick_seconds": 1e10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -276,6 +281,9 @@ class TestFusedWaypointStep:
     )
     @example(seed=0, n=1, still=True, dt=1.0, pause_time=0.0)
     @example(seed=0, n=8, still=False, dt=1.0, pause_time=0.0)
+    # vehicle 4's pause, set through the state, outlasts the 1 s pause of vehicle 2's arrival
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=1.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=2.5)  # pauses that hold for whole steps
     def test_bit_identical_to_masked_step(self, seed, n, still, dt, pause_time):
         rng = np.random.default_rng(seed)
         w, h = 300.0, 200.0
@@ -296,6 +304,8 @@ class TestFusedWaypointStep:
             x[2], y[2] = wx[2] - 0.4 * speed[2] * dt, wy[2]
         if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
             x[3], y[3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
+        if n > 4:  # paused until 5 s, past the pause of vehicle 2's arrival at tick 0
+            pause[4] = 5.0
         expected = (x.copy(), y.copy(), wx.copy(), wy.copy(), speed.copy(), pause.copy())
         cands = []
         for _ in range(30):
