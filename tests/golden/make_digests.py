@@ -79,6 +79,17 @@ def cases() -> dict[str, object]:
     # 150.7 s is 1 507 ticks of 0.1 s, though 1507 * 0.1 reads an ulp past 150.7
     whole_ticks = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}, packet={"deadline": 150.7}))
     out["tick0.1_deadline150.7/second_proposal/s0"] = with_updates(whole_ticks, seed=0)
+    # arrived vehicles pause, so the step's pause lanes and the draws they skip show in the exports
+    paused = scenario_from_dict(_variant(raw, mobility={"pause_time": 2.5}))
+    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_TRADE):
+        for seed in (0, 1):
+            out[f"pause2.5/{scheme.value}/s{seed}"] = with_updates(paused, seed=seed, scheme=scheme)
+    paused_tenths = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1, "pause_time": 1.0}))
+    out["tick0.1_pause1/second_proposal/s0"] = with_updates(paused_tenths, seed=0)
+    paused_fleet = scenario_from_dict(_variant(
+        raw, mobility={"vehicle_count": 128, "arena_width": 2336.0, "arena_height": 2336.0, "pause_time": 3.0}
+    ))
+    out["fleet128_pause3/second_proposal/s0"] = with_updates(paused_fleet, seed=0)
     return out
 
 
