@@ -23,7 +23,8 @@ that cannot end at a delivery filters at; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from. The crossover a
 tick a call, the width of a delivery-settled run, is printed too.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
-every tick, its candidate draw included, at the baseline sizes, with no
+every tick, its share of the candidate draws included (one draw of rows
+for ``mobility.draw_rows(n)`` ticks), at the baseline sizes, with no
 pause and with a 2 s pause (while a vehicle may still be paused, the step
 also builds a pause mask).
 Run from the repository root:

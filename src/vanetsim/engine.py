@@ -4,17 +4,22 @@ One run places a fleet, injects a single packet at a source vehicle at
 t=0, runs the ticks of the packet's life through two layers and settles
 once. The packet's forwarding tree is its relay record: the source is
 its root, and its origin is where the source stood at t=0. ``contacts``
-is the physics: it steps the fleet once every tick after 0 and yields
-each tick's radio contacts, filtered from the one pair list the run keeps
-(``kernels.pair_list``) by one ``contact_pairs`` call per block of ticks,
-whose result one loop splits at its row ends, whatever the block's width.
-When no delivery can end the run, a block is up to the pair list's
-``block`` ticks: many for an all-pairs list, five for a Verlet list, so
-that a stale tick can build it from a later tick's positions. A run
-that settles on delivery steps and filters one-tick blocks, so it never
-steps past its delivery tick. Either way each tick's pairs are the same.
-``_route_tick`` hands the packet across them in (a, b) order, walking
-only the pairs that ``routing`` says can carry it. The packet's life ends at
+is the physics: it steps the fleet once every tick after 0 and yields a
+block of ticks at a time, their positions and radio contacts, filtered
+from the one pair list the run keeps (``kernels.pair_list``) by one
+``contact_pairs`` call per block, with the row ends that split the
+block's pairs into its ticks, whatever the block's width. When no
+delivery can end the run, a block is up to the pair list's ``block``
+ticks: many for an all-pairs list, five for a Verlet list, so that a
+stale tick can build it from a later tick's positions. A run that
+settles on delivery steps and filters one-tick blocks, so it never steps
+past its delivery tick. Either way each tick's pairs are the same.
+``_route_block`` hands the packet across a block's ticks in turn, each
+in (a, b) order, walking only the pairs that ``routing`` says can carry
+it. It splits out only the ticks on which a carrier meets a
+non-carrier: after a tick with none, one test over the rest of the
+block finds the next, so ticks that cannot hand off cost no Python
+each, and none is routed once every vehicle carries. The packet's life ends at
 ``end = min(duration, deadline)``, in whole ticks: the last tick is
 end / tick_seconds, read as an integer within a few ulps of one and
 rounded down otherwise. The run settles at end, or at the first delivery
@@ -26,10 +31,10 @@ sum, so fractional ticks do not drift. Two child RNG
 streams of the run seed, one for mobility and one for the engine's own
 draws, drive everything, so a (scenario, seed) pair fully determines the
 outcome. The rules a fleet must meet to hold the run's source and
-destination are ``endpoint_problems``, and the deadline in ``time_scale``
-units must keep every score finite (``scale_problems``); a scenario file
-is checked against the same rules, and ``run`` checks them before its
-first draw. The
+destination are ``endpoint_problems``, the deadline in ``time_scale``
+units must keep every score finite (``scale_problems``), and the tick
+count must be finite (``tick_problems``); a scenario file is checked
+against the same rules, and ``run`` checks them before its first draw. The
 ``RunResult`` holds everything the summary reads, the ``IncentiveConfig``
 the run was scored with included, and the settlement report's
 ``balances`` are the run's only credit postings.
@@ -38,6 +43,7 @@ the run was scored with included, and the settlement report's
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -126,6 +132,18 @@ def scale_problems(vehicle_count: int, packet: PacketSpec, incentives: Incentive
             f" deadline / time_scale = {scaled:g}, must sum to a finite total"]
 
 
+def tick_problems(mobility_cfg: MobilityConfig, engine_cfg: EngineConfig, packet: PacketSpec) -> list[str]:
+    """Why the run's ticks cannot be counted; empty if they can.
+
+    The run's last tick is ``min(duration, deadline) / tick_seconds`` in
+    whole ticks, so that ratio must be finite: a subnormal tick overflows it.
+    """
+    ticks = float(min(engine_cfg.duration, packet.deadline)) / mobility_cfg.tick_seconds
+    if ticks < math.inf:
+        return []
+    return ["mobility.tick_seconds: min(engine.duration, packet.deadline) / tick_seconds must be finite"]
+
+
 @dataclass
 class RunResult:
     """Everything a finished run produced; the source is the tree's root.
@@ -178,57 +196,85 @@ def _settle(
 
 def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
              look_ahead: bool = True) -> Iterator[tuple]:
-    """Yield ``(now, x, y, a, b)`` for ticks 0..last_tick; each after 0 steps the model first.
+    """Yield ``(first, xs, ys, a, b, ends)`` for blocks of ticks 0..last_tick.
 
-    With ``look_ahead`` the model steps a block of up to the pair list's
-    ``block`` ticks before their contacts are filtered in one call;
-    without it, one tick. ``x`` and ``y`` hold the tick's positions until
-    the next tick is yielded.
+    Each tick after 0 steps the model first. A block holds the ticks from
+    ``first`` on: ``xs[i]`` and ``ys[i]`` are tick first + i's positions,
+    and its pairs are ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for
+    i = 0), filtered for the whole block in one ``contact_pairs`` call.
+    With ``look_ahead`` a block is up to the pair list's ``block`` ticks;
+    without it, one tick. ``xs`` and ``ys`` hold the block's positions
+    until the next block is yielded.
     """
     cfg = model.config
     neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
     width = neighbours.block if look_ahead else 1
     xs, ys = stack = np.empty((2, width, cfg.vehicle_count))  # each tick's x and y rows of a block
     slots = [stack[:, i] for i in range(width)]  # tick i's (2, n) positions in the block
-    rows = list(zip(xs, ys))  # and its x and y rows
+    step = model.step
     for first in range(0, last_tick + 1, width):
-        nows = []
-        for i in range(min(width, last_tick + 1 - first)):
-            if first + i:
-                model.step()
-            slots[i][...] = model.pos
-            nows.append(model.now)
-        k = len(nows)
+        k = min(width, last_tick + 1 - first)
+        if first:
+            step()
+        slots[0][...] = model.pos
+        for slot in slots[1:k]:
+            step()
+            slot[...] = model.pos
         a, b, ends = contact_pairs(xs[:k], ys[:k], radio_range, neighbours)
-        start = 0  # row i's pairs end where row i + 1's start
-        for i, end in enumerate(ends):
-            yield nows[i], *rows[i], a[start:end], b[start:end]
-            start = end
+        yield first, xs[:k], ys[:k], a, b, ends
 
 
-def _route_tick(
-    tree: ForwardingTree, carried: np.ndarray, a: np.ndarray, b: np.ndarray,
-    x: np.ndarray, y: np.ndarray, now: float, stop_at: int | None,
+def _route_block(
+    tree: ForwardingTree, carried: np.ndarray, first: int, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
+    b: np.ndarray, ends: list[int], tick_seconds: float, stop_at: int | None,
 ) -> bool:
-    """Hand the packet across one tick's contacts, marking new carriers; True once ``stop_at`` joins."""
-    if len(tree.depth) == len(carried):
-        return False  # every vehicle carries: no contact can hand off
-    ca, cb = carried[a], carried[b]
-    grow = ca != cb
-    if not np.count_nonzero(grow):
-        return False  # no carrier meets a non-carrier
-    reach = carried.copy()  # a pair out of every carrier's component cannot hand off
-    while np.count_nonzero(grow):
-        reach[a[grow]] = reach[b[grow]] = True
-        grow = reach[a] != reach[b]
-    # nor can a pair whose ends both carried at tick start, as both still carry
-    keep = reach[a] > (ca & cb)
-    for i, j in zip(a[keep].tolist(), b[keep].tolist()):
-        link = handle_encounter(tree, i, j, x, y, now)
-        if link is not None:
-            carried[link.to_id] = True
-            if link.to_id == stop_at:
-                return True
+    """Hand the packet across a block from ``contacts``, marking new carriers; True once ``stop_at`` joins.
+
+    Only a tick on which a carrier meets a non-carrier can hand off, and
+    its pairs are routed in (a, b) order. After a tick that has no such
+    pair, one test over the rest of the block finds the next tick that
+    has one, and its slices serve that tick, as ``carried`` cannot change
+    in between. After a tick that handed off, the next tick is tested on
+    its own.
+    """
+    n, k = len(carried), len(ends)
+    i = start = 0
+    while i < k and len(tree.depth) < n:  # once every vehicle carries, no contact can hand off
+        end = ends[i]
+        ta, tb = a[start:end], b[start:end]
+        ca, cb = carried[ta], carried[tb]
+        grow = ca != cb
+        if not np.count_nonzero(grow):  # a quiet tick
+            m = len(a) - end
+            if not m:
+                return False
+            # one buffer of at least 1 KiB: numpy keeps freed arrays under 1 KiB for reuse,
+            # by exact size, so tests of many sizes would pile up over a sweep
+            test = np.empty(max(3 * m, 1024), dtype=bool)
+            ca = np.take(carried, a[end:], out=test[:m], mode="clip")
+            cb = np.take(carried, b[end:], out=test[m:2 * m], mode="clip")
+            hits = np.not_equal(ca, cb, out=test[2 * m:3 * m])
+            hit = int(hits.argmax())
+            if not hits[hit]:
+                return False
+            i = bisect_right(ends, end + hit)  # the tick that holds the first hit
+            s, e = ends[i - 1] - end, ends[i] - end
+            start, end = ends[i - 1], ends[i]
+            ta, tb, ca, cb, grow = a[start:end], b[start:end], ca[s:e], cb[s:e], hits[s:e]
+        reach = carried.copy()  # a pair out of every carrier's component cannot hand off
+        while np.count_nonzero(grow):
+            reach[ta[grow]] = reach[tb[grow]] = True
+            grow = reach[ta] != reach[tb]
+        # nor can a pair whose ends both carried at tick start, as both still carry
+        keep = reach[ta] > (ca & cb)
+        x, y, now = xs[i], ys[i], float((first + i) * tick_seconds)  # now is the model's clock at the tick
+        for p, q in zip(ta[keep].tolist(), tb[keep].tolist()):
+            link = handle_encounter(tree, p, q, x, y, now)
+            if link is not None:
+                carried[link.to_id] = True
+                if link.to_id == stop_at:
+                    return True
+        i, start = i + 1, end
     return False
 
 
@@ -242,7 +288,8 @@ def run(
     """Simulate one packet's lifetime and settle its rewards."""
     n = mobility_cfg.vehicle_count
     scheme = incentive_cfg.scheme
-    problems = endpoint_problems(n, engine_cfg, scheme) + scale_problems(n, packet_spec, incentive_cfg)
+    problems = (endpoint_problems(n, engine_cfg, scheme) + scale_problems(n, packet_spec, incentive_cfg)
+                + tick_problems(mobility_cfg, engine_cfg, packet_spec))
     if problems:
         raise ValidationError("; ".join(problems))
     mob_seq, eng_seq = np.random.SeedSequence(seed).spawn(2)
@@ -268,11 +315,12 @@ def run(
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
     contact_events = 0
+    tick_seconds = mobility_cfg.tick_seconds
     # no delivery can end a run without stop_at, so its fleet may step ahead
-    for now, x, y, a, b in contacts(model, engine_cfg.radio_range, last_tick, stop_at is None):
+    for first, xs, ys, a, b, ends in contacts(model, engine_cfg.radio_range, last_tick, stop_at is None):
         contact_events += len(a)
-        if _route_tick(tree, carried, a, b, x, y, now, stop_at):
-            break  # the packet's life ended at this tick
+        if _route_block(tree, carried, first, xs, ys, a, b, ends, tick_seconds, stop_at):
+            break  # the packet's life ended at this block's tick: with stop_at, blocks are one tick
 
     settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)

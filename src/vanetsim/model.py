@@ -36,13 +36,22 @@ PROPORTIONAL_SCHEMES = frozenset(
 TWO_TERM_SCHEMES = frozenset({Scheme.BASIC_LINEAR, Scheme.FIRST_PROPOSAL})
 
 
+def is_finite(value) -> bool:
+    """Whether a real number is finite as a float: NaN, an infinity and an int too large for a float are not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # the int cannot be converted
+        return False
+
+
 def check_range(name: str, value, low: float = 0.0, high: float = math.inf, *, open_low: bool = False) -> None:
     """Raise a ValidationError naming ``name`` unless ``value`` is finite and in [low, high].
 
-    ``open_low`` leaves ``low`` out. A bool, a string or None fails, as NaN does.
+    ``open_low`` leaves ``low`` out. A bool, a string or None fails, as NaN
+    and an int too large for a float do.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (low < value if open_low else low <= value) and value <= high and value < math.inf):
+    if not (real and is_finite(value) and (low < value if open_low else low <= value) and value <= high):
         interval = f"{'(' if open_low else '['}{float(low):g}, {high:g}{']' if high < math.inf else ')'}"
         raise ValidationError(f"{name} must be a finite number in {interval}, got {value!r}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,10 +21,10 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .engine import EngineConfig, endpoint_problems, scale_problems
+from .engine import EngineConfig, endpoint_problems, scale_problems, tick_problems
 from .incentives import IncentiveConfig
 from .mobility import MobilityConfig
-from .model import TWO_TERM_SCHEMES, PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet
+from .model import TWO_TERM_SCHEMES, PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet, is_finite
 
 DEFAULT_SAFETY_DEADLINE_CAP = 300.0
 
@@ -74,7 +73,7 @@ def _is_int(value) -> bool:
 _RULES = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", _is_int),
-    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and is_finite(v)),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 # the annotations of the scenario and of each config section, resolved once: the file's schema
@@ -138,7 +137,7 @@ def _section(cls, raw, label: str, problems: list[str]):
 
 
 def _scenario_problems(sc: Scenario) -> list[str]:
-    """Rules on the top-level fields and across sections; the endpoint and scale rules are the engine's."""
+    """Rules on the top-level fields and across sections; the endpoint, scale and tick rules are the engine's."""
     problems = []
     if not sc.name or "/" in sc.name or "\\" in sc.name:
         problems.append("name: must be a non-empty file stem without / or \\")
@@ -149,7 +148,8 @@ def _scenario_problems(sc: Scenario) -> list[str]:
     elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
         problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
     problems += endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
-    return problems + scale_problems(sc.mobility.vehicle_count, sc.packet, sc.incentives)
+    problems += scale_problems(sc.mobility.vehicle_count, sc.packet, sc.incentives)
+    return problems + tick_problems(sc.mobility, sc.engine, sc.packet)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -202,6 +202,15 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
     return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
 
 
+def contact_ticks(blocks):
+    """The blocks ``engine.contacts`` yields, split at their row ends: ``(tick, x, y, a, b)``, a tick each."""
+    for first, xs, ys, a, b, ends in blocks:
+        start = 0
+        for i, end in enumerate(ends):
+            yield first + i, xs[i], ys[i], a[start:end], b[start:end]
+            start = end
+
+
 def test_contact_engine_matches_quadratic_oracle(capsys):
     """Contact detection, one-shot and through a run's contact stream, is exact on moving fleets.
 
@@ -223,7 +232,8 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
             speed_max=20.0,
         )
         model = RandomWaypointModel(cfg, np.random.default_rng(1000 + run_idx))
-        for _, x, y, a, b in contacts(model, radio, 25):  # filters the pair list engine.run keeps
+        # filters the pair list engine.run keeps
+        for _, x, y, a, b in contact_ticks(contacts(model, radio, 25)):
             ref_a, ref_b = reference_pairs(x, y, radio)
             for got_a, got_b in ((a, b), kernels.contact_pairs(x, y, radio)):
                 assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)

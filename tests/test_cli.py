@@ -215,6 +215,23 @@ class TestValidateCommand:
             assert problem in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize(
+        "mobility, problem",
+        [
+            ("arena_width: 1" + "0" * 400, "mobility.arena_width: must be a finite number"),
+            # 300 s / 5e-324 s overflows the run's tick count; validation stops the run before its first tick
+            ("tick_seconds: 5.0e-324", "mobility.tick_seconds: min(engine.duration, packet.deadline) / tick_seconds"),
+        ],
+        ids=["int_past_float_range", "subnormal_tick"],
+    )
+    def test_a_value_past_the_float_range_is_exit_1_for_validate_and_run(self, tmp_path, capsys, mobility, problem):
+        bad = tmp_path / "past.yaml"
+        bad.write_text(f"mobility:\n  {mobility}\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert problem in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_an_overflowing_product_score_is_exit_1_for_validate(self, tmp_path, capsys):
         # (300 s / 3e-198)**2 overflows the first proposal's product-mode time credit
         bad = tmp_path / "product.yaml"

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import reference_run
+from test_acceptance import contact_ticks
 from vanetsim import engine, kernels, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
@@ -244,6 +245,38 @@ class TestScaledDeadline:
         assert engine.scale_problems(2, PKT, inc) == []  # one carrier's score is still finite
 
 
+class TestTickRule:
+    """min(duration, deadline) / tick_seconds, the run's tick count, must be finite, checked before the first draw."""
+
+    @pytest.mark.parametrize(
+        "dt, eng, pkt",
+        [
+            (5e-324, ENG, PKT),  # a subnormal tick: 300 s / 5e-324 s overflows
+            (1e-309, EngineConfig(duration=0.5), PKT),  # the duration comes first: 0.5 / 1e-309 overflows
+            (1e-309, ENG, PacketSpec(deadline=0.5)),  # the deadline comes first
+        ],
+        ids=["subnormal", "duration_first", "deadline_first"],
+    )
+    def test_run_rejects_it_before_drawing(self, monkeypatch, dt, eng, pkt):
+        mob = MobilityConfig(tick_seconds=dt)
+        assert engine.tick_problems(mob, eng, pkt)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run drew from the seed before checking the tick count")
+
+        monkeypatch.setattr(engine.np.random, "SeedSequence", no_draws)
+        with pytest.raises(ValidationError, match=r"packet.deadline\) / tick_seconds must be finite"):
+            run_default(eng=eng, pkt=pkt, mob=mob)
+
+    def test_a_finite_count_passes(self):
+        # checked, never run: 1e-300 s ticks make ~3e302 of them
+        assert engine.tick_problems(MobilityConfig(tick_seconds=1e-300), ENG, PKT) == []
+        # a zero-length run has tick 0 only, however short its ticks
+        mob = MobilityConfig(tick_seconds=5e-324)
+        assert engine.tick_problems(mob, EngineConfig(duration=0.0), PKT) == []
+        assert run_default(eng=EngineConfig(duration=0.0), mob=mob).ticks_run == 0
+
+
 class TestSettlementTiming:
     def test_settles_at_deadline_when_run_is_longer(self):
         eng = EngineConfig(radio_range=100.0, duration=500.0)
@@ -429,13 +462,16 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
     # crosses block edges
     cfg = MobilityConfig(vehicle_count=n, tick_seconds=0.1)
     last_tick = 250
-    assert kernels.pair_list(n, 100.0, 1.5).block < last_tick
-    models = [RandomWaypointModel(cfg, np.random.default_rng(n)) for _ in range(2)]
-    ahead = engine.contacts(models[0], 100.0, last_tick, look_ahead=True)
-    tick_by_tick = engine.contacts(models[1], 100.0, last_tick, look_ahead=False)
+    block = kernels.pair_list(n, 100.0, 1.5).block
+    assert block < last_tick
+    models = [RandomWaypointModel(cfg, np.random.default_rng(n)) for _ in range(3)]
+    firsts = [first for first, *_ in engine.contacts(models[2], 100.0, last_tick, look_ahead=True)]
+    assert firsts == list(range(0, last_tick + 1, block))
+    ahead = contact_ticks(engine.contacts(models[0], 100.0, last_tick, look_ahead=True))
+    tick_by_tick = contact_ticks(engine.contacts(models[1], 100.0, last_tick, look_ahead=False))
     ticks = 0
     for got, want in zip(ahead, tick_by_tick, strict=True):
-        assert got[0] == want[0]
+        assert got[0] == want[0] == ticks
         for g, w in zip(got[1:], want[1:]):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         ticks += 1
@@ -660,6 +696,14 @@ REFERENCE_SCHEMES = [
     inc=st.sampled_from(REFERENCE_SCHEMES),
     data=st.data(),
 )
+# the explicit examples draw both endpoints. Ticks 0-60 are one all-pairs block at 15 vehicles:
+# the tree fills on tick 8, so the rest of the block is never routed
+@example(seed=2, n=15, packing=0.6, speeds=(5.0, 15.0), pause_time=2.5, dt=1.0, duration=60.0, deadline=300.0,
+         settle_on_delivery=False, inc=REFERENCE_SCHEMES[3], data=None)
+# 10-tick blocks at 40 vehicles, 22 of which carry by the end: in every block a quiet
+# tick comes before a handoff (ticks 4, 7, 18, 23, 32, 43, 45 and 54 follow one)
+@example(seed=1, n=40, packing=1.0, speeds=(5.0, 15.0), pause_time=0.0, dt=1.0, duration=60.0, deadline=300.0,
+         settle_on_delivery=False, inc=REFERENCE_SCHEMES[4], data=None)
 def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, dt, duration, deadline,
                                          settle_on_delivery, inc, data):
     # fleets on both sides of the Verlet crossover, at and above baseline
@@ -667,9 +711,11 @@ def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, d
     side = packing * 800.0 * (n / 15.0) ** 0.5
     mob = MobilityConfig(vehicle_count=n, arena_width=side, arena_height=side, speed_min=speeds[0],
                          speed_max=speeds[1], pause_time=pause_time, tick_seconds=dt)
-    source = data.draw(st.none() | st.integers(0, n - 1), label="source_id")
-    destination = data.draw(st.none() | st.integers(0, n - 1).filter(lambda d: d != source),
-                            label="destination_id")
+    source = destination = None
+    if data is not None:
+        source = data.draw(st.none() | st.integers(0, n - 1), label="source_id")
+        destination = data.draw(st.none() | st.integers(0, n - 1).filter(lambda d: d != source),
+                                label="destination_id")
     eng = EngineConfig(duration=duration, source_id=source, destination_id=destination,
                        settle_on_delivery=settle_on_delivery)
     pkt = PacketSpec(reward_budget=20.0, deadline=deadline)

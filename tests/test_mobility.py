@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanetsim.mobility import MobilityConfig, RandomWaypointModel
+from vanetsim.mobility import MobilityConfig, RandomWaypointModel, draw_rows
 from vanetsim.model import ValidationError
 
 
@@ -17,23 +17,32 @@ def make_model(seed: int, **overrides) -> RandomWaypointModel:
 
 
 class ScriptedRng:
-    """Stands in for a model's generator: ``random`` hands out the given draws in turn."""
+    """Stands in for a model's generator: ``random`` hands out the given draws in turn, each of the shape asked for."""
 
     def __init__(self, draws) -> None:
         self.draws = iter(draws)
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         draw = next(self.draws)
-        assert draw.shape == (size if isinstance(size, tuple) else (size,))
-        return draw
+        if out is None:
+            assert draw.shape == (size if isinstance(size, tuple) else (size,))
+            return draw
+        assert size is None and draw.shape == out.shape
+        out[...] = draw
+        return out
 
 
 def driven_model(cands, pos, way, speed, pause_until, tick=0, **overrides) -> RandomWaypointModel:
-    """A model set to the given state whose steps take their candidate triples from ``cands``."""
+    """A model set to the given state whose steps take their candidate triples from ``cands``, an (n, 3) row each.
+
+    The model draws the rows in blocks of ``draw_rows(n)``; the last block is
+    padded with NaN, which no step may take.
+    """
     cfg = MobilityConfig(vehicle_count=len(speed), **overrides)
-    n = cfg.vehicle_count
+    n, k = cfg.vehicle_count, draw_rows(cfg.vehicle_count)
     start = (np.zeros((2, n)), np.zeros((2, n)), np.zeros(n))  # the constructor's draws
-    m = RandomWaypointModel(cfg, ScriptedRng(itertools.chain(start, cands)))
+    rows = np.concatenate((np.reshape(cands, (-1, n, 3)), np.full((-len(cands) % k, n, 3), np.nan)))
+    m = RandomWaypointModel(cfg, ScriptedRng(itertools.chain(start, rows.reshape(-1, k, n, 3))))
     m.set_state(pos, way, speed, pause_until, tick)
     return m
 
@@ -70,6 +79,7 @@ class TestMobilityConfig:
             {"arena_width": 1e154, "arena_height": 1e154},
             {"speed_max": 1e308, "tick_seconds": 10.0},
             {"speed_min": 1e300, "speed_max": 1e300, "tick_seconds": 1e10},
+            {"arena_width": 10**400},  # an int too large for a float
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -173,33 +183,46 @@ class TestRandomWaypointModel:
             saw_hold |= bool(arrived.any())
         assert saw_hold
 
-    def test_start_state_keeps_the_per_axis_draw_order(self):
+    @pytest.mark.parametrize("n, rows", [(1, 682), (15, 45), (300, 2), (341, 2), (342, 1), (1000, 1)])
+    def test_a_draw_holds_the_rows_that_fit_in_16_kib(self, n, rows):
+        assert draw_rows(n) == rows
+        assert rows * n * 3 * 8 <= 1 << 14 < (rows + 1) * n * 3 * 8 or rows == 1
+
+    @pytest.mark.parametrize(
+        "n, side, steps",
+        [(15, 40.0, 400), (342, 10.0, 3)],  # 45 rows a draw, so 400 steps cross eight draws; a row a draw
+    )
+    def test_start_state_keeps_the_per_axis_draw_order(self, n, side, steps):
         # x, y, waypoint x, waypoint y, speed: one draw of n each, as before the planar layout;
-        # then one (n, 3) draw a step, as one (k, n, 3) draw of k steps' rows would be. In a
-        # small arena with a 2 s pause vehicles arrive, pause and redraw within the k steps.
-        n, k = 6, 60
-        m = make_model(11, vehicle_count=n, arena_width=40.0, arena_height=30.0, pause_time=2.0)
+        # then one (k, n, 3) draw for k steps, whose rows are those of one (n, 3) draw a step.
+        # In a small arena with a 2 s pause vehicles arrive, pause and redraw on every draw's rows.
+        k, height = draw_rows(n), 0.75 * side
+        m = make_model(11, vehicle_count=n, arena_width=side, arena_height=height, pause_time=2.0)
         rng = np.random.default_rng(11)
         x, y, wx, wy, s = (rng.random(n) for _ in range(5))
-        assert np.array_equal(m.pos[0], x * 40.0)
-        assert np.array_equal(m.pos[1], y * 30.0)
-        assert np.array_equal(m.way[0], wx * 40.0)
-        assert np.array_equal(m.way[1], wy * 30.0)
+        assert np.array_equal(m.pos[0], x * side)
+        assert np.array_equal(m.pos[1], y * height)
+        assert np.array_equal(m.way[0], wx * side)
+        assert np.array_equal(m.way[1], wy * height)
         assert np.array_equal(m.speed, 5.0 + s * 10.0)
-        block = rng.random((k, n, 3))
+        start = rng.bit_generator.state
+        blocks = [rng.random((k, n, 3)) for _ in range(-(-steps // k))]
         saw_pause = False
-        for _ in range(k):
+        for _ in range(steps):
             saw_pause |= bool(np.any(m.now < m.pause_until))
             m.step()
         assert saw_pause and np.all(np.isfinite(m.pause_until))  # each vehicle arrived
-        assert np.array_equal(m.rng.random(4), rng.random(4))
+        assert np.array_equal(m.rng.random(4), rng.random(4))  # the model drew those blocks and no more
+        rng.bit_generator.state = start
+        assert np.array_equal(np.concatenate(blocks), [rng.random((n, 3)) for _ in range(len(blocks) * k)])
 
-        # fed the block's rows one per step, a model ends bit for bit where the drawing one does
-        fed = RandomWaypointModel(m.config, ScriptedRng([np.stack((x, y)), np.stack((wx, wy)), s, *block]))
-        for _ in range(k):
-            fed.step()
-        for name in ("pos", "way", "speed", "pause_until"):
-            assert np.array_equal(getattr(fed, name).view(np.uint64), getattr(m, name).view(np.uint64))
+        # the masked reference step, fed those rows one a step, ends bit for bit where the model does
+        expected = (x * side, y * height, wx * side, wy * height, 5.0 + s * 10.0, np.full(n, -np.inf))
+        for tick, cand in enumerate(np.concatenate(blocks)[:steps]):
+            masked_waypoint_step(*expected, cand, float(tick), 1.0, side, height, 5.0, 15.0, 2.0)
+        state = (m.pos[0], m.pos[1], m.way[0], m.way[1], m.speed, m.pause_until)
+        for got, want in zip(state, expected):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_position_of_matches_arrays(self):
         m = make_model(1)

@@ -51,7 +51,8 @@ class TestCheckRange:
 
     def test_open_low_end_and_open_infinite_top(self):
         check_range("r", 1e308, open_low=True)
-        for value in (0.0, math.inf):
+        check_range("r", 10**308, open_low=True)
+        for value in (0.0, math.inf, 10**400):  # an int too large for a float is not finite
             with pytest.raises(ValidationError, match=r"^r must be a finite number in \(0, inf\), got "):
                 check_range("r", value, open_low=True)
 

@@ -181,7 +181,7 @@ class TestScenarioFromDict:
                     ("mobility", "arena_width"),
                     ("incentives", "time_scale"),
                 ]
-                for value in (math.nan, math.inf)
+                for value in (math.nan, math.inf, 10**400)  # an int too large for a float
             ),
             ("mobility", "vehicle_count", 15.5),
             ("engine", "source_id", 2.5),
