@@ -700,8 +700,8 @@ REFERENCE_SCHEMES = [
 # the tree fills on tick 8, so the rest of the block is never routed
 @example(seed=2, n=15, packing=0.6, speeds=(5.0, 15.0), pause_time=2.5, dt=1.0, duration=60.0, deadline=300.0,
          settle_on_delivery=False, inc=REFERENCE_SCHEMES[3], data=None)
-# 10-tick blocks at 40 vehicles, 22 of which carry by the end: in every block a quiet
-# tick comes before a handoff (ticks 4, 7, 18, 23, 32, 43, 45 and 54 follow one)
+# 10-tick blocks at 40 vehicles, 22 of which carry by the end: in each of the six whole
+# blocks a quiet tick comes before a handoff (ticks 4, 7, 18, 23, 32, 43, 45 and 54 follow one)
 @example(seed=1, n=40, packing=1.0, speeds=(5.0, 15.0), pause_time=0.0, dt=1.0, duration=60.0, deadline=300.0,
          settle_on_delivery=False, inc=REFERENCE_SCHEMES[4], data=None)
 def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, dt, duration, deadline,
