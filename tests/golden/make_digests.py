@@ -55,8 +55,17 @@ def cases() -> dict[str, object]:
     fleet = scenario_from_dict(
         _variant(raw, mobility={"vehicle_count": 128, "arena_width": 2336.0, "arena_height": 2336.0})
     )
-    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE):
+    # packet trade settles on delivery, so its Verlet blocks are one tick
+    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE, Scheme.PACKET_TRADE):
         out[f"fleet128/{scheme.value}/s0"] = with_updates(fleet, seed=0, scheme=scheme)
+    # fast fleets cap the skin at the radio range: at 40 m a tick one build
+    # serves a tick either side, at 60 m only its own tick
+    for speed in (40, 60):
+        fast = scenario_from_dict(_variant(
+            raw, mobility={"vehicle_count": 128, "arena_width": 2336.0, "arena_height": 2336.0,
+                           "speed_max": float(speed)}
+        ))
+        out[f"fleet128_fast{speed}/second_proposal/s0"] = with_updates(fast, seed=0)
     # 300 vehicles in the baseline arena: ~20x the density, so the Verlet
     # list holds thousands of pairs and rebuilds every few ticks
     dense = scenario_from_dict(
