@@ -15,8 +15,11 @@ list starts empty, as in a run, and its time includes its builds; for
 the Verlet list the table also gives its rebuild count and splits its
 time per tick into builds (the cell grid's count-table search) and
 filtering, a tick a call, and gives the rebuild count at its block
-width next to that time: a stale tick there builds the list from a
-later tick of its block, so fewer builds serve the same ticks.
+width next to that time. The counts follow from the list's schedule,
+not from the trajectory: at top speed half the skin is 2 ticks, so a
+build serves the 2 ticks either side of it, which is every third tick
+a tick a call (34 builds in 101 ticks) and one build per five-tick
+block, from its middle tick (21).
 The baseline rows show where the Verlet list starts to beat the
 all-pairs list at each list's own block width, the widths every run
 that cannot end at a delivery filters at; that crossover is what
@@ -47,7 +50,8 @@ RADIO_RANGE = 100.0
 SPEED_MAX = 15.0
 TICK_SECONDS = 1.0
 DENSE = (300, 800.0)  # perfbench's dense_fleet: vehicles, arena side in metres
-SKIN = kernels.pair_list(DENSE[0], RADIO_RANGE, SPEED_MAX * TICK_SECONDS).skin  # a run's Verlet list skin
+MAX_STEP = SPEED_MAX * TICK_SECONDS  # the longest step a vehicle takes, as a run tells its Verlet list
+SKIN = kernels.pair_list(DENSE[0], RADIO_RANGE, MAX_STEP).skin  # a run's Verlet list skin
 
 
 def baseline_arena(n: int) -> float:
@@ -82,8 +86,8 @@ class MatrixScan:
 class TimedNeighbourList(kernels.NeighbourList):
     """A Verlet list that counts its builds and the seconds they take."""
 
-    def __init__(self, skin: float) -> None:
-        super().__init__(skin)
+    def __init__(self, skin: float, max_step: float) -> None:
+        super().__init__(skin, max_step)
         self.builds, self.build_s = 0, 0.0
 
     def _build(self, z: np.ndarray, cutoff: float) -> None:
@@ -126,7 +130,7 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
     The first is at each list's own block width, the second a tick a call.
     """
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
-    width = kernels.NeighbourList.block
+    width = kernels.NeighbourList(SKIN, MAX_STEP).block
     header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
               f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}"
               f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}  {'all/verlet, blocks':>18}")
@@ -139,8 +143,8 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
         t_scan, _ = time_per_tick(lambda n: MatrixScan(), xs, ys)
         t_all, _ = time_per_tick(kernels.AllPairs, xs, ys)
         t_block, _ = time_per_tick(kernels.AllPairs, xs, ys, block)
-        t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys)
-        t_wide, wide = time_per_tick(lambda n: TimedNeighbourList(SKIN), xs, ys, width)
+        t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys)
+        t_wide, wide = time_per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys, width)
         t_build = verlet.build_s / len(xs)
         ratio, ratio_block = t_all / t_verlet, t_block / t_wide
         if (n, arena) != DENSE:

@@ -8,12 +8,11 @@ output.
 Every run keeps one pair list, from ``pair_list``, and filters every
 tick through it. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead
 outweighs the pairs tested, it is ``AllPairs``, built once; from there on it is a
-Verlet ``NeighbourList`` of the pairs within ``r + skin``, rebuilt once
-some vehicle has moved more than ``skin / 2`` (Verlet 1967) by a
-cell-grid range search. The grid sorts vehicles by the key of a square
-cell a hair wider than the cutoff, so a pair in range lies in one cell or
-in two adjacent ones, and compares each cell with itself and four
-neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
+Verlet ``NeighbourList`` of the pairs within ``r + skin`` (Verlet 1967),
+built by a cell-grid range search on a schedule set by how far a vehicle
+can move in a tick. The grid sorts vehicles by the key of a square cell a
+hair wider than the cutoff, so a pair in range lies in one cell or in two
+adjacent ones, and compares each cell with itself and four neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
 Liquids*, §5.3). A table of per-cell counts, summed, gives where each
 cell's run of sorted vehicles starts. The cells widen on a wide or sparse
 fleet, so neither axis nor the grid has more than ``_CELLS_PER_VEHICLE``
@@ -26,10 +25,12 @@ Both lists have one entry point, ``pairs(xs, ys, r)``: it filters a
 ``block``, and returns ``(a, b, ends)``, where row i's pairs are
 ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for row 0). ``AllPairs``
 filters a block as one flat array, so it pays its per-call cost once for
-up to ``block`` ticks. The Verlet list filters a block row by row, and a
-row that finds it stale builds it from a later row of the block when it
-can: a list built at positions z_c serves every tick within ``skin / 2``
-of z_c, before c as well as after. ``contact_pairs`` is the one function
+up to ``block`` ticks. The Verlet list filters a block row by row, and
+its caller's contract is that successive rows are successive ticks, each
+moving a vehicle at most ``max_step``: a list built at tick c then serves
+every tick within ``skin / (2 * max_step)`` ticks of c, before c as well
+as after, so it is built at most once a call, from a middle row of the
+block, and never tested for staleness. ``contact_pairs`` is the one function
 that also takes a single tick's 1-D positions; without a list it filters
 a fresh list of the kind its fleet size would keep.
 
@@ -64,7 +65,7 @@ _CELLS_PER_VEHICLE = 4
 # heap pages instead of mapping fresh ones every time.
 _BLOCK_BYTES = 1 << 16
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
-# covers the rounding in the displacement test and the distances.
+# covers the rounding in the steps (within max_step * (1 + 1e-9)) and the distances.
 _LIST_MARGIN = 1e-9
 
 
@@ -107,12 +108,20 @@ class AllPairs:
 class NeighbourList:
     """Verlet list for one fleet: every pair within ``radio_range + skin``.
 
-    Filtering it gives exactly the pairs in range as long as no vehicle has
-    moved more than ``skin / 2`` since the list was built: a pair in range
-    now was within ``r + skin`` then. Past that displacement, on a new radio
-    range or a new fleet size, a call rebuilds the list from the cell grid
-    first (Verlet 1967). The rule assumes no speed bound, so it holds for
-    any motion.
+    The caller's contract: successive rows, within a call and from one
+    call to the next, are successive ticks, and each tick moves a vehicle
+    at most ``max_step``. A pair in range at some tick is then within
+    ``r + skin`` at every tick up to ``reach = floor(skin / (2 * max_step))``
+    ticks away, before or after, so a list built at tick c serves ticks
+    c - reach to c + reach exactly (Verlet 1967); ``reach`` is unbounded
+    when ``max_step`` is 0. The list keeps only a count of the rows it
+    still serves. A call of k rows builds it at most once, from row
+    ``min(reach, k - 1)``: when that count does not cover the k rows, or
+    on a new radio range or fleet size. Every row is then filtered through
+    that one list. ``block``, the most rows a call takes, is
+    ``min(5, 2 * reach + 1)``: at ``pair_list``'s skin, reach is 2 ticks
+    at top speed, so one build serves a 5-tick block from its middle row;
+    once the skin is capped at the radio range, 3 or 1.
 
     The list, the build's count table and the arrays of every distance
     test live in buffers the list keeps for its whole life; a build that
@@ -120,23 +129,15 @@ class NeighbourList:
     Only the candidate indices a build expands with ``np.repeat`` and the
     indices of the pairs in range are fresh, and so are the pairs a call
     returns.
-
-    A call filters a block of up to ``block`` rows, each tested for
-    staleness against the list's build positions as above. A stale row i
-    builds the list from the last row c >= i of the block that row i lies
-    within ``skin / 2`` of, so the list serves row i, then later rows up
-    to c and past it, until one of them finds it stale in turn. At
-    ``pair_list``'s skin, half the skin is 2 ticks at top speed, so a list
-    built at tick c can serve ticks c - 2 to c + 2: that is ``block``, as
-    a taller block saves no builds at top speed.
     """
 
-    block = 5
-
-    def __init__(self, skin: float) -> None:
+    def __init__(self, skin: float, max_step: float) -> None:
         self.skin = skin
+        self.reach = skin // (2.0 * max_step) if max_step else math.inf  # the exact floor of the ratio
+        self.block = int(min(5, 2 * self.reach + 1))
         self.radio_range: float | None = None  # none yet: the first call builds the list
-        self.z0 = np.zeros(0, np.complex128)
+        self._n = -1
+        self._served = 0  # rows after the last call that the list still serves
         self._first = np.zeros(1, np.int64)  # the count table; its first entry stays 0
         self._grow(0)
         self.a, self.b = self._a, self._b
@@ -147,15 +148,6 @@ class NeighbourList:
         self._d2 = np.empty(size)
         self._a, self._b = np.empty(size, np.int64), np.empty(size, np.int64)
         self._iota = np.arange(size, dtype=np.int64)
-
-    def _moved(self, z: np.ndarray, z0: np.ndarray) -> np.ndarray:
-        """For each row of z, whether some vehicle lies more than ``skin / 2`` from where z0 has it."""
-        v = (z - z0).view(np.float64)  # dx, dy interleaved
-        v *= v
-        return np.maximum.reduce(v[..., 0::2] + v[..., 1::2], axis=-1, initial=0.0) > 0.25 * self.skin * self.skin
-
-    def _stale(self, z: np.ndarray, radio_range: float) -> bool:
-        return radio_range != self.radio_range or z.shape != self.z0.shape or bool(self._moved(z, self.z0))
 
     def _near(self, z: np.ndarray, a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
         """Indices k of the pairs (a[k], b[k]) of points z that lie within cutoff."""
@@ -231,19 +223,18 @@ class NeighbourList:
         self.a, self.b = a, b
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
-        if len(xs) > self.block:
-            raise ValueError(f"a block of {len(xs)} rows is taller than {self.block}")
+        k, n = xs.shape
+        if k > self.block:
+            raise ValueError(f"a block of {k} rows is taller than {self.block}")
         z = np.empty(xs.shape, np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
         z.real, z.imag = xs, ys
+        if self._served < k or radio_range != self.radio_range or n != self._n:
+            c = int(min(self.reach, k - 1))  # serves rows 0 to c + reach, every row of the call
+            self._build(z[c], (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
+            self.radio_range, self._n, self._served = radio_range, n, c + self.reach + 1
+        self._served -= k
         a, b, ends, end = [], [], [], 0
-        for i, row in enumerate(z):
-            if self._stale(row, radio_range):
-                # build at the last row that row i lies within half the skin of
-                # (row i itself at least), so the list serves the rows after i too
-                c = i + np.flatnonzero(~self._moved(z[i:], row))[-1]
-                self._build(z[c], (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
-                self.z0 = z[c]
-                self.radio_range = radio_range
+        for row in z:
             near = self._near(row, self.a, self.b, radio_range)
             a.append(self.a[near])
             b.append(self.b[near])
@@ -256,9 +247,9 @@ def pair_list(n: int, radio_range: float, max_step: float) -> AllPairs | Neighbo
     """The pair list for n vehicles that each move at most ``max_step`` a tick."""
     if n < NEIGHBOUR_LIST_MIN_VEHICLES:
         return AllPairs(n)
-    # half the skin is 2 ticks at top speed: a rebuild every ~3rd tick, or ~5th when
-    # built mid-block; exact at any speed
-    return NeighbourList(min(radio_range, 4.0 * max_step))
+    # half the skin is 2 ticks at top speed: a build at a 5-tick block's middle
+    # row serves the whole block
+    return NeighbourList(min(radio_range, 4.0 * max_step), max_step)
 
 
 def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,

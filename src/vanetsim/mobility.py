@@ -26,6 +26,9 @@ from .model import ValidationError, check_range
 # little to a small fleet's peak memory (64 KiB raised a 15-vehicle run's
 # peak traced memory by its own size).
 _DRAW_BYTES = 1 << 14
+# The most vehicles whose contact pair codes a * n + b, up to n * n - n - 1,
+# fit the int64 that ``kernels.NeighbourList`` sorts them as.
+MAX_VEHICLES = (1 + math.isqrt(4 * int(np.iinfo(np.int64).max) + 5)) // 2
 
 
 def draw_rows(vehicle_count: int) -> int:
@@ -44,6 +47,8 @@ class MobilityConfig:
     ``arena_width**2 + arena_height**2`` must be finite, so that no squared
     distance between two points of the arena overflows, and so must
     ``speed_max * tick_seconds``, the longest step a vehicle takes.
+    ``vehicle_count`` is at most ``MAX_VEHICLES``; a smaller fleet too large
+    for memory still fails where its arrays are allocated.
     """
 
     vehicle_count: int = 15
@@ -58,6 +63,8 @@ class MobilityConfig:
         n = self.vehicle_count
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise ValidationError("vehicle_count must be an integer of at least 1")
+        if n > MAX_VEHICLES:
+            raise ValidationError(f"vehicle_count must be at most {MAX_VEHICLES}, or its pair codes overflow int64")
         check_range("arena_width", self.arena_width, open_low=True)
         check_range("arena_height", self.arena_height, open_low=True)
         check_range("speed_min", self.speed_min)

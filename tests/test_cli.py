@@ -232,6 +232,21 @@ class TestValidateCommand:
             assert problem in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("count", ["1000000000000", "1" + "0" * 400], ids=["1e12", "int_past_float_range"])
+    def test_a_fleet_past_the_pair_code_bound_is_exit_1_for_validate_and_run(self, tmp_path, capsys,
+                                                                              monkeypatch, count):
+        # validation alone must stop it: such a run would allocate terabytes
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("vanetsim.cli.run_engine", no_run)
+        bad = tmp_path / "fleet.yaml"
+        bad.write_text(f"mobility:\n  vehicle_count: {count}\n", encoding="utf-8")
+        for argv in (["validate"], ["run", "--out", str(tmp_path)]):
+            assert main([*argv, "--scenario", str(bad)]) == 1
+            assert "vehicle_count must be at most 3037000500" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_an_overflowing_product_score_is_exit_1_for_validate(self, tmp_path, capsys):
         # (300 s / 3e-198)**2 overflows the first proposal's product-mode time credit
         bad = tmp_path / "product.yaml"

@@ -493,7 +493,7 @@ def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):
         for _ in engine.contacts(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300, look_ahead):
             pass
         counts.append(len(builds))
-    assert counts[0] <= 0.65 * counts[1]  # 61 against 101 builds
+    assert counts == [61, 101]  # a build per 5-tick block, or every third tick
 
 
 @pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False), (120, True)])

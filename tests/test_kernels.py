@@ -1,5 +1,6 @@
 """Contact detection (the cell grid, the one-shot search and both pair lists) against oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ def as_pair_list(a, b):
 
 def grid_pairs(x, y, radio_range):
     """The cell-grid search alone, at exactly radio_range: a fresh list's build."""
-    neighbours = kernels.NeighbourList(0.0)
+    neighbours = kernels.NeighbourList(0.0, 0.0)
     z = np.empty(len(x), np.complex128)
     z.real, z.imag = x, y
     neighbours._build(z, radio_range)
@@ -212,54 +213,41 @@ class TestStacks:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 90),
-        k=st.integers(1, kernels.NeighbourList.block),
+        k=st.integers(1, 5),
         step_share=st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.5]),
         jump=st.booleans(),
         lattice=st.booleans(),
     )
     @example(seed=0, n=0, k=1, step_share=0.2, jump=False, lattice=False)
-    @example(seed=1, n=60, k=kernels.NeighbourList.block, step_share=0.05, jump=True, lattice=False)
-    @example(seed=2, n=90, k=kernels.NeighbourList.block, step_share=0.2, jump=True, lattice=True)
+    @example(seed=1, n=60, k=5, step_share=0.05, jump=True, lattice=False)
+    @example(seed=2, n=90, k=5, step_share=0.2, jump=True, lattice=True)
     def test_neighbour_list_stack_equals_each_row(self, seed, n, k, step_share, jump, lattice):
-        # random walks of up to step_share * skin per axis a tick: small
-        # shares keep the rows of a block within half the skin of each
-        # other, larger ones step past it; with a jump one vehicle leaves by three
-        # skins for one row of each block and comes back the next. On the
-        # integer lattice ties at exactly r are common.
+        # random walks of up to step_share * skin per axis a tick, each k
+        # ticks long and handed to the list in calls of its block's rows:
+        # the smallest share serves 7 ticks either side of a build, the
+        # largest none. With a jump one vehicle leaves by three skins for one
+        # tick of each walk and comes back the next, and the list is told its
+        # steps, so each call is one row. On the integer lattice ties at
+        # exactly r are common; rounding moves a vehicle up to 1 more per axis.
         rng = np.random.default_rng(seed)
         r, skin = 10.0, 4.0
         side = 2.0 * r * max(n, 1) ** 0.5
-        neighbours = kernels.NeighbourList(skin)
+        step = step_share * skin + lattice
+        neighbours = kernels.NeighbourList(skin, math.hypot(step + 3.0 * skin * jump, step))
+        assert neighbours.reach == (0 if jump else math.inf if step == 0 else skin // (2.0 * math.hypot(step, step)))
         x, y = rng.random(n) * side, rng.random(n) * side
-        for _ in range(6):  # later blocks start from the list an earlier one built
+        for _ in range(6):  # later walks start from the list an earlier call built
             xs, ys = np.cumsum(rng.uniform(-1.0, 1.0, (2, k, n)) * step_share * skin, axis=1) + [[x], [y]]
             if jump and n and k > 1:
                 xs[rng.integers(k - 1), rng.integers(n)] += 3.0 * skin
             if lattice:
                 xs, ys = np.round(xs), np.round(ys)
-            assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+            for first in range(0, k, neighbours.block):
+                rows = slice(first, first + neighbours.block)
+                assert_rows_exact(neighbours.pairs(xs[rows], ys[rows], r), xs[rows], ys[rows], r)
             x, y = xs[-1], ys[-1]
 
-    def test_a_stale_row_builds_the_list_from_a_later_row(self, builds):
-        # the fleet creeps a tenth of the skin a tick
-        rng = np.random.default_rng(8)
-        n, r, skin = 150, 30.0, 8.0
-        xs = rng.random(n) * 3000.0 + 0.1 * skin * np.arange(5)[:, None]
-        ys = np.repeat(rng.random((1, n)) * 3000.0, 5, axis=0)
-        neighbours = kernels.NeighbourList(skin)
-        assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
-        assert len(builds) == 1 and np.array_equal(neighbours.z0.real, xs[4])  # row 0 builds from row 4
-        # at row 2 alone vehicle 0 stands half the range from vehicle 1,
-        # which the list built from row 4 does not pair it with
-        assert np.hypot(xs[4, 0] - xs[4, 1], ys[4, 0] - ys[4, 1]) > r + skin
-        xs[2, 0], ys[2, 0] = xs[2, 1] + 0.5 * r, ys[2, 1]
-        neighbours = kernels.NeighbourList(skin)
-        assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
-        # row 0 builds from row 4 again, past row 2, which finds that list
-        # stale and builds from itself; row 3 then builds from row 4
-        assert len(builds) == 4 and np.array_equal(neighbours.z0.real, xs[4])
-
-    @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15), kernels.NeighbourList(1.0)],
+    @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15), kernels.NeighbourList(1.0, 0.25)],
                              ids=["all_pairs", "neighbour_list"])
     def test_a_block_taller_than_block_is_refused(self, neighbours):
         xs = np.zeros((neighbours.block + 1, 15))
@@ -281,7 +269,8 @@ class TestStacks:
             assert neighbours.block >= 1 and neighbours.block * per_tick < 128 * 1024
             assert all(buf.nbytes <= 64 * 1024 for buf in buffers(neighbours))
         assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
-        assert kernels.NeighbourList(1.0).block == 5  # a build serves 2 ticks either side at top speed
+        # a build serves reach ticks either side of it at top speed: 2, 1, 0 and unbounded
+        assert [kernels.NeighbourList(1.0, step).block for step in (0.25, 0.4, 0.6, 0.0)] == [5, 3, 1, 5]
 
 
 def assert_rows_exact(found, xs, ys, radio_range):
@@ -301,12 +290,18 @@ def buffers(neighbours):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The cutoff of every NeighbourList build, in call order."""
+    """The positions of every NeighbourList build, in call order."""
     log = []
     build = kernels.NeighbourList._build
     monkeypatch.setattr(kernels.NeighbourList, "_build",
-                        lambda self, z, cutoff: log.append(cutoff) or build(self, z, cutoff))
+                        lambda self, z, cutoff: log.append(z.copy()) or build(self, z, cutoff))
     return log
+
+
+def walk(rng, x, y, k, max_step):
+    """k ticks of every vehicle stepping max_step from (x, y) in random directions, one row a tick."""
+    angle = rng.uniform(0.0, 2.0 * np.pi, (k, len(x)))
+    return x + np.cumsum(max_step * np.cos(angle), axis=0), y + np.cumsum(max_step * np.sin(angle), axis=0)
 
 
 class TestNeighbourList:
@@ -336,39 +331,80 @@ class TestNeighbourList:
         skin = skin_share * radio_range
         side = packing * 2.0 * radio_range * max(n, 1) ** 0.5
         x, y = rng.random(n) * side, rng.random(n) * side
-        lists = [kernels.NeighbourList(skin), kernels.AllPairs(n)]
+        step = step_share * max(skin, radio_range)
+        # a step of up to `step` per axis, and rounding moves a vehicle up to 0.5 more
+        lists = [kernels.NeighbourList(skin, math.hypot(step + 0.5 * lattice, step + 0.5 * lattice)),
+                 kernels.AllPairs(n)]
         for _ in range(25):
             ea, eb = kernels.contact_pairs(x, y, radio_range)
             for neighbours in lists:
                 a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
                 assert np.array_equal(a, ea) and np.array_equal(b, eb)
                 assert a.dtype == b.dtype == np.int64
-            step = step_share * max(skin, radio_range)
             x = x + rng.uniform(-step, step, n)
             y = y + rng.uniform(-step, step, n)
             if lattice:
                 x, y = np.round(x), np.round(y)
 
-    def test_rebuilds_only_past_half_the_skin(self, builds):
+    def test_builds_once_a_block_at_its_middle_row(self, builds):
+        # every vehicle steps 2 m a tick and half the 8 m skin is 2 ticks of
+        # that, so a build at a 5-row block's middle row serves the whole
+        # block; the last block is 3 rows, built at its last
+        rng = np.random.default_rng(8)
+        n, r, max_step = 150, 30.0, 2.0
+        neighbours = kernels.NeighbourList(8.0, max_step)
+        assert (neighbours.reach, neighbours.block) == (2, 5)
+        x, y = rng.random((2, n)) * 1000.0
+        for first in range(0, 23, 5):
+            xs, ys = walk(rng, x, y, min(5, 23 - first), max_step)
+            assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+            c = min(2, len(xs) - 1)
+            assert len(builds) == first // 5 + 1
+            assert np.array_equal(builds[-1].real, xs[c]) and np.array_equal(builds[-1].imag, ys[c])
+            x, y = xs[-1], ys[-1]
+
+    @pytest.mark.parametrize("max_step, reach, block", [(5.0, 0, 1), (4.0, 1, 3), (2.0, 2, 5), (0.0, math.inf, 5)])
+    def test_one_row_calls_build_every_reach_plus_one_calls(self, builds, max_step, reach, block):
         rng = np.random.default_rng(2)
-        x, y = rng.random(200) * 500.0, rng.random(200) * 500.0
-        neighbours = kernels.NeighbourList(skin=8.0)
-        kernels.contact_pairs(x, y, 30.0, neighbours)
-        x[17] += 4.0  # exactly half the skin: the list still covers every pair
-        kernels.contact_pairs(x, y, 30.0, neighbours)
-        kernels.contact_pairs(x, y, 30.0, neighbours)
-        assert len(builds) == 1 and builds[0] >= 38.0
-        x[17] += 1e-6
-        kernels.contact_pairs(x, y, 30.0, neighbours)
-        kernels.contact_pairs(x, y, 20.0, neighbours)  # a new range also rebuilds
-        assert len(builds) == 3
+        neighbours = kernels.NeighbourList(8.0, max_step)
+        assert (neighbours.reach, neighbours.block) == (reach, block)
+        x, y = rng.random((2, 200)) * 500.0
+        for call in range(12):
+            xs, ys = walk(rng, x, y, 1, max_step)
+            assert_rows_exact(neighbours.pairs(xs, ys, 30.0), xs, ys, 30.0)
+            assert len(builds) == (1 if reach == math.inf else call // (reach + 1) + 1)
+            x, y = xs[-1], ys[-1]
+        done = len(builds)
+        kernels.contact_pairs(x, y, 20.0, neighbours)  # a new range builds at once
+        assert len(builds) == done + 1
+
+    @pytest.mark.parametrize("max_step", [4.0, 2.0], ids=["reach_1", "reach_2"])
+    def test_pairs_at_the_edge_of_the_reach(self, builds, max_step):
+        # two vehicles part at top speed from r to r + 2 * skin apart, then
+        # close again to r, in two blocks; every distance is exact in floats.
+        # Each block is built where they are r + skin apart, reach ticks from
+        # its first row in range and from its last.
+        r, skin = 30.0, 8.0
+        neighbours = kernels.NeighbourList(skin, max_step)
+        t = np.arange(2 * neighbours.block)
+        s = max_step * np.minimum(t, t[-1] - t)
+        xs, ys = np.stack((-s, r + s), axis=1), np.zeros((len(t), 2))
+        found = []
+        for first in range(0, len(xs), neighbours.block):
+            rows = slice(first, first + neighbours.block)
+            a, b, ends = neighbours.pairs(xs[rows], ys[rows], r)
+            assert_rows_exact((a, b, ends), xs[rows], ys[rows], r)
+            found += np.diff([0, *ends]).tolist()
+            assert np.ptp(builds[-1].real) == r + skin
+        assert len(builds) == 2
+        assert found[0] == found[-1] == 1 and sum(found) == 2
 
     def test_returned_pairs_survive_later_calls(self, builds):
         # the list reuses its buffers on every call; what it returned earlier
         # must not change, whether later calls rebuild or only filter
         rng = np.random.default_rng(4)
         x, y = rng.random(300) * 800.0, rng.random(300) * 800.0  # the dense fleet's density
-        neighbours = kernels.NeighbourList(skin=60.0)
+        neighbours = kernels.NeighbourList(skin=60.0, max_step=math.hypot(12.0, 12.0))
         returned, kept = [], []
         for _ in range(12):
             a, b = kernels.contact_pairs(x, y, 100.0, neighbours)
@@ -390,7 +426,7 @@ class TestNeighbourList:
         n, r = 150, 20.0
         home_x, home_y = rng.random(n) * 1500.0, rng.random(n) * 1500.0
         pack_x, pack_y = 700.0 + rng.random(n) * 30.0, 700.0 + rng.random(n) * 30.0
-        neighbours = kernels.NeighbourList(skin=10.0)
+        neighbours = kernels.NeighbourList(skin=10.0, max_step=np.hypot(pack_x - home_x, pack_y - home_y).max() / 20.0)
         sizes = []
         for tick in range(41):
             share = 1.0 - abs(tick - 20) / 20.0  # 0 spread out, 1 packed
@@ -405,7 +441,7 @@ class TestNeighbourList:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_fleets_and_a_new_range(self, n):
-        neighbours = kernels.NeighbourList(skin=2.0)
+        neighbours = kernels.NeighbourList(skin=2.0, max_step=9.0)
         x = np.array([0.0, 9.0])[:n]
         y = np.zeros(n)
         for r, dx in [(10.0, 0.0), (10.0, 0.5), (10.0, 3.0), (10.0, 0.0), (8.0, 0.0), (12.0, 0.0), (12.0, -9.0)]:
@@ -417,9 +453,9 @@ class TestNeighbourList:
         assert n < 2 or len(a) == 1  # vehicle 1 ends 3.5 m from vehicle 0
 
     def test_a_new_fleet_size_rebuilds(self):
-        # every fleet stands within half the skin of the last one's vehicle
-        # 0, so only the change of size makes the list stale
-        neighbours = kernels.NeighbourList(skin=2.0)
+        # a list for a fleet that stands still never runs out of ticks, so
+        # only the change of size rebuilds it
+        neighbours = kernels.NeighbourList(skin=2.0, max_step=0.0)
         for n in (1, 5, 3, 0, 2):
             x, y = np.linspace(0.0, 0.5, n), np.zeros(n)
             a, b = kernels.contact_pairs(x, y, 10.0, neighbours)
@@ -436,7 +472,7 @@ class TestNeighbourList:
         x[n - 3], y[n - 3] = x[5], y[5] + 0.25
         x[n - 5], y[n - 5] = x[n - 4] - 0.75, y[n - 4]
         expected = [(5, n - 3), (n - 5, n - 4), (n - 2, n - 1)]
-        neighbours = kernels.NeighbourList(skin=0.5)
+        neighbours = kernels.NeighbourList(skin=0.5, max_step=0.1)
         for dy in (0.0, 0.1):  # a build, then a filter of the list it kept
             a, b = kernels.contact_pairs(x, y + dy, 1.0, neighbours)
             assert as_pair_list(a, b) == expected
@@ -461,7 +497,7 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
     twins = n // 5
     x[-twins:] = x[:twins] + 0.5 * radio_range
     y[-twins:] = y[:twins]
-    neighbours = kernels.NeighbourList(skin=0.0)
+    neighbours = kernels.NeighbourList(skin=0.0, max_step=0.0)
     a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
     ra, rb = reference_pairs(x, y, radio_range)
     assert np.array_equal(a, ra) and np.array_equal(b, rb)
@@ -471,16 +507,19 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
 
 
 @pytest.mark.parametrize(
-    "n,radio_range,max_step,skin",
+    "n,radio_range,max_step,skin,block",
     [
-        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, 100.0, 15.0, None),
-        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 100.0, 15.0, 60.0),  # half the skin is two ticks at top speed
-        (1000, 40.0, 15.0, 40.0),  # never wider than the range
-        (1000, 100.0, 0.0, 0.0),  # a fleet that stands still, as a one-shot search
+        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, 100.0, 15.0, None, 1),
+        (kernels.NEIGHBOUR_LIST_MIN_VEHICLES, 100.0, 15.0, 60.0, 5),  # half the skin is two ticks at top speed
+        (1000, 40.0, 15.0, 40.0, 3),  # never wider than the range: one tick either side
+        (1000, 100.0, 40.0, 100.0, 3),
+        (1000, 100.0, 60.0, 100.0, 1),  # a build serves its own tick alone
+        (1000, 100.0, 0.0, 0.0, 5),  # a fleet that stands still, as a one-shot search
     ],
 )
-def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin):
+def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin, block):
     neighbours = kernels.pair_list(n, radio_range, max_step)
+    assert neighbours.block == block
     if skin is None:
         assert type(neighbours) is kernels.AllPairs
         stand = np.zeros((1, n))  # every vehicle on one spot: all pairs in range

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanetsim.mobility import MobilityConfig, RandomWaypointModel, draw_rows
+from vanetsim.mobility import MAX_VEHICLES, MobilityConfig, RandomWaypointModel, draw_rows
 from vanetsim.model import ValidationError
 
 
@@ -80,6 +80,11 @@ class TestMobilityConfig:
             {"speed_max": 1e308, "tick_seconds": 10.0},
             {"speed_min": 1e300, "speed_max": 1e300, "tick_seconds": 1e10},
             {"arena_width": 10**400},  # an int too large for a float
+            # fleets whose pair codes a * n + b overflow int64
+            {"vehicle_count": MAX_VEHICLES + 1},
+            {"vehicle_count": 10**12},
+            {"vehicle_count": 10**400},
+            {"vehicle_count": np.uint64(2**64 - 1)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -88,6 +93,14 @@ class TestMobilityConfig:
 
     def test_accepts_a_numpy_integer_count(self):
         assert make_model(0, vehicle_count=np.int64(4)).pos.shape == (2, 4)
+
+    def test_vehicle_count_bound_is_the_largest_whose_pair_codes_fit_int64(self):
+        # the largest code is (n - 2) * n + (n - 1); only configs are made, never a fleet
+        top = int(np.iinfo(np.int64).max)
+        assert (MAX_VEHICLES - 2) * MAX_VEHICLES + MAX_VEHICLES - 1 <= top
+        assert (MAX_VEHICLES - 1) * (MAX_VEHICLES + 1) + MAX_VEHICLES > top
+        assert MobilityConfig(vehicle_count=MAX_VEHICLES).vehicle_count == MAX_VEHICLES
+        assert MobilityConfig(vehicle_count=np.int64(MAX_VEHICLES)).vehicle_count == MAX_VEHICLES
 
 
 class TestRandomWaypointModel:
