@@ -10,8 +10,8 @@ from the one pair list the run keeps (``kernels.pair_list``) by one
 ``contact_pairs`` call per block, with the row ends that split the
 block's pairs into its ticks, whatever the block's width. When no
 delivery can end the run, a block is up to the pair list's ``block``
-ticks: many for an all-pairs list, five for a Verlet list, so that a
-stale tick can build it from a later tick's positions. A run that
+ticks: many for an all-pairs list, up to five for a Verlet list, which
+one build at the block's middle tick serves. A run that
 settles on delivery steps and filters one-tick blocks, so it never steps
 past its delivery tick. Either way each tick's pairs are the same.
 ``_route_block`` hands the packet across a block's ticks in turn, each

@@ -480,8 +480,8 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
 
 
 def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):
-    # a dense fleet, 300 vehicles in 800 m: a stale tick builds the list
-    # from a later tick of its block, so one build serves ticks either side
+    # a dense fleet, 300 vehicles in 800 m: a build at a 5-tick block's
+    # middle tick serves the whole block, and one-tick calls build every third
     builds = []
     build = kernels.NeighbourList._build
     monkeypatch.setattr(kernels.NeighbourList, "_build",

@@ -378,16 +378,20 @@ class TestNeighbourList:
         kernels.contact_pairs(x, y, 20.0, neighbours)  # a new range builds at once
         assert len(builds) == done + 1
 
+    @pytest.mark.parametrize("slack", [1.0, 1.0 + 1e-12], ids=["exact", "rounded_up"])
     @pytest.mark.parametrize("max_step", [4.0, 2.0], ids=["reach_1", "reach_2"])
-    def test_pairs_at_the_edge_of_the_reach(self, builds, max_step):
+    def test_pairs_at_the_edge_of_the_reach(self, builds, max_step, slack):
         # two vehicles part at top speed from r to r + 2 * skin apart, then
-        # close again to r, in two blocks; every distance is exact in floats.
-        # Each block is built where they are r + skin apart, reach ticks from
-        # its first row in range and from its last.
+        # close again to r, in two blocks; each block is built at its middle
+        # row, where they are r + skin apart, reach ticks from a row in range.
+        # At "exact" every distance is exact in floats; "rounded_up" steps a
+        # hair past max_step, as a step's rounding may, which the list's
+        # margin covers.
         r, skin = 30.0, 8.0
         neighbours = kernels.NeighbourList(skin, max_step)
+        reach = (neighbours.block - 1) // 2
         t = np.arange(2 * neighbours.block)
-        s = max_step * np.minimum(t, t[-1] - t)
+        s = max_step * slack * np.minimum(t, t[-1] - t)
         xs, ys = np.stack((-s, r + s), axis=1), np.zeros((len(t), 2))
         found = []
         for first in range(0, len(xs), neighbours.block):
@@ -395,7 +399,7 @@ class TestNeighbourList:
             a, b, ends = neighbours.pairs(xs[rows], ys[rows], r)
             assert_rows_exact((a, b, ends), xs[rows], ys[rows], r)
             found += np.diff([0, *ends]).tolist()
-            assert np.ptp(builds[-1].real) == r + skin
+            assert np.array_equal(builds[-1].real, xs[first + reach])
         assert len(builds) == 2
         assert found[0] == found[-1] == 1 and sum(found) == 2
 
