@@ -12,11 +12,12 @@ Verlet ``NeighbourList`` of the pairs within ``r + skin`` (Verlet 1967),
 built by a cell-grid range search on a schedule set by how far a vehicle
 can move in a tick. The grid sorts vehicles by the key of a square cell a
 hair wider than the cutoff, so a pair in range lies in one cell or in two
-adjacent ones, and compares each cell with itself and four neighbours (cell lists; Allen & Tildesley, *Computer Simulation of
-Liquids*, §5.3). A table of per-cell counts, summed, gives where each
-cell's run of sorted vehicles starts. The cells widen on a wide or sparse
-fleet, so neither axis nor the grid has more than ``_CELLS_PER_VEHICLE``
-cells per vehicle and the table stays O(n) for any extents.
+adjacent ones, and compares each cell with itself and four neighbours
+(cell lists; Allen & Tildesley, *Computer Simulation of Liquids*, §5.3).
+A table of per-cell counts, summed, gives where each cell's run of sorted
+vehicles starts. The cells widen on a wide or sparse fleet, so neither
+axis nor the grid has more than ``_CELLS_PER_VEHICLE`` cells per vehicle
+and the table stays O(n) for any extents.
 ``benchmarks/bench_kernels.py`` times both lists per tick; where the
 Verlet list starts to beat all pairs sets the constant.
 

@@ -234,7 +234,6 @@ class TestStacks:
         side = 2.0 * r * max(n, 1) ** 0.5
         step = step_share * skin + lattice
         neighbours = kernels.NeighbourList(skin, math.hypot(step + 3.0 * skin * jump, step))
-        assert neighbours.reach == (0 if jump else math.inf if step == 0 else skin // (2.0 * math.hypot(step, step)))
         x, y = rng.random(n) * side, rng.random(n) * side
         for _ in range(6):  # later walks start from the list an earlier call built
             xs, ys = np.cumsum(rng.uniform(-1.0, 1.0, (2, k, n)) * step_share * skin, axis=1) + [[x], [y]]
