@@ -20,6 +20,11 @@ not from the trajectory: at top speed half the skin is 2 ticks, so a
 build serves the 2 ticks either side of it, which is every third tick
 a tick a call (34 builds in 101 ticks) and one build per five-tick
 block, from its middle tick (21).
+Each size times the two lists in alternating trial pairs over its one
+trajectory, at each width: all pairs then the Verlet list, then the
+other way round, seven pairs in all. A time is the median over trials,
+and each all/verlet ratio the median of the pairs' ratios, so a drift in
+the host's speed during a run moves both sides of a ratio alike.
 The baseline rows show where the Verlet list starts to beat the
 all-pairs list at each list's own block width, the widths every run
 that cannot end at a delivery filters at; that crossover is what
@@ -39,6 +44,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -52,6 +58,7 @@ TICK_SECONDS = 1.0
 DENSE = (300, 800.0)  # perfbench's dense_fleet: vehicles, arena side in metres
 MAX_STEP = SPEED_MAX * TICK_SECONDS  # the longest step a vehicle takes, as a run tells its Verlet list
 SKIN = kernels.pair_list(DENSE[0], RADIO_RANGE, MAX_STEP).skin  # a run's Verlet list skin
+TRIALS = 7  # trial pairs per size and width; an odd count, so each median is one pair's
 
 
 def baseline_arena(n: int) -> float:
@@ -97,24 +104,39 @@ class TimedNeighbourList(kernels.NeighbourList):
         self.builds += 1
 
 
-def time_per_tick(make_list, xs, ys, block=1):
-    """Best of three mean seconds per tick over the whole trajectory, and that trial's list.
+def per_tick(make_list, xs, ys, block=1):
+    """Mean seconds per tick over the whole trajectory, and the list that filtered it.
 
     ``make_list(n)`` returns a fresh pair list, so a list is built inside
     each trial, as it is in each run. Each call filters a block of
     ``block`` ticks' rows.
     """
-    best, best_list = float("inf"), None
-    ticks = len(xs)
-    for _ in range(3):
-        start = time.perf_counter()
-        pair_list = make_list(xs.shape[1])
-        for first in range(0, ticks, block):
-            pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
-        seconds = (time.perf_counter() - start) / ticks
-        if seconds < best:
-            best, best_list = seconds, pair_list
-    return best, best_list
+    start = time.perf_counter()
+    pair_list = make_list(xs.shape[1])
+    for first in range(0, len(xs), block):
+        pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
+    return (time.perf_counter() - start) / len(xs), pair_list
+
+
+def paired(xs, ys, all_block, verlet_block):
+    """All pairs against the Verlet list over one trajectory, in TRIALS trial pairs.
+
+    A pair runs its two trials back to back, all pairs first on even
+    trials and the Verlet list first on odd ones. Returns the median
+    seconds per tick of each, the median over pairs of all pairs' time
+    over the Verlet list's, and the Verlet list's median build seconds
+    per tick and its build count.
+    """
+    sides = (lambda: per_tick(kernels.AllPairs, xs, ys, all_block),
+             lambda: per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys, verlet_block))
+    runs = ([], [])
+    for trial in range(TRIALS):
+        for side in (0, 1) if trial % 2 == 0 else (1, 0):
+            runs[side].append(sides[side]())
+    (t_all, _), (t_verlet, verlets) = (zip(*side) for side in runs)
+    ratio = statistics.median(a / v for a, v in zip(t_all, t_verlet))
+    t_build = statistics.median(v.build_s for v in verlets) / len(xs)
+    return statistics.median(t_all), statistics.median(t_verlet), ratio, t_build, verlets[0].builds
 
 
 def since_first_win(crossover: int | None, n: int, ratio: float) -> int | None:
@@ -140,20 +162,16 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
     for n, arena in [(n, baseline_arena(n)) for n in sizes] + [DENSE]:
         xs, ys = trajectory(n, arena, ticks)
         block = kernels.AllPairs(n).block  # the width a run filters all pairs at
-        t_scan, _ = time_per_tick(lambda n: MatrixScan(), xs, ys)
-        t_all, _ = time_per_tick(kernels.AllPairs, xs, ys)
-        t_block, _ = time_per_tick(kernels.AllPairs, xs, ys, block)
-        t_verlet, verlet = time_per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys)
-        t_wide, wide = time_per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys, width)
-        t_build = verlet.build_s / len(xs)
-        ratio, ratio_block = t_all / t_verlet, t_block / t_wide
+        t_scan = statistics.median(per_tick(lambda n: MatrixScan(), xs, ys)[0] for _ in range(3))
+        t_all, t_verlet, ratio, t_build, builds = paired(xs, ys, 1, 1)
+        t_block, t_wide, ratio_block, _, wide_builds = paired(xs, ys, block, width)
         if (n, arena) != DENSE:
             crossover = since_first_win(crossover, n, ratio_block)
             crossover_row = since_first_win(crossover_row, n, ratio)
         print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {block:>5}"
-              f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {verlet.builds:>8}"
+              f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {builds:>8}"
               f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us"
-              f"  {t_wide * 1e6:>9.1f}us  {wide.builds:>11}  {ratio_block:>17.2f}x")
+              f"  {t_wide * 1e6:>9.1f}us  {wide_builds:>11}  {ratio_block:>17.2f}x")
     return crossover, crossover_row
 
 

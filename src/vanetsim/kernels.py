@@ -1,9 +1,11 @@
 """Hot per-tick kernels: radio contact detection.
 
-There is one cell-grid search, in numpy. Every contact test is the same
-predicate, ``dx*dx + dy*dy <= r*r``, and every pair list comes out sorted
-by (a, b) with a < b, so the choice of algorithm never changes a run's
-output.
+Every contact test is one function, ``_near``: ``dx*dx + dy*dy <= r*r``
+over pairs of positions held as one complex array, so that
+``(z[a] - z[b]).real`` is dx. It tests every pair of an all-pairs block
+at once, and a Verlet list's candidates in a build and its pairs in each
+row. Every pair list comes out sorted by (a, b) with a < b, so the choice
+of algorithm never changes a run's output.
 
 Every run keeps one pair list, from ``pair_list``, and filters every
 tick through it. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead
@@ -35,14 +37,12 @@ block, and never tested for staleness. ``contact_pairs`` is the one function
 that also takes a single tick's 1-D positions; without a list it filters
 a fresh list of the kind its fleet size would keep.
 
-The Verlet list keeps its pair-sized work arrays for its whole life, and
-each call gathers positions once, as one complex array. With 300 vehicles
-in 800 m a build tests ~18 000 candidate pairs and a tick filters ~7 400
-list pairs, so fresh temporaries would be 59-290 KB each: glibc maps those
-over its 128 KiB mmap threshold afresh on every call, and trims the heap
-above it, so their pages fault in again each time. ``AllPairs`` keeps
-plain temporaries, as its ``block`` holds each of them, and each of the
-index tables it keeps, to ``_BLOCK_BYTES``, under that threshold.
+Both lists keep ``_near``'s work arrays for their whole life: fresh
+temporaries past glibc's 128 KiB mmap threshold would be mapped afresh,
+their pages faulting in, on every call. ``AllPairs``'s are fixed, and its
+``block`` keeps each within ``_KEPT_BYTES``, that threshold. The Verlet
+list's grow with its candidates, ~18 000 in a build with 300 vehicles in
+800 m, so they pass the threshold when they grow, not on every call.
 """
 
 from __future__ import annotations
@@ -61,49 +61,62 @@ _CELL_MARGIN = 1e-6
 # any extents, keys stay far inside int64, and cell indices stay small
 # enough for _CELL_MARGIN to cover their rounding.
 _CELLS_PER_VEHICLE = 4
-# An all-pairs block keeps each temporary and each kept index table within
-# this many bytes, half glibc's 128 KiB mmap threshold, so a call reuses
-# heap pages instead of mapping fresh ones every time.
-_BLOCK_BYTES = 1 << 16
+# glibc's default mmap threshold: an all-pairs list keeps each of its
+# arrays, and each block's positions, within this many bytes.
+_KEPT_BYTES = 1 << 17
 # The neighbour list keeps pairs this much (relative) beyond r + skin, which
 # covers the rounding in the steps (within max_step * (1 + 1e-9)) and the distances.
 _LIST_MARGIN = 1e-9
 
 
+def _near(z: np.ndarray, a: np.ndarray, b: np.ndarray, cutoff: float, work) -> np.ndarray:
+    """Indices k of the pairs (a[k], b[k]) of points z within cutoff, computed in ``work``:
+    the caller's kept complex, complex and float arrays, each at least len(a) long."""
+    m = len(a)
+    za, zb, d2 = work
+    d = z.take(a, out=za[:m], mode="clip")
+    d -= z.take(b, out=zb[:m], mode="clip")
+    v = d.view(np.float64)  # dx, dy interleaved
+    v *= v
+    return (np.add(v[0::2], v[1::2], out=d2[:m]) <= cutoff * cutoff).nonzero()[0]
+
+
+def _positions(xs: np.ndarray, ys: np.ndarray, block: int) -> np.ndarray:
+    """A block's positions as one complex array, x + iy; a block taller than ``block`` is refused."""
+    if len(xs) > block:
+        raise ValueError(f"a block of {len(xs)} rows is taller than {block}")
+    z = np.empty(xs.shape, np.complex128)
+    z.real, z.imag = xs, ys
+    return z
+
+
 class AllPairs:
     """Every pair of an n-vehicle fleet, in (a, b) order; each call keeps those in range.
 
-    A block of k ticks is filtered as one flat array of k rows of pairs.
-    ``block`` is the most rows whose ``(k, pairs)`` arrays and ``(2, k, n)``
-    positions each fit in ``_BLOCK_BYTES``. For a whole block the list keeps
-    each flat pair's ends in the flat positions, its vehicle ids and where
-    each row's pairs end, so a call slices them to its k rows.
+    A block of k ticks is filtered as one flat array of k rows of m pairs,
+    gathered through index tables that add i * n to row i's pair ends, so
+    flat pair j is row j // m's pair j % m. ``block`` is the most rows for
+    which each array the list keeps, and a block's complex positions, fit
+    in ``_KEPT_BYTES``.
     """
 
     def __init__(self, n: int) -> None:
         v = np.arange(n)
-        pair = np.less.outer(v, v).nonzero()  # the pairs a < b, row-major, so in (a, b) order
-        m = len(pair[0])
-        self.block = max(1, _BLOCK_BYTES // (8 * max(m, 2 * n, 1)))
-        ids = np.empty((2, self.block, m), np.int64)
-        ids[:] = np.reshape(pair, (2, 1, m))
-        self._a, self._b = ids.reshape(2, -1)
-        self._fa, self._fb = (ids + n * np.arange(self.block)[:, None]).reshape(2, -1)  # row i's: + i * n
-        self._ends = np.arange(1, self.block + 1) * m
+        self.a, self.b = np.less.outer(v, v).nonzero()  # the pairs a < b, row-major, so in (a, b) order
+        m = len(self.a)
+        self.block = max(1, _KEPT_BYTES // (16 * max(m, n, 1)))
+        rows = n * np.arange(self.block)[:, None]
+        self._fa, self._fb = (self.a + rows).ravel(), (self.b + rows).ravel()
+        self._ends = m * np.arange(1, self.block + 1)  # where each row's pairs end in the flat block
+        size = self.block * m
+        self._work = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size)
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
-        k = len(xs)
-        m = self._ends[k - 1]  # a block taller than ``block`` fails here
-        fa, fb = self._fa[:m], self._fb[:m]
-        x, y = xs.ravel(), ys.ravel()
-        dx, dy = x[fa], y[fa]
-        dx -= x[fb]  # in place: at most three temporaries live at once
-        dy -= y[fb]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        near = (dx <= radio_range * radio_range).nonzero()[0]  # row by row, each in (a, b) order
-        return self._a[near], self._b[near], near.searchsorted(self._ends[:k]).tolist()
+        k, m = len(xs), len(self.a)
+        z = _positions(xs, ys, self.block).ravel()
+        near = _near(z, self._fa[:k * m], self._fb[:k * m], radio_range, self._work)  # row by row, in (a, b) order
+        pair = near % m
+        return self.a[pair], self.b[pair], near.searchsorted(self._ends[:k]).tolist()
 
 
 class NeighbourList:
@@ -145,20 +158,9 @@ class NeighbourList:
 
     def _grow(self, size: int) -> None:
         """Buffers for ``size`` pairs: the list is a prefix of ``_a`` and ``_b``."""
-        self._za, self._zb = np.empty(size, np.complex128), np.empty(size, np.complex128)
-        self._d2 = np.empty(size)
+        self._work = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size)
         self._a, self._b = np.empty(size, np.int64), np.empty(size, np.int64)
         self._iota = np.arange(size, dtype=np.int64)
-
-    def _near(self, z: np.ndarray, a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
-        """Indices k of the pairs (a[k], b[k]) of points z that lie within cutoff."""
-        m = len(a)
-        d = z.take(a, out=self._za[:m], mode="clip")
-        d -= z.take(b, out=self._zb[:m], mode="clip")
-        v = d.view(np.float64)  # dx, dy interleaved
-        v *= v
-        d2 = np.add(v[0::2], v[1::2], out=self._d2[:m])
-        return (d2 <= cutoff * cutoff).nonzero()[0]
 
     def _build(self, z: np.ndarray, cutoff: float) -> None:
         """Every pair within cutoff, sorted by (a, b), from a cell-grid range search."""
@@ -200,12 +202,12 @@ class NeighbourList:
         end = first.take(np.concatenate((sorted_key + 2, sorted_key + (rows + 2))))
         count = end - start
         total = int(count.sum())
-        if total > len(self._d2):
-            self._grow(max(total, 2 * len(self._d2)))
+        if total > len(self._a):
+            self._grow(max(total, 2 * len(self._a)))
         owner = np.repeat(np.concatenate((pos, pos)), count)
         other = np.repeat(start - (np.cumsum(count) - count), count)
         other += self._iota[:total]  # the k-th candidate of an owner sits at start + k
-        near = self._near(z[order], owner, other, cutoff)
+        near = _near(z[order], owner, other, cutoff, self._work)
 
         # the pairs in range as (min, max) of their vehicle indices, sorted
         # by the code a * n + b
@@ -225,10 +227,7 @@ class NeighbourList:
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
         k, n = xs.shape
-        if k > self.block:
-            raise ValueError(f"a block of {k} rows is taller than {self.block}")
-        z = np.empty(xs.shape, np.complex128)  # one gather per pair end: (z[a] - z[b]).real == dx
-        z.real, z.imag = xs, ys
+        z = _positions(xs, ys, self.block)
         if self._served < k or radio_range != self.radio_range or n != self._n:
             c = int(min(self.reach, k - 1))  # serves rows 0 to c + reach, every row of the call
             self._build(z[c], (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
@@ -236,7 +235,7 @@ class NeighbourList:
         self._served -= k
         a, b, ends, end = [], [], [], 0
         for row in z:
-            near = self._near(row, self.a, self.b, radio_range)
+            near = _near(row, self.a, self.b, radio_range, self._work)
             a.append(self.a[near])
             b.append(self.b[near])
             end += len(near)

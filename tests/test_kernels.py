@@ -261,15 +261,40 @@ class TestStacks:
         assert len(found) == 2
         assert np.array_equal(found[0], reference_pairs(x, y, 50.0)[0])
 
-    def test_block_keeps_temporaries_under_the_mmap_threshold(self):
+    def test_lists_keep_their_work_arrays_under_one_policy(self):
+        # each list keeps the predicate's work arrays for its life; all pairs
+        # keeps every array, and sizes its block's positions, within 128 KiB
         for n in (2, 15, 40, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1):
             neighbours = kernels.AllPairs(n)
-            per_tick = 8 * max(n * (n - 1) // 2, 2 * n)  # the widest (k, ...) float array of a tick
-            assert neighbours.block >= 1 and neighbours.block * per_tick < 128 * 1024
-            assert all(buf.nbytes <= 64 * 1024 for buf in buffers(neighbours))
+            assert neighbours.block >= 1 and 16 * neighbours.block * n <= 128 * 1024
+            assert all(buf.nbytes <= 128 * 1024 for buf in buffers(neighbours))
         assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
         # a build serves reach ticks either side of it at top speed: 2, 1, 0 and unbounded
         assert [kernels.NeighbourList(1.0, step).block for step in (0.25, 0.4, 0.6, 0.0)] == [5, 3, 1, 5]
+        # a dense Verlet fleet, 300 vehicles in 800 m, grows its arrays with its
+        # ~11 000 candidates, past the threshold, on its first build and then keeps them
+        rng = np.random.default_rng(2)
+        xs, ys = walk(rng, *rng.random((2, 300)) * 800.0, 60, 15.0)
+        neighbours = kernels.NeighbourList(60.0, 15.0)
+        kept = []
+        for first in range(0, 60, neighbours.block):
+            rows = slice(first, first + neighbours.block)
+            neighbours.pairs(xs[rows], ys[rows], 100.0)
+            kept.append({id(buf) for buf in buffers(neighbours) if buf.nbytes > 128 * 1024})
+        assert kept[0] and all(ids == kept[0] for ids in kept)
+
+    def test_every_distance_test_is_the_one_predicate(self, monkeypatch):
+        calls = []
+        near = kernels._near
+        monkeypatch.setattr(kernels, "_near", lambda z, a, *rest: calls.append(len(a)) or near(z, a, *rest))
+        rng = np.random.default_rng(8)
+        xs, ys = np.repeat(rng.random((2, 1, 15)) * 200.0, 3, axis=1)  # a fleet that stands still, 3 ticks
+        assert_rows_exact(kernels.AllPairs(15).pairs(xs, ys, 50.0), xs, ys, 50.0)
+        assert calls == [3 * 105]  # one test of the whole flat block
+        calls.clear()
+        neighbours = kernels.NeighbourList(10.0, 0.0)
+        assert_rows_exact(neighbours.pairs(xs, ys, 50.0), xs, ys, 50.0)
+        assert len(calls) == 4 and calls[1:] == [len(neighbours.a)] * 3  # a build, then each row
 
 
 def assert_rows_exact(found, xs, ys, radio_range):
@@ -283,8 +308,9 @@ def assert_rows_exact(found, xs, ys, radio_range):
 
 
 def buffers(neighbours):
-    """The arrays a neighbour list keeps between calls."""
-    return [v for v in vars(neighbours).values() if isinstance(v, np.ndarray)]
+    """The arrays a pair list keeps between calls, its work arrays among them."""
+    kept = [v for v in vars(neighbours).values() if isinstance(v, np.ndarray)]
+    return kept + list(neighbours._work)
 
 
 @pytest.fixture

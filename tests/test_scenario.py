@@ -1,9 +1,16 @@
 import itertools
 import math
+import tempfile
+import warnings
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vanetsim.cli import main
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.mobility import MobilityConfig
@@ -211,6 +218,50 @@ class TestScenarioFromDict:
         assert scenario_hash(sc) == (
             "ff23466f2600c33eeb37dbcfb33ca45dd73ff270b553d80fb394b08674890009"
         )
+
+
+# a scenario small enough to run in a few milliseconds: 10 vehicles for 20 ticks
+SMALL = scenario_from_dict({"mobility": {"vehicle_count": 10, "arena_width": 500.0, "arena_height": 500.0},
+                            "engine": {"duration": 20.0}, "packet": {"deadline": 20.0}})
+# every key a scenario file can set: the top-level fields, each section's fields and the weights' keys
+FIELD_PATHS = [(f.name,) for f in fields(Scenario)]
+FIELD_PATHS += [(f.name, g.name) for f in fields(Scenario) if is_dataclass(getattr(SMALL, f.name))
+                for g in fields(getattr(SMALL, f.name))]
+FIELD_PATHS += [("incentives", "weights", key) for key in SMALL.to_dict()["incentives"]["weights"]]
+EXTREME_VALUES = [
+    10**400, 2**64,  # past the float range, past uint64
+    5e-324, -5e-324, 0, 0.0, -0.0, 1e308, -1e308,
+    math.nan, math.inf, -math.inf,
+    True, False, "x", [1.0], {"a": 1}, None,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=st.sampled_from(EXTREME_VALUES))
+def test_an_extreme_value_in_any_field_is_refused_or_runs(path, value):
+    # one field at a time: the document is refused with ValidationError and
+    # validate exits 1, or it is accepted, validate exits 0 and the run exits 0
+    doc = SMALL.to_dict()  # a fresh document each time
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValidationError:
+        scenario = None
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "extreme.yaml"
+        file.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["validate", "--scenario", str(file)]) == (1 if scenario is None else 0)
+        if scenario is None:
+            return
+        # one field of a small scenario changed: never a large fleet or a long run
+        ticks = min(scenario.engine.duration, scenario.packet.deadline) / scenario.mobility.tick_seconds
+        assert scenario.mobility.vehicle_count <= 20 and ticks <= 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(file), "--out", tmp]) == 0
 
 
 class TestScenarioHash:
