@@ -81,11 +81,11 @@ def trajectory(n: int, arena: float, ticks: int) -> tuple[np.ndarray, np.ndarray
 class MatrixScan:
     """The quadratic oracle: a full distance matrix, upper triangle, over a block of one row."""
 
-    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+    def pairs(self, xs: np.ndarray, ys: np.ndarray):
         (x,), (y,) = xs, ys
         dx = x[:, None] - x[None, :]
         dy = y[:, None] - y[None, :]
-        ii, jj = np.nonzero(dx * dx + dy * dy <= radio_range * radio_range)
+        ii, jj = np.nonzero(dx * dx + dy * dy <= RADIO_RANGE * RADIO_RANGE)
         keep = ii < jj
         return ii[keep], jj[keep], [np.count_nonzero(keep)]
 
@@ -93,8 +93,8 @@ class MatrixScan:
 class TimedNeighbourList(kernels.NeighbourList):
     """A Verlet list that counts its builds and the seconds they take."""
 
-    def __init__(self, skin: float, max_step: float) -> None:
-        super().__init__(skin, max_step)
+    def __init__(self, radio_range: float, skin: float, max_step: float) -> None:
+        super().__init__(radio_range, skin, max_step)
         self.builds, self.build_s = 0, 0.0
 
     def _build(self, z: np.ndarray, cutoff: float) -> None:
@@ -114,7 +114,7 @@ def per_tick(make_list, xs, ys, block=1):
     start = time.perf_counter()
     pair_list = make_list(xs.shape[1])
     for first in range(0, len(xs), block):
-        pair_list.pairs(xs[first:first + block], ys[first:first + block], RADIO_RANGE)
+        pair_list.pairs(xs[first:first + block], ys[first:first + block])
     return (time.perf_counter() - start) / len(xs), pair_list
 
 
@@ -127,8 +127,8 @@ def paired(xs, ys, all_block, verlet_block):
     over the Verlet list's, and the Verlet list's median build seconds
     per tick and its build count.
     """
-    sides = (lambda: per_tick(kernels.AllPairs, xs, ys, all_block),
-             lambda: per_tick(lambda n: TimedNeighbourList(SKIN, MAX_STEP), xs, ys, verlet_block))
+    sides = (lambda: per_tick(lambda n: kernels.AllPairs(n, RADIO_RANGE), xs, ys, all_block),
+             lambda: per_tick(lambda n: TimedNeighbourList(RADIO_RANGE, SKIN, MAX_STEP), xs, ys, verlet_block))
     runs = ([], [])
     for trial in range(TRIALS):
         for side in (0, 1) if trial % 2 == 0 else (1, 0):
@@ -152,7 +152,7 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
     The first is at each list's own block width, the second a tick a call.
     """
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
-    width = kernels.NeighbourList(SKIN, MAX_STEP).block
+    width = kernels.NeighbourList(RADIO_RANGE, SKIN, MAX_STEP).block
     header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
               f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}"
               f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}  {'all/verlet, blocks':>18}")
@@ -161,7 +161,7 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
     crossover = crossover_row = None
     for n, arena in [(n, baseline_arena(n)) for n in sizes] + [DENSE]:
         xs, ys = trajectory(n, arena, ticks)
-        block = kernels.AllPairs(n).block  # the width a run filters all pairs at
+        block = kernels.AllPairs(n, RADIO_RANGE).block  # the width a run filters all pairs at
         t_scan = statistics.median(per_tick(lambda n: MatrixScan(), xs, ys)[0] for _ in range(3))
         t_all, t_verlet, ratio, t_build, builds = paired(xs, ys, 1, 1)
         t_block, t_wide, ratio_block, _, wide_builds = paired(xs, ys, block, width)

@@ -220,7 +220,7 @@ def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
         for slot in slots[1:k]:
             step()
             slot[...] = model.pos
-        a, b, ends = contact_pairs(xs[:k], ys[:k], radio_range, neighbours)
+        a, b, ends = contact_pairs(xs[:k], ys[:k], neighbours)
         yield first, xs[:k], ys[:k], a, b, ends
 
 

@@ -23,7 +23,8 @@ and the table stays O(n) for any extents.
 ``benchmarks/bench_kernels.py`` times both lists per tick; where the
 Verlet list starts to beat all pairs sets the constant.
 
-Both lists have one entry point, ``pairs(xs, ys, r)``: it filters a
+A list serves one run, so its radio range is fixed when it is made.
+Both lists have one entry point, ``pairs(xs, ys)``: it filters a
 ``(k, n)`` block of the x and y positions of k ticks, at most the list's
 ``block``, and returns ``(a, b, ends)``, where row i's pairs are
 ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for row 0). ``AllPairs``
@@ -33,9 +34,8 @@ its caller's contract is that successive rows are successive ticks, each
 moving a vehicle at most ``max_step``: a list built at tick c then serves
 every tick within ``skin / (2 * max_step)`` ticks of c, before c as well
 as after, so it is built at most once a call, from a middle row of the
-block, and never tested for staleness. ``contact_pairs`` is the one function
-that also takes a single tick's 1-D positions; without a list it filters
-a fresh list of the kind its fleet size would keep.
+block, and never tested for staleness. ``contact_pairs(xs, ys, neighbours)``
+is the one call the engine makes a block.
 
 Both lists keep ``_near``'s work arrays for their whole life: fresh
 temporaries past glibc's 128 KiB mmap threshold would be mapped afresh,
@@ -100,7 +100,8 @@ class AllPairs:
     in ``_KEPT_BYTES``.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, radio_range: float) -> None:
+        self.radio_range = radio_range
         v = np.arange(n)
         self.a, self.b = np.less.outer(v, v).nonzero()  # the pairs a < b, row-major, so in (a, b) order
         m = len(self.a)
@@ -111,10 +112,11 @@ class AllPairs:
         size = self.block * m
         self._work = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size)
 
-    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
+    def pairs(self, xs: np.ndarray, ys: np.ndarray):
         k, m = len(xs), len(self.a)
         z = _positions(xs, ys, self.block).ravel()
-        near = _near(z, self._fa[:k * m], self._fb[:k * m], radio_range, self._work)  # row by row, in (a, b) order
+        # row by row, in (a, b) order
+        near = _near(z, self._fa[:k * m], self._fb[:k * m], self.radio_range, self._work)
         pair = near % m
         return self.a[pair], self.b[pair], near.searchsorted(self._ends[:k]).tolist()
 
@@ -130,12 +132,12 @@ class NeighbourList:
     c - reach to c + reach exactly (Verlet 1967); ``reach`` is unbounded
     when ``max_step`` is 0. The list keeps only a count of the rows it
     still serves. A call of k rows builds it at most once, from row
-    ``min(reach, k - 1)``: when that count does not cover the k rows, or
-    on a new radio range or fleet size. Every row is then filtered through
-    that one list. ``block``, the most rows a call takes, is
-    ``min(5, 2 * reach + 1)``: at ``pair_list``'s skin, reach is 2 ticks
-    at top speed, so one build serves a 5-tick block from its middle row;
-    once the skin is capped at the radio range, 3 or 1.
+    ``min(reach, k - 1)``, when that count does not cover the k rows.
+    Every row is then filtered through that one list. ``block``, the most
+    rows a call takes, is ``min(5, 2 * reach + 1)``: at ``pair_list``'s
+    skin, reach is 2 ticks at top speed, so one build serves a 5-tick
+    block from its middle row; once the skin is capped at the radio
+    range, 3 or 1.
 
     The list, the build's count table and the arrays of every distance
     test live in buffers the list keeps for its whole life; a build that
@@ -145,13 +147,11 @@ class NeighbourList:
     returns.
     """
 
-    def __init__(self, skin: float, max_step: float) -> None:
-        self.skin = skin
+    def __init__(self, radio_range: float, skin: float, max_step: float) -> None:
+        self.radio_range, self.skin = radio_range, skin
         self.reach = skin // (2.0 * max_step) if max_step else math.inf  # the exact floor of the ratio
         self.block = int(min(5, 2 * self.reach + 1))
-        self.radio_range: float | None = None  # none yet: the first call builds the list
-        self._n = -1
-        self._served = 0  # rows after the last call that the list still serves
+        self._served = 0  # rows after the last call that the list still serves; none yet
         self._first = np.zeros(1, np.int64)  # the count table; its first entry stays 0
         self._grow(0)
         self.a, self.b = self._a, self._b
@@ -225,17 +225,17 @@ class NeighbourList:
         np.subtract(code, np.multiply(a, n, out=b), out=b)
         self.a, self.b = a, b
 
-    def pairs(self, xs: np.ndarray, ys: np.ndarray, radio_range: float):
-        k, n = xs.shape
+    def pairs(self, xs: np.ndarray, ys: np.ndarray):
+        k = len(xs)
         z = _positions(xs, ys, self.block)
-        if self._served < k or radio_range != self.radio_range or n != self._n:
+        if self._served < k:
             c = int(min(self.reach, k - 1))  # serves rows 0 to c + reach, every row of the call
-            self._build(z[c], (radio_range + self.skin) * (1.0 + _LIST_MARGIN))
-            self.radio_range, self._n, self._served = radio_range, n, c + self.reach + 1
+            self._build(z[c], (self.radio_range + self.skin) * (1.0 + _LIST_MARGIN))
+            self._served = c + self.reach + 1
         self._served -= k
         a, b, ends, end = [], [], [], 0
         for row in z:
-            near = _near(row, self.a, self.b, radio_range, self._work)
+            near = _near(row, self.a, self.b, self.radio_range, self._work)
             a.append(self.a[near])
             b.append(self.b[near])
             end += len(near)
@@ -244,27 +244,14 @@ class NeighbourList:
 
 
 def pair_list(n: int, radio_range: float, max_step: float) -> AllPairs | NeighbourList:
-    """The pair list for n vehicles that each move at most ``max_step`` a tick."""
+    """The pair list for n vehicles in ``radio_range`` that each move at most ``max_step`` a tick."""
     if n < NEIGHBOUR_LIST_MIN_VEHICLES:
-        return AllPairs(n)
+        return AllPairs(n, radio_range)
     # half the skin is 2 ticks at top speed: a build at a 5-tick block's middle
     # row serves the whole block
-    return NeighbourList(min(radio_range, 4.0 * max_step), max_step)
+    return NeighbourList(radio_range, min(radio_range, 4.0 * max_step), max_step)
 
 
-def contact_pairs(x: np.ndarray, y: np.ndarray, radio_range: float,
-                  neighbours: AllPairs | NeighbourList | None = None):
-    """Unordered vehicle-index pairs within radio range, sorted by (a, b).
-
-    ``x`` and ``y`` hold one tick's positions, and the pairs come as
-    ``(a, b)``; or a block of ticks, and they come with its row ends as the
-    list's ``pairs`` returns them. With ``neighbours`` the pairs come from
-    (and refresh) that list; without it this is a one-shot search through
-    a fresh ``pair_list`` of a fleet that stands still.
-    """
-    if neighbours is None:
-        neighbours = pair_list(x.shape[-1], radio_range, 0.0)
-    if x.ndim == 2:
-        return neighbours.pairs(x, y, radio_range)
-    a, b, _ = neighbours.pairs(x[None], y[None], radio_range)
-    return a, b
+def contact_pairs(xs: np.ndarray, ys: np.ndarray, neighbours: AllPairs | NeighbourList):
+    """A block's vehicle-index pairs within the list's radio range, as ``neighbours.pairs`` returns them."""
+    return neighbours.pairs(xs, ys)

@@ -139,8 +139,8 @@ def _section(cls, raw, label: str, problems: list[str]):
 def _scenario_problems(sc: Scenario) -> list[str]:
     """Rules on the top-level fields and across sections; the endpoint, scale and tick rules are the engine's."""
     problems = []
-    if not sc.name or "/" in sc.name or "\\" in sc.name:
-        problems.append("name: must be a non-empty file stem without / or \\")
+    if not sc.name or "/" in sc.name or "\\" in sc.name or "\0" in sc.name:
+        problems.append("name: must be a non-empty file stem without /, \\ or NUL")
     if sc.seed < 0:
         problems.append("seed: must be non-negative")
     if not sc.safety_deadline_cap > 0:

@@ -202,6 +202,12 @@ def reference_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
     return ii[keep].astype(np.int64), jj[keep].astype(np.int64)
 
 
+def fresh_list_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
+    """One tick's ``(a, b)`` through a fresh ``kernels.pair_list`` for a fleet that stands still."""
+    a, b, _ = kernels.pair_list(len(x), radio_range, 0.0).pairs(x[None], y[None])
+    return a, b
+
+
 def contact_ticks(blocks):
     """The blocks ``engine.contacts`` yields, split at their row ends: ``(tick, x, y, a, b)``, a tick each."""
     for first, xs, ys, a, b, ends in blocks:
@@ -235,7 +241,7 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
         # filters the pair list engine.run keeps
         for _, x, y, a, b in contact_ticks(contacts(model, radio, 25)):
             ref_a, ref_b = reference_pairs(x, y, radio)
-            for got_a, got_b in ((a, b), kernels.contact_pairs(x, y, radio)):
+            for got_a, got_b in ((a, b), fresh_list_pairs(x, y, radio)):
                 assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
             ticks_checked += 1
     elapsed = time.perf_counter() - start

@@ -9,11 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import reference_run
-from test_acceptance import contact_ticks
+from test_acceptance import contact_ticks, fresh_list_pairs
 from vanetsim import engine, kernels, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
-from vanetsim.kernels import contact_pairs
 from vanetsim.metrics import build_summary, summary_to_json
 from vanetsim.mobility import MobilityConfig, RandomWaypointModel
 from vanetsim.model import ForwardingTree, Scheme, ValidationError, WeightSet
@@ -435,13 +434,13 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
     builds, rows = [], []
     init, pairs = kernels.AllPairs.__init__, kernels.AllPairs.pairs
 
-    def counting_init(self, n):
+    def counting_init(self, n, radio_range):
         builds.append(n)
-        init(self, n)
+        init(self, n, radio_range)
 
-    def counting_pairs(self, x, y, radio_range):
-        rows.append(len(x) if x.ndim == 2 else 1)
-        return pairs(self, x, y, radio_range)
+    def counting_pairs(self, x, y):
+        rows.append(len(x))
+        return pairs(self, x, y)
 
     def no_search(*args):
         raise AssertionError("a run with an all-pairs list never searches the cell grid")
@@ -501,10 +500,10 @@ def test_every_contact_comes_through_engine_contact_pairs(monkeypatch, n, settle
     # traced benchmarks count a run's contacts as the pairs engine.contact_pairs returns
     returned, rows = [], []
 
-    def counting(x, y, radio_range, neighbours):
-        found = contact_pairs(x, y, radio_range, neighbours)
+    def counting(x, y, neighbours):
+        found = kernels.contact_pairs(x, y, neighbours)
         returned.append(len(found[0]))
-        rows.append(len(x) if x.ndim == 2 else 1)
+        rows.append(len(x))
         return found
 
     monkeypatch.setattr(engine, "contact_pairs", counting)
@@ -558,7 +557,7 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         if tick:
             model.step()
         now = model.now
-        a, b = contact_pairs(model.pos[0], model.pos[1], eng.radio_range)
+        a, b = fresh_list_pairs(model.pos[0], model.pos[1], eng.radio_range)
         contact_events += len(a)
         pairs = list(zip(a.tolist(), b.tolist()))
         carried_at_start = set(tree.depth)

@@ -1,4 +1,4 @@
-"""Contact detection (the cell grid, the one-shot search and both pair lists) against oracles."""
+"""Contact detection (the cell grid, both pair lists and a fresh list as a run picks it) against oracles."""
 
 import math
 import warnings
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import reference_pairs
+from test_acceptance import fresh_list_pairs, reference_pairs
 from vanetsim import kernels
 
 
@@ -29,7 +29,7 @@ def as_pair_list(a, b):
 
 def grid_pairs(x, y, radio_range):
     """The cell-grid search alone, at exactly radio_range: a fresh list's build."""
-    neighbours = kernels.NeighbourList(0.0, 0.0)
+    neighbours = kernels.NeighbourList(radio_range, 0.0, 0.0)
     z = np.empty(len(x), np.complex128)
     z.real, z.imag = x, y
     neighbours._build(z, radio_range)
@@ -37,12 +37,13 @@ def grid_pairs(x, y, radio_range):
 
 
 def all_pairs(x, y, radio_range):
-    return kernels.contact_pairs(x, y, radio_range, kernels.AllPairs(len(x)))
+    a, b, _ = kernels.AllPairs(len(x), radio_range).pairs(x[None], y[None])
+    return a, b
 
 
 @pytest.fixture(params=["all_pairs", "grid", "one_shot"])
 def pair_fn(request):
-    return {"all_pairs": all_pairs, "grid": grid_pairs, "one_shot": kernels.contact_pairs}[request.param]
+    return {"all_pairs": all_pairs, "grid": grid_pairs, "one_shot": fresh_list_pairs}[request.param]
 
 
 class TestContactPairs:
@@ -162,7 +163,7 @@ class TestContactPairs:
         arena = 800.0 * (n / 15.0) ** 0.5  # baseline density
         x = rng.random(n) * arena
         y = rng.random(n) * arena
-        a, b = kernels.contact_pairs(x, y, 100.0)
+        a, b = fresh_list_pairs(x, y, 100.0)
         na, nb = reference_pairs(x, y, 100.0)
         assert len(a) > 0
         assert a.dtype == b.dtype == np.int64
@@ -185,27 +186,27 @@ class TestStacks:
     @example(seed=1, n=kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, lattice=True, data=None)
     def test_all_pairs_stack_equals_each_row(self, seed, n, lattice, data):
         # on the integer lattice 3-4-5 and axis-aligned ties at exactly r are common
-        neighbours = kernels.AllPairs(n)
+        r = 5.0
+        neighbours = kernels.AllPairs(n, r)
         # the explicit examples take a whole block
         k = neighbours.block if data is None else data.draw(st.integers(1, neighbours.block), label="k")
         rng = np.random.default_rng(seed)
-        r = 5.0
         side = 2.0 * r * max(n, 1) ** 0.5
         x, y = rng.random((k, n)) * side, rng.random((k, n)) * side
         if lattice:
             x, y = np.round(x), np.round(y)
-        a, b, ends = kernels.contact_pairs(x, y, r, neighbours)
+        a, b, ends = kernels.contact_pairs(x, y, neighbours)
         assert a.dtype == b.dtype == np.int64
         assert len(ends) == k and ends[-1] == len(a)
         for i, (start, end) in enumerate(zip([0, *ends], ends)):
-            ea, eb = kernels.contact_pairs(x[i], y[i], r, neighbours)
+            ea, eb, _ = neighbours.pairs(x[i:i + 1], y[i:i + 1])
             assert np.array_equal(a[start:end], ea) and np.array_equal(b[start:end], eb)
 
     def test_neighbour_list_block_is_one_row(self):
         rng = np.random.default_rng(3)
         n = kernels.NEIGHBOUR_LIST_MIN_VEHICLES + 50
         x, y = rng.random((1, n)) * 300.0, rng.random((1, n)) * 300.0
-        a, b, ends = kernels.contact_pairs(x, y, 30.0)  # one-shot: a fresh Verlet list
+        a, b, ends = kernels.pair_list(n, 30.0, 0.0).pairs(x, y)  # a fresh Verlet list
         ea, eb = reference_pairs(x[0], y[0], 30.0)
         assert ends == [len(a)] and np.array_equal(a, ea) and np.array_equal(b, eb)
 
@@ -233,7 +234,7 @@ class TestStacks:
         r, skin = 10.0, 4.0
         side = 2.0 * r * max(n, 1) ** 0.5
         step = step_share * skin + lattice
-        neighbours = kernels.NeighbourList(skin, math.hypot(step + 3.0 * skin * jump, step))
+        neighbours = kernels.NeighbourList(r, skin, math.hypot(step + 3.0 * skin * jump, step))
         x, y = rng.random(n) * side, rng.random(n) * side
         for _ in range(6):  # later walks start from the list an earlier call built
             xs, ys = np.cumsum(rng.uniform(-1.0, 1.0, (2, k, n)) * step_share * skin, axis=1) + [[x], [y]]
@@ -243,43 +244,35 @@ class TestStacks:
                 xs, ys = np.round(xs), np.round(ys)
             for first in range(0, k, neighbours.block):
                 rows = slice(first, first + neighbours.block)
-                assert_rows_exact(neighbours.pairs(xs[rows], ys[rows], r), xs[rows], ys[rows], r)
+                assert_rows_exact(neighbours.pairs(xs[rows], ys[rows]), xs[rows], ys[rows], r)
             x, y = xs[-1], ys[-1]
 
-    @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15), kernels.NeighbourList(1.0, 0.25)],
+    @pytest.mark.parametrize("neighbours", [kernels.AllPairs(15, 1.0), kernels.NeighbourList(1.0, 1.0, 0.25)],
                              ids=["all_pairs", "neighbour_list"])
     def test_a_block_taller_than_block_is_refused(self, neighbours):
         xs = np.zeros((neighbours.block + 1, 15))
         with pytest.raises((IndexError, ValueError)):
-            neighbours.pairs(xs, xs, 1.0)
-
-    def test_one_tick_is_filtered_as_before(self):
-        # a 1-D tick gives the pairs alone
-        rng = np.random.default_rng(5)
-        x, y = rng.random(30) * 200.0, rng.random(30) * 200.0
-        found = kernels.contact_pairs(x, y, 50.0)
-        assert len(found) == 2
-        assert np.array_equal(found[0], reference_pairs(x, y, 50.0)[0])
+            neighbours.pairs(xs, xs)
 
     def test_lists_keep_their_work_arrays_under_one_policy(self):
         # each list keeps the predicate's work arrays for its life; all pairs
         # keeps every array, and sizes its block's positions, within 128 KiB
         for n in (2, 15, 40, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1):
-            neighbours = kernels.AllPairs(n)
+            neighbours = kernels.AllPairs(n, 100.0)
             assert neighbours.block >= 1 and 16 * neighbours.block * n <= 128 * 1024
             assert all(buf.nbytes <= 128 * 1024 for buf in buffers(neighbours))
-        assert kernels.AllPairs(15).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
+        assert kernels.AllPairs(15, 100.0).block == 78  # 105 pairs: 301 baseline ticks in 4 calls
         # a build serves reach ticks either side of it at top speed: 2, 1, 0 and unbounded
-        assert [kernels.NeighbourList(1.0, step).block for step in (0.25, 0.4, 0.6, 0.0)] == [5, 3, 1, 5]
+        assert [kernels.NeighbourList(1.0, 1.0, step).block for step in (0.25, 0.4, 0.6, 0.0)] == [5, 3, 1, 5]
         # a dense Verlet fleet, 300 vehicles in 800 m, grows its arrays with its
         # ~11 000 candidates, past the threshold, on its first build and then keeps them
         rng = np.random.default_rng(2)
         xs, ys = walk(rng, *rng.random((2, 300)) * 800.0, 60, 15.0)
-        neighbours = kernels.NeighbourList(60.0, 15.0)
+        neighbours = kernels.NeighbourList(100.0, 60.0, 15.0)
         kept = []
         for first in range(0, 60, neighbours.block):
             rows = slice(first, first + neighbours.block)
-            neighbours.pairs(xs[rows], ys[rows], 100.0)
+            neighbours.pairs(xs[rows], ys[rows])
             kept.append({id(buf) for buf in buffers(neighbours) if buf.nbytes > 128 * 1024})
         assert kept[0] and all(ids == kept[0] for ids in kept)
 
@@ -289,11 +282,11 @@ class TestStacks:
         monkeypatch.setattr(kernels, "_near", lambda z, a, *rest: calls.append(len(a)) or near(z, a, *rest))
         rng = np.random.default_rng(8)
         xs, ys = np.repeat(rng.random((2, 1, 15)) * 200.0, 3, axis=1)  # a fleet that stands still, 3 ticks
-        assert_rows_exact(kernels.AllPairs(15).pairs(xs, ys, 50.0), xs, ys, 50.0)
+        assert_rows_exact(kernels.AllPairs(15, 50.0).pairs(xs, ys), xs, ys, 50.0)
         assert calls == [3 * 105]  # one test of the whole flat block
         calls.clear()
-        neighbours = kernels.NeighbourList(10.0, 0.0)
-        assert_rows_exact(neighbours.pairs(xs, ys, 50.0), xs, ys, 50.0)
+        neighbours = kernels.NeighbourList(50.0, 10.0, 0.0)
+        assert_rows_exact(neighbours.pairs(xs, ys), xs, ys, 50.0)
         assert len(calls) == 4 and calls[1:] == [len(neighbours.a)] * 3  # a build, then each row
 
 
@@ -358,12 +351,12 @@ class TestNeighbourList:
         x, y = rng.random(n) * side, rng.random(n) * side
         step = step_share * max(skin, radio_range)
         # a step of up to `step` per axis, and rounding moves a vehicle up to 0.5 more
-        lists = [kernels.NeighbourList(skin, math.hypot(step + 0.5 * lattice, step + 0.5 * lattice)),
-                 kernels.AllPairs(n)]
+        max_step = math.hypot(step + 0.5 * lattice, step + 0.5 * lattice)
+        lists = [kernels.NeighbourList(radio_range, skin, max_step), kernels.AllPairs(n, radio_range)]
         for _ in range(25):
-            ea, eb = kernels.contact_pairs(x, y, radio_range)
+            ea, eb = fresh_list_pairs(x, y, radio_range)
             for neighbours in lists:
-                a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
+                a, b, _ = neighbours.pairs(x[None], y[None])
                 assert np.array_equal(a, ea) and np.array_equal(b, eb)
                 assert a.dtype == b.dtype == np.int64
             x = x + rng.uniform(-step, step, n)
@@ -377,12 +370,12 @@ class TestNeighbourList:
         # block; the last block is 3 rows, built at its last
         rng = np.random.default_rng(8)
         n, r, max_step = 150, 30.0, 2.0
-        neighbours = kernels.NeighbourList(8.0, max_step)
+        neighbours = kernels.NeighbourList(r, 8.0, max_step)
         assert (neighbours.reach, neighbours.block) == (2, 5)
         x, y = rng.random((2, n)) * 1000.0
         for first in range(0, 23, 5):
             xs, ys = walk(rng, x, y, min(5, 23 - first), max_step)
-            assert_rows_exact(neighbours.pairs(xs, ys, r), xs, ys, r)
+            assert_rows_exact(neighbours.pairs(xs, ys), xs, ys, r)
             c = min(2, len(xs) - 1)
             assert len(builds) == first // 5 + 1
             assert np.array_equal(builds[-1].real, xs[c]) and np.array_equal(builds[-1].imag, ys[c])
@@ -391,17 +384,14 @@ class TestNeighbourList:
     @pytest.mark.parametrize("max_step, reach, block", [(5.0, 0, 1), (4.0, 1, 3), (2.0, 2, 5), (0.0, math.inf, 5)])
     def test_one_row_calls_build_every_reach_plus_one_calls(self, builds, max_step, reach, block):
         rng = np.random.default_rng(2)
-        neighbours = kernels.NeighbourList(8.0, max_step)
+        neighbours = kernels.NeighbourList(30.0, 8.0, max_step)
         assert (neighbours.reach, neighbours.block) == (reach, block)
         x, y = rng.random((2, 200)) * 500.0
         for call in range(12):
             xs, ys = walk(rng, x, y, 1, max_step)
-            assert_rows_exact(neighbours.pairs(xs, ys, 30.0), xs, ys, 30.0)
+            assert_rows_exact(neighbours.pairs(xs, ys), xs, ys, 30.0)
             assert len(builds) == (1 if reach == math.inf else call // (reach + 1) + 1)
             x, y = xs[-1], ys[-1]
-        done = len(builds)
-        kernels.contact_pairs(x, y, 20.0, neighbours)  # a new range builds at once
-        assert len(builds) == done + 1
 
     @pytest.mark.parametrize("slack", [1.0, 1.0 + 1e-12], ids=["exact", "rounded_up"])
     @pytest.mark.parametrize("max_step", [4.0, 2.0], ids=["reach_1", "reach_2"])
@@ -413,7 +403,7 @@ class TestNeighbourList:
         # hair past max_step, as a step's rounding may, which the list's
         # margin covers.
         r, skin = 30.0, 8.0
-        neighbours = kernels.NeighbourList(skin, max_step)
+        neighbours = kernels.NeighbourList(r, skin, max_step)
         reach = (neighbours.block - 1) // 2
         t = np.arange(2 * neighbours.block)
         s = max_step * slack * np.minimum(t, t[-1] - t)
@@ -421,7 +411,7 @@ class TestNeighbourList:
         found = []
         for first in range(0, len(xs), neighbours.block):
             rows = slice(first, first + neighbours.block)
-            a, b, ends = neighbours.pairs(xs[rows], ys[rows], r)
+            a, b, ends = neighbours.pairs(xs[rows], ys[rows])
             assert_rows_exact((a, b, ends), xs[rows], ys[rows], r)
             found += np.diff([0, *ends]).tolist()
             assert np.array_equal(builds[-1].real, xs[first + reach])
@@ -433,10 +423,10 @@ class TestNeighbourList:
         # must not change, whether later calls rebuild or only filter
         rng = np.random.default_rng(4)
         x, y = rng.random(300) * 800.0, rng.random(300) * 800.0  # the dense fleet's density
-        neighbours = kernels.NeighbourList(skin=60.0, max_step=math.hypot(12.0, 12.0))
+        neighbours = kernels.NeighbourList(100.0, skin=60.0, max_step=math.hypot(12.0, 12.0))
         returned, kept = [], []
         for _ in range(12):
-            a, b = kernels.contact_pairs(x, y, 100.0, neighbours)
+            a, b, _ = neighbours.pairs(x[None], y[None])
             assert len(a) > 0
             for arr in (a, b):
                 assert not any(np.shares_memory(arr, buf) for buf in buffers(neighbours))
@@ -455,13 +445,14 @@ class TestNeighbourList:
         n, r = 150, 20.0
         home_x, home_y = rng.random(n) * 1500.0, rng.random(n) * 1500.0
         pack_x, pack_y = 700.0 + rng.random(n) * 30.0, 700.0 + rng.random(n) * 30.0
-        neighbours = kernels.NeighbourList(skin=10.0, max_step=np.hypot(pack_x - home_x, pack_y - home_y).max() / 20.0)
+        max_step = np.hypot(pack_x - home_x, pack_y - home_y).max() / 20.0
+        neighbours = kernels.NeighbourList(r, skin=10.0, max_step=max_step)
         sizes = []
         for tick in range(41):
             share = 1.0 - abs(tick - 20) / 20.0  # 0 spread out, 1 packed
             x = home_x + share * (pack_x - home_x)
             y = home_y + share * (pack_y - home_y)
-            a, b = kernels.contact_pairs(x, y, r, neighbours)
+            a, b, _ = neighbours.pairs(x[None], y[None])
             ra, rb = reference_pairs(x, y, r)
             assert np.array_equal(a, ra) and np.array_equal(b, rb)
             sizes.append(max(buf.size for buf in buffers(neighbours)))
@@ -469,26 +460,19 @@ class TestNeighbourList:
         assert len(a) < 100  # spread out again
 
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_tiny_fleets_and_a_new_range(self, n):
-        neighbours = kernels.NeighbourList(skin=2.0, max_step=9.0)
+    @pytest.mark.parametrize("r", [8.0, 10.0, 12.0])
+    def test_tiny_fleets(self, n, r):
+        # vehicle 1 starts 9 m from vehicle 0, moves out of every range and back
+        neighbours = kernels.NeighbourList(r, skin=2.0, max_step=9.0)
         x = np.array([0.0, 9.0])[:n]
         y = np.zeros(n)
-        for r, dx in [(10.0, 0.0), (10.0, 0.5), (10.0, 3.0), (10.0, 0.0), (8.0, 0.0), (12.0, 0.0), (12.0, -9.0)]:
+        for dx in (0.0, 0.5, 3.0, 0.0, -9.0):
             x = x + np.array([0.0, dx])[:n]
-            a, b = kernels.contact_pairs(x, y, r, neighbours)
+            a, b, _ = neighbours.pairs(x[None], y[None])
             ra, rb = reference_pairs(x, y, r)
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, ra) and np.array_equal(b, rb)
         assert n < 2 or len(a) == 1  # vehicle 1 ends 3.5 m from vehicle 0
-
-    def test_a_new_fleet_size_rebuilds(self):
-        # a list for a fleet that stands still never runs out of ticks, so
-        # only the change of size rebuilds it
-        neighbours = kernels.NeighbourList(skin=2.0, max_step=0.0)
-        for n in (1, 5, 3, 0, 2):
-            x, y = np.linspace(0.0, 0.5, n), np.zeros(n)
-            a, b = kernels.contact_pairs(x, y, 10.0, neighbours)
-            assert as_pair_list(a, b) == sorted(brute_force_pairs(x, y, 10.0))
 
     def test_pair_codes_of_a_huge_fleet(self):
         # pair codes a * n + b reach n * n - n - 1, past int32 at this size
@@ -501,9 +485,9 @@ class TestNeighbourList:
         x[n - 3], y[n - 3] = x[5], y[5] + 0.25
         x[n - 5], y[n - 5] = x[n - 4] - 0.75, y[n - 4]
         expected = [(5, n - 3), (n - 5, n - 4), (n - 2, n - 1)]
-        neighbours = kernels.NeighbourList(skin=0.5, max_step=0.1)
+        neighbours = kernels.NeighbourList(1.0, skin=0.5, max_step=0.1)
         for dy in (0.0, 0.1):  # a build, then a filter of the list it kept
-            a, b = kernels.contact_pairs(x, y + dy, 1.0, neighbours)
+            a, b, _ = neighbours.pairs(x[None], (y + dy)[None])
             assert as_pair_list(a, b) == expected
             assert a.dtype == b.dtype == np.int64
         assert as_pair_list(*grid_pairs(x, y, 1.0)) == expected
@@ -526,8 +510,8 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
     twins = n // 5
     x[-twins:] = x[:twins] + 0.5 * radio_range
     y[-twins:] = y[:twins]
-    neighbours = kernels.NeighbourList(skin=0.0, max_step=0.0)
-    a, b = kernels.contact_pairs(x, y, radio_range, neighbours)
+    neighbours = kernels.NeighbourList(radio_range, skin=0.0, max_step=0.0)
+    a, b, _ = neighbours.pairs(x[None], y[None])
     ra, rb = reference_pairs(x, y, radio_range)
     assert np.array_equal(a, ra) and np.array_equal(b, rb)
     assert len(a) > 0
@@ -548,11 +532,11 @@ def test_extreme_arenas_give_exact_pairs_from_o_n_buffers(n, radio_range, side):
 )
 def test_pair_list_picks_the_list_and_its_skin(n, radio_range, max_step, skin, block):
     neighbours = kernels.pair_list(n, radio_range, max_step)
-    assert neighbours.block == block
+    assert neighbours.block == block and neighbours.radio_range == radio_range
     if skin is None:
         assert type(neighbours) is kernels.AllPairs
         stand = np.zeros((1, n))  # every vehicle on one spot: all pairs in range
-        assert neighbours.pairs(stand, stand, 1.0)[2] == [n * (n - 1) // 2]
+        assert neighbours.pairs(stand, stand)[2] == [n * (n - 1) // 2]
     else:
         assert type(neighbours) is kernels.NeighbourList and neighbours.skin == skin
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.cli import main
@@ -198,6 +198,7 @@ class TestScenarioFromDict:
             (None, "name", "../escaped"),
             (None, "name", "a/b"),
             (None, "name", "a\\b"),
+            (None, "name", "a\x00b"),
         ],
     )
     def test_value_that_does_not_fit_its_field_is_named(self, section, key, value):
@@ -232,12 +233,13 @@ EXTREME_VALUES = [
     10**400, 2**64,  # past the float range, past uint64
     5e-324, -5e-324, 0, 0.0, -0.0, 1e308, -1e308,
     math.nan, math.inf, -math.inf,
-    True, False, "x", [1.0], {"a": 1}, None,
+    True, False, "x", "a\x00b", [1.0], {"a": 1}, None,
 ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(FIELD_PATHS), value=st.sampled_from(EXTREME_VALUES))
+@example(path=("name",), value="a\x00b")  # a file stem the OS refuses
 def test_an_extreme_value_in_any_field_is_refused_or_runs(path, value):
     # one field at a time: the document is refused with ValidationError and
     # validate exits 1, or it is accepted, validate exits 0 and the run exits 0
