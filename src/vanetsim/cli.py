@@ -86,11 +86,17 @@ def _execute(scenario: Scenario, seed: int, digest: str) -> RunSummary:
     return build_summary(result, digest)
 
 
-def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) -> Path:
+def _artifact_path(out_dir: Path, fmt: str, stem: str) -> Path:
+    """Where a run writes its artifact, the directory made."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / (f"{stem}.summary.json" if fmt == "json" else f"{stem}.rows.csv")
+
+
+def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) -> Path:
+    path = _artifact_path(out_dir, fmt, stem)
     if fmt == "json":
-        return write_summary_json(summary, out_dir / f"{stem}.summary.json")
-    return write_rows_csv(summary.rows, out_dir / f"{stem}.rows.csv")
+        return write_summary_json(summary, path)
+    return write_rows_csv(summary.rows, path)
 
 
 def _one_line(summary: RunSummary, path: Path) -> str:
@@ -107,8 +113,11 @@ def _one_line(summary: RunSummary, path: Path) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
+    out_dir = _out_dir(args)
+    # a path the file system refuses (a name past its length limit) fails here, before the run
+    _artifact_path(out_dir, args.format, scenario.name).touch()
     summary = _execute(scenario, scenario.seed, scenario_hash(scenario))
-    path = _write_artifacts(summary, _out_dir(args), args.format, scenario.name)
+    path = _write_artifacts(summary, out_dir, args.format, scenario.name)
     print(_one_line(summary, path))
     return 0
 
@@ -126,6 +135,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = parse_seeds(args.seeds)
     out_dir = _out_dir(args)
     digest = scenario_hash(scenario)
+    # as in cmd_run, once and before the loop: later seeds' paths differ only in their run-s directory
+    _artifact_path(out_dir / f"run-s{seeds[0]}", args.format, scenario.name).touch()
     per_seed = []
     for seed in seeds:
         summary = _execute(scenario, seed, digest)

@@ -27,17 +27,17 @@ when that settles it (always so under packet trade), whose tick stops
 routing and mobility; never past end, though the last tick's clock can
 read an ulp past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
 Simulated time at tick k is the float k * tick_seconds, never a running
-sum, so fractional ticks do not drift. Two child RNG
-streams of the run seed, one for mobility and one for the engine's own
-draws, drive everything, so a (scenario, seed) pair fully determines the
-outcome. The rules a fleet must meet to hold the run's source and
-destination are ``endpoint_problems``, the deadline in ``time_scale``
-units must keep every score finite (``scale_problems``), and the tick
-count must be finite (``tick_problems``); a scenario file is checked
-against the same rules, and ``run`` checks them before its first draw. The
-``RunResult`` holds everything the summary reads, the ``IncentiveConfig``
-the run was scored with included, and the settlement report's
-``balances`` are the run's only credit postings.
+sum, so fractional ticks do not drift. Two child RNG streams of the run
+seed, one for mobility and one for the engine's own draws, drive
+everything, so a (scenario, seed) pair fully determines the outcome.
+``run_problems`` is the one list of rules across the configs: the fleet
+must hold the run's source and destination, the deadline in
+``time_scale`` units must keep every score finite, and the tick count
+must be finite. ``run`` applies it before its first draw, and a scenario
+file is checked against the same list, so ``validate`` and ``run`` refuse
+the same configs. The ``RunResult`` holds everything the summary reads,
+the ``IncentiveConfig`` the run was scored with included, and the
+settlement report's ``balances`` are the run's only credit postings.
 """
 
 from __future__ import annotations
@@ -85,14 +85,27 @@ def _settles_on_delivery(engine_cfg: EngineConfig, scheme: Scheme) -> bool:
     return engine_cfg.settle_on_delivery or scheme is Scheme.PACKET_TRADE
 
 
-def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Scheme) -> list[str]:
-    """Every reason a fleet of ``vehicle_count`` cannot hold the run's source and destination.
+def run_problems(
+    mobility_cfg: MobilityConfig, engine_cfg: EngineConfig, incentive_cfg: IncentiveConfig, packet_spec: PacketSpec
+) -> list[str]:
+    """Every reason the four configs cannot make one run; empty if they can.
 
-    A run has a destination when one is given or when it settles on
-    delivery (always so under packet trade), which draws one; either way
-    the source and the destination are two vehicles.
+    Endpoints: the source and the destination are vehicles of the fleet,
+    and two of them. A run has a destination when one is given or when it
+    settles on delivery (always so under packet trade), which draws one.
+
+    Scale: stored times are read against the deadline in ``time_scale``
+    units, T, so T must be positive and finite. A stored time is at most
+    the deadline, so a score, a blend by weights that sum to 1, is at most
+    the largest of its time credit (T; T * T in the first proposal's
+    product mode, 1 in its ratio mode), its forwards (n - 1) and the second
+    proposal's distance credit (the interest radius). Settlement sums up to
+    n - 1 scores, so n - 1 times that bound must be finite too.
+
+    Ticks: the last tick is ``min(duration, deadline) / tick_seconds`` in
+    whole ticks, so that ratio must be finite; a subnormal tick overflows it.
     """
-    n = vehicle_count
+    n = mobility_cfg.vehicle_count
     source, destination = engine_cfg.source_id, engine_cfg.destination_id
     problems = []
     for name, vehicle in (("source_id", source), ("destination_id", destination)):
@@ -101,47 +114,28 @@ def endpoint_problems(vehicle_count: int, engine_cfg: EngineConfig, scheme: Sche
             problems.append(f"engine.{name}: must be an integer in [0, {n})")
     if destination is not None and destination == source:
         problems.append("engine.destination_id: must differ from source_id")
-    if n < 2 and (destination is not None or _settles_on_delivery(engine_cfg, scheme)):
+    if n < 2 and (destination is not None or _settles_on_delivery(engine_cfg, incentive_cfg.scheme)):
         problems.append(
             "mobility.vehicle_count: a run with a destination (destination_id,"
             " settle_on_delivery or packet trade) needs at least 2 vehicles"
         )
+
+    scaled = packet_spec.deadline / incentive_cfg.time_scale
+    if not 0 < scaled < math.inf:  # written so that NaN fails it; without a T there is no bound
+        problems.append("incentives.time_scale: packet.deadline / time_scale must be positive and finite")
+    else:
+        carriers, product = max(n - 1, 1), incentive_cfg.first_proposal_mode == "product"
+        credit = {Scheme.BASIC_LINEAR: scaled, Scheme.FIRST_PROPOSAL: scaled * scaled if product else 1.0,
+                  Scheme.SECOND_PROPOSAL: max(scaled, packet_spec.interest_radius)}.get(incentive_cfg.scheme, 0.0)
+        if not carriers * max(credit, carriers) < math.inf:
+            problems.append(f"incentives: {carriers} carriers' scores, each up to {credit:g} with"
+                            f" deadline / time_scale = {scaled:g}, must sum to a finite total")
+
+    ticks = float(min(engine_cfg.duration, packet_spec.deadline)) / mobility_cfg.tick_seconds
+    if not ticks < math.inf:
+        problems.append("mobility.tick_seconds: min(engine.duration, packet.deadline)"
+                        " / tick_seconds must be finite")
     return problems
-
-
-def scale_problems(vehicle_count: int, packet: PacketSpec, incentives: IncentiveConfig) -> list[str]:
-    """Why the run's scores could overflow or divide by zero; empty if they cannot.
-
-    Stored times are read against the deadline in ``time_scale`` units, T,
-    so T must be positive and finite. A stored time is at most the
-    deadline, so a score, a blend by weights that sum to 1, is at most the
-    largest of its time credit (T; T * T in the first proposal's product
-    mode, 1 in its ratio mode), its forwards (n - 1) and the second
-    proposal's distance credit (the interest radius). Settlement sums up to
-    n - 1 scores, so n - 1 times that bound must be finite too.
-    """
-    scaled = packet.deadline / incentives.time_scale
-    if not 0 < scaled < math.inf:  # written so that NaN fails it
-        return ["incentives.time_scale: packet.deadline / time_scale must be positive and finite"]
-    carriers, product = max(vehicle_count - 1, 1), incentives.first_proposal_mode == "product"
-    credit = {Scheme.BASIC_LINEAR: scaled, Scheme.FIRST_PROPOSAL: scaled * scaled if product else 1.0,
-              Scheme.SECOND_PROPOSAL: max(scaled, packet.interest_radius)}.get(incentives.scheme, 0.0)
-    if carriers * max(credit, carriers) < math.inf:
-        return []
-    return [f"incentives: {carriers} carriers' scores, each up to {credit:g} with"
-            f" deadline / time_scale = {scaled:g}, must sum to a finite total"]
-
-
-def tick_problems(mobility_cfg: MobilityConfig, engine_cfg: EngineConfig, packet: PacketSpec) -> list[str]:
-    """Why the run's ticks cannot be counted; empty if they can.
-
-    The run's last tick is ``min(duration, deadline) / tick_seconds`` in
-    whole ticks, so that ratio must be finite: a subnormal tick overflows it.
-    """
-    ticks = float(min(engine_cfg.duration, packet.deadline)) / mobility_cfg.tick_seconds
-    if ticks < math.inf:
-        return []
-    return ["mobility.tick_seconds: min(engine.duration, packet.deadline) / tick_seconds must be finite"]
 
 
 @dataclass
@@ -288,8 +282,7 @@ def run(
     """Simulate one packet's lifetime and settle its rewards."""
     n = mobility_cfg.vehicle_count
     scheme = incentive_cfg.scheme
-    problems = (endpoint_problems(n, engine_cfg, scheme) + scale_problems(n, packet_spec, incentive_cfg)
-                + tick_problems(mobility_cfg, engine_cfg, packet_spec))
+    problems = run_problems(mobility_cfg, engine_cfg, incentive_cfg, packet_spec)
     if problems:
         raise ValidationError("; ".join(problems))
     mob_seq, eng_seq = np.random.SeedSequence(seed).spawn(2)

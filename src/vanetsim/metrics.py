@@ -140,16 +140,13 @@ def spearman(a, b) -> float | None:
     return None if math.isnan(rho) else float(rho)
 
 
-def reward_vs_descendants(
-    rows: list[NodeRow] | tuple[NodeRow, ...],
-) -> tuple[list[tuple[int, float]], float | None]:
-    """(descendants, reward) pairs and their Spearman rank correlation.
+def reward_vs_descendants(rows: list[NodeRow] | tuple[NodeRow, ...]) -> float | None:
+    """The Spearman rank correlation of the rows' descendants and rewards.
 
-    The correlation is None when it is undefined: fewer than two rows or
-    either variable constant.
+    None when it is undefined: fewer than two rows or either variable
+    constant.
     """
-    pairs = [(row.descendants, row.reward) for row in rows]
-    return pairs, spearman([p[0] for p in pairs], [p[1] for p in pairs])
+    return spearman([row.descendants for row in rows], [row.reward for row in rows])
 
 
 def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
@@ -176,12 +173,11 @@ def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
             )
         )
     rows_t = tuple(rows)
-    _, rho = reward_vs_descendants(rows_t)
     aggregates = {
         "reward_by_time": [list(b) for b in bin_rewards(rows_t, "time")],
         "reward_by_forwards": [list(b) for b in bin_rewards(rows_t, "forwards")],
         "reward_by_distance": [list(b) for b in bin_rewards(rows_t, "distance")],
-        "spearman_reward_descendants": rho,
+        "spearman_reward_descendants": reward_vs_descendants(rows_t),
         "total_reward": math.fsum(r.reward for r in rows_t),
     }
     identity = {

@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .engine import EngineConfig, endpoint_problems, scale_problems, tick_problems
+from .engine import EngineConfig, run_problems
 from .incentives import IncentiveConfig
 from .mobility import MobilityConfig
 from .model import TWO_TERM_SCHEMES, PacketSpec, PayloadClass, Scheme, ValidationError, WeightSet, is_finite
@@ -137,7 +137,7 @@ def _section(cls, raw, label: str, problems: list[str]):
 
 
 def _scenario_problems(sc: Scenario) -> list[str]:
-    """Rules on the top-level fields and across sections; the endpoint, scale and tick rules are the engine's."""
+    """The name, seed and cap rules, then ``engine.run_problems``, so ``validate`` refuses what ``run`` would."""
     problems = []
     if not sc.name or "/" in sc.name or "\\" in sc.name or "\0" in sc.name:
         problems.append("name: must be a non-empty file stem without /, \\ or NUL")
@@ -147,9 +147,7 @@ def _scenario_problems(sc: Scenario) -> list[str]:
         problems.append("safety_deadline_cap: must be positive")
     elif sc.packet.payload_class is PayloadClass.SAFETY and sc.packet.deadline > sc.safety_deadline_cap:
         problems.append(f"packet.deadline: safety payloads must settle within {sc.safety_deadline_cap} s")
-    problems += endpoint_problems(sc.mobility.vehicle_count, sc.engine, sc.incentives.scheme)
-    problems += scale_problems(sc.mobility.vehicle_count, sc.packet, sc.incentives)
-    return problems + tick_problems(sc.mobility, sc.engine, sc.packet)
+    return problems + run_problems(sc.mobility, sc.engine, sc.incentives, sc.packet)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -165,6 +165,23 @@ class TestSweepCommand:
         assert "seed" in capsys.readouterr().err
 
 
+def test_a_name_past_the_file_name_limit_is_exit_2_before_any_run(tmp_path, capsys, monkeypatch):
+    name = "a" * 300
+    if len(f"{name}.summary.json") <= os.pathconf(tmp_path, "PC_NAME_MAX"):
+        pytest.skip("this file system takes the name")
+    runs = []
+    monkeypatch.setattr("vanetsim.cli.run_engine", lambda *args: runs.append(args))
+    scenario = tmp_path / "long.yaml"
+    scenario.write_text(f"name: {name}\n", encoding="utf-8")
+    # the limit is the file system's, so no scenario rule states it
+    assert main(["validate", "--scenario", str(scenario)]) == 0
+    capsys.readouterr()
+    for argv in (["run"], ["sweep", "--seeds", "0-2"]):
+        assert main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")  # an I/O failure, not an internal error
+    assert runs == []
+
+
 class TestValidateCommand:
     def test_valid_file(self, capsys, baseline_path):
         rc = main(["validate", "--scenario", str(baseline_path)])

@@ -151,7 +151,8 @@ class TestEndpointProblems:
     )
     def test_each_rule_is_reported_alone(self, vehicle_count, engine_kwargs, scheme, expected):
         eng = EngineConfig(duration=1.0, **engine_kwargs)
-        assert engine.endpoint_problems(vehicle_count, eng, scheme) == [expected]
+        mob, inc = MobilityConfig(vehicle_count=vehicle_count), IncentiveConfig(scheme=scheme)
+        assert engine.run_problems(mob, eng, inc, PKT) == [expected]
 
     @pytest.mark.parametrize(
         "vehicle_count, engine_kwargs, scheme",
@@ -164,7 +165,8 @@ class TestEndpointProblems:
     )
     def test_holdable_endpoints_have_no_problems(self, vehicle_count, engine_kwargs, scheme):
         eng = EngineConfig(duration=1.0, **engine_kwargs)
-        assert engine.endpoint_problems(vehicle_count, eng, scheme) == []
+        mob, inc = MobilityConfig(vehicle_count=vehicle_count), IncentiveConfig(scheme=scheme)
+        assert engine.run_problems(mob, eng, inc, PKT) == []
 
     def test_run_raises_every_problem_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -198,6 +200,11 @@ class TestScaledDeadline:
         ids=["overflow", "underflow"],
     )
     def test_run_rejects_it_before_drawing(self, monkeypatch, inc, pkt):
+        # without a finite T there is no carriers' bound to check, so this is the only problem
+        assert engine.run_problems(MOB, ENG, inc, pkt) == [
+            "incentives.time_scale: packet.deadline / time_scale must be positive and finite"
+        ]
+
         def no_draws(*args, **kwargs):
             raise AssertionError("run drew from the seed before checking the scaled deadline")
 
@@ -234,14 +241,18 @@ class TestScaledDeadline:
         ids=["second", "product"],
     )
     def test_extreme_but_representable_scales_still_run(self, inc):
-        assert engine.scale_problems(MOB.vehicle_count, PKT, inc) == []
+        assert engine.run_problems(MOB, ENG, inc, PKT) == []
         summary = summary_to_json(build_summary(run_default(seed=7, inc=inc), "h"))
         assert "NaN" not in summary and "Infinity" not in summary
 
     def test_the_product_bound_counts_the_carriers(self):
         inc = replace(PRODUCT, time_scale=300.0 / (PRODUCT_LIMIT * 1.001))  # just outside for 15 vehicles
-        assert engine.scale_problems(15, PKT, inc)
-        assert engine.scale_problems(2, PKT, inc) == []  # one carrier's score is still finite
+        assert engine.run_problems(MobilityConfig(vehicle_count=15), ENG, inc, PKT) == [
+            "incentives: 14 carriers' scores, each up to 1.28664e+307 with"
+            " deadline / time_scale = 3.58697e+153, must sum to a finite total"
+        ]
+        # one carrier's score is still finite
+        assert engine.run_problems(MobilityConfig(vehicle_count=2), ENG, inc, PKT) == []
 
 
 class TestTickRule:
@@ -258,7 +269,9 @@ class TestTickRule:
     )
     def test_run_rejects_it_before_drawing(self, monkeypatch, dt, eng, pkt):
         mob = MobilityConfig(tick_seconds=dt)
-        assert engine.tick_problems(mob, eng, pkt)
+        assert engine.run_problems(mob, eng, INC, pkt) == [
+            "mobility.tick_seconds: min(engine.duration, packet.deadline) / tick_seconds must be finite"
+        ]
 
         def no_draws(*args, **kwargs):
             raise AssertionError("run drew from the seed before checking the tick count")
@@ -269,10 +282,10 @@ class TestTickRule:
 
     def test_a_finite_count_passes(self):
         # checked, never run: 1e-300 s ticks make ~3e302 of them
-        assert engine.tick_problems(MobilityConfig(tick_seconds=1e-300), ENG, PKT) == []
+        assert engine.run_problems(MobilityConfig(tick_seconds=1e-300), ENG, INC, PKT) == []
         # a zero-length run has tick 0 only, however short its ticks
         mob = MobilityConfig(tick_seconds=5e-324)
-        assert engine.tick_problems(mob, EngineConfig(duration=0.0), PKT) == []
+        assert engine.run_problems(mob, EngineConfig(duration=0.0), INC, PKT) == []
         assert run_default(eng=EngineConfig(duration=0.0), mob=mob).ticks_run == 0
 
 

@@ -139,27 +139,25 @@ class TestRewardVsDescendants:
             row(4, 2.0, desc=0),  # tie in descendants
             row(5, 3.0, desc=1),
         ]
-        pairs, rho = reward_vs_descendants(rows)
-        assert len(pairs) == 5
-        desc = [p[0] for p in pairs]
-        rew = [p[1] for p in pairs]
-        assert rho == pytest.approx(pearson(rank(desc), rank(rew)), rel=1e-12)
+        desc = [r.descendants for r in rows]
+        rew = [r.reward for r in rows]
+        assert reward_vs_descendants(rows) == pytest.approx(pearson(rank(desc), rank(rew)), rel=1e-12)
 
     def test_perfect_orderings(self):
         inc = [row(i, float(i), desc=i) for i in range(1, 6)]
         dec = [row(i, float(-i), desc=i) for i in range(1, 6)]
-        assert reward_vs_descendants(inc)[1] == pytest.approx(1.0)
-        assert reward_vs_descendants(dec)[1] == pytest.approx(-1.0)
+        assert reward_vs_descendants(inc) == pytest.approx(1.0)
+        assert reward_vs_descendants(dec) == pytest.approx(-1.0)
 
     def test_undefined_cases_return_none(self):
-        assert reward_vs_descendants([])[1] is None
-        assert reward_vs_descendants([row(1, 1.0, desc=1)])[1] is None
+        assert reward_vs_descendants([]) is None
+        assert reward_vs_descendants([row(1, 1.0, desc=1)]) is None
         # constant rewards
         rows = [row(1, 2.0, desc=0), row(2, 2.0, desc=3)]
-        assert reward_vs_descendants(rows)[1] is None
+        assert reward_vs_descendants(rows) is None
         # constant descendants
         rows = [row(1, 1.0, desc=2), row(2, 5.0, desc=2)]
-        assert reward_vs_descendants(rows)[1] is None
+        assert reward_vs_descendants(rows) is None
 
 
 class TestSpearman:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.cli import main
-from vanetsim.engine import EngineConfig, PacketSpec, run
+from vanetsim.engine import EngineConfig, PacketSpec, run, run_problems
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.mobility import MobilityConfig
 from vanetsim.model import Scheme, ValidationError
@@ -170,6 +170,22 @@ class TestScenarioFromDict:
             if file_ok != run_ok:
                 disagree.append((engine, scheme, f"file ok={file_ok}", f"run ok={run_ok}"))
         assert disagree == []
+
+    def test_problems_end_with_the_engines_run_problems(self):
+        # one broken rule of each kind: the seed rule, then an endpoint, the scale and the tick rule
+        doc = {
+            "seed": -1,
+            "mobility": {"vehicle_count": 1, "tick_seconds": 5e-324},
+            "engine": {"settle_on_delivery": True},
+            "incentives": {"time_scale": 1e-320},
+        }
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        sections = (MobilityConfig(**doc["mobility"]), EngineConfig(**doc["engine"]),
+                    IncentiveConfig(**doc["incentives"]), PacketSpec())
+        expected = run_problems(*sections)
+        assert len(expected) == 3
+        assert str(exc.value).split("\n  ")[1:] == ["seed: must be non-negative", *expected]
 
     def test_non_mapping_document_rejected(self):
         with pytest.raises(ValidationError):
