@@ -34,7 +34,9 @@ Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
 every tick, its share of the candidate draws included (one draw of rows
 for ``mobility.draw_rows(n)`` ticks), at the baseline sizes, with no
 pause and with a 2 s pause (while a vehicle may still be paused, the step
-also builds a pause mask).
+also builds a pause mask), in place, and with no pause once more with
+``step(out=...)`` into two alternating contiguous ``(2, n)`` slots, as
+``engine.contacts`` steps the fleet into its block.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -176,28 +178,31 @@ def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
-    pauses = (0.0, 2.0)  # every perfbench workload runs pause 0, where the step builds no pause mask
+    # every perfbench workload runs pause 0, where the step builds no pause mask; the last
+    # column steps into two alternating contiguous (2, n) slots, as engine.contacts does
+    columns = (("pause 0 s", 0.0, False), ("pause 2 s", 2.0, False), ("0 s, in slots", 0.0, True))
     print("\nwaypoint stepping (RandomWaypointModel.step) per call")
-    header = f"{'n':>6}" + "".join(f"  {f'pause {p:g} s':>11}" for p in pauses)
+    header = f"{'n':>6}" + "".join(f"  {label:>13}" for label, *_ in columns)
     print(header)
     print("-" * len(header))
     for n in sizes:
         arena = baseline_arena(n)
         row = f"{n:>6}"
-        for pause in pauses:
+        for _, pause, into_slots in columns:
             cfg = MobilityConfig(vehicle_count=n, arena_width=arena, arena_height=arena, speed_max=SPEED_MAX,
                                  pause_time=pause, tick_seconds=TICK_SECONDS)
             # the clock advances a tick per call, so pauses end and vehicles keep
             # moving and arriving as in a run
             model = RandomWaypointModel(cfg, np.random.default_rng(n))
+            slots = np.empty((2, 2, n)) if into_slots else [None, None]
             model.step()
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                for _ in range(repeats):
-                    model.step()
+                for i in range(repeats):
+                    model.step(slots[i & 1])
                 best = min(best, (time.perf_counter() - start) / repeats)
-            row += f"  {best * 1e6:>9.1f}us"
+            row += f"  {best * 1e6:>11.1f}us"
         print(row)
 
 

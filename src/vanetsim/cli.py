@@ -18,6 +18,7 @@ import json
 import os
 import statistics
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from .engine import run as run_engine
@@ -92,6 +93,20 @@ def _artifact_path(out_dir: Path, fmt: str, stem: str) -> Path:
     return out_dir / (f"{stem}.summary.json" if fmt == "json" else f"{stem}.rows.csv")
 
 
+def _claim_artifact(out_dir: Path, fmt: str, stem: str) -> None:
+    """Create a run's artifact file, empty, before it simulates: a path the file system
+    refuses (a name past its length limit) fails here. On failure the directories made
+    for it are removed again, so a failed command leaves nothing behind."""
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))  # deepest first
+    try:
+        _artifact_path(out_dir, fmt, stem).touch()
+    except OSError:
+        for directory in made:
+            if directory.is_dir():
+                directory.rmdir()
+        raise
+
+
 def _write_artifacts(summary: RunSummary, out_dir: Path, fmt: str, stem: str) -> Path:
     path = _artifact_path(out_dir, fmt, stem)
     if fmt == "json":
@@ -114,8 +129,7 @@ def _one_line(summary: RunSummary, path: Path) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
     out_dir = _out_dir(args)
-    # a path the file system refuses (a name past its length limit) fails here, before the run
-    _artifact_path(out_dir, args.format, scenario.name).touch()
+    _claim_artifact(out_dir, args.format, scenario.name)
     summary = _execute(scenario, scenario.seed, scenario_hash(scenario))
     path = _write_artifacts(summary, out_dir, args.format, scenario.name)
     print(_one_line(summary, path))
@@ -135,8 +149,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = parse_seeds(args.seeds)
     out_dir = _out_dir(args)
     digest = scenario_hash(scenario)
-    # as in cmd_run, once and before the loop: later seeds' paths differ only in their run-s directory
-    _artifact_path(out_dir / f"run-s{seeds[0]}", args.format, scenario.name).touch()
+    # once and before the loop: later seeds' paths differ only in their run-s directory
+    _claim_artifact(out_dir / f"run-s{seeds[0]}", args.format, scenario.name)
     per_seed = []
     for seed in seeds:
         summary = _execute(scenario, seed, digest)

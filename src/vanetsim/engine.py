@@ -4,16 +4,17 @@ One run places a fleet, injects a single packet at a source vehicle at
 t=0, runs the ticks of the packet's life through two layers and settles
 once. The packet's forwarding tree is its relay record: the source is
 its root, and its origin is where the source stood at t=0. ``contacts``
-is the physics: it steps the fleet once every tick after 0 and yields a
-block of ticks at a time, their positions and radio contacts, filtered
-from the one pair list the run keeps (``kernels.pair_list``) by one
-``contact_pairs`` call per block, with the row ends that split the
-block's pairs into its ticks, whatever the block's width. When no
-delivery can end the run, a block is up to the pair list's ``block``
-ticks: many for an all-pairs list, up to five for a Verlet list, which
-one build at the block's middle tick serves. A run that
-settles on delivery steps and filters one-tick blocks, so it never steps
-past its delivery tick. Either way each tick's pairs are the same.
+is the physics: it steps the fleet once every tick after 0, each step
+writing the tick's positions straight into that tick's contiguous slot
+of the block, and yields a block of ticks at a time, their positions and
+radio contacts, filtered from the one pair list the run keeps
+(``kernels.pair_list``) by one ``contact_pairs`` call per block, with
+the row ends that split the block's pairs into its ticks, whatever the
+block's width. When no delivery can end the run, a block is up to the
+pair list's ``block`` ticks: many for an all-pairs list, up to five for
+a Verlet list, which one build at the block's middle tick serves. A run
+that settles on delivery steps and filters one-tick blocks, so it never
+steps past its delivery tick. Either way each tick's pairs are the same.
 ``_route_block`` hands the packet across a block's ticks in turn, each
 in (a, b) order, walking only the pairs that ``routing`` says can carry
 it. It splits out only the ticks on which a carrier meets a
@@ -33,11 +34,12 @@ everything, so a (scenario, seed) pair fully determines the outcome.
 ``run_problems`` is the one list of rules across the configs: the fleet
 must hold the run's source and destination, the deadline in
 ``time_scale`` units must keep every score finite, and the tick count
-must be finite. ``run`` applies it before its first draw, and a scenario
-file is checked against the same list, so ``validate`` and ``run`` refuse
-the same configs. The ``RunResult`` holds everything the summary reads,
-the ``IncentiveConfig`` the run was scored with included, and the
-settlement report's ``balances`` are the run's only credit postings.
+must be finite and at most 2**53. ``run`` applies it before its first
+draw, and a scenario file is checked against the same list, so
+``validate`` and ``run`` refuse the same configs. The ``RunResult`` holds
+everything the summary reads, the ``IncentiveConfig`` the run was scored
+with included, and the settlement report's ``balances`` are the run's
+only credit postings.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ def run_problems(
 
     Ticks: the last tick is ``min(duration, deadline) / tick_seconds`` in
     whole ticks, so that ratio must be finite; a subnormal tick overflows it.
+    Tick k's clock is ``k * tick_seconds``, with k made a float, which is
+    exact only up to 2**53, so the last tick is at most 2**53.
     """
     n = mobility_cfg.vehicle_count
     source, destination = engine_cfg.source_id, engine_cfg.destination_id
@@ -135,6 +139,9 @@ def run_problems(
     if not ticks < math.inf:
         problems.append("mobility.tick_seconds: min(engine.duration, packet.deadline)"
                         " / tick_seconds must be finite")
+    elif ticks > 2**53:
+        problems.append("mobility.tick_seconds: min(engine.duration, packet.deadline)"
+                        " / tick_seconds must be at most 2**53")
     return problems
 
 
@@ -192,28 +199,26 @@ def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
              look_ahead: bool = True) -> Iterator[tuple]:
     """Yield ``(first, xs, ys, a, b, ends)`` for blocks of ticks 0..last_tick.
 
-    Each tick after 0 steps the model first. A block holds the ticks from
-    ``first`` on: ``xs[i]`` and ``ys[i]`` are tick first + i's positions,
-    and its pairs are ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for
-    i = 0), filtered for the whole block in one ``contact_pairs`` call.
-    With ``look_ahead`` a block is up to the pair list's ``block`` ticks;
-    without it, one tick. ``xs`` and ``ys`` hold the block's positions
-    until the next block is yielded.
+    A block holds the ticks from ``first`` on: ``xs[i]`` and ``ys[i]`` are
+    tick first + i's positions, and its pairs are ``a[ends[i - 1]:ends[i]]``
+    and ``b[...]`` (from 0 for i = 0), filtered for the whole block in one
+    ``contact_pairs`` call. With ``look_ahead`` a block is up to the pair
+    list's ``block`` ticks; without it, one tick. The block is one kept
+    ``(width, 2, n)`` array; each tick after 0 is one ``model.step(slot)``
+    into its contiguous ``(2, n)`` slot, which becomes the model's ``pos``.
+    ``xs`` and ``ys`` view the slots' rows until the next block is yielded.
     """
     cfg = model.config
     neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
     width = neighbours.block if look_ahead else 1
-    xs, ys = stack = np.empty((2, width, cfg.vehicle_count))  # each tick's x and y rows of a block
-    slots = [stack[:, i] for i in range(width)]  # tick i's (2, n) positions in the block
+    stack = np.empty((width, 2, cfg.vehicle_count))  # stack[i]: tick i's contiguous (2, n) positions
+    xs, ys = stack[:, 0], stack[:, 1]
     step = model.step
+    stack[0] = model.pos  # tick 0's positions, the only ones copied
     for first in range(0, last_tick + 1, width):
         k = min(width, last_tick + 1 - first)
-        if first:
-            step()
-        slots[0][...] = model.pos
-        for slot in slots[1:k]:
-            step()
-            slot[...] = model.pos
+        for slot in stack[0 if first else 1:k]:
+            step(slot)
         a, b, ends = contact_pairs(xs[:k], ys[:k], neighbours)
         yield first, xs[:k], ys[:k], a, b, ends
 

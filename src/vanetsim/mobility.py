@@ -112,7 +112,7 @@ class RandomWaypointModel:
         self.set_state(pos, way, speed, np.full(n, -np.inf))
         # the step's work buffers, (2, n) like the positions so that no call broadcasts
         self._d, self._sq, self._dist = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
-        self._sq_swapped = self._sq[::-1]
+        self._sq_swapped, self._dist0, self._zero = self._sq[::-1], self._dist[0], np.zeros((2, n))
         self._arrive = np.empty(n, dtype=bool)
         # candidate rows, refilled in place: a fresh block a draw, alive across ticks,
         # raised a 1 000-vehicle run's peak RSS by ~0.3 MB
@@ -124,19 +124,25 @@ class RandomWaypointModel:
         self.pos, self.way, self.speed, self.pause_until, self.tick = pos, way, speed, pause_until, tick
         step_len = speed * self.config.tick_seconds
         self._step_len = np.stack((step_len, step_len))  # refreshed wherever speed changes
+        self._step_len0 = self._step_len[0]
         self._pause_bound = float(np.max(pause_until))  # no vehicle is paused from this time on
 
-    def step(self) -> None:
-        """Advance every vehicle by one tick, in place: a paused one stands still,
-        one that can reach its waypoint snaps onto it, pauses and takes a fresh
+    def step(self, out: np.ndarray | None = None) -> None:
+        """Advance every vehicle by one tick: a paused one stands still, one
+        that can reach its waypoint snaps onto it, pauses and takes a fresh
         waypoint and speed from its row of the tick's triples, and the rest
         move ``speed * tick_seconds`` toward their waypoints. The triples are
         the next row of the kept ``(k, n, 3)`` block, refilled by one draw
         when it runs out.
 
+        The new positions go into ``out``, a ``(2, n)`` array that is ``pos``
+        or does not overlap it, and ``out`` becomes ``pos``; by default, ``pos``.
+
         Every lane runs the same move; a held lane, paused or arriving, gets
         ``dist = inf`` and so steps ``d / inf * step_len = ±0``. The pause
-        mask is built only while some vehicle may still be paused.
+        mask is built only while some vehicle may still be paused, and the
+        held lanes' ``dist`` is set only on a tick with an arrival or a
+        pending pause.
         """
         cfg = self.config
         row = self._row
@@ -144,26 +150,29 @@ class RandomWaypointModel:
             self.rng.random(out=self._cands)
             row = 0
         self._row = row + 1
-        p, w, step_len, now = self.pos, self.way, self._step_len, self.now
+        p, w, step_len, now = self.pos, self.way, self._step_len, float(self.tick * cfg.tick_seconds)  # as ``now``
+        out = p if out is None else out
         d, sq, dist = self._d, self._sq, self._dist
         np.subtract(w, p, out=d)
         np.multiply(d, d, out=sq)
         # both rows of dist are the distance: IEEE addition commutes, so dx² + dy² == dy² + dx²
         np.sqrt(np.add(sq, self._sq_swapped, out=dist), out=dist)
-        arrive = hold = np.less_equal(dist[0], step_len[0], out=self._arrive)
+        arrive = hold = np.less_equal(self._dist0, self._step_len0, out=self._arrive)
         if now < self._pause_bound:
             paused = now < self.pause_until
             hold = arrive | paused
             arrive &= ~paused
+        arrivals = np.count_nonzero(arrive)
 
         # p + ±0 == p as positions are never -0.0: draws and waypoints are +0.0 or more,
         # and an IEEE sum is -0.0 only when both of its terms are
-        np.copyto(dist, np.inf, where=hold)
-        np.add(p, np.multiply(np.divide(d, dist, out=d), step_len, out=d), out=p)
+        if arrivals or hold is not arrive:
+            np.copyto(dist, np.inf, where=hold)
+        np.add(p, np.multiply(np.divide(d, dist, out=d), step_len, out=d), out=out)
 
-        if np.count_nonzero(arrive):
+        if arrivals:
             cand = self._cands[row]
-            np.copyto(p, w, where=arrive)
+            np.copyto(out, w, where=arrive)
             until = now + cfg.pause_time
             np.copyto(self.pause_until, until, where=arrive)
             self._pause_bound = max(self._pause_bound, until)
@@ -172,7 +181,8 @@ class RandomWaypointModel:
             np.multiply(self.speed, cfg.tick_seconds, out=step_len, where=arrive)
 
         # guard against 1-ulp overshoot past the arena edge
-        np.minimum(np.maximum(p, 0.0, out=p), self.arena, out=p)
+        np.minimum(np.maximum(out, self._zero, out=out), self.arena, out=out)
+        self.pos = out
         self.tick += 1
 
     @property

@@ -176,10 +176,17 @@ def test_a_name_past_the_file_name_limit_is_exit_2_before_any_run(tmp_path, caps
     # the limit is the file system's, so no scenario rule states it
     assert main(["validate", "--scenario", str(scenario)]) == 0
     capsys.readouterr()
+    kept = tmp_path / "kept"
+    kept.mkdir()
     for argv in (["run"], ["sweep", "--seeds", "0-2"]):
-        assert main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")  # an I/O failure, not an internal error
+        # a fresh --out two levels deep, and one that existed before the call
+        for out in (tmp_path / "fresh" / "deep", kept):
+            assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")  # an I/O failure, not an internal error
     assert runs == []
+    # the directories made for the refused artifact are gone; the one that existed stays
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "long.yaml"]
+    assert list(kept.iterdir()) == []
 
 
 class TestValidateCommand:
@@ -248,6 +255,13 @@ class TestValidateCommand:
             assert main([*argv, "--scenario", str(bad)]) == 1
             assert problem in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
+
+    def test_a_tick_count_past_2_53_is_exit_1_for_validate(self, tmp_path, capsys):
+        # validated only, never run: 300 s in 1e-300 s ticks is ~3e302 of them
+        bad = tmp_path / "tiny_tick.yaml"
+        bad.write_text("mobility:\n  tick_seconds: 1.0e-300\n", encoding="utf-8")
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert "/ tick_seconds must be at most 2**53" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["1000000000000", "1" + "0" * 400], ids=["1e12", "int_past_float_range"])
     def test_a_fleet_past_the_pair_code_bound_is_exit_1_for_validate_and_run(self, tmp_path, capsys,

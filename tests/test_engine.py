@@ -281,12 +281,27 @@ class TestTickRule:
             run_default(eng=eng, pkt=pkt, mob=mob)
 
     def test_a_finite_count_passes(self):
-        # checked, never run: 1e-300 s ticks make ~3e302 of them
-        assert engine.run_problems(MobilityConfig(tick_seconds=1e-300), ENG, INC, PKT) == []
+        # checked, never run: 2**-53 s ticks make 2**53 of them in 1 s, the most a run may have
+        mob = MobilityConfig(tick_seconds=2.0**-53)
+        assert engine.run_problems(mob, EngineConfig(duration=1.0), INC, PKT) == []
         # a zero-length run has tick 0 only, however short its ticks
         mob = MobilityConfig(tick_seconds=5e-324)
         assert engine.run_problems(mob, EngineConfig(duration=0.0), INC, PKT) == []
         assert run_default(eng=EngineConfig(duration=0.0), mob=mob).ticks_run == 0
+
+    @pytest.mark.parametrize(
+        "dt, eng",
+        [
+            (1e-300, ENG),  # ~3e302 ticks in 300 s
+            (2.0**-53, EngineConfig(duration=math.nextafter(1.0, 2.0))),  # an ulp past 1 s: tick 2**53 + 2
+        ],
+        ids=["tiny_tick", "an_ulp_past_the_bound"],
+    )
+    def test_a_count_past_2_53_is_refused(self, dt, eng):
+        # checked, never run: past 2**53, float(k) * tick_seconds no longer tells every tick k apart
+        assert engine.run_problems(MobilityConfig(tick_seconds=dt), eng, INC, PKT) == [
+            "mobility.tick_seconds: min(engine.duration, packet.deadline) / tick_seconds must be at most 2**53"
+        ]
 
 
 class TestSettlementTiming:
@@ -404,9 +419,9 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, dt, eng, inc, pk
     calls = []
     step = RandomWaypointModel.step
 
-    def counting_step(model):
+    def counting_step(model, out=None):
         calls.append(model.tick + 1)
-        step(model)
+        step(model, out)
 
     monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
     result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt, mob=MobilityConfig(tick_seconds=dt))
@@ -426,7 +441,10 @@ def test_handoff_on_a_clock_an_ulp_past_the_end_is_held_for_no_time(monkeypatch,
     # vehicle 1 drives 10 m a tick toward vehicle 0 and comes into range on
     # tick 3, whose clock, 3 * 0.1, reads an ulp past the run's 0.3 s end:
     # the run still settles at its end, so the handoff is held for 0 s
-    def drive(model):
+    def drive(model, out=None):
+        if out is not None:  # the step's contract: the new positions go into out, which becomes pos
+            out[...] = model.pos
+            model.pos = out
         model.pos[0, 1] -= 10.0
         model.tick += 1
 
@@ -489,6 +507,39 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
         ticks += 1
     assert ticks == last_tick + 1
     assert models[0].tick == models[1].tick == last_tick
+
+
+@pytest.mark.parametrize("pause", [0.0, 2.5])
+@pytest.mark.parametrize("look_ahead", [True, False], ids=["blocks", "one_tick"])
+@pytest.mark.parametrize("n", [15, 120], ids=["all_pairs", "verlet"])
+def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkeypatch, n, look_ahead, pause):
+    # the stream steps the fleet into its block's slots; a twin model steps in place, once a tick.
+    # 200 ticks cross the all-pairs blocks' 78-tick edges and many Verlet 5-tick ones
+    cfg = MobilityConfig(vehicle_count=n, pause_time=pause)
+    last_tick = 200
+    step = RandomWaypointModel.step
+    calls = []
+
+    def counting_step(model, out=None):
+        calls.append(model.tick)
+        step(model, out)
+
+    monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
+    streamed = RandomWaypointModel(cfg, np.random.default_rng(n))
+    twin = RandomWaypointModel(cfg, np.random.default_rng(n))
+    width = kernels.pair_list(n, 100.0, cfg.speed_max).block if look_ahead else 1
+    tick = 0
+    for first, xs, ys, *_ in engine.contacts(streamed, 100.0, last_tick, look_ahead):
+        assert first == tick and len(xs) == len(ys) == min(width, last_tick + 1 - first)
+        for x, y in zip(xs, ys):
+            if tick:
+                step(twin)
+            assert np.array_equal(x.view(np.uint64), twin.pos[0].view(np.uint64))
+            assert np.array_equal(y.view(np.uint64), twin.pos[1].view(np.uint64))
+            tick += 1
+    assert tick == last_tick + 1
+    assert calls == list(range(last_tick))  # one step a tick, from each tick's clock
+    assert streamed.tick == twin.tick == last_tick
 
 
 def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):

@@ -362,3 +362,58 @@ class TestFusedWaypointStep:
                 for got, want in zip(state, expected):
                     assert np.array_equal(got, want)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+
+
+def edge_fleet(seed, n, still, dt, pause_time):
+    """Two models in one state, whose steps take the same 30 rows of candidate triples: as in
+    ``test_bit_identical_to_masked_step``, vehicles stand on their waypoint, on a corner and an ulp
+    outside the arena, one arrives at tick 0, and pauses are set through the state."""
+    rng = np.random.default_rng(seed)
+    w, h = 300.0, 200.0
+    speed_min, speed_max = (0.0, 0.0) if still else (2.0, 60.0)
+    way = rng.random((2, n)) * [[w], [h]]
+    pos = rng.random((2, n)) * [[w], [h]]
+    speed = speed_min + rng.random(n) * (speed_max - speed_min)
+    pause = rng.choice([-np.inf, 0.0, 1.0, 5.0], n)
+    pos[:, 0] = way[:, 0]  # standing on its waypoint: dist == 0
+    if n > 1:
+        pos[:, 1] = w, 0.0  # on the arena's corner
+    if n > 2:  # arrives this tick, unless paused
+        pause[2] = -np.inf
+        pos[:, 2] = way[0, 2] - 0.4 * speed[2] * dt, way[1, 2]
+    if n > 3:  # an ulp outside the arena, as rounding can leave a vehicle
+        pos[:, 3] = np.nextafter(w, np.inf), np.nextafter(0.0, -1.0)
+    if n > 4:  # paused until 5 s, past the pause of vehicle 2's arrival at tick 0
+        pause[4] = 5.0
+    cands = rng.random((30, n, 3))
+    cands[rng.random((30, n, 3)) < 0.1] = 1.0  # fresh waypoints on the far edges
+    return [driven_model(cands, pos.copy(), way.copy(), speed.copy(), pause.copy(), arena_width=w, arena_height=h,
+                         speed_min=speed_min, speed_max=speed_max, pause_time=pause_time, tick_seconds=dt)
+            for _ in range(2)]
+
+
+class TestStepInto:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        still=st.booleans(),
+        dt=st.sampled_from([0.25, 1.0, 3.0]),
+        pause_time=st.sampled_from([0.0, 1.0, 2.5]),
+    )
+    @example(seed=0, n=1, still=True, dt=1.0, pause_time=0.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=0.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=1.0)
+    @example(seed=0, n=8, still=False, dt=1.0, pause_time=2.5)
+    def test_stepping_into_alternating_buffers_is_stepping_in_place(self, seed, n, still, dt, pause_time):
+        # as engine.contacts steps a fleet: each tick's positions go into the next of its kept slots
+        in_place, into = edge_fleet(seed, n, still, dt, pause_time)
+        slots = list(np.empty((2, 2, n)))
+        for tick in range(30):
+            in_place.step()
+            into.step(out=slots[tick % 2])
+            assert into.pos is slots[tick % 2]
+            for name in ("pos", "way", "speed", "pause_until", "_step_len", "_d", "_sq", "_dist"):
+                got, want = getattr(into, name), getattr(in_place, name)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            assert (into.tick, into._row, into._pause_bound) == (in_place.tick, in_place._row, in_place._pause_bound)
