@@ -71,7 +71,8 @@ def cases() -> dict[str, object]:
     dense = scenario_from_dict(
         _variant(raw, mobility={"vehicle_count": 300}, engine={"duration": 60.0})
     )
-    out["dense300/second_proposal/s0"] = with_updates(dense, seed=0)
+    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_TRADE):
+        out[f"dense300/{scheme.value}/s0"] = with_updates(dense, seed=0, scheme=scheme)
     # the deadline falls between ticks, so settlement fires mid-run
     early = scenario_from_dict(_variant(raw, packet={"deadline": 150.5}))
     out["deadline150.5/second_proposal/s0"] = with_updates(early, seed=0)
@@ -83,7 +84,7 @@ def cases() -> dict[str, object]:
     for seed in (0, 1):
         out[f"destination/second_proposal/s{seed}"] = with_updates(destination, seed=seed)
     fractional = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}))
-    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE):
+    for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE, Scheme.PACKET_TRADE):
         out[f"tick0.1/{scheme.value}/s0"] = with_updates(fractional, seed=0, scheme=scheme)
     # 150.7 s is 1 507 ticks of 0.1 s, though 1507 * 0.1 reads an ulp past 150.7
     whole_ticks = scenario_from_dict(_variant(raw, mobility={"tick_seconds": 0.1}, packet={"deadline": 150.7}))
