@@ -5,31 +5,26 @@ Verlet neighbour list, and a full distance-matrix scan (the quadratic
 oracle the acceptance test checks them against), each per tick over the
 same random-waypoint trajectory (speeds 5-15 m/s, 1 s ticks, 100 m radio
 range). Every list is handed blocks of ticks through the one ``pairs``
-interface: one-row blocks in the per-tick columns, as a run that settles
-on delivery filters either list; each list is timed once more at its own
-``block`` width, as any other run filters it (the all-pairs width is
-given in the table, the Verlet width in the column's name).
+interface, at its own ``block`` width, as every run filters it (the
+all-pairs width is given in the table, the Verlet width in the column's
+name); the matrix scan takes one row a call.
 The rows run at the baseline density (15 vehicles per 800x800 m), then
 one more at perfbench's dense_fleet shape, 300 vehicles in 800 m. Each
 list starts empty, as in a run, and its time includes its builds; for
 the Verlet list the table also gives its rebuild count and splits its
 time per tick into builds (the cell grid's count-table search) and
-filtering, a tick a call, and gives the rebuild count at its block
-width next to that time. The counts follow from the list's schedule,
-not from the trajectory: at top speed half the skin is 2 ticks, so a
-build serves the 2 ticks either side of it, which is every third tick
-a tick a call (34 builds in 101 ticks) and one build per five-tick
-block, from its middle tick (21).
+filtering. The count follows from the list's schedule, not from the
+trajectory: at top speed half the skin is 2 ticks, so a build serves the
+2 ticks either side of it, one build per five-tick block, from its
+middle tick (21 in 101 ticks).
 Each size times the two lists in alternating trial pairs over its one
-trajectory, at each width: all pairs then the Verlet list, then the
-other way round, seven pairs in all. A time is the median over trials,
-and each all/verlet ratio the median of the pairs' ratios, so a drift in
-the host's speed during a run moves both sides of a ratio alike.
+trajectory: all pairs then the Verlet list, then the other way round,
+seven pairs in all. A time is the median over trials, and the all/verlet
+ratio the median of the pairs' ratios, so a drift in the host's speed
+during a run moves both sides of a ratio alike.
 The baseline rows show where the Verlet list starts to beat the
-all-pairs list at each list's own block width, the widths every run
-that cannot end at a delivery filters at; that crossover is what
-``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from. The crossover a
-tick a call, the width of a delivery-settled run, is printed too.
+all-pairs list; that crossover is what
+``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
 Waypoint stepping: ``RandomWaypointModel.step``, the call a run makes
 every tick, its share of the candidate draws included (one draw of rows
 for ``mobility.draw_rows(n)`` ticks), at the baseline sizes, with no
@@ -148,33 +143,27 @@ def since_first_win(crossover: int | None, n: int, ratio: float) -> int | None:
     return n if crossover is None else crossover
 
 
-def bench_contacts(sizes: list[int], ticks: int) -> tuple[int | None, int | None]:
-    """Print the per-tick table; return the smallest sizes from which the Verlet list beats all pairs.
-
-    The first is at each list's own block width, the second a tick a call.
-    """
+def bench_contacts(sizes: list[int], ticks: int) -> int | None:
+    """Print the per-tick table; return the smallest size from which the Verlet list beats all pairs."""
     print(f"\ncontact detection per tick (radio range {RADIO_RANGE:g} m, skin {SKIN:g} m, {ticks} ticks)")
     width = kernels.NeighbourList(RADIO_RANGE, SKIN, MAX_STEP).block
-    header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'all pairs':>11}  {'block':>5}  {'all, block':>11}"
-              f"  {'verlet':>11}  {'all/verlet':>10}  {'rebuilds':>8}  {'build':>11}  {'filter':>11}"
-              f"  {f'verlet, {width}':>11}  {f'rebuilds, {width}':>11}  {'all/verlet, blocks':>18}")
+    header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'block':>5}  {'all, block':>11}"
+              f"  {f'verlet, {width}':>11}  {'all/verlet':>10}  {f'rebuilds, {width}':>11}  {'build':>11}"
+              f"  {'filter':>11}")
     print(header)
     print("-" * len(header))
-    crossover = crossover_row = None
+    crossover = None
     for n, arena in [(n, baseline_arena(n)) for n in sizes] + [DENSE]:
         xs, ys = trajectory(n, arena, ticks)
         block = kernels.AllPairs(n, RADIO_RANGE).block  # the width a run filters all pairs at
         t_scan = statistics.median(per_tick(lambda n: MatrixScan(), xs, ys)[0] for _ in range(3))
-        t_all, t_verlet, ratio, t_build, builds = paired(xs, ys, 1, 1)
-        t_block, t_wide, ratio_block, _, wide_builds = paired(xs, ys, block, width)
+        t_all, t_verlet, ratio, t_build, builds = paired(xs, ys, block, width)
         if (n, arena) != DENSE:
-            crossover = since_first_win(crossover, n, ratio_block)
-            crossover_row = since_first_win(crossover_row, n, ratio)
-        print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {t_all * 1e6:>9.1f}us  {block:>5}"
-              f"  {t_block * 1e6:>9.1f}us  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {builds:>8}"
-              f"  {t_build * 1e6:>9.1f}us  {(t_verlet - t_build) * 1e6:>9.1f}us"
-              f"  {t_wide * 1e6:>9.1f}us  {wide_builds:>11}  {ratio_block:>17.2f}x")
-    return crossover, crossover_row
+            crossover = since_first_win(crossover, n, ratio)
+        print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {block:>5}  {t_all * 1e6:>9.1f}us"
+              f"  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {builds:>11}  {t_build * 1e6:>9.1f}us"
+              f"  {(t_verlet - t_build) * 1e6:>9.1f}us")
+    return crossover
 
 
 def bench_waypoints(sizes: list[int], repeats: int) -> None:
@@ -218,14 +207,12 @@ def main() -> None:
     args = parser.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(",") if s.strip())
 
-    crossover, crossover_row = bench_contacts(sizes, args.ticks)
+    crossover = bench_contacts(sizes, args.ticks)
     print()
-    for found, widths in ((crossover, "at each list's block width, as most runs filter (sets the constant)"),
-                          (crossover_row, "a tick a call, as a run settled on delivery filters")):
-        if found is None:
-            print(f"{widths}: the Verlet list does not beat all pairs at the largest size measured")
-        else:
-            print(f"{widths}: the Verlet list beats all pairs from n={found} on, among the sizes measured")
+    if crossover is None:
+        print("the Verlet list does not beat all pairs at the largest size measured")
+    else:
+        print(f"the Verlet list beats all pairs from n={crossover} on, among the sizes measured")
     print(f"kernels.pair_list picks it from n >= NEIGHBOUR_LIST_MIN_VEHICLES = {kernels.NEIGHBOUR_LIST_MIN_VEHICLES},"
           f" with skin {SKIN:g} m here")
     bench_waypoints(sizes, args.repeats)

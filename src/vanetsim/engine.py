@@ -10,23 +10,22 @@ of the block, and yields a block of ticks at a time, their positions and
 radio contacts, filtered from the one pair list the run keeps
 (``kernels.pair_list``) by one ``contact_pairs`` call per block, with
 the row ends that split the block's pairs into its ticks, whatever the
-block's width. When no delivery can end the run, a block is up to the
-pair list's ``block`` ticks: many for an all-pairs list, up to five for
-a Verlet list, which one build at the block's middle tick serves. A run
-that settles on delivery steps and filters one-tick blocks, so it never
-steps past its delivery tick. Either way each tick's pairs are the same.
-``_route_block`` hands the packet across a block's ticks in turn, each
-in (a, b) order, walking only the pairs that ``routing`` says can carry
-it. It splits out only the ticks on which a carrier meets a
-non-carrier: after a tick with none, one test over the rest of the
-block finds the next, so ticks that cannot hand off cost no Python
-each, and none is routed once every vehicle carries. The packet's life ends at
-``end = min(duration, deadline)``, in whole ticks: the last tick is
-end / tick_seconds, read as an integer within a few ulps of one and
-rounded down otherwise. The run settles at end, or at the first delivery
-when that settles it (always so under packet trade), whose tick stops
-routing and mobility; never past end, though the last tick's clock can
-read an ulp past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
+block's width. A block is up to the pair list's ``block`` ticks: many
+for an all-pairs list, up to five for a Verlet list, which one build at
+the block's middle tick serves. ``_route_block`` hands the packet across
+a block's ticks in turn, each in (a, b) order, walking only the pairs
+that ``routing`` says can carry it. It splits out only the ticks on
+which a carrier meets a non-carrier: after a tick with none, one test
+over the rest of the block finds the next, so ticks that cannot hand off
+cost no Python each, and none is routed once every vehicle carries. The
+packet's life ends at ``end = min(duration, deadline)``, in whole ticks:
+the last tick is end / tick_seconds, read as an integer within a few
+ulps of one and rounded down otherwise. The run settles at end, or at
+the first delivery when that settles it (always so under packet trade).
+Its tick stops routing, and the run's clock, tick count and contact
+count are that tick's, though the fleet may have stepped to the end of
+its block. A run never settles past end, though the last tick's clock
+can read an ulp past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
 Simulated time at tick k is the float k * tick_seconds, never a running
 sum, so fractional ticks do not drift. Two child RNG streams of the run
 seed, one for mobility and one for the engine's own draws, drive
@@ -195,22 +194,21 @@ def _settle(
     return records, report
 
 
-def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
-             look_ahead: bool = True) -> Iterator[tuple]:
+def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int) -> Iterator[tuple]:
     """Yield ``(first, xs, ys, a, b, ends)`` for blocks of ticks 0..last_tick.
 
-    A block holds the ticks from ``first`` on: ``xs[i]`` and ``ys[i]`` are
-    tick first + i's positions, and its pairs are ``a[ends[i - 1]:ends[i]]``
-    and ``b[...]`` (from 0 for i = 0), filtered for the whole block in one
-    ``contact_pairs`` call. With ``look_ahead`` a block is up to the pair
-    list's ``block`` ticks; without it, one tick. The block is one kept
-    ``(width, 2, n)`` array; each tick after 0 is one ``model.step(slot)``
-    into its contiguous ``(2, n)`` slot, which becomes the model's ``pos``.
-    ``xs`` and ``ys`` view the slots' rows until the next block is yielded.
+    A block holds up to the pair list's ``block`` ticks from ``first`` on:
+    ``xs[i]`` and ``ys[i]`` are tick first + i's positions, and its pairs
+    are ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for i = 0),
+    filtered for the whole block in one ``contact_pairs`` call. The block
+    is one kept ``(width, 2, n)`` array; each tick after 0 is one
+    ``model.step(slot)`` into its contiguous ``(2, n)`` slot, which becomes
+    the model's ``pos``. ``xs`` and ``ys`` view the slots' rows until the
+    next block is yielded.
     """
     cfg = model.config
     neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
-    width = neighbours.block if look_ahead else 1
+    width = neighbours.block
     stack = np.empty((width, 2, cfg.vehicle_count))  # stack[i]: tick i's contiguous (2, n) positions
     xs, ys = stack[:, 0], stack[:, 1]
     step = model.step
@@ -226,15 +224,16 @@ def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int,
 def _route_block(
     tree: ForwardingTree, carried: np.ndarray, first: int, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
     b: np.ndarray, ends: list[int], tick_seconds: float, stop_at: int | None,
-) -> bool:
-    """Hand the packet across a block from ``contacts``, marking new carriers; True once ``stop_at`` joins.
+) -> int | None:
+    """Hand the packet across a block from ``contacts``, marking new carriers; the tick ``stop_at`` joins on.
 
-    Only a tick on which a carrier meets a non-carrier can hand off, and
-    its pairs are routed in (a, b) order. After a tick that has no such
-    pair, one test over the rest of the block finds the next tick that
-    has one, and its slices serve that tick, as ``carried`` cannot change
-    in between. After a tick that handed off, the next tick is tested on
-    its own.
+    The result is that tick's index i in the block, where routing stops, or
+    None if ``stop_at`` did not join. Only a tick on which a carrier meets a
+    non-carrier can hand off, and its pairs are routed in (a, b) order.
+    After a tick that has no such pair, one test over the rest of the block
+    finds the next tick that has one, and its slices serve that tick, as
+    ``carried`` cannot change in between. After a tick that handed off, the
+    next tick is tested on its own.
     """
     n, k = len(carried), len(ends)
     i = start = 0
@@ -246,7 +245,7 @@ def _route_block(
         if not np.count_nonzero(grow):  # a quiet tick
             m = len(a) - end
             if not m:
-                return False
+                return None
             # one buffer of at least 1 KiB: numpy keeps freed arrays under 1 KiB for reuse,
             # by exact size, so tests of many sizes would pile up over a sweep
             test = np.empty(max(3 * m, 1024), dtype=bool)
@@ -255,7 +254,7 @@ def _route_block(
             hits = np.not_equal(ca, cb, out=test[2 * m:3 * m])
             hit = int(hits.argmax())
             if not hits[hit]:
-                return False
+                return None
             i = bisect_right(ends, end + hit)  # the tick that holds the first hit
             s, e = ends[i - 1] - end, ends[i] - end
             start, end = ends[i - 1], ends[i]
@@ -272,9 +271,9 @@ def _route_block(
             if link is not None:
                 carried[link.to_id] = True
                 if link.to_id == stop_at:
-                    return True
+                    return i
         i, start = i + 1, end
-    return False
+    return None
 
 
 def run(
@@ -312,13 +311,14 @@ def run(
     stop_at = destination if settle_on_delivery else None
     carried = np.zeros(n, dtype=bool)
     carried[source] = True
-    contact_events = 0
+    contact_events, ticks_run = 0, last_tick
     tick_seconds = mobility_cfg.tick_seconds
-    # no delivery can end a run without stop_at, so its fleet may step ahead
-    for first, xs, ys, a, b, ends in contacts(model, engine_cfg.radio_range, last_tick, stop_at is None):
+    for first, xs, ys, a, b, ends in contacts(model, engine_cfg.radio_range, last_tick):
+        i = _route_block(tree, carried, first, xs, ys, a, b, ends, tick_seconds, stop_at)
+        if i is not None:  # the packet's life ended at the block's tick i; the fleet may have stepped past it
+            contact_events, ticks_run = contact_events + ends[i], first + i
+            break
         contact_events += len(a)
-        if _route_block(tree, carried, first, xs, ys, a, b, ends, tick_seconds, stop_at):
-            break  # the packet's life ended at this block's tick: with stop_at, blocks are one tick
 
     settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)
@@ -331,7 +331,7 @@ def run(
         records=records,
         report=report,
         settle_time=settle_time,
-        final_time=model.now,
-        ticks_run=model.tick,
+        final_time=float(ticks_run * tick_seconds),  # the model's clock at that tick
+        ticks_run=ticks_run,
         contact_events=contact_events,
     )

@@ -55,7 +55,7 @@ def cases() -> dict[str, object]:
     fleet = scenario_from_dict(
         _variant(raw, mobility={"vehicle_count": 128, "arena_width": 2336.0, "arena_height": 2336.0})
     )
-    # packet trade settles on delivery, so its Verlet blocks are one tick
+    # packet trade settles on delivery, at a tick inside a 5-tick Verlet block
     for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_PURSE, Scheme.PACKET_TRADE):
         out[f"fleet128/{scheme.value}/s0"] = with_updates(fleet, seed=0, scheme=scheme)
     # fast fleets cap the skin at the radio range: at 40 m a tick one build
@@ -116,13 +116,16 @@ def sweep_aggregate_digest() -> str:
         return hashlib.sha256((Path(out) / "aggregate.json").read_bytes()).hexdigest()
 
 
+def case_digests(scenario) -> dict[str, str]:
+    """{"summary.json": sha256, "rows.csv": sha256} of one case's run."""
+    result = run(scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, scenario.seed)
+    summary = build_summary(result, scenario_hash(scenario))
+    return {"summary.json": _sha256(summary_to_json(summary)), "rows.csv": _sha256(rows_to_csv(summary.rows))}
+
+
 def digests() -> dict[str, dict[str, str]]:
-    """Case id -> {"summary.json": sha256, "rows.csv": sha256}, plus the sweep aggregate."""
-    out = {}
-    for case, scenario in cases().items():
-        result = run(scenario.mobility, scenario.engine, scenario.incentives, scenario.packet, scenario.seed)
-        summary = build_summary(result, scenario_hash(scenario))
-        out[case] = {"summary.json": _sha256(summary_to_json(summary)), "rows.csv": _sha256(rows_to_csv(summary.rows))}
+    """Case id -> ``case_digests``, plus the sweep aggregate."""
+    out = {case: case_digests(scenario) for case, scenario in cases().items()}
     out["sweep/baseline/s0-4"] = {"aggregate.json": sweep_aggregate_digest()}
     return out
 

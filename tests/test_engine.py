@@ -424,13 +424,18 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, dt, eng, inc, pk
         step(model, out)
 
     monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
-    result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt, mob=MobilityConfig(tick_seconds=dt))
-    if steps is None:  # settled on delivery: the last step is the delivery tick's
+    mob = MobilityConfig(tick_seconds=dt)
+    result = run_default(seed=7, eng=eng, inc=inc, pkt=pkt, mob=mob)
+    stepped = steps
+    if steps is None:  # settled on delivery: the run ends at the delivery tick, its steps at that block's end
         assert result.delivered
         settle = result.tree.link_to[result.destination_id].timestamp
         steps = round(settle / dt)
         assert steps < round(pkt.deadline / dt)
-    assert calls == list(range(1, steps + 1))
+        block = kernels.pair_list(mob.vehicle_count, eng.radio_range, mob.speed_max * dt).block
+        stepped = min((steps // block + 1) * block - 1, round(min(eng.duration, pkt.deadline) / dt))
+        assert stepped > steps  # 98 and 155 at seed 7: the fleet stepped past delivery
+    assert calls == list(range(1, stepped + 1))
     assert result.ticks_run == steps
     assert result.final_time == steps * dt
     assert result.settle_time == settle
@@ -485,8 +490,20 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
     assert sum(rows) == 301  # ticks 0..300, a block of them per call
 
 
+def one_tick_blocks(monkeypatch):
+    """Make every pair list ``engine.contacts`` keeps filter one tick a block: the tick-by-tick stream."""
+    make = engine.pair_list
+
+    def one_tick(*args):
+        neighbours = make(*args)
+        neighbours.block = 1
+        return neighbours
+
+    monkeypatch.setattr(engine, "pair_list", one_tick)
+
+
 @pytest.mark.parametrize("n", [15, 40, 64, kernels.NEIGHBOUR_LIST_MIN_VEHICLES - 1, 120, 150])
-def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
+def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(monkeypatch, n):
     # 0.1 s ticks, 250 of them: the all-pairs blocks of 78, 10, 4 and 1
     # ticks and the Verlet blocks of 5 end inside the run, so the stream
     # crosses block edges
@@ -495,10 +512,16 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
     block = kernels.pair_list(n, 100.0, 1.5).block
     assert block < last_tick
     models = [RandomWaypointModel(cfg, np.random.default_rng(n)) for _ in range(3)]
-    firsts = [first for first, *_ in engine.contacts(models[2], 100.0, last_tick, look_ahead=True)]
+    firsts = [first for first, *_ in engine.contacts(models[2], 100.0, last_tick)]
     assert firsts == list(range(0, last_tick + 1, block))
-    ahead = contact_ticks(engine.contacts(models[0], 100.0, last_tick, look_ahead=True))
-    tick_by_tick = contact_ticks(engine.contacts(models[1], 100.0, last_tick, look_ahead=False))
+
+    def stream(model):  # a block's positions are overwritten by the next block's, so keep copies
+        blocks = engine.contacts(model, 100.0, last_tick)
+        return [(t, x.copy(), y.copy(), a, b) for t, x, y, a, b in contact_ticks(blocks)]
+
+    ahead = stream(models[0])
+    one_tick_blocks(monkeypatch)
+    tick_by_tick = stream(models[1])
     ticks = 0
     for got, want in zip(ahead, tick_by_tick, strict=True):
         assert got[0] == want[0] == ticks
@@ -510,9 +533,8 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(n):
 
 
 @pytest.mark.parametrize("pause", [0.0, 2.5])
-@pytest.mark.parametrize("look_ahead", [True, False], ids=["blocks", "one_tick"])
 @pytest.mark.parametrize("n", [15, 120], ids=["all_pairs", "verlet"])
-def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkeypatch, n, look_ahead, pause):
+def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkeypatch, n, pause):
     # the stream steps the fleet into its block's slots; a twin model steps in place, once a tick.
     # 200 ticks cross the all-pairs blocks' 78-tick edges and many Verlet 5-tick ones
     cfg = MobilityConfig(vehicle_count=n, pause_time=pause)
@@ -527,9 +549,9 @@ def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkey
     monkeypatch.setattr(RandomWaypointModel, "step", counting_step)
     streamed = RandomWaypointModel(cfg, np.random.default_rng(n))
     twin = RandomWaypointModel(cfg, np.random.default_rng(n))
-    width = kernels.pair_list(n, 100.0, cfg.speed_max).block if look_ahead else 1
+    width = kernels.pair_list(n, 100.0, cfg.speed_max).block
     tick = 0
-    for first, xs, ys, *_ in engine.contacts(streamed, 100.0, last_tick, look_ahead):
+    for first, xs, ys, *_ in engine.contacts(streamed, 100.0, last_tick):
         assert first == tick and len(xs) == len(ys) == min(width, last_tick + 1 - first)
         for x, y in zip(xs, ys):
             if tick:
@@ -544,39 +566,40 @@ def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkey
 
 def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):
     # a dense fleet, 300 vehicles in 800 m: a build at a 5-tick block's
-    # middle tick serves the whole block, and one-tick calls build every third
+    # middle tick serves the whole block
     builds = []
     build = kernels.NeighbourList._build
     monkeypatch.setattr(kernels.NeighbourList, "_build",
                         lambda self, z, cutoff: builds.append(cutoff) or build(self, z, cutoff))
     cfg = MobilityConfig(vehicle_count=300, arena_width=800.0, arena_height=800.0)
-    counts = []
-    for look_ahead in (True, False):
-        builds.clear()
-        for _ in engine.contacts(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300, look_ahead):
-            pass
-        counts.append(len(builds))
-    assert counts == [61, 101]  # a build per 5-tick block, or every third tick
+    for _ in engine.contacts(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300):
+        pass
+    assert len(builds) == 61  # a build per 5-tick block
 
 
 @pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False), (120, True)])
 def test_every_contact_comes_through_engine_contact_pairs(monkeypatch, n, settle_on_delivery):
     # traced benchmarks count a run's contacts as the pairs engine.contact_pairs returns
-    returned, rows = [], []
+    returned, rows, ends = [], [], []
 
     def counting(x, y, neighbours):
         found = kernels.contact_pairs(x, y, neighbours)
         returned.append(len(found[0]))
         rows.append(len(x))
+        ends.append(found[2])
         return found
 
     monkeypatch.setattr(engine, "contact_pairs", counting)
     eng = EngineConfig(settle_on_delivery=settle_on_delivery)
     result = run_default(seed=3, eng=eng, mob=MobilityConfig(vehicle_count=n))
-    assert sum(returned) == result.contact_events > 0
-    assert sum(rows) == result.ticks_run + 1
-    # only a run that settles on delivery filters a tick a call
-    assert (max(rows) == 1) == settle_on_delivery
+    if settle_on_delivery:  # the delivery tick's block can run past it: its contacts end at that tick's row end
+        assert result.delivered
+        i = result.ticks_run - sum(rows[:-1])  # the delivery tick's row in the last block
+        assert 0 <= i < rows[-1] and rows[-1] > 1
+        assert sum(returned[:-1]) + ends[-1][i] == result.contact_events > 0
+    else:
+        assert sum(returned) == result.contact_events > 0
+        assert sum(rows) == result.ticks_run + 1
 
 
 def test_run_past_the_deadline_exports_the_same_summary():
