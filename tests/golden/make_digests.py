@@ -73,6 +73,10 @@ def cases() -> dict[str, object]:
     )
     for scheme in (Scheme.SECOND_PROPOSAL, Scheme.PACKET_TRADE):
         out[f"dense300/{scheme.value}/s0"] = with_updates(dense, seed=0, scheme=scheme)
+    # the same fleet to the 300 s deadline: every vehicle carries from tick 2,
+    # so the last 298 ticks are only counted
+    dense_full = scenario_from_dict(_variant(raw, mobility={"vehicle_count": 300}))
+    out["dense300_300s/second_proposal/s0"] = with_updates(dense_full, seed=0)
     # the deadline falls between ticks, so settlement fires mid-run
     early = scenario_from_dict(_variant(raw, packet={"deadline": 150.5}))
     out["deadline150.5/second_proposal/s0"] = with_updates(early, seed=0)

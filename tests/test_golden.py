@@ -30,10 +30,12 @@ GROUPINGS = {
     "one_tick_blocks": one_tick_blocks,
 }
 # delivery inside an all-pairs, a paused, a Verlet (tick 111), a dense Verlet (tick 1)
-# and a fourth 78-tick all-pairs block (tick 290), and a run to its deadline
+# and a fourth 78-tick all-pairs block (tick 290), a run to its deadline, and a dense
+# Verlet run whose tree holds every vehicle from tick 2 on
 GROUPED_CASES = [
     "baseline/second_proposal/s0", "baseline/packet_trade/s0", "settle_on_delivery/second_proposal/s0",
     "pause2.5/packet_trade/s0", "fleet128/packet_trade/s0", "dense300/packet_trade/s0", "tick0.1/packet_trade/s0",
+    "dense300_300s/second_proposal/s0",
 ]
 
 
