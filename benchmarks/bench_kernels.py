@@ -13,15 +13,17 @@ one more at perfbench's dense_fleet shape, 300 vehicles in 800 m. Each
 list starts empty, as in a run, and its time includes its builds; for
 the Verlet list the table also gives its rebuild count and splits its
 time per tick into builds (the cell grid's count-table search) and
-filtering. The count follows from the list's schedule, not from the
-trajectory: at top speed half the skin is 2 ticks, so a build serves the
-2 ticks either side of it, one build per five-tick block, from its
+filtering, and times its builds once more with the ``ordered`` flag
+cleared, which skips the build's sort, as a run builds once every vehicle
+carries the packet. The count follows from the list's schedule, not from
+the trajectory: at top speed half the skin is 2 ticks, so a build serves
+the 2 ticks either side of it, one build per five-tick block, from its
 middle tick (21 in 101 ticks).
-Each size times the two lists in alternating trial pairs over its one
-trajectory: all pairs then the Verlet list, then the other way round,
-seven pairs in all. A time is the median over trials, and the all/verlet
-ratio the median of the pairs' ratios, so a drift in the host's speed
-during a run moves both sides of a ratio alike.
+Each size times the lists in alternating trials over its one
+trajectory: all pairs, the Verlet list, then the unordered Verlet list,
+then the other way round, seven trials in all. A time is the median over
+trials, and the all/verlet ratio the median of the trials' ratios, so a
+drift in the host's speed during a run moves both sides of a ratio alike.
 The baseline rows show where the Verlet list starts to beat the
 all-pairs list; that crossover is what
 ``kernels.NEIGHBOUR_LIST_MIN_VEHICLES`` is set from.
@@ -55,7 +57,7 @@ TICK_SECONDS = 1.0
 DENSE = (300, 800.0)  # perfbench's dense_fleet: vehicles, arena side in metres
 MAX_STEP = SPEED_MAX * TICK_SECONDS  # the longest step a vehicle takes, as a run tells its Verlet list
 SKIN = kernels.pair_list(DENSE[0], RADIO_RANGE, MAX_STEP).skin  # a run's Verlet list skin
-TRIALS = 7  # trial pairs per size and width; an odd count, so each median is one pair's
+TRIALS = 7  # trials per size; an odd count, so each median is one trial's
 
 
 def baseline_arena(n: int) -> float:
@@ -90,8 +92,9 @@ class MatrixScan:
 class TimedNeighbourList(kernels.NeighbourList):
     """A Verlet list that counts its builds and the seconds they take."""
 
-    def __init__(self, radio_range: float, skin: float, max_step: float) -> None:
+    def __init__(self, radio_range: float, skin: float, max_step: float, ordered: bool = True) -> None:
         super().__init__(radio_range, skin, max_step)
+        self.ordered = ordered
         self.builds, self.build_s = 0, 0.0
 
     def _build(self, z: np.ndarray, cutoff: float) -> None:
@@ -116,24 +119,29 @@ def per_tick(make_list, xs, ys, block=1):
 
 
 def paired(xs, ys, all_block, verlet_block):
-    """All pairs against the Verlet list over one trajectory, in TRIALS trial pairs.
+    """All pairs against the Verlet list over one trajectory, in TRIALS trials.
 
-    A pair runs its two trials back to back, all pairs first on even
-    trials and the Verlet list first on odd ones. Returns the median
-    seconds per tick of each, the median over pairs of all pairs' time
-    over the Verlet list's, and the Verlet list's median build seconds
-    per tick and its build count.
+    A trial times all pairs, the Verlet list and the Verlet list with its
+    ``ordered`` flag cleared back to back, in that order on even trials
+    and the other way round on odd ones. Returns the median seconds per
+    tick of the first two, the median over trials of all pairs' time over
+    the Verlet list's, the median build seconds per tick of the Verlet
+    list and of the unordered one, and the Verlet list's build count.
     """
+    def verlet(ordered):
+        return lambda: per_tick(lambda n: TimedNeighbourList(RADIO_RANGE, SKIN, MAX_STEP, ordered), xs, ys,
+                                verlet_block)
+
     sides = (lambda: per_tick(lambda n: kernels.AllPairs(n, RADIO_RANGE), xs, ys, all_block),
-             lambda: per_tick(lambda n: TimedNeighbourList(RADIO_RANGE, SKIN, MAX_STEP), xs, ys, verlet_block))
-    runs = ([], [])
+             verlet(True), verlet(False))
+    runs = ([], [], [])
     for trial in range(TRIALS):
-        for side in (0, 1) if trial % 2 == 0 else (1, 0):
+        for side in (0, 1, 2) if trial % 2 == 0 else (2, 1, 0):
             runs[side].append(sides[side]())
-    (t_all, _), (t_verlet, verlets) = (zip(*side) for side in runs)
+    (t_all, _), (t_verlet, verlets), (_, unordered) = (zip(*side) for side in runs)
     ratio = statistics.median(a / v for a, v in zip(t_all, t_verlet))
-    t_build = statistics.median(v.build_s for v in verlets) / len(xs)
-    return statistics.median(t_all), statistics.median(t_verlet), ratio, t_build, verlets[0].builds
+    t_build, t_unordered = (statistics.median(v.build_s for v in lists) / len(xs) for lists in (verlets, unordered))
+    return statistics.median(t_all), statistics.median(t_verlet), ratio, t_build, t_unordered, verlets[0].builds
 
 
 def since_first_win(crossover: int | None, n: int, ratio: float) -> int | None:
@@ -149,7 +157,7 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
     width = kernels.NeighbourList(RADIO_RANGE, SKIN, MAX_STEP).block
     header = (f"{'n':>6}  {'arena':>7}  {'matrix':>11}  {'block':>5}  {'all, block':>11}"
               f"  {f'verlet, {width}':>11}  {'all/verlet':>10}  {f'rebuilds, {width}':>11}  {'build':>11}"
-              f"  {'filter':>11}")
+              f"  {'filter':>11}  {'build, no sort':>14}")
     print(header)
     print("-" * len(header))
     crossover = None
@@ -157,12 +165,12 @@ def bench_contacts(sizes: list[int], ticks: int) -> int | None:
         xs, ys = trajectory(n, arena, ticks)
         block = kernels.AllPairs(n, RADIO_RANGE).block  # the width a run filters all pairs at
         t_scan = statistics.median(per_tick(lambda n: MatrixScan(), xs, ys)[0] for _ in range(3))
-        t_all, t_verlet, ratio, t_build, builds = paired(xs, ys, block, width)
+        t_all, t_verlet, ratio, t_build, t_unordered, builds = paired(xs, ys, block, width)
         if (n, arena) != DENSE:
             crossover = since_first_win(crossover, n, ratio)
         print(f"{n:>6}  {arena:>6.0f}m  {t_scan * 1e6:>9.1f}us  {block:>5}  {t_all * 1e6:>9.1f}us"
               f"  {t_verlet * 1e6:>9.1f}us  {ratio:>9.2f}x  {builds:>11}  {t_build * 1e6:>9.1f}us"
-              f"  {(t_verlet - t_build) * 1e6:>9.1f}us")
+              f"  {(t_verlet - t_build) * 1e6:>9.1f}us  {t_unordered * 1e6:>12.1f}us")
     return crossover
 
 

@@ -17,15 +17,17 @@ a block's ticks in turn, each in (a, b) order, walking only the pairs
 that ``routing`` says can carry it. It splits out only the ticks on
 which a carrier meets a non-carrier: after a tick with none, one test
 over the rest of the block finds the next, so ticks that cannot hand off
-cost no Python each, and none is routed once every vehicle carries. The
-packet's life ends at ``end = min(duration, deadline)``, in whole ticks:
-the last tick is end / tick_seconds, read as an integer within a few
-ulps of one and rounded down otherwise. The run settles at end, or at
-the first delivery when that settles it (always so under packet trade).
-Its tick stops routing, and the run's clock, tick count and contact
-count are that tick's, though the fleet may have stepped to the end of
-its block. A run never settles past end, though the last tick's clock
-can read an ulp past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
+cost no Python each, and none is routed once every vehicle carries, so
+from the next block on the run only counts contacts and clears the pair
+list's ``ordered`` flag: a Verlet build skips its sort. The packet's life
+ends at ``end = min(duration, deadline)``, in whole ticks: the last tick
+is end / tick_seconds, read as an integer within a few ulps of one and
+rounded down otherwise. The run settles at end, or at the first delivery
+when that settles it (always so under packet trade). Its tick stops
+routing, and the run's clock, tick count and contact count are that
+tick's, though the fleet may have stepped to the end of its block. A run
+never settles past end, though the last tick's clock can read an ulp
+past it (3 * 0.1 > 0.3): a handoff then is held for 0 s.
 Simulated time at tick k is the float k * tick_seconds, never a running
 sum, so fractional ticks do not drift. Two child RNG streams of the run
 seed, one for mobility and one for the engine's own draws, drive
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incentives import IncentiveConfig
-from .kernels import contact_pairs, pair_list
+from .kernels import AllPairs, NeighbourList, contact_pairs, pair_list
 from .mobility import MobilityConfig, RandomWaypointModel
 from .model import (
     PROPORTIONAL_SCHEMES,
@@ -194,22 +196,23 @@ def _settle(
     return records, report
 
 
-def contacts(model: RandomWaypointModel, radio_range: float, last_tick: int) -> Iterator[tuple]:
+def contacts(
+    model: RandomWaypointModel, neighbours: AllPairs | NeighbourList, last_tick: int
+) -> Iterator[tuple]:
     """Yield ``(first, xs, ys, a, b, ends)`` for blocks of ticks 0..last_tick.
 
-    A block holds up to the pair list's ``block`` ticks from ``first`` on:
+    A block holds up to ``neighbours.block`` ticks from ``first`` on:
     ``xs[i]`` and ``ys[i]`` are tick first + i's positions, and its pairs
     are ``a[ends[i - 1]:ends[i]]`` and ``b[...]`` (from 0 for i = 0),
     filtered for the whole block in one ``contact_pairs`` call. The block
     is one kept ``(width, 2, n)`` array; each tick after 0 is one
     ``model.step(slot)`` into its contiguous ``(2, n)`` slot, which becomes
     the model's ``pos``. ``xs`` and ``ys`` view the slots' rows until the
-    next block is yielded.
+    next block is yielded. The list filters a block after the previous
+    one is routed, so a flag the caller sets in between holds for it.
     """
-    cfg = model.config
-    neighbours = pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
     width = neighbours.block
-    stack = np.empty((width, 2, cfg.vehicle_count))  # stack[i]: tick i's contiguous (2, n) positions
+    stack = np.empty((width, 2, model.config.vehicle_count))  # stack[i]: tick i's contiguous (2, n) positions
     xs, ys = stack[:, 0], stack[:, 1]
     step = model.step
     stack[0] = model.pos  # tick 0's positions, the only ones copied
@@ -313,12 +316,15 @@ def run(
     carried[source] = True
     contact_events, ticks_run = 0, last_tick
     tick_seconds = mobility_cfg.tick_seconds
-    for first, xs, ys, a, b, ends in contacts(model, engine_cfg.radio_range, last_tick):
+    neighbours = pair_list(n, engine_cfg.radio_range, mobility_cfg.speed_max * tick_seconds)
+    for first, xs, ys, a, b, ends in contacts(model, neighbours, last_tick):
         i = _route_block(tree, carried, first, xs, ys, a, b, ends, tick_seconds, stop_at)
         if i is not None:  # the packet's life ended at the block's tick i; the fleet may have stepped past it
             contact_events, ticks_run = contact_events + ends[i], first + i
             break
         contact_events += len(a)
+        if len(tree.depth) == n:  # a full tree routes no more: later blocks are only counted
+            neighbours.ordered = False
 
     settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)

@@ -4,8 +4,9 @@ Every contact test is one function, ``_near``: ``dx*dx + dy*dy <= r*r``
 over pairs of positions held as one complex array, so that
 ``(z[a] - z[b]).real`` is dx. It tests every pair of an all-pairs block
 at once, and a Verlet list's candidates in a build and its pairs in each
-row. Every pair list comes out sorted by (a, b) with a < b, so the choice
-of algorithm never changes a run's output.
+row. Every pair comes out with a < b and, while the run routes, sorted by
+(a, b), so the choice of algorithm never changes a run's output; a run
+that only counts clears the Verlet list's ``ordered`` flag to skip the sort.
 
 Every run keeps one pair list, from ``pair_list``, and filters every
 tick through it. Below NEIGHBOUR_LIST_MIN_VEHICLES, where call overhead
@@ -102,6 +103,7 @@ class AllPairs:
 
     def __init__(self, n: int, radio_range: float) -> None:
         self.radio_range = radio_range
+        self.ordered = True  # ignored: the flat filter yields (a, b) order at no cost
         v = np.arange(n)
         self.a, self.b = np.less.outer(v, v).nonzero()  # the pairs a < b, row-major, so in (a, b) order
         m = len(self.a)
@@ -137,7 +139,8 @@ class NeighbourList:
     rows a call takes, is ``min(5, 2 * reach + 1)``: at ``pair_list``'s
     skin, reach is 2 ticks at top speed, so one build serves a 5-tick
     block from its middle row; once the skin is capped at the radio
-    range, 3 or 1.
+    range, 3 or 1. A build sorts its pairs by (a, b), and so every row,
+    while ``ordered``; cleared, it keeps the same pairs in the grid's order.
 
     The list, the build's count table and the arrays of every distance
     test live in buffers the list keeps for its whole life; a build that
@@ -151,6 +154,7 @@ class NeighbourList:
         self.radio_range, self.skin = radio_range, skin
         self.reach = skin // (2.0 * max_step) if max_step else math.inf  # the exact floor of the ratio
         self.block = int(min(5, 2 * self.reach + 1))
+        self.ordered = True
         self._served = 0  # rows after the last call that the list still serves; none yet
         self._first = np.zeros(1, np.int64)  # the count table; its first entry stays 0
         self._grow(0)
@@ -163,7 +167,7 @@ class NeighbourList:
         self._iota = np.arange(size, dtype=np.int64)
 
     def _build(self, z: np.ndarray, cutoff: float) -> None:
-        """Every pair within cutoff, sorted by (a, b), from a cell-grid range search."""
+        """Every pair within cutoff, sorted by (a, b) if ``ordered``, from a cell-grid range search."""
         n = z.shape[0]
         if n < 2:
             self.a, self.b = self._a[:0], self._b[:0]
@@ -210,7 +214,7 @@ class NeighbourList:
         near = _near(z[order], owner, other, cutoff, self._work)
 
         # the pairs in range as (min, max) of their vehicle indices, sorted
-        # by the code a * n + b
+        # by the code a * n + b while the list is ordered
         k = len(near)
         a = owner.take(near, out=self._a[:k], mode="clip")
         b = other.take(near, out=self._b[:k], mode="clip")
@@ -218,11 +222,12 @@ class NeighbourList:
         j = order.take(b, out=other[:k], mode="clip")
         np.minimum(i, j, out=a)
         np.maximum(i, j, out=b)
-        code = np.multiply(a, n, out=i)
-        code += b
-        code.sort()
-        np.floor_divide(code, n, out=a)
-        np.subtract(code, np.multiply(a, n, out=b), out=b)
+        if self.ordered:
+            code = np.multiply(a, n, out=i)
+            code += b
+            code.sort()
+            np.floor_divide(code, n, out=a)
+            np.subtract(code, np.multiply(a, n, out=b), out=b)
         self.a, self.b = a, b
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray):

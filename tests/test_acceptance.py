@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import chain_tree
-from vanetsim import kernels
+from vanetsim import engine, kernels
 from vanetsim.cli import main
-from vanetsim.engine import EngineConfig, PacketSpec, contacts, run
+from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import (
     IncentiveConfig,
     contribution_second,
@@ -208,6 +208,13 @@ def fresh_list_pairs(x: np.ndarray, y: np.ndarray, radio_range: float):
     return a, b
 
 
+def contact_blocks(model, radio_range, last_tick):
+    """``engine.contacts`` for ticks 0..last_tick through the pair list a run makes for the model's fleet."""
+    cfg = model.config
+    neighbours = engine.pair_list(cfg.vehicle_count, radio_range, cfg.speed_max * cfg.tick_seconds)
+    return engine.contacts(model, neighbours, last_tick)
+
+
 def contact_ticks(blocks):
     """The blocks ``engine.contacts`` yields, split at their row ends: ``(tick, x, y, a, b)``, a tick each."""
     for first, xs, ys, a, b, ends in blocks:
@@ -239,7 +246,7 @@ def test_contact_engine_matches_quadratic_oracle(capsys):
         )
         model = RandomWaypointModel(cfg, np.random.default_rng(1000 + run_idx))
         # filters the pair list engine.run keeps
-        for _, x, y, a, b in contact_ticks(contacts(model, radio, 25)):
+        for _, x, y, a, b in contact_ticks(contact_blocks(model, radio, 25)):
             ref_a, ref_b = reference_pairs(x, y, radio)
             for got_a, got_b in ((a, b), fresh_list_pairs(x, y, radio)):
                 assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import reference_run
-from test_acceptance import contact_ticks, fresh_list_pairs
+from test_acceptance import contact_blocks, contact_ticks, fresh_list_pairs
 from vanetsim import engine, kernels, routing
 from vanetsim.engine import EngineConfig, PacketSpec, run
 from vanetsim.incentives import IncentiveConfig
@@ -491,7 +491,7 @@ def test_small_fleet_builds_its_pair_list_once(monkeypatch):
 
 
 def one_tick_blocks(monkeypatch):
-    """Make every pair list ``engine.contacts`` keeps filter one tick a block: the tick-by-tick stream."""
+    """Make every pair list made through ``engine.pair_list`` filter one tick a block: the tick-by-tick stream."""
     make = engine.pair_list
 
     def one_tick(*args):
@@ -512,11 +512,11 @@ def test_looking_ahead_yields_what_stepping_tick_by_tick_yields(monkeypatch, n):
     block = kernels.pair_list(n, 100.0, 1.5).block
     assert block < last_tick
     models = [RandomWaypointModel(cfg, np.random.default_rng(n)) for _ in range(3)]
-    firsts = [first for first, *_ in engine.contacts(models[2], 100.0, last_tick)]
+    firsts = [first for first, *_ in contact_blocks(models[2], 100.0, last_tick)]
     assert firsts == list(range(0, last_tick + 1, block))
 
     def stream(model):  # a block's positions are overwritten by the next block's, so keep copies
-        blocks = engine.contacts(model, 100.0, last_tick)
+        blocks = contact_blocks(model, 100.0, last_tick)
         return [(t, x.copy(), y.copy(), a, b) for t, x, y, a, b in contact_ticks(blocks)]
 
     ahead = stream(models[0])
@@ -551,7 +551,7 @@ def test_contacts_yields_the_positions_a_separately_stepped_model_reaches(monkey
     twin = RandomWaypointModel(cfg, np.random.default_rng(n))
     width = kernels.pair_list(n, 100.0, cfg.speed_max).block
     tick = 0
-    for first, xs, ys, *_ in engine.contacts(streamed, 100.0, last_tick):
+    for first, xs, ys, *_ in contact_blocks(streamed, 100.0, last_tick):
         assert first == tick and len(xs) == len(ys) == min(width, last_tick + 1 - first)
         for x, y in zip(xs, ys):
             if tick:
@@ -572,9 +572,36 @@ def test_looking_ahead_builds_the_verlet_list_mid_block(monkeypatch):
     monkeypatch.setattr(kernels.NeighbourList, "_build",
                         lambda self, z, cutoff: builds.append(cutoff) or build(self, z, cutoff))
     cfg = MobilityConfig(vehicle_count=300, arena_width=800.0, arena_height=800.0)
-    for _ in engine.contacts(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300):
+    for _ in contact_blocks(RandomWaypointModel(cfg, np.random.default_rng(0)), 100.0, 300):
         pass
     assert len(builds) == 61  # a build per 5-tick block
+
+
+@pytest.fixture
+def build_flags(monkeypatch):
+    """Each NeighbourList build's ``ordered`` flag, in call order."""
+    flags = []
+    build = kernels.NeighbourList._build
+    monkeypatch.setattr(kernels.NeighbourList, "_build",
+                        lambda self, z, cutoff: flags.append(self.ordered) or build(self, z, cutoff))
+    return flags
+
+
+def test_verlet_builds_stop_sorting_after_the_block_that_fills_the_tree(build_flags):
+    # 300 vehicles in 800 m: every vehicle carries within a few ticks, and from
+    # the next 5-tick block on the run only counts contacts
+    result = run_default(seed=0, mob=MobilityConfig(vehicle_count=300))
+    assert len(result.tree.depth) == 300 and result.ticks_run == 300
+    filled = round(max(link.timestamp for link in result.tree.link_to.values()) / MOB.tick_seconds)
+    sorted_blocks = filled // 5 + 1  # the blocks through the one whose tick fills the tree
+    assert build_flags == [True] * sorted_blocks + [False] * (61 - sorted_blocks)
+
+
+def test_verlet_builds_keep_sorting_while_the_tree_grows(build_flags):
+    # 1 000 vehicles at the baseline density: the tree never holds the whole fleet
+    result = run_default(seed=0, mob=MobilityConfig(vehicle_count=1000, arena_width=6532.0, arena_height=6532.0))
+    assert len(result.tree.depth) < 1000 and result.ticks_run == 300
+    assert build_flags == [True] * 61
 
 
 @pytest.mark.parametrize("n, settle_on_delivery", [(15, False), (15, True), (120, False), (120, True)])

@@ -393,6 +393,29 @@ class TestNeighbourList:
             assert len(builds) == (1 if reach == math.inf else call // (reach + 1) + 1)
             x, y = xs[-1], ys[-1]
 
+    @pytest.mark.parametrize("max_step, reach", [(5.0, 0), (4.0, 1), (2.0, 2), (0.0, math.inf)])
+    def test_unordered_builds_give_each_row_the_same_pairs(self, max_step, reach):
+        # one list sorts its builds and one does not, over one trajectory in
+        # blocks of the lists' width: each row holds the same pairs, a < b
+        rng = np.random.default_rng(2)
+        ordered, unordered = kernels.NeighbourList(30.0, 8.0, max_step), kernels.NeighbourList(30.0, 8.0, max_step)
+        unordered.ordered = False
+        assert ordered.reach == reach
+        x, y = rng.random((2, 200)) * 500.0
+        shuffled = 0
+        for _ in range(12):
+            xs, ys = walk(rng, x, y, ordered.block, max_step)
+            a, b, ends = ordered.pairs(xs, ys)
+            assert_rows_exact((a, b, ends), xs, ys, 30.0)
+            ua, ub, unordered_ends = unordered.pairs(xs, ys)
+            assert unordered_ends == ends and ua.dtype == ub.dtype == np.int64 and np.all(ua < ub)
+            for start, end in zip([0, *ends], ends):
+                rows = [list(zip(p[start:end].tolist(), q[start:end].tolist())) for p, q in ((a, b), (ua, ub))]
+                assert sorted(rows[1]) == rows[0]
+                shuffled += rows[1] != rows[0]
+            x, y = xs[-1], ys[-1]
+        assert shuffled  # the unordered list skips the sort
+
     @pytest.mark.parametrize("slack", [1.0, 1.0 + 1e-12], ids=["exact", "rounded_up"])
     @pytest.mark.parametrize("max_step", [4.0, 2.0], ids=["reach_1", "reach_2"])
     def test_pairs_at_the_edge_of_the_reach(self, builds, max_step, slack):
