@@ -3,7 +3,8 @@
 One run places a fleet, injects a single packet at a source vehicle at
 t=0, runs the ticks of the packet's life through two layers and settles
 once. The packet's forwarding tree is its relay record: the source is
-its root, and its origin is where the source stood at t=0. ``contacts``
+its root, its origin is where the source stood at t=0, and its
+``carries`` mask is the one the router tests pairs against. ``contacts``
 is the physics: it steps the fleet once every tick after 0, each step
 writing the tick's positions straight into that tick's contiguous slot
 of the block, and yields a block of ticks at a time, their positions and
@@ -173,7 +174,7 @@ class RunResult:
     @property
     def delivered(self) -> bool | None:
         """Whether the packet reached the destination; None when the run has none."""
-        return None if self.destination_id is None else self.destination_id in self.tree.link_to
+        return None if self.destination_id is None else bool(self.tree.carries[self.destination_id])
 
 
 def _settle(
@@ -225,25 +226,26 @@ def contacts(
 
 
 def _route_block(
-    tree: ForwardingTree, carried: np.ndarray, first: int, xs: np.ndarray, ys: np.ndarray, a: np.ndarray,
-    b: np.ndarray, ends: list[int], tick_seconds: float, stop_at: int | None,
+    tree: ForwardingTree, first: int, xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray,
+    ends: list[int], tick_seconds: float, stop_at: int | None,
 ) -> int | None:
-    """Hand the packet across a block from ``contacts``, marking new carriers; the tick ``stop_at`` joins on.
+    """Hand the packet across a block from ``contacts``; the tick ``stop_at`` joins on.
 
     The result is that tick's index i in the block, where routing stops, or
     None if ``stop_at`` did not join. Only a tick on which a carrier meets a
     non-carrier can hand off, and its pairs are routed in (a, b) order.
     After a tick that has no such pair, one test over the rest of the block
     finds the next tick that has one, and its slices serve that tick, as
-    ``carried`` cannot change in between. After a tick that handed off, the
-    next tick is tested on its own.
+    ``tree.carries`` cannot change in between. After a tick that handed
+    off, the next tick is tested on its own.
     """
-    n, k = len(carried), len(ends)
+    carries, order = tree.carries, tree.order
+    n, k = len(carries), len(ends)
     i = start = 0
-    while i < k and len(tree.depth) < n:  # once every vehicle carries, no contact can hand off
+    while i < k and len(order) < n:  # once every vehicle carries, no contact can hand off
         end = ends[i]
         ta, tb = a[start:end], b[start:end]
-        ca, cb = carried[ta], carried[tb]
+        ca, cb = carries[ta], carries[tb]
         grow = ca != cb
         if not np.count_nonzero(grow):  # a quiet tick
             m = len(a) - end
@@ -252,8 +254,8 @@ def _route_block(
             # one buffer of at least 1 KiB: numpy keeps freed arrays under 1 KiB for reuse,
             # by exact size, so tests of many sizes would pile up over a sweep
             test = np.empty(max(3 * m, 1024), dtype=bool)
-            ca = np.take(carried, a[end:], out=test[:m], mode="clip")
-            cb = np.take(carried, b[end:], out=test[m:2 * m], mode="clip")
+            ca = np.take(carries, a[end:], out=test[:m], mode="clip")
+            cb = np.take(carries, b[end:], out=test[m:2 * m], mode="clip")
             hits = np.not_equal(ca, cb, out=test[2 * m:3 * m])
             hit = int(hits.argmax())
             if not hits[hit]:
@@ -262,19 +264,17 @@ def _route_block(
             s, e = ends[i - 1] - end, ends[i] - end
             start, end = ends[i - 1], ends[i]
             ta, tb, ca, cb, grow = a[start:end], b[start:end], ca[s:e], cb[s:e], hits[s:e]
-        reach = carried.copy()  # a pair out of every carrier's component cannot hand off
+        reach = carries.copy()  # a pair out of every carrier's component cannot hand off
         while np.count_nonzero(grow):
             reach[ta[grow]] = reach[tb[grow]] = True
             grow = reach[ta] != reach[tb]
         # nor can a pair whose ends both carried at tick start, as both still carry
         keep = reach[ta] > (ca & cb)
-        x, y, now = xs[i], ys[i], float((first + i) * tick_seconds)  # now is the model's clock at the tick
+        x, y, now = xs[i], ys[i], float((first + i) * tick_seconds)  # tick k's clock is k * tick_seconds
         for p, q in zip(ta[keep].tolist(), tb[keep].tolist()):
-            link = handle_encounter(tree, p, q, x, y, now)
-            if link is not None:
-                carried[link.to_id] = True
-                if link.to_id == stop_at:
-                    return i
+            taker = handle_encounter(tree, p, q, x, y, now)
+            if taker is not None and taker == stop_at:  # taker 0 is a handoff too
+                return i
         i, start = i + 1, end
     return None
 
@@ -305,28 +305,27 @@ def run(
     if destination is None and settle_on_delivery:
         others = [i for i in range(n) if i != source]
         destination = others[int(rng_engine.integers(0, len(others)))]
-    tree = ForwardingTree(root=source, origin=model.position_of(source))
+    tree = ForwardingTree(root=source, origin=model.position_of(source), n=n)
 
     end = float(min(engine_cfg.duration, packet_spec.deadline))  # never an int
     # whole ticks: a ratio within a few ulps of an integer (0.3 / 0.1 is 2.9999999999999996) is that integer
     ticks = end / mobility_cfg.tick_seconds
     last_tick = round(ticks) if abs(ticks - round(ticks)) <= 4 * math.ulp(ticks) else math.floor(ticks)
     stop_at = destination if settle_on_delivery else None
-    carried = np.zeros(n, dtype=bool)
-    carried[source] = True
     contact_events, ticks_run = 0, last_tick
     tick_seconds = mobility_cfg.tick_seconds
     neighbours = pair_list(n, engine_cfg.radio_range, mobility_cfg.speed_max * tick_seconds)
     for first, xs, ys, a, b, ends in contacts(model, neighbours, last_tick):
-        i = _route_block(tree, carried, first, xs, ys, a, b, ends, tick_seconds, stop_at)
+        i = _route_block(tree, first, xs, ys, a, b, ends, tick_seconds, stop_at)
         if i is not None:  # the packet's life ended at the block's tick i; the fleet may have stepped past it
             contact_events, ticks_run = contact_events + ends[i], first + i
             break
         contact_events += len(a)
-        if len(tree.depth) == n:  # a full tree routes no more: later blocks are only counted
+        if len(tree.order) == n:  # a full tree routes no more: later blocks are only counted
             neighbours.ordered = False
 
-    settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
+    delivered = stop_at is not None and tree.carries[stop_at]
+    settle_time = min(float(tree.joined_at[stop_at]), end) if delivered else end
     records, report = _settle(tree, packet_spec, destination, incentive_cfg, engine_cfg, settle_time)
     return RunResult(
         seed=seed,
@@ -337,7 +336,7 @@ def run(
         records=records,
         report=report,
         settle_time=settle_time,
-        final_time=float(ticks_run * tick_seconds),  # the model's clock at that tick
+        final_time=float(ticks_run * tick_seconds),  # that tick's clock
         ticks_run=ticks_run,
         contact_events=contact_events,
     )

@@ -153,7 +153,7 @@ def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
     """Flatten a finished run into its reportable summary; the run's own config scores distances."""
     tree = result.tree
     aggregate = result.incentives.distance_aggregate
-    desc = descendant_counts(tree)
+    desc, depth = descendant_counts(tree), tree.depth.tolist()
     rows = []
     for rec in result.records:
         vid = rec.vehicle_id
@@ -169,7 +169,7 @@ def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
                 ),
                 receive_distance=rec.receive_distance,
                 descendants=desc[vid],
-                depth=tree.depth[vid],
+                depth=depth[vid],
             )
         )
     rows_t = tuple(rows)
@@ -193,8 +193,8 @@ def build_summary(result: RunResult, scenario_hash: str) -> RunSummary:
         "overspend": result.report.overspend,
         "shortfall": result.report.shortfall,
         "paid_link_count": result.report.paid_link_count,
-        "tree_size": len(tree.depth),
-        "link_count": len(tree.links),
+        "tree_size": len(tree.order),
+        "link_count": len(tree.order) - 1,  # one handoff per node but the root
         "contact_events": result.contact_events,
     }
     return RunSummary(scenario=identity, rows=rows_t, aggregates=aggregates)

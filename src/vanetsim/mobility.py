@@ -84,8 +84,9 @@ class MobilityConfig:
 class RandomWaypointModel:
     """Mutable mobility state for a fleet of vehicles.
 
-    The clock is an integer tick count; ``now`` is derived from it, so
-    simulated time never drifts by summing a fractional tick length.
+    The clock is an integer tick count, and tick k's time is the float
+    ``k * tick_seconds``, so simulated time never drifts by summing a
+    fractional tick length.
     The step keeps each vehicle's step length and a bound on
     ``pause_until``, so replace ``speed`` or ``pause_until`` only through
     ``set_state``. It also keeps the block of candidate rows it last drew
@@ -150,7 +151,7 @@ class RandomWaypointModel:
             self.rng.random(out=self._cands)
             row = 0
         self._row = row + 1
-        p, w, step_len, now = self.pos, self.way, self._step_len, float(self.tick * cfg.tick_seconds)  # as ``now``
+        p, w, step_len, now = self.pos, self.way, self._step_len, float(self.tick * cfg.tick_seconds)
         out = p if out is None else out
         d, sq, dist = self._d, self._sq, self._dist
         np.subtract(w, p, out=d)
@@ -184,10 +185,6 @@ class RandomWaypointModel:
         np.minimum(np.maximum(out, self._zero, out=out), self.arena, out=out)
         self.pos = out
         self.tick += 1
-
-    @property
-    def now(self) -> float:
-        return float(self.tick * self.config.tick_seconds)
 
     def position_of(self, vehicle_id: int) -> tuple[float, float]:
         return (float(self.pos[0, vehicle_id]), float(self.pos[1, vehicle_id]))

@@ -1,11 +1,19 @@
-"""Shared domain types for the simulator and the reward accounting."""
+"""Shared domain types for the simulator and the reward accounting.
+
+``ForwardingTree`` is a run's one record of its packet: numpy arrays
+indexed by vehicle id, read by the router, the settlement and the
+summary. Each reader takes Python values from them (``tolist``) before
+its per-node loop, so no numpy scalar reaches a record or an export.
+"""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 Vec2 = tuple[float, float]
 
@@ -101,56 +109,44 @@ class PacketSpec:
         check_range("interest_radius", self.interest_radius, open_low=True)
 
 
-@dataclass(frozen=True)
-class TreeLink:
-    """One relay event: an encounter that copied the packet to a new node."""
-
-    from_id: int
-    to_id: int
-    timestamp: float
-    to_position: Vec2
-    distance_from_origin: float  # origin -> forwarder position at relay time
-
-
-@dataclass
 class ForwardingTree:
-    """Relay tree of the run's packet, rooted at the source vehicle.
+    """Relay tree of the run's packet over a fleet of ``n`` vehicles, rooted at the source.
 
-    It is the packet's only relay record. ``root`` is the source, which
-    pays under the budget schemes, and ``origin`` is where it stood at
-    t=0, the point relay distances are measured from. Every vehicle
-    appears at most once: nodes that have already carried the packet
-    never re-enter, so links arrive in strictly tree-growing order.
-    ``add`` indexes each link by the vehicle it reached (``link_to``,
-    whose ``from_id`` is the parent) and gives that vehicle its hop count
-    from the root (``depth``, root at 0). The keys of ``depth`` are the
-    tree's nodes, so membership is ``vehicle_id in tree.depth``. Links
-    passed to the constructor are added in order; append through ``add``
-    only, never to ``links`` directly.
+    It is the packet's only relay record, one entry per vehicle id in
+    each array. ``root`` is the source, which pays under the budget
+    schemes, and ``origin`` is where it stood at t=0, the point every
+    distance is measured from. ``carries`` marks the tree's nodes, and
+    ``order`` lists them in join order, root first. A node v other than
+    the root got the packet from ``parent[v]`` at ``joined_at[v]``,
+    ``depth[v]`` hops from the root, while it stood ``receive_distance[v]``
+    and its parent ``relay_distance[v]`` from the origin. ``parent`` is -1
+    at the root and off the tree; the other arrays hold 0 there. Nodes
+    that have carried the packet never re-enter, so every node comes after
+    its parent in ``order``. Grow the tree through ``add`` only.
     """
 
-    root: int
-    origin: Vec2
-    links: list[TreeLink] = field(default_factory=list)
-    link_to: dict[int, TreeLink] = field(init=False, repr=False, compare=False)
-    depth: dict[int, int] = field(init=False, repr=False, compare=False)
+    def __init__(self, root: int, origin: Vec2, n: int) -> None:
+        self.root, self.origin = root, origin
+        self.carries = np.zeros(n, dtype=bool)
+        self.carries[root] = True
+        self.parent = np.full(n, -1)
+        self.depth = np.zeros(n, dtype=int)
+        self.joined_at, self.receive_distance, self.relay_distance = np.zeros((3, n))
+        self.order = [root]
 
-    def __post_init__(self) -> None:
-        links, self.links = self.links, []
-        self.link_to = {}
-        self.depth = {self.root: 0}
-        for link in links:
-            self.add(link)
-
-    def add(self, link: TreeLink) -> None:
-        """Append a handoff from a tree member to a vehicle not yet in the tree."""
-        if link.to_id in self.depth:
-            raise ValidationError(f"vehicle {link.to_id} is already in the tree")
-        if link.from_id not in self.depth:
-            raise ValidationError(f"vehicle {link.from_id} is not in the tree")
-        self.depth[link.to_id] = self.depth[link.from_id] + 1
-        self.link_to[link.to_id] = link
-        self.links.append(link)
+    def add(self, giver: int, taker: int, now: float, receive_distance: float, relay_distance: float) -> None:
+        """Record a handoff from a tree member to a vehicle not yet in the tree."""
+        if self.carries[taker]:
+            raise ValidationError(f"vehicle {taker} is already in the tree")
+        if not self.carries[giver]:
+            raise ValidationError(f"vehicle {giver} is not in the tree")
+        self.carries[taker] = True
+        self.parent[taker] = giver
+        self.depth[taker] = self.depth[giver] + 1
+        self.joined_at[taker] = now
+        self.receive_distance[taker] = receive_distance
+        self.relay_distance[taker] = relay_distance
+        self.order.append(taker)
 
 
 @dataclass

@@ -70,22 +70,22 @@ def fundable_hops(budget: float, hop_price: float) -> int:
 def settle_packet_purse(tree: ForwardingTree, budget: float, hop_price: float) -> SettlementReport:
     """Pay handoffs from a purse of ``budget`` in the order they happened; the source loads it.
 
-    Each funded link pays its sender one hop price. Once the purse cannot
-    cover the next hop, every remaining link goes unpaid: the packet is
-    economically dead from that point on, which is the scheme's known
-    failure mode. ``shortfall`` reports the unfunded demand.
+    Each funded handoff pays its sender one hop price. Once the purse
+    cannot cover the next hop, every remaining handoff goes unpaid: the
+    packet is economically dead from that point on, which is the scheme's
+    known failure mode. ``shortfall`` reports the unfunded demand.
     """
-    links = tree.links
-    affordable = fundable_hops(budget, hop_price)
-    paid_links = min(len(links), affordable)
+    takers = tree.order[1:]  # one handoff each, in the order they happened
+    paid_links = min(len(takers), fundable_hops(budget, hop_price))
 
-    # every funded link pays its sender, the source included: its own
+    # every funded handoff pays its sender, the source included: its own
     # handoffs are a wash once the payer debit is applied
-    shares = dict.fromkeys(tree.depth, 0.0)
-    for link in links[:paid_links]:
-        shares[link.from_id] += hop_price
+    parent = tree.parent.tolist()
+    shares = dict.fromkeys(tree.order, 0.0)
+    for vid in takers[:paid_links]:
+        shares[parent[vid]] += hop_price
 
-    demand = len(links) * hop_price
+    demand = len(takers) * hop_price
     shortfall = max(0.0, demand - budget)
     return SettlementReport(
         shares=shares, payer_id=tree.root, shortfall=shortfall, paid_link_count=paid_links
@@ -100,10 +100,10 @@ def settle_packet_trade(
     If the packet never reached the destination nobody pays anything.
     The source is never debited; at most it earns for the first sale.
     """
-    shares = dict.fromkeys(tree.depth, 0.0)
-    if destination_id in tree.link_to:
-        for link in path_from_root(tree, destination_id):
-            shares[link.from_id] += hop_price
+    shares = dict.fromkeys(tree.order, 0.0)
+    if tree.carries[destination_id]:
+        for seller in path_from_root(tree, destination_id)[:-1]:
+            shares[seller] += hop_price
     shares.pop(destination_id, None)
 
     return SettlementReport(shares=shares, payer_id=destination_id)

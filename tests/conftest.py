@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vanetsim.model import ForwardingTree, PacketSpec, TreeLink
+from vanetsim.model import ForwardingTree, PacketSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE_YAML = REPO_ROOT / "scenarios" / "baseline.yaml"
@@ -20,24 +20,27 @@ def make_packet(
     return PacketSpec(reward_budget=budget, deadline=deadline, interest_radius=interest_radius)
 
 
-def make_link(
-    from_id: int, to_id: int, timestamp: float = 0.0, dist: float = 10.0
-) -> TreeLink:
-    return TreeLink(
-        from_id=from_id,
-        to_id=to_id,
-        timestamp=timestamp,
-        to_position=(dist + 1.0, 0.0),
-        distance_from_origin=dist,
-    )
+def make_tree(hops=None, root: int = 0, length: int = 0, n: int = 64) -> ForwardingTree:
+    """A tree over ``n`` vehicles from the (0, 0) origin, grown through ``add``.
+
+    ``hops`` are ``(giver, taker)`` or ``(giver, taker, joined_at)``, in
+    join order, each at 0 s by default. Without them the tree is the chain
+    root -> root+1 -> ... -> root+length, hop i at i s. Every taker stood
+    11 m and every giver 10 m from the origin.
+    """
+    if hops is None:
+        hops = [(root + i, root + i + 1, float(i)) for i in range(length)]
+    tree = ForwardingTree(root=root, origin=(0.0, 0.0), n=n)
+    for giver, taker, *at in hops:
+        tree.add(giver, taker, at[0] if at else 0.0, receive_distance=11.0, relay_distance=10.0)
+    return tree
 
 
-def chain_tree(root: int = 0, length: int = 3) -> ForwardingTree:
-    """root -> root+1 -> ... -> root+length, one link per hop, from the (0, 0) origin."""
-    links = [
-        make_link(root + i, root + i + 1, timestamp=float(i)) for i in range(length)
-    ]
-    return ForwardingTree(root=root, origin=(0.0, 0.0), links=links)
+def links_of(tree: ForwardingTree) -> list[tuple[int, int, float, float, float]]:
+    """``(parent, child, joined_at, receive_distance, relay_distance)`` per handoff, in join order."""
+    parent, joined_at = tree.parent.tolist(), tree.joined_at.tolist()
+    receive, relay = tree.receive_distance.tolist(), tree.relay_distance.tolist()
+    return [(parent[v], v, joined_at[v], receive[v], relay[v]) for v in tree.order[1:]]
 
 
 @pytest.fixture

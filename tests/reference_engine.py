@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from conftest import links_of
 from test_acceptance import reference_pairs
 from test_mobility import masked_waypoint_step
 from vanetsim.model import PROPORTIONAL_SCHEMES, ForwardingTree, Scheme
@@ -40,13 +41,13 @@ def reference_run(mob, eng, inc, pkt, seed: int) -> dict:
         others = [i for i in range(n) if i != source]
         destination = others[int(rng_engine.integers(0, len(others)))]
     stop_at = destination if stops else None
-    tree = ForwardingTree(root=source, origin=(float(x[source]), float(y[source])))
+    tree = ForwardingTree(root=source, origin=(float(x[source]), float(y[source])), n=n)
 
     end = float(min(eng.duration, pkt.deadline))
     ticks = end / dt
     last_tick = round(ticks) if abs(ticks - round(ticks)) <= 4 * math.ulp(ticks) else math.floor(ticks)
     contact_events, tick = 0, 0
-    while tick <= last_tick and stop_at not in tree.depth:
+    while tick <= last_tick and stop_at not in tree.order:
         if tick:
             cand = rng.random((n, 3))
             masked_waypoint_step(x, y, wx, wy, speed, pause_until, cand, (tick - 1) * dt, dt,
@@ -56,12 +57,12 @@ def reference_run(mob, eng, inc, pkt, seed: int) -> dict:
         contact_events += len(a)
         for i, j in zip(a.tolist(), b.tolist()):
             handle_encounter(tree, i, j, x, y, float(tick * dt))
-            if stop_at in tree.depth:
+            if stop_at in tree.order:
                 break
         tick += 1
     ticks_run = tick - 1
 
-    settle_time = min(tree.link_to[stop_at].timestamp, end) if stop_at in tree.link_to else end
+    settle_time = min(float(tree.joined_at[stop_at]), end) if stop_at in tree.order else end
     records = collect_records(tree, settle_time)
     if inc.scheme in PROPORTIONAL_SCHEMES:
         inc.score_records(records, pkt)
@@ -73,7 +74,7 @@ def reference_run(mob, eng, inc, pkt, seed: int) -> dict:
     return {
         "source_id": source,
         "destination_id": destination,
-        "links": tree.links,
+        "links": links_of(tree),
         "records": records,
         "report": report,
         "settle_time": settle_time,

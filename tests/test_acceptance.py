@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import chain_tree
+from conftest import links_of, make_tree
 from vanetsim import engine, kernels
 from vanetsim.cli import main
 from vanetsim.engine import EngineConfig, PacketSpec, run
@@ -126,7 +126,7 @@ def test_budget_conservation_over_randomized_settlements(capsys):
             )
             for i, c in enumerate(contribs)
         ]
-        report = settle_proportional(chain_tree(length=0), records, budget)
+        report = settle_proportional(make_tree(), records, budget)
         paid = report.total_paid
         if paid > budget:
             overspends += 1
@@ -346,7 +346,7 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
         PacketSpec(reward_budget=3.0, deadline=300.0),
         seed,
     )
-    links = purse.tree.links
+    links = links_of(purse.tree)
     report = purse.report
     purse_ok = (
         len(links) > 3
@@ -355,9 +355,9 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
         and report.total_paid == pytest.approx(3.0)
     )
     # economic halt: only the first affordable handoffs were worth anything
-    expected = dict.fromkeys(purse.tree.depth, 0.0)
-    for link in links[:3]:
-        expected[link.from_id] += 1.0
+    expected = dict.fromkeys(purse.tree.order, 0.0)
+    for parent, *_ in links[:3]:
+        expected[parent] += 1.0
     purse_ok = purse_ok and report.shares == pytest.approx(expected)
 
     trade = run(
@@ -368,7 +368,7 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
     )
     source = trade.source_id
     trade_ok = (
-        len(trade.tree.links) >= 5  # plenty of spraying happened
+        len(links_of(trade.tree)) >= 5  # plenty of spraying happened
         and trade.report.payer_id == trade.destination_id
         and trade.report.payer_id != source
     )
@@ -387,7 +387,7 @@ def test_purse_exhaustion_and_trade_source_immunity(capsys):
         "purse/trade pathologies",
         ok,
         f"purse: {len(links)} handoffs, 3 paid, shortfall {report.shortfall:.1f}; "
-        f"trade: {len(trade.tree.links)} handoffs, source debit 0 "
+        f"trade: {len(links_of(trade.tree))} handoffs, source debit 0 "
         f"(delivered={trade.delivered})",
     )
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import links_of
 from reference_engine import reference_run
 from test_acceptance import contact_blocks, contact_ticks, fresh_list_pairs
 from vanetsim import engine, kernels, routing
@@ -74,7 +75,7 @@ class TestDeterminism:
         r1 = run_default(seed=11)
         r2 = run_default(seed=11)
         assert r1.source_id == r2.source_id
-        assert r1.tree.links == r2.tree.links
+        assert links_of(r1.tree) == links_of(r2.tree)
         assert r1.report.shares == r2.report.shares
         assert r1.settle_time == r2.settle_time
         assert r1.contact_events == r2.contact_events
@@ -85,7 +86,7 @@ class TestDeterminism:
         r2 = run_default(seed=2)
         assert (
             r1.source_id != r2.source_id
-            or r1.tree.links != r2.tree.links
+            or links_of(r1.tree) != links_of(r2.tree)
             or r1.report.shares != r2.report.shares
         )
 
@@ -324,7 +325,7 @@ class TestSettlementTiming:
         eng = EngineConfig(radio_range=100.0, duration=500.0)
         pkt = PacketSpec(deadline=120.0)
         result = run_default(eng=eng, pkt=pkt)
-        assert all(l.timestamp <= 120.0 for l in result.tree.links)
+        assert all(at <= 120.0 for _, _, at, _, _ in links_of(result.tree))
         # stored time is cut at the deadline too
         assert all(r.stored_time <= 120.0 for r in result.records)
 
@@ -335,7 +336,7 @@ class TestSettlementTiming:
         assert result.ticks_run == 6000
         assert result.final_time == 600.0  # was 600.0000000000679 by summing ticks
         assert result.settle_time == 600.0
-        assert all(l.timestamp == round(l.timestamp * 10) * 0.1 for l in result.tree.links)
+        assert all(at == round(at * 10) * 0.1 for _, _, at, _, _ in links_of(result.tree))
 
     def test_zero_duration_settles_immediately(self):
         eng = EngineConfig(radio_range=100.0, duration=0.0)
@@ -347,8 +348,8 @@ class TestSettlementTiming:
         eng = EngineConfig(radio_range=100.0, duration=500.0, source_id=0, destination_id=5)
         result = run_default(seed=2, eng=eng)
         assert result.delivered is True
-        reached = result.tree.link_to[5].timestamp
-        assert 0.0 < reached < max(l.timestamp for l in result.tree.links)  # routing went on
+        reached = float(result.tree.joined_at[5])
+        assert 0.0 < reached < max(at for _, _, at, _, _ in links_of(result.tree))  # routing went on
         assert result.settle_time == PKT.deadline
         assert result.ticks_run == 300
 
@@ -357,7 +358,7 @@ class TestSettlementTiming:
         for seed in range(5):
             result = run_default(seed=seed, eng=eng, pkt=PacketSpec(deadline=30.0))
             assert result.delivered is False
-            assert 5 not in result.tree.depth
+            assert not result.tree.carries[5]
             assert result.settle_time == 30.0
 
     def test_settle_on_delivery_freezes_at_first_delivery(self):
@@ -372,8 +373,8 @@ class TestSettlementTiming:
                 break
         assert found is not None, "no delivery in 30 seeds"
         assert found.settle_time <= 300.0
-        assert all(l.timestamp <= found.settle_time for l in found.tree.links)
-        assert found.destination_id in found.tree.depth
+        assert all(at <= found.settle_time for _, _, at, _, _ in links_of(found.tree))
+        assert found.tree.carries[found.destination_id]
 
 
 @pytest.mark.parametrize(
@@ -429,7 +430,7 @@ def test_mobility_steps_stop_with_the_packets_life(monkeypatch, dt, eng, inc, pk
     stepped = steps
     if steps is None:  # settled on delivery: the run ends at the delivery tick, its steps at that block's end
         assert result.delivered
-        settle = result.tree.link_to[result.destination_id].timestamp
+        settle = float(result.tree.joined_at[result.destination_id])
         steps = round(settle / dt)
         assert steps < round(pkt.deadline / dt)
         block = kernels.pair_list(mob.vehicle_count, eng.radio_range, mob.speed_max * dt).block
@@ -460,7 +461,7 @@ def test_handoff_on_a_clock_an_ulp_past_the_end_is_held_for_no_time(monkeypatch,
     result = run(replace(mob, tick_seconds=0.1), eng, INC, PKT, 0)
     assert result.ticks_run == 3
     assert result.final_time == 3 * 0.1 > 0.3
-    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == [(0, 1, 3 * 0.1)]
+    assert [link[:3] for link in links_of(result.tree)] == [(0, 1, 3 * 0.1)]
     assert result.delivered
     assert result.settle_time == 0.3
     assert [(r.vehicle_id, r.stored_time) for r in result.records] == [(1, 0.0)]
@@ -591,8 +592,8 @@ def test_verlet_builds_stop_sorting_after_the_block_that_fills_the_tree(build_fl
     # 300 vehicles in 800 m: every vehicle carries within a few ticks, and from
     # the next 5-tick block on the run only counts contacts
     result = run_default(seed=0, mob=MobilityConfig(vehicle_count=300))
-    assert len(result.tree.depth) == 300 and result.ticks_run == 300
-    filled = round(max(link.timestamp for link in result.tree.link_to.values()) / MOB.tick_seconds)
+    assert len(result.tree.order) == 300 and result.ticks_run == 300
+    filled = round(max(at for _, _, at, _, _ in links_of(result.tree)) / MOB.tick_seconds)
     sorted_blocks = filled // 5 + 1  # the blocks through the one whose tick fills the tree
     assert build_flags == [True] * sorted_blocks + [False] * (61 - sorted_blocks)
 
@@ -600,7 +601,7 @@ def test_verlet_builds_stop_sorting_after_the_block_that_fills_the_tree(build_fl
 def test_verlet_builds_keep_sorting_while_the_tree_grows(build_flags):
     # 1 000 vehicles at the baseline density: the tree never holds the whole fleet
     result = run_default(seed=0, mob=MobilityConfig(vehicle_count=1000, arena_width=6532.0, arena_height=6532.0))
-    assert len(result.tree.depth) < 1000 and result.ticks_run == 300
+    assert len(result.tree.order) < 1000 and result.ticks_run == 300
     assert build_flags == [True] * 61
 
 
@@ -663,18 +664,18 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
     """
     mob_seq, _ = np.random.SeedSequence(result.seed).spawn(2)
     model = RandomWaypointModel(mob, np.random.default_rng(mob_seq))
-    tree = ForwardingTree(root=result.source_id, origin=result.tree.origin)
+    tree = ForwardingTree(root=result.source_id, origin=result.tree.origin, n=mob.vehicle_count)
     contact_events = 0
     expected_calls = Counter()
     full_from = None
     for tick in range(result.ticks_run + 1):
         if tick:
             model.step()
-        now = model.now
+        now = float(model.tick * mob.tick_seconds)
         a, b = fresh_list_pairs(model.pos[0], model.pos[1], eng.radio_range)
         contact_events += len(a)
         pairs = list(zip(a.tolist(), b.tolist()))
-        carried_at_start = set(tree.depth)
+        carried_at_start = set(tree.order)
         reached = _joined_to(carried_at_start, pairs)
         if len(carried_at_start) == mob.vehicle_count and full_from is None:
             full_from = now
@@ -682,8 +683,8 @@ def _route_every_pair(result, mob, eng, settle_on_delivery):
         for i, j in pairs:
             if full_from is None and not (i in carried_at_start and j in carried_at_start) and i in reached:
                 expected_calls[now] += 1
-            link = routing.handle_encounter(tree, i, j, model.pos[0], model.pos[1], now)
-            if settle_on_delivery and link is not None and link.to_id == result.destination_id:
+            taker = routing.handle_encounter(tree, i, j, model.pos[0], model.pos[1], now)
+            if settle_on_delivery and taker is not None and taker == result.destination_id:
                 delivered = True
                 break
         if delivered:
@@ -737,7 +738,7 @@ def test_pair_filter_matches_routing_every_pair(monkeypatch, mob, eng, inc, seed
     tree, contact_events, expected_calls, full_from = _route_every_pair(
         result, mob, eng, settle_on_delivery
     )
-    assert result.tree.links == tree.links
+    assert links_of(result.tree) == links_of(tree)
     assert result.contact_events == contact_events
     assert calls == expected_calls
     assert sum(calls.values()) < contact_events  # the filter dropped pairs
@@ -757,9 +758,9 @@ def test_component_without_a_carrier_is_never_routed(monkeypatch):
     result = run(mob, eng, INC, PacketSpec(deadline=5.0), 0)
     assert result.contact_events == 3 * 6  # (0, 3), (1, 2) and (2, 4) on ticks 0..5
     assert offered == [(0.0, 0, 3)]  # later ticks hold no uncarried vehicle it can reach
-    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == [(0, 3, 0.0)]
+    assert [link[:3] for link in links_of(result.tree)] == [(0, 3, 0.0)]
     tree, contact_events, _, _ = _route_every_pair(result, mob, eng, False)
-    assert result.tree.links == tree.links
+    assert links_of(result.tree) == links_of(tree)
     assert result.contact_events == contact_events
 
 
@@ -777,9 +778,9 @@ def test_chain_is_routed_like_every_pair(monkeypatch, source, hops):
     offered = _logged_encounters(monkeypatch)
     eng = EngineConfig(radio_range=100.0, duration=4.0, source_id=source)
     result = run(mob, eng, INC, PacketSpec(deadline=4.0), 0)
-    assert [(l.from_id, l.to_id, l.timestamp) for l in result.tree.links] == hops
+    assert [link[:3] for link in links_of(result.tree)] == hops
     tree, contact_events, expected_calls, _ = _route_every_pair(result, mob, eng, False)
-    assert result.tree.links == tree.links
+    assert links_of(result.tree) == links_of(tree)
     assert result.contact_events == contact_events
     assert Counter(now for now, _, _ in offered) == expected_calls
 
@@ -809,14 +810,18 @@ REFERENCE_SCHEMES = [
     inc=st.sampled_from(REFERENCE_SCHEMES),
     data=st.data(),
 )
-# the explicit examples draw both endpoints. Ticks 0-60 are one all-pairs block at 15 vehicles:
-# the tree fills on tick 8, so the rest of the block is never routed
+# explicit examples give their endpoints as a (source_id, destination_id) pair; None draws one.
+# Ticks 0-60 are one all-pairs block at 15 vehicles: the tree fills on tick 8, so the rest of
+# the block is never routed
 @example(seed=2, n=15, packing=0.6, speeds=(5.0, 15.0), pause_time=2.5, dt=1.0, duration=60.0, deadline=300.0,
-         settle_on_delivery=False, inc=REFERENCE_SCHEMES[3], data=None)
+         settle_on_delivery=False, inc=REFERENCE_SCHEMES[3], data=(None, None))
 # 10-tick blocks at 40 vehicles, 22 of which carry by the end: in each of the six whole
 # blocks a quiet tick comes before a handoff (ticks 4, 7, 18, 23, 32, 43, 45 and 54 follow one)
 @example(seed=1, n=40, packing=1.0, speeds=(5.0, 15.0), pause_time=0.0, dt=1.0, duration=60.0, deadline=300.0,
-         settle_on_delivery=False, inc=REFERENCE_SCHEMES[4], data=None)
+         settle_on_delivery=False, inc=REFERENCE_SCHEMES[4], data=(None, None))
+# a trade delivered to vehicle 0, whose id is falsy, on tick 2: routing stops there
+@example(seed=0, n=15, packing=0.6, speeds=(5.0, 15.0), pause_time=0.0, dt=1.0, duration=60.0, deadline=300.0,
+         settle_on_delivery=False, inc=REFERENCE_SCHEMES[5], data=(None, 0))
 def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, dt, duration, deadline,
                                          settle_on_delivery, inc, data):
     # fleets on both sides of the Verlet crossover, at and above baseline
@@ -824,8 +829,9 @@ def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, d
     side = packing * 800.0 * (n / 15.0) ** 0.5
     mob = MobilityConfig(vehicle_count=n, arena_width=side, arena_height=side, speed_min=speeds[0],
                          speed_max=speeds[1], pause_time=pause_time, tick_seconds=dt)
-    source = destination = None
-    if data is not None:
+    if isinstance(data, tuple):
+        source, destination = data
+    else:
         source = data.draw(st.none() | st.integers(0, n - 1), label="source_id")
         destination = data.draw(st.none() | st.integers(0, n - 1).filter(lambda d: d != source),
                                 label="destination_id")
@@ -836,7 +842,7 @@ def test_run_equals_the_reference_engine(seed, n, packing, speeds, pause_time, d
     assert reference_run(mob, eng, inc, pkt, seed) == {
         "source_id": result.source_id,
         "destination_id": result.destination_id,
-        "links": result.tree.links,
+        "links": links_of(result.tree),
         "records": result.records,
         "report": result.report,
         "settle_time": result.settle_time,
@@ -875,7 +881,7 @@ class TestAccounting:
         pkt = PacketSpec(reward_budget=3.0, deadline=300.0)
         eng = EngineConfig(radio_range=100.0, duration=300.0, hop_price=1.0)
         result = run_default(seed=7, inc=inc, pkt=pkt, eng=eng)
-        links = len(result.tree.links)
+        links = len(links_of(result.tree))
         assert result.report.paid_link_count == min(links, 3)
         if links > 3:
             assert result.report.shortfall == pytest.approx(float(links - 3))
@@ -887,28 +893,20 @@ class TestAccounting:
         assert result.report.payer_id == result.destination_id
         if result.delivered:
             # payer covers exactly its path, one hop price per link
-            depth = len(
-                [l for l in _path(result.tree, result.destination_id)]
-            )
-            assert result.report.total_paid == pytest.approx(depth * 1.0)
+            hops = len(routing.path_from_root(result.tree, result.destination_id)) - 1
+            assert result.report.total_paid == pytest.approx(hops * 1.0)
         else:
             assert result.report.total_paid == 0.0
-
-
-def _path(tree, node):
-    from vanetsim.routing import path_from_root
-
-    return path_from_root(tree, node)
 
 
 class TestTreeShape:
     def test_links_grow_the_tree_strictly(self):
         result = run_default(seed=13)
         seen = {result.tree.root}
-        for link in result.tree.links:
-            assert link.from_id in seen
-            assert link.to_id not in seen
-            seen.add(link.to_id)
+        for parent, child, *_ in links_of(result.tree):
+            assert parent in seen
+            assert child not in seen
+            seen.add(child)
 
 
 @pytest.mark.parametrize("settle_on_delivery", [False, True])

@@ -131,21 +131,21 @@ class TestRandomWaypointModel:
         m = make_model(0, tick_seconds=0.5)
         for _ in range(4):
             m.step()
-        assert m.now == pytest.approx(2.0)
+        assert m.tick * m.config.tick_seconds == pytest.approx(2.0)
 
     def test_fractional_tick_clock_does_not_drift(self):
         m = make_model(0, vehicle_count=3, tick_seconds=0.1)
         for _ in range(3000):
             m.step()
         assert m.tick == 3000
-        assert m.now == 300.0  # summing 0.1 3 000 times gives 299.99999999999997
+        assert m.tick * m.config.tick_seconds == 300.0  # summing 0.1 3 000 times gives 299.99999999999997
 
     def test_moving_speed_within_bounds(self):
         m = make_model(3, speed_min=4.0, speed_max=9.0, pause_time=1.0, tick_seconds=0.5)
         saw_move = False
         for _ in range(200):
             before, way, speed = m.pos.copy(), m.way.copy(), m.speed.copy()
-            paused = m.now < m.pause_until
+            paused = m.tick * m.config.tick_seconds < m.pause_until
             m.step()
             assert np.all((m.speed >= 4.0) & (m.speed <= 9.0))
             moved = np.hypot(*(m.pos - before))
@@ -161,7 +161,7 @@ class TestRandomWaypointModel:
         saw_pause = False
         for _ in range(300):
             before = m.pos.copy()
-            paused = m.now < m.pause_until  # pause state the step acts on
+            paused = m.tick * m.config.tick_seconds < m.pause_until  # pause state the step acts on
             m.step()
             if np.any(paused):
                 saw_pause = True
@@ -222,7 +222,7 @@ class TestRandomWaypointModel:
         blocks = [rng.random((k, n, 3)) for _ in range(-(-steps // k))]
         saw_pause = False
         for _ in range(steps):
-            saw_pause |= bool(np.any(m.now < m.pause_until))
+            saw_pause |= bool(np.any(m.tick * m.config.tick_seconds < m.pause_until))
             m.step()
         assert saw_pause and np.all(np.isfinite(m.pause_until))  # each vehicle arrived
         assert np.array_equal(m.rng.random(4), rng.random(4))  # the model drew those blocks and no more

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain_tree, make_link
+from conftest import make_tree
 from vanetsim.engine import EngineConfig
 from vanetsim.incentives import IncentiveConfig
 from vanetsim.mobility import MobilityConfig
@@ -80,25 +80,23 @@ class TestWeightSet:
 
 
 class TestForwardingTree:
-    def test_depth_is_keyed_by_every_node(self):
-        tree = chain_tree(length=3)  # 0 -> 1 -> 2 -> 3
-        assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 3}
+    def test_depth_is_set_for_every_node(self):
+        tree = make_tree(length=3)  # 0 -> 1 -> 2 -> 3
+        assert {v: tree.depth[v] for v in tree.order} == {0: 0, 1: 1, 2: 2, 3: 3}
 
-    def test_link_to_gives_the_parent(self):
-        tree = ForwardingTree(
-            root=0,
-            origin=(0.0, 0.0),
-            links=[make_link(0, 1), make_link(0, 2), make_link(2, 3)],
-        )
-        assert tree.link_to[3].from_id == 2
-        assert tree.link_to[1].from_id == 0
-        assert 0 not in tree.link_to
-        assert tree.depth == {0: 0, 1: 1, 2: 1, 3: 2}
+    def test_parent_is_recorded_per_node(self):
+        tree = make_tree([(0, 1), (0, 2), (2, 3)])
+        assert tree.parent[3] == 2
+        assert tree.parent[1] == 0
+        assert tree.parent[0] == -1  # the root has no parent
+        assert {v: tree.depth[v] for v in tree.order} == {0: 0, 1: 1, 2: 1, 3: 2}
 
     def test_empty_tree_is_just_the_root(self):
-        tree = ForwardingTree(root=7, origin=(0.0, 0.0))
-        assert tree.link_to == {}
-        assert tree.depth == {7: 0}
+        tree = ForwardingTree(root=7, origin=(0.0, 0.0), n=10)
+        assert tree.order == [7]
+        assert tree.carries.nonzero()[0].tolist() == [7]
+        assert (tree.parent == -1).all()
+        assert tree.depth[7] == 0
 
 
 class TestSettlementReport:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import make_link
+from conftest import links_of, make_tree
 from vanetsim.model import ForwardingTree, ValidationError
 from vanetsim.routing import (
     collect_records,
@@ -13,7 +13,7 @@ from vanetsim.routing import (
 )
 
 def new_tree(source: int = 0) -> ForwardingTree:
-    return ForwardingTree(root=source, origin=(0.0, 0.0))
+    return make_tree(root=source)
 
 
 def meet(tree, a, b, a_pos, b_pos, now):
@@ -26,34 +26,36 @@ def meet(tree, a, b, a_pos, b_pos, now):
 class TestHandleEncounter:
     def test_copies_to_the_empty_side(self):
         tree = new_tree()
-        link = meet(tree, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0)
-        assert link is not None
-        assert (link.from_id, link.to_id) == (0, 5)
-        assert link.timestamp == 2.0
-        assert tree.link_to[5].from_id == 0
+        assert meet(tree, 0, 5, (30.0, 40.0), (33.0, 44.0), 2.0) == 5
+        assert links_of(tree) == [(0, 5, 2.0, 55.0, 50.0)]  # received at (33, 44)
+        assert tree.parent[5] == 0
         assert tree.depth[5] == 1
-        assert tree.link_to[5].to_position == (33.0, 44.0)
+        assert tree.carries[5]
 
     def test_direction_is_carrier_to_noncarrier(self):
         tree = new_tree()
         # same encounter, ids swapped: the carrier still gives
-        link = meet(tree, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0)
-        assert link is not None
-        assert (link.from_id, link.to_id) == (0, 9)
+        assert meet(tree, 9, 0, (1.0, 0.0), (2.0, 0.0), 1.0) == 9
+        assert [link[:2] for link in links_of(tree)] == [(0, 9)]
+
+    def test_a_handoff_to_vehicle_0_returns_0(self):
+        tree = new_tree(3)
+        assert meet(tree, 3, 0, (1.0, 0.0), (2.0, 0.0), 1.0) == 0
+        assert meet(tree, 0, 5, (1.0, 0.0), (2.0, 0.0), 2.0) == 5  # 0 carries and gives
+        assert tree.order == [3, 0, 5]
 
     def test_link_distance_measured_at_the_giver(self):
         tree = new_tree()
         giver_pos = (30.0, 40.0)  # 50 m from the (0, 0) origin
-        link = meet(tree, 0, 5, giver_pos, (90.0, 90.0), 1.0)
-        assert link.distance_from_origin == 50.0
-        assert [l.distance_from_origin for l in tree.links if l.from_id == 0] == [50.0]
+        assert meet(tree, 0, 5, giver_pos, (90.0, 90.0), 1.0) == 5
+        assert tree.relay_distance[5] == 50.0
+        assert [relay for parent, _, _, _, relay in links_of(tree) if parent == 0] == [50.0]
 
     def test_forward_count_increments_per_handoff(self):
         tree = new_tree()
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         meet(tree, 0, 2, (3.0, 0.0), (4.0, 0.0), 2.0)
-        sent = [l for l in tree.links if l.from_id == 0]
-        assert [l.distance_from_origin for l in sent] == [0.0, 3.0]
+        assert [relay for parent, _, _, _, relay in links_of(tree) if parent == 0] == [0.0, 3.0]
         assert [r.forward_count for r in collect_records(tree, 5.0)] == [0, 0]
 
     def test_both_carriers_is_a_noop(self):
@@ -61,12 +63,13 @@ class TestHandleEncounter:
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         assert meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 2.0) is None
         assert meet(tree, 1, 0, (1.0, 0.0), (0.0, 0.0), 2.0) is None
-        assert len(tree.links) == 1
+        assert len(links_of(tree)) == 1
 
     def test_neither_carries_is_a_noop(self):
         tree = new_tree()
         assert meet(tree, 4, 5, (0.0, 0.0), (1.0, 0.0), 1.0) is None
-        assert tree.depth == {0: 0}
+        assert tree.order == [0]
+        assert tree.carries.nonzero()[0].tolist() == [0]
 
     def test_positions_are_read_only_on_a_handoff(self):
         tree = new_tree()
@@ -80,7 +83,7 @@ class TestHandleEncounter:
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 1.0)
         meet(tree, 1, 2, (5.0, 0.0), (6.0, 0.0), 2.0)
         meet(tree, 0, 2, (0.0, 0.0), (6.0, 0.0), 3.0)  # 2 already has it
-        tos = [l.to_id for l in tree.links]
+        tos = [child for _, child, _, _, _ in links_of(tree)]
         assert sorted(tos) == [1, 2]
         assert len(set(tos)) == len(tos)
 
@@ -88,14 +91,13 @@ class TestHandleEncounter:
 class TestStoredTime:
     def test_elapsed_since_receipt(self):
         tree = new_tree()
-        link = meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
-        assert link is not None
-        assert stored_time(tree.link_to[1].timestamp, 25.0) == 15.0
+        assert meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0) == 1
+        assert stored_time(tree.joined_at[1], 25.0) == 15.0
 
     def test_never_negative(self):
         tree = new_tree()
         meet(tree, 0, 1, (0.0, 0.0), (1.0, 0.0), 10.0)
-        assert stored_time(tree.link_to[1].timestamp, 5.0) == 0.0
+        assert stored_time(tree.joined_at[1], 5.0) == 0.0
 
 
 class TestCollectRecords:
@@ -129,7 +131,7 @@ class TestCollectRecords:
         rec.relay_distances.append(99.0)
         (again,) = [r for r in collect_records(tree, 5.0) if r.vehicle_id == 1]
         assert again.relay_distances == [2.0]
-        assert len(tree.links) == 2
+        assert len(links_of(tree)) == 2
 
 
 class TestTreeQueries:
@@ -139,42 +141,30 @@ class TestTreeQueries:
         #      1   2
         #     / \    \
         #    3   4    5
-        return ForwardingTree(
-            root=0,
-            origin=(0.0, 0.0),
-            links=[
-                make_link(0, 1, 1.0),
-                make_link(0, 2, 1.0),
-                make_link(1, 3, 2.0),
-                make_link(1, 4, 2.0),
-                make_link(2, 5, 3.0),
-            ],
-        )
+        return make_tree([(0, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0), (1, 4, 2.0), (2, 5, 3.0)])
 
     def test_descendant_counts(self):
         assert descendant_counts(self.tree()) == {0: 5, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0}
 
     def test_descendants_of_bare_root(self):
-        assert descendant_counts(ForwardingTree(root=4, origin=(0.0, 0.0))) == {4: 0}
+        assert descendant_counts(make_tree(root=4)) == {4: 0}
 
     def test_descendants_match_a_walk_up_the_parents(self):
         rng = random.Random(3)
-        tree = ForwardingTree(root=0, origin=(0.0, 0.0))
-        for to_id in range(1, 40):
-            tree.add(make_link(rng.randrange(to_id), to_id))  # parent is some earlier node
-        walked = dict.fromkeys(tree.depth, 0)
-        for node in tree.depth:
-            while node in tree.link_to:
-                node = tree.link_to[node].from_id
+        tree = make_tree([(rng.randrange(to_id), to_id) for to_id in range(1, 40)])  # parent is some earlier node
+        parent = {child: parent for parent, child, *_ in links_of(tree)}
+        walked = dict.fromkeys(tree.order, 0)
+        for node in tree.order:
+            while node in parent:
+                node = parent[node]
                 walked[node] += 1
         assert descendant_counts(tree) == walked
 
     def test_path_from_root(self):
-        path = path_from_root(self.tree(), 4)
-        assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 4)]
+        assert path_from_root(self.tree(), 4) == [0, 1, 4]
 
     def test_path_to_root_is_empty(self):
-        assert path_from_root(self.tree(), 0) == []
+        assert path_from_root(self.tree(), 0) == [0]
 
     def test_path_to_stranger_raises(self):
         with pytest.raises(KeyError):
@@ -188,38 +178,39 @@ class TestMultiHopWithinOneTick:
         tree = new_tree()
         for a, b in [(0, 1), (1, 2)]:
             meet(tree, a, b, (float(a), 0.0), (float(b), 0.0), 0.0)
-        assert set(tree.depth) == {0, 1, 2}
-        path = path_from_root(tree, 2)
-        assert [(l.from_id, l.to_id) for l in path] == [(0, 1), (1, 2)]
+        assert set(tree.order) == {0, 1, 2}
+        assert path_from_root(tree, 2) == [0, 1, 2]
 
 
 class TestTreeIndex:
     def test_new_tree_holds_only_its_root(self):
         tree = new_tree(3)
         assert tree.root == 3
-        assert tree.depth == {3: 0}
-        assert tree.links == []
-        assert tree.link_to == {}
+        assert tree.order == [3]
+        assert tree.depth[3] == 0
+        assert links_of(tree) == []
+        assert (tree.parent == -1).all()
 
     def test_depth_counts_hops_from_the_root(self):
         tree = new_tree()
         for a, b in [(0, 1), (1, 2), (0, 3)]:
             meet(tree, a, b, (0.0, 0.0), (1.0, 0.0), 1.0)
-        assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 1}
-        assert all(tree.depth[v] == len(path_from_root(tree, v)) for v in tree.depth)
+        assert {v: tree.depth[v] for v in tree.order} == {0: 0, 1: 1, 2: 2, 3: 1}
+        assert all(tree.depth[v] == len(path_from_root(tree, v)) - 1 for v in tree.order)
 
-    def test_constructor_links_are_indexed(self):
-        tree = ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(0, 1), make_link(1, 2)])
-        assert tree.link_to[2].from_id == 1
+    def test_added_handoffs_are_indexed_by_taker(self):
+        tree = make_tree([(0, 1, 1.0), (1, 2, 2.0)])
+        assert tree.parent[2] == 1
         assert tree.depth[2] == 2
+        assert tree.joined_at[2] == 2.0
 
     def test_add_rejects_a_second_copy(self):
-        tree = ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(0, 1)])
+        tree = make_tree([(0, 1)])
         with pytest.raises(ValidationError):
-            tree.add(make_link(0, 1))
+            tree.add(0, 1, 0.0, 11.0, 10.0)
         with pytest.raises(ValidationError):
-            tree.add(make_link(1, 0))
+            tree.add(1, 0, 0.0, 11.0, 10.0)
 
     def test_add_rejects_a_sender_outside_the_tree(self):
         with pytest.raises(ValidationError):
-            ForwardingTree(root=0, origin=(0.0, 0.0), links=[make_link(5, 6)])
+            make_tree([(5, 6)])
